@@ -19,7 +19,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -169,8 +169,13 @@ def variant_name(config: ExperimentConfig) -> str:
     return "-".join(parts)
 
 
-def load_dataset(config: ExperimentConfig) -> hadl_data.Dataset:
+def load_dataset(config: ExperimentConfig) -> tuple[hadl_data.Dataset, str]:
+    """The command's dataset and its split convention, reading the registry
+    at most once. Convention: explicit config wins, then the registry entry,
+    then the known-name default (ratio for anything unrecognized)."""
     name = config.dataset
+    entry = hadl_data.load_registry(config.registry).get(name, {}) if config.registry else {}
+    convention = config.convention or entry.get("convention") or hadl_data.convention_for(name)
     if name in SYNTH_KINDS:
         params = {
             "length": config.synth_length,
@@ -181,137 +186,105 @@ def load_dataset(config: ExperimentConfig) -> hadl_data.Dataset:
             params["amplitudes"] = [config.synth_amplitude]
         elif name == "low_rank_target":
             params["period"] = config.synth_period
-        return hadl_data.synth(name, params, seed=mix_seed(config.seed, "dataset"))
-    path = config.data_path
-    expected_channels = None
-    if config.registry:
-        registry = hadl_data.load_registry(config.registry)
-        if name in registry:
-            entry = registry[name]
-            path = path or entry["path"]
-            expected_channels = entry["channels"]
-    if not path:
-        path = os.path.join("data", f"{name}.csv")
+        return hadl_data.synth(name, params, seed=mix_seed(config.seed, "dataset")), convention
+    path = config.data_path or entry.get("path") or os.path.join("data", f"{name}.csv")
     if not os.path.exists(path):
         raise HadlError(f"dataset file not found: {path} (set data_path or registry)")
-    return hadl_data.load_csv(path, name=name, expected_channels=expected_channels)
+    dataset = hadl_data.load_csv(path, convention, name=name,
+                                 expected_channels=entry.get("channels"))
+    return dataset, convention
 
 
-def dataset_convention(config: ExperimentConfig, dataset_name: str) -> str:
-    """Explicit config wins, then the registry entry, then the known-name
-    default (ratio for anything unrecognized)."""
-    if config.convention:
-        return config.convention
-    if config.registry:
-        registry = hadl_data.load_registry(config.registry)
-        if dataset_name in registry:
-            return registry[dataset_name]["convention"]
-    return hadl_data.convention_for(dataset_name)
-
-
-def prepare_windows(config: ExperimentConfig, dataset: hadl_data.Dataset,
-                    lookback: int, horizon: int, eta: float, seed: int):
+def prepare_windows(job: ExperimentConfig, horizon: int, data):
     """Split, standardize, noise the train segment, and window all three."""
-    convention = dataset_convention(config, dataset.name)
-    train_seg, val_seg, test_seg = hadl_data.split(dataset, convention, lookback=lookback)
-    if config.standardize:
+    dataset, convention = data
+    train_seg, val_seg, test_seg = hadl_data.split(dataset, convention, lookback=job.lookback)
+    if job.standardize:
         _, train_seg, val_seg, test_seg = hadl_data.fit_transform(train_seg, val_seg, test_seg)
-    if eta > 0.0:
-        train_seg = hadl_data.inject_noise(train_seg, eta, mix_seed(seed, "noise", eta))
-    w_train = hadl_data.windows(train_seg, lookback, horizon, config.stride)
-    w_val = hadl_data.windows(val_seg, lookback, horizon)
-    w_test = hadl_data.windows(test_seg, lookback, horizon)
+    if job.noise_eta > 0.0:
+        train_seg = hadl_data.inject_noise(
+            train_seg, job.noise_eta, mix_seed(job.seed, "noise", job.noise_eta)
+        )
+    w_train = hadl_data.windows(train_seg, job.lookback, horizon, job.stride)
+    w_val = hadl_data.windows(val_seg, job.lookback, horizon)
+    w_test = hadl_data.windows(test_seg, job.lookback, horizon)
     return w_train, w_val, w_test
 
 
-def run_single(config: ExperimentConfig, dataset: hadl_data.Dataset, lookback: int,
-               horizon: int, rank: int, eta: float, seed: int,
-               max_epochs: int | None = None, patience: int | None = None,
-               head: str | None = None, use_haar: bool | None = None,
-               use_dct: bool | None = None):
-    """Train one model and evaluate it on the clean test split.
+def run_single(job: ExperimentConfig, horizon: int, data):
+    """Train one model on `data` = (dataset, convention) and evaluate it on
+    the clean test split.
 
     Returns (best_model, trace, EvalReport). The model init seed does not
-    depend on eta, so a robustness sweep perturbs only the training data.
+    depend on noise_eta, so a robustness sweep perturbs only the training data.
     """
-    head = config.head if head is None else head
-    use_haar = config.use_haar if use_haar is None else use_haar
-    use_dct = config.use_dct if use_dct is None else use_dct
-    w_train, w_val, w_test = prepare_windows(config, dataset, lookback, horizon, eta, seed)
-    train_config = TrainConfig(
-        learning_rate=config.learning_rate,
-        beta1=config.beta1,
-        beta2=config.beta2,
-        epsilon=config.epsilon,
-        l1_lambda=config.l1_lambda,
-        max_epochs=config.max_epochs if max_epochs is None else max_epochs,
-        patience=config.patience if patience is None else patience,
-        batch_size=config.batch_size,
-        seed=seed,
-        noise_eta=eta,
-    )
+    w_train, w_val, w_test = prepare_windows(job, horizon, data)
+    # every TrainConfig field is the job's config key of the same name
+    train_config = TrainConfig(**{f.name: getattr(job, f.name) for f in fields(TrainConfig)})
     model = init_model(
-        lookback,
+        job.lookback,
         horizon,
-        rank,
-        seed=mix_seed(seed, "init", lookback, horizon),
-        use_haar=use_haar,
-        use_dct=use_dct,
-        head=head,
-        with_bias=config.with_bias,
+        job.rank,
+        seed=mix_seed(job.seed, "init", job.lookback, horizon),
+        use_haar=job.use_haar,
+        use_dct=job.use_dct,
+        head=job.head,
+        with_bias=job.with_bias,
     )
     best, trace = train(model, w_train, w_val, train_config)
     pred = forward(best, w_test.inputs)
     report = hadl_metrics.EvalReport(
-        dataset=dataset.name,
+        dataset=data[0].name,
         horizon=horizon,
-        use_haar=use_haar,
-        use_dct=use_dct,
-        head=head,
-        with_bias=config.with_bias,
-        rank=rank if head == HEAD_LOW_RANK else None,
-        seed=seed,
-        noise_eta=eta,
+        use_haar=job.use_haar,
+        use_dct=job.use_dct,
+        head=job.head,
+        with_bias=job.with_bias,
+        rank=job.rank if job.head == HEAD_LOW_RANK else None,
+        seed=job.seed,
+        noise_eta=job.noise_eta,
         mse=hadl_metrics.mse(pred, w_test.targets),
         mae=hadl_metrics.mae(pred, w_test.targets),
         config={
-            "learning_rate": config.learning_rate,
-            "l1_lambda": config.l1_lambda,
-            "batch_size": config.batch_size,
-            "max_epochs": train_config.max_epochs,
-            "patience": train_config.patience,
-            "standardize": config.standardize,
+            "learning_rate": job.learning_rate,
+            "l1_lambda": job.l1_lambda,
+            "batch_size": job.batch_size,
+            "max_epochs": job.max_epochs,
+            "patience": job.patience,
+            "standardize": job.standardize,
         },
     )
     return best, trace, report
 
 
-def _run_dir(config: ExperimentConfig, dataset_name: str, variant: str, horizon: int) -> str:
-    path = os.path.join(config.outdir, dataset_name, variant, str(horizon))
+def run_grid(cells, data, workers: int) -> list:
+    """run_single over (job, horizon) cells, serially or in one process pool;
+    a job is the command's config with the cell's keys replaced. Prints one
+    progress line per job as its result arrives, in cell order, and returns
+    the (best_model, trace, EvalReport) triples in cell order."""
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(run_single, job, horizon, data) for job, horizon in cells]
+            return [_progress(cell, future.result()) for cell, future in zip(cells, futures)]
+    return [_progress(cell, run_single(*cell, data)) for cell in cells]
+
+
+def _progress(cell, result):
+    (job, horizon), (_, trace, report) = cell, result
+    print(
+        f"job dataset={report.dataset} variant={variant_name(job)} L={job.lookback} "
+        f"H={horizon} seed={job.seed} eta={job.noise_eta} best_epoch={trace.best_epoch} "
+        f"test_mse={report.mse:.6f} test_mae={report.mae:.6f}"
+    )
+    return result
+
+
+def _run_dir(config: ExperimentConfig, variant: str, horizon: int) -> str:
+    path = os.path.join(config.outdir, config.dataset, variant, str(horizon))
     os.makedirs(path, exist_ok=True)
     return path
-
-
-def _train_job(config: ExperimentConfig, horizon: int, seed: int,
-               dataset: hadl_data.Dataset | None = None) -> hadl_metrics.EvalReport:
-    """One (horizon, seed) training run; loads its own data when run in a
-    worker process. Output paths are disjoint per (horizon, seed)."""
-    if dataset is None:
-        dataset = load_dataset(config)
-    best, trace, report = run_single(
-        config, dataset, config.lookback, horizon, config.rank,
-        eta=config.noise_eta, seed=seed,
-    )
-    run_dir = _run_dir(config, dataset.name, variant_name(config), horizon)
-    fingerprint = config.fingerprint()
-    save_checkpoint(best, os.path.join(run_dir, f"checkpoint_seed{seed}.npz"))
-    write_trace_csv(trace, os.path.join(run_dir, f"trace_seed{seed}.csv"), fingerprint)
-    write_trace_json(trace, os.path.join(run_dir, f"trace_seed{seed}.json"), fingerprint)
-    print(
-        f"train dataset={dataset.name} H={horizon} seed={seed} "
-        f"best_epoch={trace.best_epoch} test_mse={report.mse:.6f} test_mae={report.mae:.6f}"
-    )
-    return report
 
 
 def cmd_train(config: ExperimentConfig, workers: int = 1) -> list[hadl_metrics.EvalReport]:
@@ -320,33 +293,28 @@ def cmd_train(config: ExperimentConfig, workers: int = 1) -> list[hadl_metrics.E
     workers > 1 runs the (horizon, seed) grid in parallel processes; job
     outputs are independent of scheduling, so results match a serial run.
     """
-    dataset = load_dataset(config)  # validates inputs before any output dir exists
+    data = load_dataset(config)  # validates inputs before any output dir exists
     fingerprint = config.fingerprint()
-    grid = [(horizon, seed) for horizon in config.horizons for seed in config.seed_list()]
+    variant = variant_name(config)
+    seeds = config.seed_list()
+    cells = [(replace(config, seed=seed), horizon)
+             for horizon in config.horizons for seed in seeds]
+    results = run_grid(cells, data, workers)
 
-    by_cell: dict[tuple[int, int], hadl_metrics.EvalReport] = {}
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [(h, s, pool.submit(_train_job, config, h, s)) for h, s in grid]
-            for horizon, seed, future in futures:
-                by_cell[(horizon, seed)] = future.result()
-    else:
-        for horizon, seed in grid:
-            by_cell[(horizon, seed)] = _train_job(config, horizon, seed, dataset)
-
-    all_reports: list[hadl_metrics.EvalReport] = []
-    for horizon in config.horizons:
-        variant = variant_name(config)
-        run_dir = _run_dir(config, dataset.name, variant, horizon)
-        reports = [by_cell[(horizon, seed)] for seed in config.seed_list()]
+    for i, horizon in enumerate(config.horizons):
+        run_dir = _run_dir(config, variant, horizon)
+        per_seed = results[i * len(seeds):(i + 1) * len(seeds)]
+        for seed, (best, trace, _) in zip(seeds, per_seed):
+            save_checkpoint(best, os.path.join(run_dir, f"checkpoint_seed{seed}.npz"))
+            write_trace_csv(trace, os.path.join(run_dir, f"trace_seed{seed}.csv"), fingerprint)
+            write_trace_json(trace, os.path.join(run_dir, f"trace_seed{seed}.json"), fingerprint)
+        reports = [report for _, _, report in per_seed]
         hadl_metrics.write_eval_csv(reports, os.path.join(run_dir, "eval.csv"), fingerprint)
         mses = [r.mse for r in reports]
         bundle = {
             "config": asdict(config),
             "config_fingerprint": fingerprint,
-            "dataset": dataset.name,
+            "dataset": config.dataset,
             "horizon": horizon,
             "variant": variant,
             "reports": [asdict(r) for r in reports],
@@ -354,26 +322,7 @@ def cmd_train(config: ExperimentConfig, workers: int = 1) -> list[hadl_metrics.E
             "mse_std": float(np.std(mses)),
         }
         hadl_metrics.write_json_bundle(bundle, os.path.join(run_dir, "eval.json"))
-        all_reports.extend(reports)
-    return all_reports
-
-
-def _robustness_job(config: ExperimentConfig, eta: float,
-                    dataset: hadl_data.Dataset | None = None) -> float:
-    """Clean-test MSE of one noise intensity; worker-process safe."""
-    if dataset is None:
-        dataset = load_dataset(config)
-    horizon = config.horizons[0]
-    _, trace, report = run_single(
-        config, dataset, config.lookback, horizon, config.rank,
-        eta=eta, seed=config.seed_list()[0],
-        max_epochs=config.robust_max_epochs, patience=config.robust_patience,
-    )
-    print(
-        f"robustness dataset={dataset.name} H={horizon} eta={eta} "
-        f"best_epoch={trace.best_epoch} test_mse={report.mse:.6f}"
-    )
-    return report.mse
+    return [report for _, _, report in results]
 
 
 def cmd_robustness(config: ExperimentConfig, workers: int = 1) -> hadl_metrics.RobustnessReport:
@@ -386,20 +335,14 @@ def cmd_robustness(config: ExperimentConfig, workers: int = 1) -> hadl_metrics.R
     etas = tuple(sorted(set(config.eta_list)))
     if 0.0 not in etas:
         raise MissingZeroEtaError("eta_list must contain 0.0")
-    dataset = load_dataset(config)
+    data = load_dataset(config)
     fingerprint = config.fingerprint()
     horizon = config.horizons[0]
     variant = variant_name(config)
-    run_dir = _run_dir(config, dataset.name, variant, horizon)
-
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            mses = list(pool.map(_robustness_job, [config] * len(etas), etas))
-    else:
-        mses = [_robustness_job(config, eta, dataset) for eta in etas]
-    report = hadl_metrics.robustness_report(etas, mses)
+    base = replace(config, seed=config.seed_list()[0], max_epochs=config.robust_max_epochs,
+                   patience=config.robust_patience)
+    results = run_grid([(replace(base, noise_eta=eta), horizon) for eta in etas], data, workers)
+    report = hadl_metrics.robustness_report(etas, [r.mse for _, _, r in results])
 
     for prev, nxt in zip(report.nrr_per_eta, report.nrr_per_eta[1:]):
         if nxt < prev - 0.02:
@@ -413,13 +356,14 @@ def cmd_robustness(config: ExperimentConfig, workers: int = 1) -> hadl_metrics.R
     else:
         print(f"robustness: MAV={report.mav:.6f} over etas {list(report.eta_list[1:])}")
 
+    run_dir = _run_dir(config, variant, horizon)
     hadl_metrics.write_robustness_csv(
         report, os.path.join(run_dir, "robustness.csv"), fingerprint
     )
     bundle = {
         "config": asdict(config),
         "config_fingerprint": fingerprint,
-        "dataset": dataset.name,
+        "dataset": config.dataset,
         "horizon": horizon,
         "variant": variant,
         "eta_list": list(report.eta_list),
@@ -434,29 +378,19 @@ def cmd_robustness(config: ExperimentConfig, workers: int = 1) -> hadl_metrics.R
 ABLATION_AXES = ("haar", "head", "dct", "rank", "lookback")
 
 
-def _ablate_grid(config: ExperimentConfig, axis: str) -> list[dict]:
-    """The (label, model-variant) grid an ablation axis expands to."""
-    r = config.ablate_rank
-    if axis == "haar":
-        return [
-            {"value": "with_haar", "use_haar": True, "rank": r},
-            {"value": "without_haar", "use_haar": False, "rank": r},
-        ]
-    if axis == "head":
-        return [
-            {"value": "low_rank", "head": HEAD_LOW_RANK, "rank": r},
-            {"value": "dense", "head": HEAD_DENSE, "rank": r},
-        ]
-    if axis == "dct":
-        return [
-            {"value": "with_dct", "use_dct": True, "rank": r},
-            {"value": "without_dct", "use_dct": False, "rank": r},
-        ]
-    if axis == "rank":
-        return [{"value": str(rank), "rank": rank} for rank in config.rank_list]
-    if axis == "lookback":
-        return [{"value": str(lb), "lookback": lb, "rank": r} for lb in config.lookback_list]
-    raise UnknownAxisError(f"unknown ablation axis {axis!r}; choose from {ABLATION_AXES}")
+def _ablate_grid(config: ExperimentConfig, axis: str) -> list[tuple[str, ExperimentConfig]]:
+    """The (label, job config) grid an ablation axis expands to."""
+    variants = {
+        "haar": [("with_haar", {"use_haar": True}), ("without_haar", {"use_haar": False})],
+        "head": [("low_rank", {"head": HEAD_LOW_RANK}), ("dense", {"head": HEAD_DENSE})],
+        "dct": [("with_dct", {"use_dct": True}), ("without_dct", {"use_dct": False})],
+        "rank": [(str(rank), {"rank": rank}) for rank in config.rank_list],
+        "lookback": [(str(lb), {"lookback": lb}) for lb in config.lookback_list],
+    }
+    if axis not in variants:
+        raise UnknownAxisError(f"unknown ablation axis {axis!r}; choose from {ABLATION_AXES}")
+    base = replace(config, rank=config.ablate_rank, seed=config.seed_list()[0])
+    return [(label, replace(base, **keys)) for label, keys in variants[axis]]
 
 
 def cmd_ablate(config: ExperimentConfig, axis: str, params_only: bool = False) -> str:
@@ -466,49 +400,23 @@ def cmd_ablate(config: ExperimentConfig, axis: str, params_only: bool = False) -
     columns (useful to inspect model sizes without data).
     """
     grid = _ablate_grid(config, axis)
-    rows: list[dict] = []
-    dataset = None if params_only else load_dataset(config)
-    seed = config.seed_list()[0]
-    for point in grid:
-        lookback = point.get("lookback", config.lookback)
-        rank = point.get("rank", config.rank)
-        head = point.get("head", config.head)
-        use_haar = point.get("use_haar", config.use_haar)
-        use_dct = point.get("use_dct", config.use_dct)
-        for horizon in config.horizons:
-            counted = param_count(lookback, horizon, rank, config.with_bias, use_haar, head)
-            row = {
-                "axis": axis,
-                "value": point["value"],
-                "lookback": lookback,
-                "horizon": horizon,
-                "mse": "",
-                "params": counted.total,
-                "params_display": kilo_display(counted.total),
-            }
-            if not params_only:
-                _, _, report = run_single(
-                    config, dataset, lookback, horizon, rank,
-                    eta=config.noise_eta, seed=seed,
-                    head=head, use_haar=use_haar, use_dct=use_dct,
-                )
-                row["mse"] = repr(report.mse)
-                print(
-                    f"ablate axis={axis} value={point['value']} H={horizon} "
-                    f"mse={report.mse:.6f} params={counted.total}"
-                )
-            rows.append(row)
+    labels = [label for label, _ in grid for _ in config.horizons]
+    cells = [(job, horizon) for _, job in grid for horizon in config.horizons]
+    if params_only:
+        mses = [""] * len(cells)
+    else:
+        mses = [repr(r.mse) for _, _, r in run_grid(cells, load_dataset(config), 1)]
+    rows = []
+    for label, (job, horizon), mse in zip(labels, cells, mses):
+        total = param_count(job.lookback, horizon, job.rank, job.with_bias,
+                            job.use_haar, job.head).total
+        rows.append([axis, label, job.lookback, horizon, mse, total, kilo_display(total)])
 
     out_root = os.path.join(config.outdir, config.dataset)
     os.makedirs(out_root, exist_ok=True)
     out_path = os.path.join(out_root, f"ablate_{axis}.csv")
-    with open(out_path, "w", newline="", encoding="utf-8") as handle:
-        handle.write(f"# config_fingerprint={config.fingerprint()}\n")
-        writer = csv.writer(handle)
-        header = ["axis", "value", "lookback", "horizon", "mse", "params", "params_display"]
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([row[col] for col in header])
+    header = ["axis", "value", "lookback", "horizon", "mse", "params", "params_display"]
+    hadl_metrics.write_table(out_path, header, rows, config.fingerprint())
     print(f"ablate table written to {out_path}")
     return out_path
 

@@ -89,12 +89,14 @@ def convention_for(name: str) -> str:
     return info["convention"] if info else "ratio"
 
 
-def load_csv(path, name: str | None = None, expected_channels: int | None = None) -> Dataset:
-    """Load a header-and-timestamp CSV into a Dataset.
+def load_csv(path, convention: str, name: str | None = None,
+             expected_channels: int | None = None) -> Dataset:
+    """Load a header-and-timestamp CSV into a Dataset split by `convention`.
 
     The first column is treated as an opaque timestamp and dropped; all other
     columns must be finite decimal numbers. Row order and column order are
-    preserved. Errors name the offending cell.
+    preserved. Errors name the offending cell, or the convention the series
+    is too short for.
     """
     with open(path, "r", newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
@@ -149,7 +151,6 @@ def load_csv(path, name: str | None = None, expected_channels: int | None = None
             f"{path}: expected {expected_channels} channels for {name}, found {values.shape[0]}"
         )
     granularity = info["granularity"] if info else "unknown"
-    convention = info["convention"] if info else "ratio"
     train_end, val_end, _ = _split_edges(convention, values.shape[1])
     return Dataset(
         name=name,

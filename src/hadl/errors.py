@@ -40,6 +40,10 @@ class InvalidStepError(HadlError):
     """Finite-difference step must be a positive number."""
 
 
+class DivergedError(HadlError):
+    """Training produced a non-finite train loss or validation MSE."""
+
+
 # -- data ---------------------------------------------------------------------
 
 class ParseError(HadlError):

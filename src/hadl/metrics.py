@@ -134,15 +134,20 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_eval_csv(reports: list[EvalReport], path, fingerprint: str = "") -> None:
+def write_table(path, header: list[str], rows, fingerprint: str) -> None:
+    """A CSV of already-formatted rows under a `# config_fingerprint=` line
+    (omitted when the fingerprint is empty) and the header."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
         if fingerprint:
             handle.write(f"# config_fingerprint={fingerprint}\n")
         writer = csv.writer(handle)
-        writer.writerow(EVAL_CSV_COLUMNS)
-        for report in reports:
-            row = asdict(report)
-            writer.writerow([_fmt(row[col]) for col in EVAL_CSV_COLUMNS])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_eval_csv(reports: list[EvalReport], path, fingerprint: str = "") -> None:
+    rows = [[_fmt(row[col]) for col in EVAL_CSV_COLUMNS] for row in map(asdict, reports)]
+    write_table(path, EVAL_CSV_COLUMNS, rows, fingerprint)
 
 
 ROBUSTNESS_CSV_COLUMNS = ["eta", "mse", "nrr", "mav"]
@@ -153,22 +158,19 @@ def write_robustness_csv(report: RobustnessReport, path, fingerprint: str = "") 
 
     A sweep without noisy settings marks mav as 'undefined'.
     """
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        if fingerprint:
-            handle.write(f"# config_fingerprint={fingerprint}\n")
-        writer = csv.writer(handle)
-        writer.writerow(ROBUSTNESS_CSV_COLUMNS)
-        noisy_seen = 0
-        for i, (eta, m) in enumerate(zip(report.eta_list, report.mse_per_eta)):
-            ratio = ""
-            if eta > 0.0:
-                ratio = _fmt(report.nrr_per_eta[noisy_seen])
-                noisy_seen += 1
-            last = i == len(report.eta_list) - 1
-            mav_cell = ""
-            if last:
-                mav_cell = "undefined" if report.mav is None else _fmt(report.mav)
-            writer.writerow([_fmt(eta), _fmt(m), ratio, mav_cell])
+    rows = []
+    noisy_seen = 0
+    for i, (eta, m) in enumerate(zip(report.eta_list, report.mse_per_eta)):
+        ratio = ""
+        if eta > 0.0:
+            ratio = _fmt(report.nrr_per_eta[noisy_seen])
+            noisy_seen += 1
+        last = i == len(report.eta_list) - 1
+        mav_cell = ""
+        if last:
+            mav_cell = "undefined" if report.mav is None else _fmt(report.mav)
+        rows.append([_fmt(eta), _fmt(m), ratio, mav_cell])
+    write_table(path, ROBUSTNESS_CSV_COLUMNS, rows, fingerprint)
 
 
 def write_json_bundle(payload: dict, path) -> None:

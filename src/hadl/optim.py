@@ -9,13 +9,13 @@ order, so two runs with identical inputs produce bit-identical results.
 
 from __future__ import annotations
 
-import csv
-import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyDataError, InvalidStepError, ShapeMismatchError
+from .errors import DivergedError, EmptyDataError, InvalidStepError, ShapeMismatchError
+from .metrics import write_json_bundle, write_table
 from .model import (
     HEAD_LOW_RANK,
     HadlModel,
@@ -45,15 +45,12 @@ class TrainConfig:
     patience: int = 20
     batch_size: int = 64
     seed: int = 0
-    noise_eta: float = 0.0
 
     def __post_init__(self):
         if not (0.0 < self.beta1 < 1.0 and 0.0 < self.beta2 < 1.0):
             raise ValueError("beta1 and beta2 must lie strictly in (0, 1)")
         if self.l1_lambda < 0.0:
             raise ValueError("l1_lambda must be >= 0")
-        if self.noise_eta < 0.0:
-            raise ValueError("noise_eta must be >= 0")
         if self.max_epochs < 0:
             raise ValueError("max_epochs must be >= 0")
         if self.patience < 1:
@@ -221,7 +218,9 @@ def train(
     The transforms have no trainable state, so the transformed rows are
     computed once up front. Validation MSE (without the L1 term) is evaluated
     after every epoch; training stops after `patience` epochs without strict
-    improvement and the parameters of the best epoch are returned.
+    improvement and the parameters of the best epoch are returned. A
+    non-finite train loss or validation MSE raises DivergedError at once,
+    since the initial weights would otherwise be returned as the result.
     """
     n_train = int(train_windows.inputs.shape[0])
     n_val = int(val_windows.inputs.shape[0])
@@ -262,6 +261,11 @@ def train(
         val_diff = val_pred - Y_val
         val_mse = float(np.mean(val_diff * val_diff))
         trace.val_mse.append(val_mse)
+        if not (math.isfinite(trace.train_loss[-1]) and math.isfinite(val_mse)):
+            raise DivergedError(
+                f"training diverged at epoch {epoch}: train loss {trace.train_loss[-1]!r},"
+                f" val MSE {val_mse!r}"
+            )
 
         if val_mse < best_val:
             best_val = val_mse
@@ -345,13 +349,9 @@ def forward_with(model: HadlModel, params: dict[str, np.ndarray], X) -> np.ndarr
 
 def write_trace_csv(trace: TrainTrace, path, fingerprint: str = "") -> None:
     """Columns: epoch, train_loss, val_mse. One row per completed epoch."""
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        if fingerprint:
-            handle.write(f"# config_fingerprint={fingerprint}\n")
-        writer = csv.writer(handle)
-        writer.writerow(["epoch", "train_loss", "val_mse"])
-        for epoch, (tl, vm) in enumerate(zip(trace.train_loss, trace.val_mse)):
-            writer.writerow([epoch, repr(tl), repr(vm)])
+    rows = [[epoch, repr(tl), repr(vm)]
+            for epoch, (tl, vm) in enumerate(zip(trace.train_loss, trace.val_mse))]
+    write_table(path, ["epoch", "train_loss", "val_mse"], rows, fingerprint)
 
 
 def write_trace_json(trace: TrainTrace, path, fingerprint: str = "") -> None:
@@ -364,6 +364,4 @@ def write_trace_json(trace: TrainTrace, path, fingerprint: str = "") -> None:
     }
     if fingerprint:
         payload["config_fingerprint"] = fingerprint
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    write_json_bundle(payload, path)

@@ -1,6 +1,8 @@
 import csv
+import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,16 +10,25 @@ from numpy.testing import assert_allclose
 
 from hadl.cli import (
     ExperimentConfig,
+    _ablate_grid,
     cmd_ablate,
     cmd_export_weights,
     cmd_robustness,
     cmd_train,
+    load_dataset,
     main,
     mix_seed,
     read_config_file,
+    run_single,
 )
 from hadl.errors import HadlError, MissingZeroEtaError, UnknownAxisError
 from hadl.model import effective_weight, init_model, save_checkpoint
+
+
+def table_rows(path) -> list[list[str]]:
+    """CSV rows of an output table, header first, fingerprint line skipped."""
+    with open(path, newline="") as handle:
+        return [r for r in csv.reader(line for line in handle if not line.startswith("#"))]
 
 
 def synth_config(tmp_path, **overrides) -> ExperimentConfig:
@@ -157,6 +168,32 @@ class TestTrainCommand:
         reports = cmd_train(config)
         assert reports[0].dataset == "mini"
 
+    def test_diverged_run_exits_nonzero(self, tmp_path, capsys):
+        with np.errstate(all="ignore"):
+            rc = main(
+                ["train", "--dataset", "sine_mix", "--lookback", "64", "--horizons", "16",
+                 "--rank", "4", "--max-epochs", "3", "--patience", "3",
+                 "--learning-rate", "1e300", "--outdir", str(tmp_path / "runs")]
+            )
+        assert rc == 1
+        assert "error: training diverged" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
+    def test_convention_flag_applies_at_load(self, tmp_path, capsys):
+        # 600 rows: enough for a 70/10/20 split, far short of etth's 14400
+        csv_path = tmp_path / "ETTh1.csv"
+        rows = ["date," + ",".join(f"c{c}" for c in range(7))]
+        rows += [f"t{i}," + ",".join(f"{np.sin(i / (3.0 + c)):.6f}" for c in range(7))
+                 for i in range(600)]
+        csv_path.write_text("\n".join(rows) + "\n")
+        argv = ["train", "--dataset", "ETTh1", "--data-path", str(csv_path),
+                "--lookback", "32", "--horizons", "8", "--rank", "2",
+                "--max-epochs", "2", "--patience", "2", "--outdir", str(tmp_path / "runs")]
+        assert main(argv + ["--convention", "ratio"]) == 0
+        assert (tmp_path / "runs" / "ETTh1" / "haar-dct-lowrank_r2-bias" / "8" / "eval.csv").exists()
+        assert main(argv) == 1
+        assert "convention 'etth' needs 14400" in capsys.readouterr().err
+
     def test_parallel_workers_match_serial(self, tmp_path):
         serial = synth_config(tmp_path, outdir=str(tmp_path / "serial"), seeds=(1, 2))
         parallel = synth_config(tmp_path, outdir=str(tmp_path / "parallel"), seeds=(1, 2))
@@ -198,6 +235,21 @@ class TestRobustnessCommand:
         assert len(report.nrr_per_eta) == 2
         assert report.mav is not None
         assert all(r > 0 for r in report.nrr_per_eta)
+
+    def test_parallel_workers_match_serial(self, tmp_path):
+        kwargs = dict(dataset="low_rank_target", eta_list=(0.0, 0.3, 0.7),
+                      robust_max_epochs=4, robust_patience=4)
+        cmd_robustness(synth_config(tmp_path, outdir=str(tmp_path / "serial"), **kwargs))
+        cmd_robustness(synth_config(tmp_path, outdir=str(tmp_path / "parallel"), **kwargs),
+                       workers=2)
+        run_dir = Path("low_rank_target") / "haar-dct-lowrank_r4-bias" / "16"
+        serial, parallel = tmp_path / "serial" / run_dir, tmp_path / "parallel" / run_dir
+        assert table_rows(serial / "robustness.csv") == table_rows(parallel / "robustness.csv")
+        a, b = (json.loads((d / "robustness.json").read_text()) for d in (serial, parallel))
+        for bundle in (a, b):
+            # the embedded config differs in outdir, and so does its fingerprint
+            del bundle["config"], bundle["config_fingerprint"]
+        assert a == b
 
     def test_zero_eta_required(self, tmp_path):
         config = synth_config(tmp_path, eta_list=(0.3, 0.7))
@@ -241,6 +293,15 @@ class TestAblateCommand:
         header, body = rows[0], rows[1:]
         assert [r[header.index("value")] for r in body] == ["32", "48"]
         assert all(r[header.index("mse")] != "" for r in body)
+
+    @pytest.mark.parametrize("axis", ["head", "dct"])
+    def test_axis_trains_the_swapped_variant(self, tmp_path, axis):
+        config = synth_config(tmp_path, horizons=(8,), ablate_rank=2, max_epochs=2, patience=2)
+        header, *body = table_rows(cmd_ablate(config, axis))
+        data = load_dataset(config)
+        expected = [repr(run_single(job, 8, data)[2].mse) for _, job in _ablate_grid(config, axis)]
+        assert [r[header.index("mse")] for r in body] == expected
+        assert expected[0] != expected[1]
 
     def test_haar_axis_grid(self, tmp_path):
         config = synth_config(tmp_path, horizons=(8,), ablate_rank=2, max_epochs=2, patience=2)

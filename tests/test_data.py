@@ -47,7 +47,7 @@ def fake_dataset(channels=2, timesteps=100, seed=0, name="toy"):
 class TestLoadCsv:
     def test_toy_file_in_order(self, tmp_path):
         path = write_csv(tmp_path / "toy.csv", "date,a,b\nt0,1,4\nt1,2,5\nt2,3,6\n")
-        ds = load_csv(path)
+        ds = load_csv(path, "ratio")
         assert ds.series.values.shape == (2, 3)
         assert_allclose(ds.series.values, [[1, 2, 3], [4, 5, 6]])
         assert ds.series.channels == ("a", "b")
@@ -56,42 +56,42 @@ class TestLoadCsv:
     def test_non_numeric_cell_named(self, tmp_path):
         path = write_csv(tmp_path / "bad.csv", "date,a,b\nt0,1,4\nt1,oops,5\n")
         with pytest.raises(ParseError, match="row 2.*'a'"):
-            load_csv(path)
+            load_csv(path, "ratio")
 
     def test_empty_cell_rejected(self, tmp_path):
         path = write_csv(tmp_path / "gap.csv", "date,a,b\nt0,1,\n")
         with pytest.raises(MissingValueError, match="row 1"):
-            load_csv(path)
+            load_csv(path, "ratio")
 
     def test_nan_cell_rejected(self, tmp_path):
         path = write_csv(tmp_path / "nan.csv", "date,a\nt0,nan\n")
         with pytest.raises(MissingValueError):
-            load_csv(path)
+            load_csv(path, "ratio")
 
     def test_empty_file(self, tmp_path):
         path = write_csv(tmp_path / "empty.csv", "")
         with pytest.raises(EmptyFileError):
-            load_csv(path)
+            load_csv(path, "ratio")
 
     def test_header_only(self, tmp_path):
         path = write_csv(tmp_path / "header.csv", "date,a,b\n")
         with pytest.raises(EmptyFileError):
-            load_csv(path)
+            load_csv(path, "ratio")
 
     def test_ragged_row(self, tmp_path):
         path = write_csv(tmp_path / "ragged.csv", "date,a,b\nt0,1\n")
         with pytest.raises(ParseError, match="row 1"):
-            load_csv(path)
+            load_csv(path, "ratio")
 
     def test_known_name_channel_validation(self, tmp_path):
         path = write_csv(tmp_path / "ETTh1.csv", "date,a,b\nt0,1,2\n")
         with pytest.raises(ParseError, match="expected 7 channels"):
-            load_csv(path)
+            load_csv(path, "etth")
         assert KNOWN_DATASETS["etth1"]["channels"] == 7
 
     def test_explicit_channel_expectation(self, tmp_path):
         path = write_csv(tmp_path / "three.csv", "date,a,b,c\nt0,1,2,3\n")
-        ds = load_csv(path, expected_channels=3)
+        ds = load_csv(path, "ratio", expected_channels=3)
         assert ds.series.values.shape == (3, 1)
 
 

@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from hadl.data import fit_transform, split, synth, windows
-from hadl.errors import EmptyDataError, InvalidStepError, ShapeMismatchError
+from hadl.errors import DivergedError, EmptyDataError, InvalidStepError, ShapeMismatchError
 from hadl.model import forward, init_model, model_params, models_equal
 from hadl.optim import (
     AdamState,
@@ -211,6 +211,12 @@ class TestTrain:
         assert models_equal(best, model)
         assert trace.train_loss == [] and trace.val_mse == []
         assert trace.best_epoch == -1
+
+    def test_non_finite_loss_raises_diverged(self):
+        w_train, w_val, _ = realizable_windows()
+        cfg = TrainConfig(learning_rate=1e300, max_epochs=3, patience=3, seed=0)
+        with np.errstate(all="ignore"), pytest.raises(DivergedError, match="epoch 0"):
+            train(init_model(64, 16, 2, seed=5), w_train, w_val, cfg)
 
     def test_bit_reproducible(self):
         w_train, w_val, _ = realizable_windows()
