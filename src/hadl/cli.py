@@ -25,19 +25,19 @@ import numpy as np
 
 from . import data as hadl_data
 from . import metrics as hadl_metrics
-from .errors import HadlError, MissingZeroEtaError, UnknownAxisError
+from .errors import HadlError, InvalidHorizonsError, MissingZeroEtaError, UnknownAxisError
 from .model import (
     HEAD_DENSE,
     HEAD_LOW_RANK,
     effective_weight,
-    forward,
+    forward,  # noqa: F401  (hadl.cli.forward: a benchmark tracing target)
     init_model,
     kilo_display,
     load_checkpoint,
     param_count,
     save_checkpoint,
 )
-from .optim import TrainConfig, train, write_trace_csv, write_trace_json
+from .optim import TrainConfig, evaluate, train, write_trace_csv, write_trace_json
 
 SYNTH_KINDS = ("sine_mix", "low_rank_target", "random_walk")
 
@@ -82,6 +82,12 @@ class ExperimentConfig:
     synth_channels: int = 3
     synth_period: float = 24.0
     synth_amplitude: float = 1.0
+
+    def __post_init__(self):
+        if not self.horizons or min(self.horizons) < 1:
+            raise InvalidHorizonsError(
+                f"horizons must list at least one horizon >= 1, got {list(self.horizons)}"
+            )
 
     def fingerprint(self) -> str:
         blob = json.dumps(asdict(self), sort_keys=True)
@@ -232,7 +238,7 @@ def run_single(job: ExperimentConfig, horizon: int, data):
         with_bias=job.with_bias,
     )
     best, trace = train(model, w_train, w_val, train_config)
-    pred = forward(best, w_test.inputs)
+    test_mse, test_mae = evaluate(best, w_test)
     report = hadl_metrics.EvalReport(
         dataset=data[0].name,
         horizon=horizon,
@@ -243,8 +249,8 @@ def run_single(job: ExperimentConfig, horizon: int, data):
         rank=job.rank if job.head == HEAD_LOW_RANK else None,
         seed=job.seed,
         noise_eta=job.noise_eta,
-        mse=hadl_metrics.mse(pred, w_test.targets),
-        mae=hadl_metrics.mae(pred, w_test.targets),
+        mse=test_mse,
+        mae=test_mae,
         config={
             "learning_rate": job.learning_rate,
             "l1_lambda": job.l1_lambda,

@@ -53,18 +53,42 @@ class Segment:
 
 @dataclass(frozen=True)
 class WindowBatch:
-    """Paired lookback/horizon slices cut from one segment.
+    """Every `stride`-th lookback/horizon window pair of one segment.
 
-    inputs[b] covers segment[:, t : t+L] and targets[b] covers
-    segment[:, t+L : t+L+H] for t = origins[b].
+    inputs[b] covers values[:, t : t+L] and targets[b] covers
+    values[:, t+L : t+L+H] for t = origins[b] = b * stride. Nothing is
+    copied: inputs, targets and `view` are read-only views into `values`,
+    so copy one before writing to it.
     """
 
-    inputs: np.ndarray  # (n, channels, L)
-    targets: np.ndarray  # (n, channels, H)
-    origins: np.ndarray  # (n,)
+    values: np.ndarray  # (channels, timesteps) of the segment
+    lookback: int
+    horizon: int
+    stride: int = 1
 
     def __len__(self) -> int:
-        return int(self.inputs.shape[0])
+        span = self.lookback + self.horizon
+        return max((self.values.shape[1] - span) // self.stride + 1, 0)
+
+    @property
+    def origins(self) -> np.ndarray:
+        return np.arange(len(self)) * self.stride
+
+    @property
+    def inputs(self) -> np.ndarray:
+        """(n, channels, L) view."""
+        return self.view(self.values, self.lookback)
+
+    @property
+    def targets(self) -> np.ndarray:
+        """(n, channels, H) view."""
+        return self.view(self.values[:, self.lookback:], self.horizon)
+
+    def view(self, series: np.ndarray, width: int, step: int = 1) -> np.ndarray:
+        """(n, channels, ceil(width/step)) read-only view of `series`: every
+        `step`-th of the `width` samples that start at each window origin."""
+        sliding = np.lib.stride_tricks.sliding_window_view(series, width, axis=1)
+        return sliding[:, :: self.stride][:, : len(self), ::step].transpose(1, 0, 2)
 
 
 # Channel counts and granularities of the common benchmark files, used to
@@ -225,7 +249,7 @@ def fit_transform(train: Segment, *others: Segment) -> tuple:
 
 
 def windows(segment: Segment, lookback: int, horizon: int, stride: int = 1) -> WindowBatch:
-    """All (input, target) windows of a segment in origin order.
+    """All (input, target) windows of a segment in origin order, as views.
 
     Window b covers [t, t+L) for inputs and [t+L, t+L+H) for targets with
     t = b * stride; nothing ever reads past the end of the segment.
@@ -233,19 +257,11 @@ def windows(segment: Segment, lookback: int, horizon: int, stride: int = 1) -> W
     if stride < 1:
         raise ShapeMismatchError(f"stride must be >= 1, got {stride}")
     T = segment.values.shape[1]
-    span = lookback + horizon
-    if T < span:
+    if T < lookback + horizon:
         raise SegmentTooShortError(
             f"{segment.name}: {T} steps cannot fit lookback {lookback} + horizon {horizon}"
         )
-    origins = np.arange(0, T - span + 1, stride)
-    sliding = np.lib.stride_tricks.sliding_window_view(segment.values, span, axis=1)
-    stacked = sliding[:, origins, :].transpose(1, 0, 2)  # (n, channels, span)
-    return WindowBatch(
-        inputs=np.ascontiguousarray(stacked[:, :, :lookback]),
-        targets=np.ascontiguousarray(stacked[:, :, lookback:]),
-        origins=origins,
-    )
+    return WindowBatch(segment.values, lookback, horizon, stride)
 
 
 def inject_noise(segment: Segment, eta: float, seed: int) -> Segment:

@@ -92,3 +92,7 @@ class MissingZeroEtaError(HadlError):
 
 class UnknownAxisError(HadlError):
     """Unsupported ablation axis."""
+
+
+class InvalidHorizonsError(HadlError):
+    """The horizons list is empty or holds a horizon below 1."""

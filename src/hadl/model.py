@@ -4,6 +4,12 @@ A model maps (batch, channels, L) inputs to (batch, channels, H) forecasts.
 The head (low-rank P@Q factors or a dense matrix, plus optional bias) is
 shared by every channel; the transforms carry no trainable state, so the
 head parameters are the only parameters.
+
+The scaled DCT-II is a fixed linear map F, so A @ P = S @ (F @ P) for Haar
+rows S and their DCT features A = S @ F. Predictions are computed that way
+(`fold_dct`): the DCT costs one d_in x d_in product per head instead of one
+per input row, and P (or W) stays in the DCT basis the L1 penalty and the
+checkpoints use.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import OddLengthError, ShapeMismatchError, WrongHeadError
-from .transforms import dct2_raw, dct2_scaled, haar_batch
+from .transforms import dct2_raw, dct2_scaled, haar_batch, haar_pairs
 
 HEAD_LOW_RANK = "low_rank"
 HEAD_DENSE = "dense"
@@ -109,27 +115,64 @@ def init_model(
     return model
 
 
-def transform_inputs(model: HadlModel, X) -> np.ndarray:
-    """Apply the configured Haar/DCT stages along the last axis.
-
-    Input shape (..., L), output (..., d_in). With Haar off and DCT on, the
-    DCT runs on the full length-L row but keeps the same 2/L factor, so the
-    constant is identical across ablation variants.
-    """
+def haar_rows(model: HadlModel, X) -> np.ndarray:
+    """The Haar stage alone: (..., L) -> (..., d_in); identity with it off."""
     X = np.asarray(X, dtype=np.float64)
     if X.shape[-1] != model.lookback:
         raise ShapeMismatchError(
             f"last axis has length {X.shape[-1]}, model lookback is {model.lookback}"
         )
-    A = X
+    return haar_batch(X) if model.use_haar else X
+
+
+def window_rows(model: HadlModel, batch) -> np.ndarray:
+    """`haar_rows` of every window of a WindowBatch, as a read-only
+    (n, channels, d_in) view: the Haar step runs once over the segment and
+    each window reads every second value of it, so nothing is copied."""
+    if batch.lookback != model.lookback:
+        raise ShapeMismatchError(
+            f"windows have lookback {batch.lookback}, model lookback is {model.lookback}"
+        )
     if model.use_haar:
-        A = haar_batch(A)
-    if model.use_dct:
-        if model.use_haar:
-            A = dct2_scaled(A, model.lookback)
-        else:
-            A = (2.0 / model.lookback) * dct2_raw(A)
-    return A
+        return batch.view(haar_pairs(batch.values), model.lookback - 1, 2)
+    return batch.inputs
+
+
+def dct_stage(model: HadlModel, A) -> np.ndarray:
+    """The scaled DCT stage alone on Haar rows (..., d_in); identity with it
+    off. With Haar off the DCT runs on the full length-L row but keeps the
+    same 2/L factor, so the constant is identical across ablation variants."""
+    if not model.use_dct:
+        return A
+    if model.use_haar:
+        return dct2_scaled(A, model.lookback)
+    return (2.0 / model.lookback) * dct2_raw(A)
+
+
+def dct_matrix(model: HadlModel) -> np.ndarray | None:
+    """The d_in x d_in matrix F of the DCT stage (its image of the identity),
+    so transform_inputs(X) = haar_rows(X) @ F up to rounding; None with the
+    DCT stage off."""
+    return dct_stage(model, np.eye(model.d_in)) if model.use_dct else None
+
+
+def fold_dct(model: HadlModel, F: np.ndarray | None) -> HadlModel:
+    """The same predictor for `haar_rows` inputs: F = dct_matrix(model) folded
+    into the first head factor (P or W) and the DCT stage switched off."""
+    if F is None:
+        return model
+    if model.head == HEAD_LOW_RANK:
+        return replace(model, use_dct=False, P=F @ model.P)
+    return replace(model, use_dct=False, W=F @ model.W)
+
+
+def transform_inputs(model: HadlModel, X) -> np.ndarray:
+    """Apply the configured Haar/DCT stages along the last axis.
+
+    Input shape (..., L), output (..., d_in). Predictions never materialize
+    these features (see `fold_dct`); this is their reference.
+    """
+    return dct_stage(model, haar_rows(model, X))
 
 
 def head_apply(model: HadlModel, A) -> np.ndarray:
@@ -150,7 +193,7 @@ def head_apply(model: HadlModel, A) -> np.ndarray:
 
 def forward(model: HadlModel, X) -> np.ndarray:
     """Full pipeline: transforms then head. (batch, channels, L) -> (..., H)."""
-    return head_apply(model, transform_inputs(model, X))
+    return head_apply(fold_dct(model, dct_matrix(model)), haar_rows(model, X))
 
 
 def effective_weight(model: HadlModel) -> np.ndarray:

@@ -19,12 +19,20 @@ from .metrics import write_json_bundle, write_table
 from .model import (
     HEAD_LOW_RANK,
     HadlModel,
+    dct_matrix,
+    fold_dct,
     forward,
+    haar_rows,
     head_apply,
     model_params,
     replace_params,
-    transform_inputs,
+    transform_inputs,  # noqa: F401  (hadl.optim.transform_inputs: a benchmark tracing target)
+    window_rows,
 )
+
+# Windows per block of the full-set passes (validation, final grad norm, test
+# evaluation): bounds their memory and fixes their summation order.
+EVAL_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -101,29 +109,46 @@ def loss(pred, target, model: HadlModel, l1_lambda: float) -> float:
     return value
 
 
+def _dct_basis(F: np.ndarray | None, grad: np.ndarray) -> np.ndarray:
+    """A gradient w.r.t. the folded first factor F @ P (or F @ W) taken back
+    to the DCT-basis parameter: dL/dP = F.T @ dL/d(F @ P)."""
+    return grad if F is None else F.T @ grad
+
+
 def _gradients_from_rows(
     model: HadlModel,
-    A: np.ndarray,
+    S: np.ndarray,
     Y: np.ndarray,
     l1_lambda: float,
+    F: np.ndarray | None,
 ) -> tuple[dict[str, np.ndarray], float]:
-    """Gradients and loss for already-transformed inputs A (..., d_in).
+    """Gradients and loss for Haar rows S (..., d_in) (see `haar_rows`),
+    with F = dct_matrix(model) passed in so a training loop builds it once.
 
-    The prediction uses the same head_apply call as `forward`, so a target
-    produced by `forward` gives an exactly zero residual term here.
+    The prediction repeats `head_apply`'s arithmetic on the folded head, as
+    `forward` does, so a target produced by `forward` gives an exactly zero
+    residual term here; it keeps S @ P for the Q gradient.
     """
-    pred = head_apply(model, A)
-    diff = pred - Y
+    folded = fold_dct(model, F)
+    if model.head == HEAD_LOW_RANK:
+        Z = S @ folded.P
+        pred = Z @ model.Q
+    else:
+        pred = S @ folded.W
+    # (rows, H) arrays are the largest a step makes: reuse pred's memory
+    if model.bias is not None:
+        pred += model.bias
+    diff = np.subtract(pred, Y, out=pred)
     data_loss = float(np.mean(diff * diff))
-    G = (2.0 / Y.size) * diff.reshape(-1, model.horizon)
-    A2 = A.reshape(-1, model.d_in)
+    G = np.multiply(diff, 2.0 / Y.size, out=diff).reshape(-1, model.horizon)
+    S2 = S.reshape(-1, model.d_in)
 
     grads: dict[str, np.ndarray] = {}
     if model.head == HEAD_LOW_RANK:
-        grads["P"] = A2.T @ (G @ model.Q.T)
-        grads["Q"] = (A2 @ model.P).T @ G
+        grads["P"] = _dct_basis(F, S2.T @ (G @ model.Q.T))
+        grads["Q"] = Z.reshape(-1, Z.shape[-1]).T @ G
     else:
-        grads["W"] = A2.T @ G
+        grads["W"] = _dct_basis(F, S2.T @ G)
     if model.bias is not None:
         grads["bias"] = G.sum(axis=0)
 
@@ -153,8 +178,8 @@ def gradients(model: HadlModel, X_batch, Y_batch, l1_lambda: float) -> dict[str,
         raise ShapeMismatchError(
             f"target length {Y_batch.shape[-1]} != horizon {model.horizon}"
         )
-    A = transform_inputs(model, X_batch)
-    grads, _ = _gradients_from_rows(model, A, Y_batch, l1_lambda)
+    S = haar_rows(model, X_batch)
+    grads, _ = _gradients_from_rows(model, S, Y_batch, l1_lambda, dct_matrix(model))
     return grads
 
 
@@ -196,15 +221,41 @@ def adam_step(
     return new_params, AdamState(step=t, m=new_m, v=new_v)
 
 
-def dense_equivalent_grad_norm(model: HadlModel, A: np.ndarray, Y: np.ndarray) -> float:
-    """Frobenius norm of the residual gradient w.r.t. W = P@Q (or W itself).
+def _block_residuals(model: HadlModel, batch):
+    """(Haar rows, forecast minus target) of each block of EVAL_BLOCK windows
+    in origin order, shaped (rows, d_in) and (rows, H)."""
+    folded = fold_dct(model, dct_matrix(model))
+    S = window_rows(model, batch)
+    Y = batch.targets
+    for start in range(0, len(batch), EVAL_BLOCK):
+        rows = S[start : start + EVAL_BLOCK].reshape(-1, model.d_in)
+        target = Y[start : start + EVAL_BLOCK].reshape(-1, model.horizon)
+        yield rows, head_apply(folded, rows) - target
+
+
+def evaluate(model: HadlModel, batch) -> tuple[float, float]:
+    """MSE and MAE (no L1 term) of the forecasts for every window of a
+    WindowBatch, summed block by block without a full-set array."""
+    squared = absolute = 0.0
+    for _, diff in _block_residuals(model, batch):
+        squared += float(np.sum(diff * diff))
+        absolute += float(np.sum(np.abs(diff)))
+    count = len(batch) * batch.values.shape[0] * model.horizon
+    return squared / count, absolute / count
+
+
+def dense_equivalent_grad_norm(model: HadlModel, batch) -> float:
+    """Frobenius norm of the residual gradient w.r.t. W = P@Q (or W itself)
+    over every window of a WindowBatch.
 
     Computed without the L1 term; at a true minimum of the data term this
     vanishes even though the factored gradients only vanish individually.
     """
-    pred = head_apply(model, A)
-    G = (2.0 / Y.size) * (pred - Y)
-    return float(np.linalg.norm(A.T @ G))
+    total = np.zeros((model.d_in, model.horizon))
+    for rows, diff in _block_residuals(model, batch):
+        total += rows.T @ diff
+    count = len(batch) * batch.values.shape[0] * model.horizon
+    return float(np.linalg.norm((2.0 / count) * _dct_basis(dct_matrix(model), total)))
 
 
 def train(
@@ -215,23 +266,22 @@ def train(
 ) -> tuple[HadlModel, TrainTrace]:
     """Mini-batch ADAM with seeded shuffling and best-snapshot early stopping.
 
-    The transforms have no trainable state, so the transformed rows are
-    computed once up front. Validation MSE (without the L1 term) is evaluated
-    after every epoch; training stops after `patience` epochs without strict
-    improvement and the parameters of the best epoch are returned. A
-    non-finite train loss or validation MSE raises DivergedError at once,
-    since the initial weights would otherwise be returned as the result.
+    Each mini-batch gathers its windows' Haar rows from one view of the
+    training segment (`window_rows`), so no window set is ever copied whole.
+    Validation MSE (without the L1 term) is evaluated after every epoch;
+    training stops after `patience` epochs without strict improvement and
+    the parameters of the best epoch are returned. A non-finite train loss
+    or validation MSE raises DivergedError at once, since the initial
+    weights would otherwise be returned as the result.
     """
-    n_train = int(train_windows.inputs.shape[0])
-    n_val = int(val_windows.inputs.shape[0])
-    if n_train == 0 or n_val == 0:
+    n_train = len(train_windows)
+    if n_train == 0 or len(val_windows) == 0:
         raise EmptyDataError("training and validation window sets must be non-empty")
 
     d_in, H = model.d_in, model.horizon
-    A_train = transform_inputs(model, train_windows.inputs)
-    Y_train = np.asarray(train_windows.targets, dtype=np.float64)
-    A_val = transform_inputs(model, val_windows.inputs).reshape(-1, d_in)
-    Y_val = np.asarray(val_windows.targets, dtype=np.float64).reshape(-1, H)
+    S_train = window_rows(model, train_windows)
+    Y_train = train_windows.targets
+    F = dct_matrix(model)
 
     params = {k: v.copy() for k, v in model_params(model).items()}
     state = init_adam(params)
@@ -243,23 +293,23 @@ def train(
     epochs_without_improvement = 0
 
     for epoch in range(config.max_epochs):
-        order = rng.permutation(n_train)
-        loss_sum = 0.0
-        row_count = 0
-        for start in range(0, n_train, config.batch_size):
-            idx = order[start : start + config.batch_size]
-            A_b = A_train[idx].reshape(-1, d_in)
-            Y_b = Y_train[idx].reshape(-1, H)
-            working = replace_params(model, params)
-            grads, batch_loss = _gradients_from_rows(working, A_b, Y_b, config.l1_lambda)
-            params, state = adam_step(state, params, grads, config)
-            loss_sum += batch_loss * A_b.shape[0]
-            row_count += A_b.shape[0]
-        trace.train_loss.append(loss_sum / row_count)
-
-        val_pred = head_apply(replace_params(model, params), A_val)
-        val_diff = val_pred - Y_val
-        val_mse = float(np.mean(val_diff * val_diff))
+        # overflow and invalid values of a diverging run become the
+        # DivergedError below instead of warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            order = rng.permutation(n_train)
+            loss_sum = 0.0
+            row_count = 0
+            for start in range(0, n_train, config.batch_size):
+                idx = order[start : start + config.batch_size]
+                S_b = S_train[idx].reshape(-1, d_in)
+                Y_b = Y_train[idx].reshape(-1, H)
+                working = replace_params(model, params)
+                grads, batch_loss = _gradients_from_rows(working, S_b, Y_b, config.l1_lambda, F)
+                params, state = adam_step(state, params, grads, config)
+                loss_sum += batch_loss * S_b.shape[0]
+                row_count += S_b.shape[0]
+            trace.train_loss.append(loss_sum / row_count)
+            val_mse, _ = evaluate(replace_params(model, params), val_windows)
         trace.val_mse.append(val_mse)
         if not (math.isfinite(trace.train_loss[-1]) and math.isfinite(val_mse)):
             raise DivergedError(
@@ -279,9 +329,7 @@ def train(
                 break
 
     best_model = replace_params(model, best_params)
-    trace.final_grad_norm = dense_equivalent_grad_norm(
-        best_model, A_train.reshape(-1, d_in), Y_train.reshape(-1, H)
-    )
+    trace.final_grad_norm = dense_equivalent_grad_norm(best_model, train_windows)
     return best_model, trace
 
 

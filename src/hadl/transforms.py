@@ -89,6 +89,18 @@ def haar_batch(X) -> np.ndarray:
     return (X[..., 0::2] + X[..., 1::2]) / SQRT2
 
 
+def haar_pairs(x) -> np.ndarray:
+    """Haar approximation of every adjacent pair along the last axis.
+
+    s[..., j] = (x[..., j] + x[..., j+1]) / sqrt(2), shape (..., N-1). The
+    Haar approximation of the length-L window starting at t is s[..., t :
+    t+L-1 : 2], bit-identical to `haar_batch` on that window, so one pass
+    over a series serves every window cut from it.
+    """
+    x = _as_f64(x)
+    return (x[..., :-1] + x[..., 1:]) / SQRT2
+
+
 @lru_cache(maxsize=16)
 def _dct2_matrix(n: int) -> np.ndarray:
     # M[k, m] = cos(pi * (m + 1/2) * k / n); y = M @ x

@@ -179,6 +179,28 @@ class TestTrainCommand:
         assert "error: training diverged" in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
 
+    def test_diverged_run_prints_only_the_error(self, tmp_path):
+        # a fresh interpreter shows every warning numpy would print to a user
+        proc = subprocess.run(
+            [sys.executable, "-m", "hadl.cli", "train", "--dataset", "sine_mix",
+             "--lookback", "64", "--horizons", "16", "--rank", "4", "--max-epochs", "3",
+             "--patience", "3", "--learning-rate", "1e300", "--outdir", str(tmp_path / "runs")],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: training diverged at epoch 0"), \
+            proc.stderr
+
+    @pytest.mark.parametrize("command", ["train", "robustness"])
+    @pytest.mark.parametrize("horizons", ["", "16,0", "-4"])
+    def test_bad_horizons_rejected(self, tmp_path, capsys, command, horizons):
+        rc = main([command, "--dataset", "sine_mix", "--lookback", "64",
+                   f"--horizons={horizons}", "--outdir", str(tmp_path / "runs")])
+        assert rc == 1
+        assert "error: horizons must list at least one horizon >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
     def test_convention_flag_applies_at_load(self, tmp_path, capsys):
         # 600 rows: enough for a 70/10/20 split, far short of etth's 14400
         csv_path = tmp_path / "ETTh1.csv"

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -249,9 +251,10 @@ class TestTrain:
 
     def test_empty_windows_rejected(self):
         w_train, w_val, _ = realizable_windows()
-        empty = type(w_train)(
-            inputs=w_train.inputs[:0], targets=w_train.targets[:0], origins=w_train.origins[:0]
-        )
+        # a segment one step short of a window holds no windows
+        span = w_train.lookback + w_train.horizon
+        empty = replace(w_train, values=w_train.values[:, : span - 1])
+        assert len(empty) == 0
         with pytest.raises(EmptyDataError):
             train(init_model(64, 16, 2, seed=0), empty, w_val, TrainConfig(seed=0))
 
