@@ -25,6 +25,7 @@ import numpy as np
 
 from . import data as hadl_data
 from . import metrics as hadl_metrics
+from . import optim as hadl_optim
 from .errors import HadlError, InvalidHorizonsError, MissingZeroEtaError, UnknownAxisError
 from .model import (
     HEAD_DENSE,
@@ -217,12 +218,15 @@ def prepare_windows(job: ExperimentConfig, horizon: int, data):
     return w_train, w_val, w_test
 
 
-def run_single(job: ExperimentConfig, horizon: int, data):
+def run_single(job: ExperimentConfig, horizon: int, data, grad_norm: bool = False):
     """Train one model on `data` = (dataset, convention) and evaluate it on
     the clean test split.
 
     Returns (best_model, trace, EvalReport). The model init seed does not
     depend on noise_eta, so a robustness sweep perturbs only the training data.
+    With grad_norm, trace.final_grad_norm is filled in for the best model
+    (a full pass over the training windows, which only `train` writes out);
+    otherwise it stays NaN.
     """
     w_train, w_val, w_test = prepare_windows(job, horizon, data)
     # every TrainConfig field is the job's config key of the same name
@@ -238,6 +242,9 @@ def run_single(job: ExperimentConfig, horizon: int, data):
         with_bias=job.with_bias,
     )
     best, trace = train(model, w_train, w_val, train_config)
+    if grad_norm:
+        # looked up on hadl.optim, where the benchmark's tracer wraps it
+        trace.final_grad_norm = hadl_optim.dense_equivalent_grad_norm(best, w_train)
     test_mse, test_mae = evaluate(best, w_test)
     report = hadl_metrics.EvalReport(
         dataset=data[0].name,
@@ -263,18 +270,20 @@ def run_single(job: ExperimentConfig, horizon: int, data):
     return best, trace, report
 
 
-def run_grid(cells, data, workers: int) -> list:
+def run_grid(cells, data, workers: int, grad_norm: bool) -> list:
     """run_single over (job, horizon) cells, serially or in one process pool;
     a job is the command's config with the cell's keys replaced. Prints one
     progress line per job as its result arrives, in cell order, and returns
-    the (best_model, trace, EvalReport) triples in cell order."""
+    the (best_model, trace, EvalReport) triples in cell order. grad_norm is
+    passed to every run_single, so a pool computes the norms in its workers."""
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(run_single, job, horizon, data) for job, horizon in cells]
+            futures = [pool.submit(run_single, job, horizon, data, grad_norm)
+                       for job, horizon in cells]
             return [_progress(cell, future.result()) for cell, future in zip(cells, futures)]
-    return [_progress(cell, run_single(*cell, data)) for cell in cells]
+    return [_progress(cell, run_single(*cell, data, grad_norm)) for cell in cells]
 
 
 def _progress(cell, result):
@@ -305,7 +314,7 @@ def cmd_train(config: ExperimentConfig, workers: int = 1) -> list[hadl_metrics.E
     seeds = config.seed_list()
     cells = [(replace(config, seed=seed), horizon)
              for horizon in config.horizons for seed in seeds]
-    results = run_grid(cells, data, workers)
+    results = run_grid(cells, data, workers, grad_norm=True)  # written to trace_seed*.json
 
     for i, horizon in enumerate(config.horizons):
         run_dir = _run_dir(config, variant, horizon)
@@ -347,7 +356,8 @@ def cmd_robustness(config: ExperimentConfig, workers: int = 1) -> hadl_metrics.R
     variant = variant_name(config)
     base = replace(config, seed=config.seed_list()[0], max_epochs=config.robust_max_epochs,
                    patience=config.robust_patience)
-    results = run_grid([(replace(base, noise_eta=eta), horizon) for eta in etas], data, workers)
+    results = run_grid([(replace(base, noise_eta=eta), horizon) for eta in etas], data, workers,
+                       grad_norm=False)
     report = hadl_metrics.robustness_report(etas, [r.mse for _, _, r in results])
 
     for prev, nxt in zip(report.nrr_per_eta, report.nrr_per_eta[1:]):
@@ -411,7 +421,8 @@ def cmd_ablate(config: ExperimentConfig, axis: str, params_only: bool = False) -
     if params_only:
         mses = [""] * len(cells)
     else:
-        mses = [repr(r.mse) for _, _, r in run_grid(cells, load_dataset(config), 1)]
+        mses = [repr(r.mse) for _, _, r in run_grid(cells, load_dataset(config), 1,
+                                                    grad_norm=False)]
     rows = []
     for label, (job, horizon), mse in zip(labels, cells, mses):
         total = param_count(job.lookback, horizon, job.rank, job.with_bias,

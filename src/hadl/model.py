@@ -16,11 +16,12 @@ from __future__ import annotations
 
 import json
 import math
+import zipfile
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import OddLengthError, ShapeMismatchError, WrongHeadError
+from .errors import CorruptCheckpointError, OddLengthError, ShapeMismatchError, WrongHeadError
 from .transforms import dct2_raw, dct2_scaled, haar_batch, haar_pairs
 
 HEAD_LOW_RANK = "low_rank"
@@ -334,15 +335,64 @@ def save_checkpoint(model: HadlModel, path) -> None:
 
 
 def load_checkpoint(path) -> HadlModel:
-    with np.load(path, allow_pickle=False) as archive:
-        meta = json.loads(str(archive["meta"]))
-        arrays = {k: archive[k] for k in meta["arrays"]}
-    model = HadlModel(
-        lookback=int(meta["lookback"]),
-        horizon=int(meta["horizon"]),
-        use_haar=bool(meta["use_haar"]),
-        use_dct=bool(meta["use_dct"]),
-        head=str(meta["head"]),
-        seed=int(meta["seed"]),
-    )
+    """The model saved at `path`. Raises CorruptCheckpointError unless the
+    archive holds exactly the arrays its meta lists, named for the head kind
+    and shaped for its lookback, horizon and rank, as finite float64."""
+    try:
+        archive = np.load(path, allow_pickle=False)
+    except (ValueError, zipfile.BadZipFile) as exc:  # numpy reads a non-zip file as a pickle
+        raise CorruptCheckpointError(f"{path}: not an .npz archive") from exc
+    if not isinstance(archive, np.lib.npyio.NpzFile):
+        raise CorruptCheckpointError(f"{path}: a single .npy array, not an .npz archive")
+    with archive:
+        try:
+            meta = json.loads(str(archive["meta"]))
+            names = [str(name) for name in meta["arrays"]]
+            model = HadlModel(
+                lookback=int(meta["lookback"]),
+                horizon=int(meta["horizon"]),
+                use_haar=bool(meta["use_haar"]),
+                use_dct=bool(meta["use_dct"]),
+                head=str(meta["head"]),
+                seed=int(meta["seed"]),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CorruptCheckpointError(f"{path}: unreadable meta: {exc!r}") from exc
+        absent = [name for name in names if name not in archive.files]
+        if absent:
+            raise CorruptCheckpointError(f"{path}: meta lists arrays {absent} the archive lacks")
+        arrays = {name: archive[name] for name in names}
+    _check_checkpoint(model, arrays, path)
     return replace_params(model, arrays)
+
+
+def _check_checkpoint(model: HadlModel, arrays: dict[str, np.ndarray], path) -> None:
+    heads = {HEAD_LOW_RANK: ["P", "Q"], HEAD_DENSE: ["W"]}
+    if model.head not in heads:
+        raise CorruptCheckpointError(f"{path}: unknown head kind {model.head!r}")
+    if model.lookback < 1 or model.horizon < 1 or (model.use_haar and model.lookback % 2):
+        raise CorruptCheckpointError(
+            f"{path}: no model has lookback {model.lookback} and horizon {model.horizon}"
+            f" with use_haar={model.use_haar}"
+        )
+    if sorted(set(arrays) - {"bias"}) != heads[model.head]:
+        raise CorruptCheckpointError(
+            f"{path}: arrays {sorted(arrays)} do not match a {model.head} head"
+        )
+    d_in, H = model.d_in, model.horizon
+    rank = arrays["P"].shape[1] if model.head == HEAD_LOW_RANK and arrays["P"].ndim == 2 else 0
+    if model.head == HEAD_LOW_RANK and rank < 1:
+        raise CorruptCheckpointError(
+            f"{path}: P has shape {arrays['P'].shape}, expected ({d_in}, rank >= 1)"
+        )
+    shapes = {"P": (d_in, rank), "Q": (rank, H), "W": (d_in, H), "bias": (H,)}
+    for name, value in arrays.items():
+        if value.dtype != np.float64:
+            raise CorruptCheckpointError(f"{path}: {name} has dtype {value.dtype}, not float64")
+        if value.shape != shapes[name]:
+            raise CorruptCheckpointError(
+                f"{path}: {name} has shape {value.shape}, expected {shapes[name]}"
+                f" (lookback {model.lookback}, horizon {H}, use_haar={model.use_haar})"
+            )
+        if not np.all(np.isfinite(value)):
+            raise CorruptCheckpointError(f"{path}: {name} holds non-finite values")

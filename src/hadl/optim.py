@@ -75,9 +75,10 @@ class TrainTrace:
     """Per-epoch history plus the early-stopping outcome.
 
     best_epoch indexes the epoch with the lowest validation MSE (-1 when no
-    epoch ran). final_grad_norm is the Frobenius norm of the full-train-set
-    residual gradient with respect to the dense-equivalent weight matrix,
-    evaluated at the returned parameters.
+    epoch ran). final_grad_norm is NaN as `train` returns it: it costs a
+    full pass over the training set, so only a caller that reports it fills
+    it in, with `dense_equivalent_grad_norm` of the returned model and the
+    training windows.
     """
 
     train_loss: list[float] = field(default_factory=list)
@@ -121,25 +122,30 @@ def _gradients_from_rows(
     Y: np.ndarray,
     l1_lambda: float,
     F: np.ndarray | None,
+    pred: np.ndarray,
+    squared: np.ndarray,
 ) -> tuple[dict[str, np.ndarray], float]:
     """Gradients and loss for Haar rows S (..., d_in) (see `haar_rows`),
     with F = dct_matrix(model) passed in so a training loop builds it once.
 
     The prediction repeats `head_apply`'s arithmetic on the folded head, as
     `forward` does, so a target produced by `forward` gives an exactly zero
-    residual term here; it keeps S @ P for the Q gradient.
+    residual term here; it keeps S @ P for the Q gradient. `pred` and
+    `squared` are caller-owned arrays shaped like Y that receive the
+    prediction (then the residual and the output gradient) and the squared
+    residual: they are the largest arrays a step makes, so a training loop
+    allocates them once per epoch, not once per step.
     """
     folded = fold_dct(model, F)
     if model.head == HEAD_LOW_RANK:
         Z = S @ folded.P
-        pred = Z @ model.Q
+        np.matmul(Z, model.Q, out=pred)
     else:
-        pred = S @ folded.W
-    # (rows, H) arrays are the largest a step makes: reuse pred's memory
+        np.matmul(S, folded.W, out=pred)
     if model.bias is not None:
         pred += model.bias
     diff = np.subtract(pred, Y, out=pred)
-    data_loss = float(np.mean(diff * diff))
+    data_loss = float(np.mean(np.multiply(diff, diff, out=squared)))
     G = np.multiply(diff, 2.0 / Y.size, out=diff).reshape(-1, model.horizon)
     S2 = S.reshape(-1, model.d_in)
 
@@ -179,7 +185,8 @@ def gradients(model: HadlModel, X_batch, Y_batch, l1_lambda: float) -> dict[str,
             f"target length {Y_batch.shape[-1]} != horizon {model.horizon}"
         )
     S = haar_rows(model, X_batch)
-    grads, _ = _gradients_from_rows(model, S, Y_batch, l1_lambda, dct_matrix(model))
+    grads, _ = _gradients_from_rows(model, S, Y_batch, l1_lambda, dct_matrix(model),
+                                    np.empty_like(Y_batch), np.empty_like(Y_batch))
     return grads
 
 
@@ -266,8 +273,10 @@ def train(
 ) -> tuple[HadlModel, TrainTrace]:
     """Mini-batch ADAM with seeded shuffling and best-snapshot early stopping.
 
-    Each mini-batch gathers its windows' Haar rows from one view of the
-    training segment (`window_rows`), so no window set is ever copied whole.
+    Each mini-batch gathers its windows' Haar rows and targets from views
+    of the training segment (`window_rows`) into arrays allocated once per
+    epoch, so no window set is ever copied whole. `final_grad_norm` is left
+    NaN (see TrainTrace).
     Validation MSE (without the L1 term) is evaluated after every epoch;
     training stops after `patience` epochs without strict improvement and
     the parameters of the best epoch are returned. A non-finite train loss
@@ -282,6 +291,8 @@ def train(
     S_train = window_rows(model, train_windows)
     Y_train = train_windows.targets
     F = dct_matrix(model)
+    batch = min(config.batch_size, n_train)
+    channels = train_windows.values.shape[0]
 
     params = {k: v.copy() for k, v in model_params(model).items()}
     state = init_adam(params)
@@ -297,17 +308,31 @@ def train(
         # DivergedError below instead of warnings
         with np.errstate(over="ignore", invalid="ignore"):
             order = rng.permutation(n_train)
+            # one epoch's step arrays, sized for a full batch; freed before
+            # the validation pass so they never coexist with its blocks
+            S_buf = np.empty((batch,) + S_train.shape[1:])
+            Y_buf = np.empty((batch,) + Y_train.shape[1:])
+            pred_buf = np.empty((batch * channels, H))
+            squared_buf = np.empty((batch * channels, H))
             loss_sum = 0.0
             row_count = 0
             for start in range(0, n_train, config.batch_size):
                 idx = order[start : start + config.batch_size]
-                S_b = S_train[idx].reshape(-1, d_in)
-                Y_b = Y_train[idx].reshape(-1, H)
+                # window by window: fancy indexing would allocate its result
+                for j, w in enumerate(idx):
+                    S_buf[j] = S_train[w]
+                    Y_buf[j] = Y_train[w]
+                rows = len(idx) * channels
+                S_b = S_buf[: len(idx)].reshape(rows, d_in)
+                Y_b = Y_buf[: len(idx)].reshape(rows, H)
                 working = replace_params(model, params)
-                grads, batch_loss = _gradients_from_rows(working, S_b, Y_b, config.l1_lambda, F)
+                grads, batch_loss = _gradients_from_rows(
+                    working, S_b, Y_b, config.l1_lambda, F, pred_buf[:rows], squared_buf[:rows]
+                )
                 params, state = adam_step(state, params, grads, config)
-                loss_sum += batch_loss * S_b.shape[0]
-                row_count += S_b.shape[0]
+                loss_sum += batch_loss * rows
+                row_count += rows
+            del S_buf, Y_buf, pred_buf, squared_buf, S_b, Y_b
             trace.train_loss.append(loss_sum / row_count)
             val_mse, _ = evaluate(replace_params(model, params), val_windows)
         trace.val_mse.append(val_mse)
@@ -328,9 +353,7 @@ def train(
                 trace.stopped_early = True
                 break
 
-    best_model = replace_params(model, best_params)
-    trace.final_grad_norm = dense_equivalent_grad_norm(best_model, train_windows)
-    return best_model, trace
+    return replace_params(model, best_params), trace
 
 
 @dataclass(frozen=True)

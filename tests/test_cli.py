@@ -2,12 +2,14 @@ import csv
 import json
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import hadl.optim
 from hadl.cli import (
     ExperimentConfig,
     _ablate_grid,
@@ -18,11 +20,13 @@ from hadl.cli import (
     load_dataset,
     main,
     mix_seed,
+    prepare_windows,
     read_config_file,
     run_single,
 )
-from hadl.errors import HadlError, MissingZeroEtaError, UnknownAxisError
-from hadl.model import effective_weight, init_model, save_checkpoint
+from hadl.errors import CorruptCheckpointError, HadlError, MissingZeroEtaError, UnknownAxisError
+from hadl.model import effective_weight, init_model, load_checkpoint, save_checkpoint
+from hadl.optim import dense_equivalent_grad_norm
 
 
 def table_rows(path) -> list[list[str]]:
@@ -230,6 +234,61 @@ class TestTrainCommand:
             a_lines = [l for l in a.read_text().splitlines() if not l.startswith("#")]
             b_lines = [l for l in b.read_text().splitlines() if not l.startswith("#")]
             assert a_lines == b_lines
+        # trace_seed*.json, final_grad_norm included, computed in the workers
+        serial_json = sorted((tmp_path / "serial").rglob("trace_seed*.json"))
+        parallel_json = sorted((tmp_path / "parallel").rglob("trace_seed*.json"))
+        assert len(serial_json) == 2
+        for a, b in zip(serial_json, parallel_json):
+            a_trace, b_trace = json.loads(a.read_text()), json.loads(b.read_text())
+            del a_trace["config_fingerprint"], b_trace["config_fingerprint"]
+            assert a_trace == b_trace
+
+    def test_trace_grad_norm_is_the_returned_models(self, tmp_path):
+        config = synth_config(tmp_path, horizons=(8, 16), seeds=(1, 2), max_epochs=3,
+                              patience=3)
+        cmd_train(config)
+        data = load_dataset(config)
+        for horizon in config.horizons:
+            run_dir = tmp_path / "runs" / "sine_mix" / "haar-dct-lowrank_r4-bias" / str(horizon)
+            for seed in config.seeds:
+                best = load_checkpoint(run_dir / f"checkpoint_seed{seed}.npz")
+                w_train, _, _ = prepare_windows(replace(config, seed=seed), horizon, data)
+                written = json.loads((run_dir / f"trace_seed{seed}.json").read_text())
+                assert written["final_grad_norm"] == dense_equivalent_grad_norm(best, w_train)
+
+
+def count_grad_norms(monkeypatch) -> list:
+    """Wrap hadl.optim.dense_equivalent_grad_norm; the returned list grows by
+    one per call."""
+    calls = []
+    original = hadl.optim.dense_equivalent_grad_norm
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(hadl.optim, "dense_equivalent_grad_norm", counted)
+    return calls
+
+
+class TestGradNormOnlyWhereWritten:
+    def test_train_computes_one_per_horizon_and_seed(self, tmp_path, monkeypatch):
+        calls = count_grad_norms(monkeypatch)
+        cmd_train(synth_config(tmp_path, horizons=(8, 16), seeds=(1, 2, 3), max_epochs=2,
+                               patience=2))
+        assert len(calls) == 2 * 3
+
+    def test_robustness_computes_none(self, tmp_path, monkeypatch):
+        calls = count_grad_norms(monkeypatch)
+        cmd_robustness(synth_config(tmp_path, eta_list=(0.0, 0.7), robust_max_epochs=2,
+                                    robust_patience=2))
+        assert calls == []
+
+    def test_ablate_computes_none(self, tmp_path, monkeypatch):
+        calls = count_grad_norms(monkeypatch)
+        cmd_ablate(synth_config(tmp_path, horizons=(8,), ablate_rank=2, max_epochs=2,
+                                patience=2), "head")
+        assert calls == []
 
 
 class TestRobustnessCommand:
@@ -363,6 +422,43 @@ class TestExportWeights:
         save_checkpoint(model, ckpt)
         rc = main(["export-weights", str(ckpt), str(tmp_path / "w.csv")])
         assert rc == 1
+
+    @pytest.mark.parametrize("case", ["q_columns", "meta_horizon", "nan_in_p", "missing_array",
+                                      "float32_p", "head_names", "not_npz", "npy", "truncated"])
+    def test_corrupt_checkpoint_rejected(self, tmp_path, capsys, case):
+        model = init_model(64, 16, 4, seed=0)
+        meta = {"lookback": 64, "horizon": 16, "use_haar": True, "use_dct": True,
+                "head": "low_rank", "seed": 0, "arrays": ["P", "Q", "bias"]}
+        arrays = {"P": model.P.copy(), "Q": model.Q.copy(), "bias": model.bias.copy()}
+        if case == "q_columns":  # was exported as a 32x5 matrix
+            arrays["Q"] = arrays["Q"][:, :5]
+        elif case == "meta_horizon":  # was accepted over horizon-16 arrays
+            meta["horizon"] = 99
+        elif case == "nan_in_p":  # was exported
+            arrays["P"][3, 1] = np.nan
+        elif case == "missing_array":  # was a raw KeyError
+            del arrays["bias"]
+        elif case == "float32_p":
+            arrays["P"] = arrays["P"].astype(np.float32)
+        elif case == "head_names":  # low-rank arrays under a dense head
+            meta["head"] = "dense"
+        ckpt = tmp_path / "m.npz"
+        if case == "not_npz":  # was a ValueError traceback about pickled data
+            ckpt.write_text("lookback,horizon\n64,16\n")
+        elif case == "npy":
+            with open(ckpt, "wb") as handle:
+                np.save(handle, arrays["P"])
+        else:
+            np.savez(ckpt, meta=json.dumps(meta), **arrays)
+        if case == "truncated":  # was a zipfile.BadZipFile traceback
+            ckpt.write_bytes(ckpt.read_bytes()[:200])
+        with pytest.raises(CorruptCheckpointError):
+            load_checkpoint(ckpt)
+        rc = main(["export-weights", str(ckpt), str(tmp_path / "w.csv")])
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 1
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert not (tmp_path / "w.csv").exists()
 
 
 def test_params_command_output(capsys):

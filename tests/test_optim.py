@@ -6,11 +6,24 @@ from numpy.testing import assert_allclose
 
 from hadl.data import fit_transform, split, synth, windows
 from hadl.errors import DivergedError, EmptyDataError, InvalidStepError, ShapeMismatchError
-from hadl.model import forward, init_model, model_params, models_equal
+from hadl.model import (
+    HEAD_DENSE,
+    HEAD_LOW_RANK,
+    dct_matrix,
+    fold_dct,
+    forward,
+    init_model,
+    model_params,
+    models_equal,
+    replace_params,
+    window_rows,
+)
 from hadl.optim import (
     AdamState,
     TrainConfig,
     adam_step,
+    dense_equivalent_grad_norm,
+    evaluate,
     gradcheck,
     gradients,
     init_adam,
@@ -235,8 +248,8 @@ class TestTrain:
         cfg = TrainConfig(learning_rate=0.01, l1_lambda=0.0, max_epochs=600,
                           patience=600, batch_size=64, seed=1)
         model = init_model(64, 16, 2, seed=5)
-        _, trace = train(model, w_train, w_val, cfg)
-        assert trace.final_grad_norm < 1e-3
+        best, _ = train(model, w_train, w_val, cfg)
+        assert dense_equivalent_grad_norm(best, w_train) < 1e-3
 
     def test_l1_shrinks_weights_monotonically(self):
         w_train, w_val, _ = realizable_windows()
@@ -272,6 +285,95 @@ class TestTrain:
         Y_val = w_val.targets.reshape(-1, best.horizon)
         refit = head_apply(best, A_val) - Y_val
         assert float(np.mean(refit * refit)) == pytest.approx(min(trace.val_mse), rel=1e-12)
+
+
+def reference_step(model, S, Y, l1_lambda, F):
+    """The training step's arithmetic with every array freshly allocated."""
+    folded = fold_dct(model, F)
+    if model.head == HEAD_LOW_RANK:
+        Z = S @ folded.P
+        pred = Z @ model.Q
+    else:
+        pred = S @ folded.W
+    if model.bias is not None:
+        pred = pred + model.bias
+    diff = pred - Y
+    total = float(np.mean(diff * diff))
+    G = diff * (2.0 / Y.size)
+    to_dct = (lambda g: g) if F is None else (lambda g: F.T @ g)
+    grads = {}
+    if model.head == HEAD_LOW_RANK:
+        grads["P"] = to_dct(S.T @ (G @ model.Q.T))
+        grads["Q"] = Z.T @ G
+    else:
+        grads["W"] = to_dct(S.T @ G)
+    if model.bias is not None:
+        grads["bias"] = G.sum(axis=0)
+    if l1_lambda > 0.0:
+        for name, value in model_params(model).items():
+            if name != "bias":
+                grads[name] = grads[name] + l1_lambda * np.sign(value)
+        total += l1_lambda * l1_penalty(model_params(model))
+    return grads, total
+
+
+def reference_train(model, train_windows, val_windows, config):
+    """`train` with fresh fancy-indexed batches and step arrays at every step:
+    (best model, train_loss, val_mse)."""
+    n_train = len(train_windows)
+    S_train = window_rows(model, train_windows)
+    Y_train = train_windows.targets
+    F = dct_matrix(model)
+    params = {k: v.copy() for k, v in model_params(model).items()}
+    state = init_adam(params)
+    rng = np.random.default_rng(config.seed)
+    train_loss, val_mse = [], []
+    best_params, best_val, waited = params, float("inf"), 0
+    for _ in range(config.max_epochs):
+        order = rng.permutation(n_train)
+        loss_sum, row_count = 0.0, 0
+        for start in range(0, n_train, config.batch_size):
+            idx = order[start : start + config.batch_size]
+            S = S_train[idx].reshape(-1, model.d_in)
+            Y = Y_train[idx].reshape(-1, model.horizon)
+            grads, batch_loss = reference_step(replace_params(model, params), S, Y,
+                                               config.l1_lambda, F)
+            params, state = adam_step(state, params, grads, config)
+            loss_sum += batch_loss * S.shape[0]
+            row_count += S.shape[0]
+        train_loss.append(loss_sum / row_count)
+        val_mse.append(evaluate(replace_params(model, params), val_windows)[0])
+        if val_mse[-1] < best_val:
+            best_params, best_val, waited = params, val_mse[-1], 0
+        else:
+            waited += 1
+            if waited >= config.patience:
+                break
+    return replace_params(model, best_params), train_loss, val_mse
+
+
+class TestBufferedSteps:
+    """`train` reuses one epoch's step arrays; every bit must match fresh ones."""
+
+    @pytest.mark.parametrize("model_kwargs, batch_size", [
+        ({}, 48),  # 257 windows: five full batches and a final one of 17
+        ({}, 1000),  # one batch larger than the window set
+        ({"head": HEAD_DENSE}, 48),
+        ({"with_bias": False}, 48),
+        ({"use_haar": False}, 48),
+        ({"use_dct": False}, 64),
+    ])
+    def test_matches_fresh_arrays_per_step(self, model_kwargs, batch_size):
+        w_train, w_val, _ = realizable_windows()
+        assert len(w_train) % batch_size != 0
+        cfg = TrainConfig(learning_rate=0.05, l1_lambda=1e-4, max_epochs=8, patience=3,
+                          batch_size=batch_size, seed=4)
+        model = init_model(64, 16, 2, seed=5, **model_kwargs)
+        best, trace = train(model, w_train, w_val, cfg)
+        ref_best, ref_train_loss, ref_val_mse = reference_train(model, w_train, w_val, cfg)
+        assert trace.train_loss == ref_train_loss
+        assert trace.val_mse == ref_val_mse
+        assert models_equal(best, ref_best)
 
 
 def test_trace_csv_columns(tmp_path):
