@@ -36,7 +36,6 @@ from .model import (
     HadlModel,
     ParamCount,
     effective_weight,
-    flop_estimate,
     forward,
     init_model,
     load_checkpoint,
@@ -54,7 +53,6 @@ from .optim import (
 )
 from .transforms import (
     HaarPair,
-    Spectrum,
     dct2_orthonormal,
     dct2_raw,
     dct2_scaled,

@@ -26,7 +26,8 @@ import numpy as np
 from . import data as hadl_data
 from . import metrics as hadl_metrics
 from . import optim as hadl_optim
-from .errors import HadlError, InvalidHorizonsError, MissingZeroEtaError, UnknownAxisError
+from .errors import (HadlError, InvalidConfigError, InvalidHorizonsError, MissingZeroEtaError,
+                     UnknownAxisError)
 from .model import (
     HEAD_DENSE,
     HEAD_LOW_RANK,
@@ -108,23 +109,26 @@ _LIST_ELEM = {
 
 
 def _parse_value(name: str, text: str):
-    if name in _LIST_ELEM:
-        text = text.strip()
-        if not text:
-            return ()
-        return tuple(_LIST_ELEM[name](part.strip()) for part in text.split(","))
-    default = getattr(ExperimentConfig(), name)
-    if isinstance(default, bool):
-        lowered = text.strip().lower()
-        if lowered in ("true", "1", "yes", "on"):
-            return True
-        if lowered in ("false", "0", "no", "off"):
-            return False
-        raise HadlError(f"config key {name}: expected a boolean, got {text!r}")
-    if isinstance(default, int):
-        return int(text)
-    if isinstance(default, float):
-        return float(text)
+    try:
+        if name in _LIST_ELEM:
+            text = text.strip()
+            if not text:
+                return ()
+            return tuple(_LIST_ELEM[name](part.strip()) for part in text.split(","))
+        default = getattr(ExperimentConfig(), name)
+        if isinstance(default, bool):
+            lowered = text.strip().lower()
+            if lowered in ("true", "1", "yes", "on"):
+                return True
+            if lowered in ("false", "0", "no", "off"):
+                return False
+            raise ValueError(f"expected a boolean, got {text!r}")
+        if isinstance(default, int):
+            return int(text)
+        if isinstance(default, float):
+            return float(text)
+    except ValueError as exc:
+        raise InvalidConfigError(f"config key {name}: {exc}") from exc
     return text.strip()
 
 
@@ -228,9 +232,9 @@ def run_single(job: ExperimentConfig, horizon: int, data, grad_norm: bool = Fals
     (a full pass over the training windows, which only `train` writes out);
     otherwise it stays NaN.
     """
-    w_train, w_val, w_test = prepare_windows(job, horizon, data)
     # every TrainConfig field is the job's config key of the same name
     train_config = TrainConfig(**{f.name: getattr(job, f.name) for f in fields(TrainConfig)})
+    w_train, w_val, w_test = prepare_windows(job, horizon, data)
     model = init_model(
         job.lookback,
         horizon,

@@ -49,6 +49,10 @@ class DivergedError(HadlError):
     """Training produced a non-finite train loss or validation MSE."""
 
 
+class InvalidConfigError(HadlError):
+    """A config value cannot be parsed or is out of range; names the key."""
+
+
 # -- data ---------------------------------------------------------------------
 
 class ParseError(HadlError):

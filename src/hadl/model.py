@@ -21,7 +21,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import CorruptCheckpointError, OddLengthError, ShapeMismatchError, WrongHeadError
+from .errors import (CorruptCheckpointError, HadlError, OddLengthError, ShapeMismatchError,
+                     WrongHeadError)
 from .transforms import dct2_raw, dct2_scaled, haar_batch, haar_pairs
 
 HEAD_LOW_RANK = "low_rank"
@@ -68,6 +69,22 @@ class ParamCount:
     breakdown: dict[str, int] = field(default_factory=dict)
 
 
+def _check_variant(lookback: int, horizon: int, rank: int, use_haar: bool, head: str) -> None:
+    """The one check that a model of this shape exists, shared by `init_model`,
+    `param_count` and `load_checkpoint`: positive lookback and horizon, an
+    even lookback with the Haar stage on, a known head, rank >= 1 if low-rank."""
+    if lookback < 1 or horizon < 1:
+        raise ShapeMismatchError(
+            f"lookback and horizon must be positive, got {lookback}, {horizon}"
+        )
+    if use_haar and lookback % 2 != 0:
+        raise OddLengthError(f"lookback must be even with the Haar stage on, got {lookback}")
+    if head not in (HEAD_LOW_RANK, HEAD_DENSE):
+        raise ShapeMismatchError(f"unknown head kind {head!r}")
+    if head == HEAD_LOW_RANK and rank < 1:
+        raise ShapeMismatchError(f"rank must be >= 1, got {rank}")
+
+
 def init_model(
     lookback: int,
     horizon: int,
@@ -84,17 +101,7 @@ def init_model(
     a generator seeded with `seed`, so identical arguments give bit-identical
     models. The scheme is recorded via `seed` for run metadata.
     """
-    if lookback < 1 or horizon < 1:
-        raise ShapeMismatchError(
-            f"lookback and horizon must be positive, got {lookback}, {horizon}"
-        )
-    if use_haar and lookback % 2 != 0:
-        raise OddLengthError(f"lookback must be even with the Haar stage on, got {lookback}")
-    if head not in (HEAD_LOW_RANK, HEAD_DENSE):
-        raise ShapeMismatchError(f"unknown head kind {head!r}")
-    if head == HEAD_LOW_RANK and rank < 1:
-        raise ShapeMismatchError(f"rank must be >= 1, got {rank}")
-
+    _check_variant(lookback, horizon, rank, use_haar, head)
     d_in = lookback // 2 if use_haar else lookback
     bound = 1.0 / math.sqrt(d_in)
     rng = np.random.default_rng(seed)
@@ -176,6 +183,22 @@ def transform_inputs(model: HadlModel, X) -> np.ndarray:
     return dct_stage(model, haar_rows(model, X))
 
 
+def head_into(model: HadlModel, A: np.ndarray, out: np.ndarray) -> np.ndarray | None:
+    """Write the shared head's forecast for rows A (..., d_in) into the
+    caller's `out` (..., H); return A @ P for a low-rank head (the Q gradient
+    reuses it), else None. Every forecast is computed here: `head_apply`, the
+    training step and the full-set passes of `hadl.optim` all call it."""
+    Z = None
+    if model.head == HEAD_LOW_RANK:
+        Z = A @ model.P
+        np.matmul(Z, model.Q, out=out)
+    else:
+        np.matmul(A, model.W, out=out)
+    if model.bias is not None:
+        out += model.bias
+    return Z
+
+
 def head_apply(model: HadlModel, A) -> np.ndarray:
     """Apply the shared linear head to already-transformed rows (..., d_in)."""
     A = np.asarray(A, dtype=np.float64)
@@ -183,12 +206,8 @@ def head_apply(model: HadlModel, A) -> np.ndarray:
         raise ShapeMismatchError(
             f"last axis has length {A.shape[-1]}, head expects {model.d_in}"
         )
-    if model.head == HEAD_LOW_RANK:
-        out = (A @ model.P) @ model.Q
-    else:
-        out = A @ model.W
-    if model.bias is not None:
-        out = out + model.bias
+    out = np.empty(A.shape[:-1] + (model.horizon,))
+    head_into(model, A, out)
     return out
 
 
@@ -217,15 +236,14 @@ def param_count(
     d_in = L/2 if the Haar stage is on else L. Low-rank: d_in*r + r*H
     (+ H for bias); dense: d_in*H (+ H).
     """
+    _check_variant(lookback, horizon, rank, use_haar, head)
     d_in = lookback // 2 if use_haar else lookback
     breakdown: dict[str, int] = {}
     if head == HEAD_LOW_RANK:
         breakdown["P"] = d_in * rank
         breakdown["Q"] = rank * horizon
-    elif head == HEAD_DENSE:
-        breakdown["W"] = d_in * horizon
     else:
-        raise ShapeMismatchError(f"unknown head kind {head!r}")
+        breakdown["W"] = d_in * horizon
     if with_bias:
         breakdown["bias"] = horizon
     return ParamCount(total=sum(breakdown.values()), breakdown=breakdown)
@@ -249,27 +267,6 @@ def kilo_display(total: int, decimals: int = 2, floor: bool = False) -> str:
         if text.endswith("."):
             text += "0"
     return text + "K"
-
-
-def flop_estimate(model: HadlModel, batch: int, channels: int) -> int:
-    """Rough forward-pass cost under a fixed convention: 2 FLOPs per
-    multiply-add. Haar costs 2 per output sample (one add, one scale), the
-    DCT a full N^2 matrix product, the head its two factor products. Only
-    meaningful for comparisons between variants under the same convention.
-    """
-    L = model.lookback
-    n_dct = L // 2 if model.use_haar else L
-    per_channel = 0
-    if model.use_haar:
-        # two-tap filter: 2 multiply-adds per output sample, L/2 outputs
-        per_channel += 2 * 2 * (L // 2)
-    if model.use_dct:
-        per_channel += 2 * n_dct * n_dct
-    if model.head == HEAD_LOW_RANK:
-        per_channel += 2 * (model.d_in * model.rank + model.rank * model.horizon)
-    else:
-        per_channel += 2 * model.d_in * model.horizon
-    return batch * channels * per_channel
 
 
 def model_params(model: HadlModel) -> dict[str, np.ndarray]:
@@ -367,14 +364,11 @@ def load_checkpoint(path) -> HadlModel:
 
 
 def _check_checkpoint(model: HadlModel, arrays: dict[str, np.ndarray], path) -> None:
+    try:  # the rank is checked against the arrays below
+        _check_variant(model.lookback, model.horizon, 1, model.use_haar, model.head)
+    except HadlError as exc:
+        raise CorruptCheckpointError(f"{path}: {exc}") from exc
     heads = {HEAD_LOW_RANK: ["P", "Q"], HEAD_DENSE: ["W"]}
-    if model.head not in heads:
-        raise CorruptCheckpointError(f"{path}: unknown head kind {model.head!r}")
-    if model.lookback < 1 or model.horizon < 1 or (model.use_haar and model.lookback % 2):
-        raise CorruptCheckpointError(
-            f"{path}: no model has lookback {model.lookback} and horizon {model.horizon}"
-            f" with use_haar={model.use_haar}"
-        )
     if sorted(set(arrays) - {"bias"}) != heads[model.head]:
         raise CorruptCheckpointError(
             f"{path}: arrays {sorted(arrays)} do not match a {model.head} head"

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DivergedError, EmptyDataError, InvalidStepError, ShapeMismatchError
+from .errors import (DivergedError, EmptyDataError, InvalidConfigError, InvalidStepError,
+                     ShapeMismatchError)
 from .metrics import write_json_bundle, write_table
 from .model import (
     HEAD_LOW_RANK,
@@ -23,7 +24,8 @@ from .model import (
     fold_dct,
     forward,
     haar_rows,
-    head_apply,
+    head_apply,  # noqa: F401  (hadl.optim.head_apply: a benchmark tracing target)
+    head_into,
     model_params,
     replace_params,
     transform_inputs,  # noqa: F401  (hadl.optim.transform_inputs: a benchmark tracing target)
@@ -55,19 +57,24 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (0.0 < self.beta1 < 1.0 and 0.0 < self.beta2 < 1.0):
-            raise ValueError("beta1 and beta2 must lie strictly in (0, 1)")
+        if not self.learning_rate > 0.0:
+            raise InvalidConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
+        for key, value in (("beta1", self.beta1), ("beta2", self.beta2)):
+            if not 0.0 < value < 1.0:
+                raise InvalidConfigError(f"{key} must lie strictly in (0, 1), got {value}")
         if self.l1_lambda < 0.0:
-            raise ValueError("l1_lambda must be >= 0")
+            raise InvalidConfigError(f"l1_lambda must be >= 0, got {self.l1_lambda}")
         if self.max_epochs < 0:
-            raise ValueError("max_epochs must be >= 0")
+            raise InvalidConfigError(f"max_epochs must be >= 0, got {self.max_epochs}")
         if self.patience < 1:
-            raise ValueError("patience must be >= 1")
+            raise InvalidConfigError(f"patience must be >= 1, got {self.patience}")
         # patience <= max_epochs, except for the degenerate no-training config
         if self.max_epochs > 0 and self.patience > self.max_epochs:
-            raise ValueError("patience must not exceed max_epochs")
+            raise InvalidConfigError(
+                f"patience ({self.patience}) must not exceed max_epochs ({self.max_epochs})"
+            )
         if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+            raise InvalidConfigError(f"batch_size must be >= 1, got {self.batch_size}")
 
 
 @dataclass
@@ -123,29 +130,19 @@ def _gradients_from_rows(
     l1_lambda: float,
     F: np.ndarray | None,
     pred: np.ndarray,
-    squared: np.ndarray,
 ) -> tuple[dict[str, np.ndarray], float]:
     """Gradients and loss for Haar rows S (..., d_in) (see `haar_rows`),
     with F = dct_matrix(model) passed in so a training loop builds it once.
 
-    The prediction repeats `head_apply`'s arithmetic on the folded head, as
-    `forward` does, so a target produced by `forward` gives an exactly zero
-    residual term here; it keeps S @ P for the Q gradient. `pred` and
-    `squared` are caller-owned arrays shaped like Y that receive the
-    prediction (then the residual and the output gradient) and the squared
-    residual: they are the largest arrays a step makes, so a training loop
-    allocates them once per epoch, not once per step.
+    The forecast comes from `head_into` on the folded head, as in `forward`,
+    so a target produced by `forward` gives an exactly zero residual term
+    here. `pred`, a caller-owned array shaped like Y, receives the forecast,
+    then the residual and the output gradient; Y itself is overwritten with
+    the squared residual, so a training loop passes the block it gathered.
     """
-    folded = fold_dct(model, F)
-    if model.head == HEAD_LOW_RANK:
-        Z = S @ folded.P
-        np.matmul(Z, model.Q, out=pred)
-    else:
-        np.matmul(S, folded.W, out=pred)
-    if model.bias is not None:
-        pred += model.bias
+    Z = head_into(fold_dct(model, F), S, pred)
     diff = np.subtract(pred, Y, out=pred)
-    data_loss = float(np.mean(np.multiply(diff, diff, out=squared)))
+    data_loss = float(np.mean(np.multiply(diff, diff, out=Y)))
     G = np.multiply(diff, 2.0 / Y.size, out=diff).reshape(-1, model.horizon)
     S2 = S.reshape(-1, model.d_in)
 
@@ -175,7 +172,7 @@ def gradients(model: HadlModel, X_batch, Y_batch, l1_lambda: float) -> dict[str,
     every (window, channel) pair contributes one row.
     """
     X_batch = np.asarray(X_batch, dtype=np.float64)
-    Y_batch = np.asarray(Y_batch, dtype=np.float64)
+    Y_batch = np.array(Y_batch, dtype=np.float64)  # a copy: the step overwrites it
     if X_batch.shape[:-1] != Y_batch.shape[:-1]:
         raise ShapeMismatchError(
             f"batch/channel dims differ: {X_batch.shape} vs {Y_batch.shape}"
@@ -186,7 +183,7 @@ def gradients(model: HadlModel, X_batch, Y_batch, l1_lambda: float) -> dict[str,
         )
     S = haar_rows(model, X_batch)
     grads, _ = _gradients_from_rows(model, S, Y_batch, l1_lambda, dct_matrix(model),
-                                    np.empty_like(Y_batch), np.empty_like(Y_batch))
+                                    np.empty_like(Y_batch))
     return grads
 
 
@@ -228,25 +225,37 @@ def adam_step(
     return new_params, AdamState(step=t, m=new_m, v=new_v)
 
 
-def _block_residuals(model: HadlModel, batch):
-    """(Haar rows, forecast minus target) of each block of EVAL_BLOCK windows
-    in origin order, shaped (rows, d_in) and (rows, H)."""
-    folded = fold_dct(model, dct_matrix(model))
-    S = window_rows(model, batch)
-    Y = batch.targets
-    for start in range(0, len(batch), EVAL_BLOCK):
-        rows = S[start : start + EVAL_BLOCK].reshape(-1, model.d_in)
-        target = Y[start : start + EVAL_BLOCK].reshape(-1, model.horizon)
-        yield rows, head_apply(folded, rows) - target
+def _gather_blocks(model: HadlModel, batch, order, size: int):
+    """The windows of `order`, `size` at a time: (rows, d_in) Haar rows,
+    (rows, H) targets and a (rows, H) scratch array for the forecast, copied
+    window by window from the views of a WindowBatch into arrays allocated
+    once per call (fancy indexing would allocate every block afresh, and
+    `np.take` copies the whole strided Haar view first). The caller may
+    overwrite the targets and the scratch; the next block refills them."""
+    S, Y = window_rows(model, batch), batch.targets
+    n, channels = len(order), S.shape[1]
+    S_buf = np.empty((min(size, n),) + S.shape[1:])
+    Y_buf = np.empty((min(size, n),) + Y.shape[1:])
+    out = np.empty((min(size, n) * channels, model.horizon))
+    for start in range(0, n, size):
+        idx = order[start : start + size]
+        for j, w in enumerate(idx):
+            S_buf[j] = S[w]
+            Y_buf[j] = Y[w]
+        rows = len(idx) * channels
+        yield S_buf[: len(idx)].reshape(rows, -1), Y_buf[: len(idx)].reshape(rows, -1), out[:rows]
 
 
 def evaluate(model: HadlModel, batch) -> tuple[float, float]:
     """MSE and MAE (no L1 term) of the forecasts for every window of a
     WindowBatch, summed block by block without a full-set array."""
+    folded = fold_dct(model, dct_matrix(model))
     squared = absolute = 0.0
-    for _, diff in _block_residuals(model, batch):
-        squared += float(np.sum(diff * diff))
-        absolute += float(np.sum(np.abs(diff)))
+    for rows, target, out in _gather_blocks(model, batch, range(len(batch)), EVAL_BLOCK):
+        head_into(folded, rows, out)
+        diff = np.subtract(out, target, out=out)
+        squared += float(np.sum(np.multiply(diff, diff, out=target)))
+        absolute += float(np.sum(np.abs(diff, out=target)))
     count = len(batch) * batch.values.shape[0] * model.horizon
     return squared / count, absolute / count
 
@@ -258,11 +267,14 @@ def dense_equivalent_grad_norm(model: HadlModel, batch) -> float:
     Computed without the L1 term; at a true minimum of the data term this
     vanishes even though the factored gradients only vanish individually.
     """
+    F = dct_matrix(model)
+    folded = fold_dct(model, F)
     total = np.zeros((model.d_in, model.horizon))
-    for rows, diff in _block_residuals(model, batch):
-        total += rows.T @ diff
+    for rows, target, out in _gather_blocks(model, batch, range(len(batch)), EVAL_BLOCK):
+        head_into(folded, rows, out)
+        total += rows.T @ np.subtract(out, target, out=out)
     count = len(batch) * batch.values.shape[0] * model.horizon
-    return float(np.linalg.norm((2.0 / count) * _dct_basis(dct_matrix(model), total)))
+    return float(np.linalg.norm((2.0 / count) * _dct_basis(F, total)))
 
 
 def train(
@@ -273,10 +285,9 @@ def train(
 ) -> tuple[HadlModel, TrainTrace]:
     """Mini-batch ADAM with seeded shuffling and best-snapshot early stopping.
 
-    Each mini-batch gathers its windows' Haar rows and targets from views
-    of the training segment (`window_rows`) into arrays allocated once per
-    epoch, so no window set is ever copied whole. `final_grad_norm` is left
-    NaN (see TrainTrace).
+    Each epoch gathers its mini-batches from views of the training segment
+    into arrays allocated once per epoch (`_gather_blocks`), so no window
+    set is ever copied whole. `final_grad_norm` is left NaN (see TrainTrace).
     Validation MSE (without the L1 term) is evaluated after every epoch;
     training stops after `patience` epochs without strict improvement and
     the parameters of the best epoch are returned. A non-finite train loss
@@ -287,12 +298,7 @@ def train(
     if n_train == 0 or len(val_windows) == 0:
         raise EmptyDataError("training and validation window sets must be non-empty")
 
-    d_in, H = model.d_in, model.horizon
-    S_train = window_rows(model, train_windows)
-    Y_train = train_windows.targets
     F = dct_matrix(model)
-    batch = min(config.batch_size, n_train)
-    channels = train_windows.values.shape[0]
 
     params = {k: v.copy() for k, v in model_params(model).items()}
     state = init_adam(params)
@@ -307,32 +313,18 @@ def train(
         # overflow and invalid values of a diverging run become the
         # DivergedError below instead of warnings
         with np.errstate(over="ignore", invalid="ignore"):
-            order = rng.permutation(n_train)
-            # one epoch's step arrays, sized for a full batch; freed before
-            # the validation pass so they never coexist with its blocks
-            S_buf = np.empty((batch,) + S_train.shape[1:])
-            Y_buf = np.empty((batch,) + Y_train.shape[1:])
-            pred_buf = np.empty((batch * channels, H))
-            squared_buf = np.empty((batch * channels, H))
             loss_sum = 0.0
             row_count = 0
-            for start in range(0, n_train, config.batch_size):
-                idx = order[start : start + config.batch_size]
-                # window by window: fancy indexing would allocate its result
-                for j, w in enumerate(idx):
-                    S_buf[j] = S_train[w]
-                    Y_buf[j] = Y_train[w]
-                rows = len(idx) * channels
-                S_b = S_buf[: len(idx)].reshape(rows, d_in)
-                Y_b = Y_buf[: len(idx)].reshape(rows, H)
-                working = replace_params(model, params)
+            order = rng.permutation(n_train)
+            for rows, target, out in _gather_blocks(model, train_windows, order, config.batch_size):
                 grads, batch_loss = _gradients_from_rows(
-                    working, S_b, Y_b, config.l1_lambda, F, pred_buf[:rows], squared_buf[:rows]
+                    replace_params(model, params), rows, target, config.l1_lambda, F, out
                 )
                 params, state = adam_step(state, params, grads, config)
-                loss_sum += batch_loss * rows
-                row_count += rows
-            del S_buf, Y_buf, pred_buf, squared_buf, S_b, Y_b
+                loss_sum += batch_loss * len(rows)
+                row_count += len(rows)
+            # the epoch's step arrays go before the validation pass makes its own
+            del rows, target, out
             trace.train_loss.append(loss_sum / row_count)
             val_mse, _ = evaluate(replace_params(model, params), val_windows)
         trace.val_mse.append(val_mse)
@@ -389,6 +381,7 @@ def gradcheck(
 
     analytic = gradients(model, X, Y, l1_lambda)
     params = {k: v.copy() for k, v in model_params(model).items()}
+    perturbed = replace_params(model, params)  # holds the arrays perturbed in place below
 
     errors = []
     for name, base in params.items():
@@ -396,9 +389,9 @@ def gradcheck(
         for i in range(flat.size):
             original = flat[i]
             flat[i] = original + step
-            up = loss(forward_with(model, params, X), Y, replace_params(model, params), l1_lambda)
+            up = loss(forward(perturbed, X), Y, perturbed, l1_lambda)
             flat[i] = original - step
-            down = loss(forward_with(model, params, X), Y, replace_params(model, params), l1_lambda)
+            down = loss(forward(perturbed, X), Y, perturbed, l1_lambda)
             flat[i] = original
             numeric = (up - down) / (2.0 * step)
             a = float(analytic[name].reshape(-1)[i])
@@ -411,11 +404,6 @@ def gradcheck(
         n_params=int(errors.size),
         tolerance=tolerance,
     )
-
-
-def forward_with(model: HadlModel, params: dict[str, np.ndarray], X) -> np.ndarray:
-    """Forward pass with substituted parameters (helper for gradcheck)."""
-    return forward(replace_params(model, params), X)
 
 
 def write_trace_csv(trace: TrainTrace, path, fingerprint: str = "") -> None:

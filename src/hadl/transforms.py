@@ -31,14 +31,6 @@ class HaarPair:
     detail: np.ndarray
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """DCT-II coefficients together with the normalization that was applied."""
-
-    coeffs: np.ndarray
-    scale: float
-
-
 def _as_f64(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
 
@@ -138,12 +130,6 @@ def dct2_scaled(A_T, lookback: int) -> np.ndarray:
             f"last axis has length {n}, expected lookback/2 = {lookback // 2}"
         )
     return (2.0 / lookback) * dct2_raw(A_T)
-
-
-def dct2_spectrum(x, lookback: int) -> Spectrum:
-    """Vector form of `dct2_scaled` that records the applied scale."""
-    coeffs = dct2_scaled(_as_f64(x), lookback)
-    return Spectrum(coeffs=coeffs, scale=2.0 / lookback)
 
 
 def dct2_orthonormal(x) -> np.ndarray:

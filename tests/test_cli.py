@@ -469,6 +469,38 @@ def test_params_command_output(capsys):
     assert "49.52K" in out
 
 
+@pytest.mark.parametrize("flags, key", [
+    (["--patience", "0"], "patience"),
+    (["--beta1", "1.5"], "beta1"),
+    (["--batch-size", "0"], "batch_size"),
+    (["--l1-lambda", "-1"], "l1_lambda"),
+    (["--learning-rate=-0.01"], "learning_rate"),  # trained uphill and exited 0
+    (["--lookback", "abc"], "lookback"),
+    (["--horizons", "8,x"], "horizons"),
+])
+def test_bad_config_value_is_one_error_line(tmp_path, capsys, flags, key):
+    rc = main(["train", "--dataset", "sine_mix", "--lookback", "32", "--horizons", "8",
+               *flags, "--outdir", str(tmp_path / "runs")])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 1
+    assert len(err) == 1 and err[0].startswith("error: ") and key in err[0], err
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["params", "--rank", "-3"],  # printed "-1440 parameters"
+    ["params", "--lookback", "33"],
+    ["ablate", "rank", "--rank-list", "0", "--params-only"],
+])
+def test_impossible_model_is_one_error_line(tmp_path, capsys, argv):
+    rc = main(argv + ["--horizons", "96", "--outdir", str(tmp_path / "runs")])
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+    assert not (tmp_path / "runs").exists()
+
+
 def test_module_entry_point_help():
     proc = subprocess.run(
         [sys.executable, "-m", "hadl.cli", "params", "--help"],

@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from hadl.errors import ShapeMismatchError, WrongHeadError
+from hadl.errors import OddLengthError, ShapeMismatchError, WrongHeadError
 from hadl.model import (
     HEAD_DENSE,
     HEAD_LOW_RANK,
     HadlModel,
     effective_weight,
-    flop_estimate,
     forward,
+    head_apply,
+    head_into,
     init_model,
     kilo_display,
     load_checkpoint,
@@ -127,6 +128,22 @@ class TestEffectiveWeight:
             effective_weight(m)
 
 
+@pytest.mark.parametrize("kwargs", [{}, {"head": HEAD_DENSE}, {"with_bias": False}])
+def test_head_apply_is_the_explicit_product(kwargs):
+    m = small_model(seed=3, **kwargs)
+    if m.bias is not None:
+        m.bias[:] = [0.5, -1.0, 2.0]
+    A = np.random.default_rng(4).normal(size=(5, 2, m.d_in))
+    want = (A @ m.P) @ m.Q if m.head == HEAD_LOW_RANK else A @ m.W
+    if m.bias is not None:
+        want = want + m.bias
+    assert np.array_equal(head_apply(m, A), want)
+    out = np.full((10, 3), np.nan)
+    Z = head_into(m, A.reshape(10, m.d_in), out)
+    assert np.array_equal(out, want.reshape(10, 3))
+    assert Z is None if m.head == HEAD_DENSE else np.array_equal(Z, A.reshape(10, -1) @ m.P)
+
+
 class TestParamCount:
     def test_breakdown_sums_to_total(self):
         pc = param_count(512, 96, 50, with_bias=True, use_haar=True)
@@ -168,20 +185,24 @@ class TestParamCount:
     def test_rank_one_no_bias(self):
         assert param_count(512, 96, 1, with_bias=False, use_haar=True).total == 352
 
+    @pytest.mark.parametrize("args, error", [
+        ((512, 96, -3, True, True), ShapeMismatchError),  # was -1440 parameters
+        ((512, 96, 0, True, True), ShapeMismatchError),
+        ((33, 96, 50, True, True), OddLengthError),
+        ((0, 96, 50, True, False), ShapeMismatchError),
+        ((512, 0, 50, True, True), ShapeMismatchError),
+        ((512, 96, 50, True, True, "conv"), ShapeMismatchError),
+    ])
+    def test_rejects_what_init_model_rejects(self, args, error):
+        with pytest.raises(error):
+            param_count(*args)
+        lookback, horizon, rank, with_bias, use_haar, *head = args
+        with pytest.raises(error):
+            init_model(lookback, horizon, rank, seed=0, use_haar=use_haar, with_bias=with_bias,
+                       head=head[0] if head else HEAD_LOW_RANK)
 
-class TestFlopEstimate:
-    def test_zero_channels(self):
-        assert flop_estimate(small_model(), batch=4, channels=0) == 0
-
-    def test_hand_count_small_model(self):
-        # L=4, r=1, H=2: haar 2*2*(L/2)=8, dct 2*N^2=8, head 2*(2*1+1*2)=8
-        m = init_model(4, 2, 1, seed=0)
-        assert flop_estimate(m, batch=1, channels=1) == 24
-
-    def test_linear_in_batch(self):
-        m = small_model()
-        one = flop_estimate(m, batch=1, channels=3)
-        assert flop_estimate(m, batch=2, channels=3) == 2 * one
+    def test_odd_lookback_counts_without_haar(self):
+        assert param_count(33, 8, 2, with_bias=False, use_haar=False).total == 33 * 2 + 2 * 8
 
 
 class TestInitModel:
@@ -223,13 +244,3 @@ class TestCheckpoint:
         m2 = replace_params(m, new)
         assert not models_equal(m, m2)
         assert_allclose(m2.P, m.P + 1.0, atol=0)
-
-
-def test_flop_estimate_skips_disabled_stages():
-    no_dct = init_model(4, 2, 1, seed=0, use_dct=False)
-    assert flop_estimate(no_dct, 1, 1) == 24 - 8
-    no_haar = init_model(4, 2, 1, seed=0, use_haar=False)
-    # d_in doubles to L and the DCT runs on the full row
-    assert flop_estimate(no_haar, 1, 1) == 2 * 16 + 2 * (4 * 1 + 1 * 2)
-    dense = init_model(4, 2, 1, seed=0, head=HEAD_DENSE)
-    assert flop_estimate(dense, 1, 1) == 8 + 8 + 2 * (2 * 2)

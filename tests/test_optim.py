@@ -1,17 +1,20 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from hadl.data import fit_transform, split, synth, windows
-from hadl.errors import DivergedError, EmptyDataError, InvalidStepError, ShapeMismatchError
+from hadl.data import WindowBatch, fit_transform, split, synth, windows
+from hadl.errors import (DivergedError, EmptyDataError, InvalidConfigError, InvalidStepError,
+                         ShapeMismatchError)
 from hadl.model import (
     HEAD_DENSE,
     HEAD_LOW_RANK,
     dct_matrix,
     fold_dct,
     forward,
+    head_apply,
     init_model,
     model_params,
     models_equal,
@@ -19,6 +22,7 @@ from hadl.model import (
     window_rows,
 )
 from hadl.optim import (
+    EVAL_BLOCK,
     AdamState,
     TrainConfig,
     adam_step,
@@ -192,6 +196,14 @@ class TestTrainConfig:
             TrainConfig(beta1=1.0)
         with pytest.raises(ValueError):
             TrainConfig(beta2=0.0)
+
+    @pytest.mark.parametrize("key, value", [
+        ("learning_rate", -0.01), ("beta1", 1.5), ("beta2", 0.0), ("l1_lambda", -1.0),
+        ("max_epochs", -1), ("patience", 0), ("batch_size", 0),
+    ])
+    def test_error_names_the_key(self, key, value):
+        with pytest.raises(InvalidConfigError, match=key):
+            TrainConfig(**{key: value})
 
     def test_patience_bounded_by_epochs(self):
         with pytest.raises(ValueError):
@@ -374,6 +386,72 @@ class TestBufferedSteps:
         assert trace.train_loss == ref_train_loss
         assert trace.val_mse == ref_val_mse
         assert models_equal(best, ref_best)
+
+
+def reference_residuals(model, batch):
+    """(Haar rows, forecast minus target) of each EVAL_BLOCK windows in origin
+    order: `head_apply` on sliced, reshape-copied blocks, fresh arrays each."""
+    folded = fold_dct(model, dct_matrix(model))
+    S, Y = window_rows(model, batch), batch.targets
+    for start in range(0, len(batch), EVAL_BLOCK):
+        rows = S[start : start + EVAL_BLOCK].reshape(-1, model.d_in)
+        target = Y[start : start + EVAL_BLOCK].reshape(-1, model.horizon)
+        yield rows, head_apply(folded, rows) - target
+
+
+def reference_evaluate(model, batch):
+    squared = absolute = 0.0
+    for _, diff in reference_residuals(model, batch):
+        squared += float(np.sum(diff * diff))
+        absolute += float(np.sum(np.abs(diff)))
+    count = len(batch) * batch.values.shape[0] * model.horizon
+    return squared / count, absolute / count
+
+
+def reference_grad_norm(model, batch):
+    total = np.zeros((model.d_in, model.horizon))
+    for rows, diff in reference_residuals(model, batch):
+        total += rows.T @ diff
+    F = dct_matrix(model)
+    count = len(batch) * batch.values.shape[0] * model.horizon
+    return float(np.linalg.norm((2.0 / count) * (total if F is None else F.T @ total)))
+
+
+class TestBlockedPasses:
+    """`evaluate` and the grad norm gather each block into arrays allocated
+    once per pass; every bit must match fresh per-block arrays."""
+
+    @pytest.mark.parametrize("head", [HEAD_LOW_RANK, HEAD_DENSE])
+    @pytest.mark.parametrize("with_bias", [True, False])
+    @pytest.mark.parametrize("use_haar", [True, False])
+    @pytest.mark.parametrize("use_dct", [True, False])
+    def test_equal_to_sliced_blocks(self, head, with_bias, use_haar, use_dct):
+        w_train, w_val, _ = realizable_windows()
+        # four full blocks and a final one of a single window; one partial block
+        assert len(w_train) % EVAL_BLOCK == 1 and len(w_val) < EVAL_BLOCK
+        model = init_model(64, 16, 2, seed=7, head=head, with_bias=with_bias,
+                           use_haar=use_haar, use_dct=use_dct)
+        if with_bias:
+            model.bias[:] = np.random.default_rng(8).normal(size=16)
+        for batch in (w_train, w_val):
+            assert evaluate(model, batch) == reference_evaluate(model, batch)
+            assert dense_equivalent_grad_norm(model, batch) == reference_grad_norm(model, batch)
+
+    def test_evaluate_memory_at_etth1_shape(self):
+        # ETTh1 validation at L=512, H=720: 2161 windows of 7 channels
+        values = np.random.default_rng(9).normal(size=(7, 2161 + 512 + 720 - 1))
+        batch = WindowBatch(values, 512, 720)
+        assert len(batch) == 2161
+        model = init_model(512, 720, 50, seed=0)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            evaluate(model, batch)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        # the block's copied targets and forecast are one 448 x 720 array each
+        assert peak < 4 * (EVAL_BLOCK * 7 * 720 * 8)
 
 
 def test_trace_csv_columns(tmp_path):

@@ -11,7 +11,6 @@ from hadl.transforms import (
     dct2_orthonormal,
     dct2_raw,
     dct2_scaled,
-    dct2_spectrum,
     haar_batch,
     haar_forward,
     haar_inverse,
@@ -158,11 +157,6 @@ class TestDct2Scaled:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ShapeMismatchError):
             dct2_scaled(np.zeros((1, 1, 16)), lookback=512)
-
-    def test_spectrum_records_scale(self):
-        spectrum = dct2_spectrum(np.ones(4), lookback=8)
-        assert spectrum.scale == pytest.approx(0.25)
-        assert spectrum.coeffs.shape == (4,)
 
     def test_length_preserving_and_linear(self):
         rng = np.random.default_rng(10)
