@@ -60,12 +60,7 @@ class ExperimentConfig:
     use_dct: bool = True
     head: str = HEAD_LOW_RANK
     with_bias: bool = True
-    standardize: bool = True
-    stride: int = 1
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     l1_lambda: float = 1e-4
     max_epochs: int = 100
     patience: int = 20
@@ -82,14 +77,17 @@ class ExperimentConfig:
     outdir: str = "runs"
     synth_length: int = 480
     synth_channels: int = 3
-    synth_period: float = 24.0
-    synth_amplitude: float = 1.0
 
     def __post_init__(self):
         if not self.horizons or min(self.horizons) < 1:
             raise InvalidHorizonsError(
                 f"horizons must list at least one horizon >= 1, got {list(self.horizons)}"
             )
+        # here, before any job trains: prepare_windows would train eta < 0 on clean data
+        for key, etas in (("noise_eta", (self.noise_eta,)), ("eta_list", self.eta_list)):
+            bad = [eta for eta in etas if not eta >= 0.0]  # NaN included
+            if bad:
+                raise InvalidConfigError(f"{key}: noise intensity must be >= 0, got {bad[0]}")
 
     def fingerprint(self) -> str:
         blob = json.dumps(asdict(self), sort_keys=True)
@@ -188,15 +186,7 @@ def load_dataset(config: ExperimentConfig) -> tuple[hadl_data.Dataset, str]:
     entry = hadl_data.load_registry(config.registry).get(name, {}) if config.registry else {}
     convention = config.convention or entry.get("convention") or hadl_data.convention_for(name)
     if name in SYNTH_KINDS:
-        params = {
-            "length": config.synth_length,
-            "channels": config.synth_channels,
-        }
-        if name == "sine_mix":
-            params["periods"] = [config.synth_period]
-            params["amplitudes"] = [config.synth_amplitude]
-        elif name == "low_rank_target":
-            params["period"] = config.synth_period
+        params = {"length": config.synth_length, "channels": config.synth_channels}
         return hadl_data.synth(name, params, seed=mix_seed(config.seed, "dataset")), convention
     path = config.data_path or entry.get("path") or os.path.join("data", f"{name}.csv")
     if not os.path.exists(path):
@@ -209,14 +199,13 @@ def load_dataset(config: ExperimentConfig) -> tuple[hadl_data.Dataset, str]:
 def prepare_windows(job: ExperimentConfig, horizon: int, data):
     """Split, standardize, noise the train segment, and window all three."""
     dataset, convention = data
-    train_seg, val_seg, test_seg = hadl_data.split(dataset, convention, lookback=job.lookback)
-    if job.standardize:
-        _, train_seg, val_seg, test_seg = hadl_data.fit_transform(train_seg, val_seg, test_seg)
+    segments = hadl_data.split(dataset, convention, lookback=job.lookback)
+    _, train_seg, val_seg, test_seg = hadl_data.fit_transform(*segments)
     if job.noise_eta > 0.0:
         train_seg = hadl_data.inject_noise(
             train_seg, job.noise_eta, mix_seed(job.seed, "noise", job.noise_eta)
         )
-    w_train = hadl_data.windows(train_seg, job.lookback, horizon, job.stride)
+    w_train = hadl_data.windows(train_seg, job.lookback, horizon)
     w_val = hadl_data.windows(val_seg, job.lookback, horizon)
     w_test = hadl_data.windows(test_seg, job.lookback, horizon)
     return w_train, w_val, w_test
@@ -262,14 +251,6 @@ def run_single(job: ExperimentConfig, horizon: int, data, grad_norm: bool = Fals
         noise_eta=job.noise_eta,
         mse=test_mse,
         mae=test_mae,
-        config={
-            "learning_rate": job.learning_rate,
-            "l1_lambda": job.l1_lambda,
-            "batch_size": job.batch_size,
-            "max_epochs": job.max_epochs,
-            "patience": job.patience,
-            "standardize": job.standardize,
-        },
     )
     return best, trace, report
 
@@ -422,16 +403,16 @@ def cmd_ablate(config: ExperimentConfig, axis: str, params_only: bool = False) -
     grid = _ablate_grid(config, axis)
     labels = [label for label, _ in grid for _ in config.horizons]
     cells = [(job, horizon) for _, job in grid for horizon in config.horizons]
+    # counted first: param_count rejects an impossible cell before any cell trains
+    totals = [param_count(job.lookback, horizon, job.rank, job.with_bias, job.use_haar,
+                          job.head).total for job, horizon in cells]
     if params_only:
         mses = [""] * len(cells)
     else:
         mses = [repr(r.mse) for _, _, r in run_grid(cells, load_dataset(config), 1,
                                                     grad_norm=False)]
-    rows = []
-    for label, (job, horizon), mse in zip(labels, cells, mses):
-        total = param_count(job.lookback, horizon, job.rank, job.with_bias,
-                            job.use_haar, job.head).total
-        rows.append([axis, label, job.lookback, horizon, mse, total, kilo_display(total)])
+    rows = [[axis, label, job.lookback, horizon, mse, total, kilo_display(total)]
+            for label, (job, horizon), mse, total in zip(labels, cells, mses, totals)]
 
     out_root = os.path.join(config.outdir, config.dataset)
     os.makedirs(out_root, exist_ok=True)

@@ -18,6 +18,7 @@ import numpy as np
 from .errors import (
     ConstantChannelError,
     EmptyFileError,
+    HadlError,
     MissingValueError,
     ParseError,
     SegmentTooShortError,
@@ -53,26 +54,24 @@ class Segment:
 
 @dataclass(frozen=True)
 class WindowBatch:
-    """Every `stride`-th lookback/horizon window pair of one segment.
+    """Every lookback/horizon window pair of one segment, one per step.
 
-    inputs[b] covers values[:, t : t+L] and targets[b] covers
-    values[:, t+L : t+L+H] for t = origins[b] = b * stride. Nothing is
-    copied: inputs, targets and `view` are read-only views into `values`,
-    so copy one before writing to it.
+    inputs[b] covers values[:, b : b+L] and targets[b] covers
+    values[:, b+L : b+L+H]; origins[b] = b. Nothing is copied: inputs,
+    targets and `view` are read-only views into `values`, so copy one
+    before writing to it.
     """
 
     values: np.ndarray  # (channels, timesteps) of the segment
     lookback: int
     horizon: int
-    stride: int = 1
 
     def __len__(self) -> int:
-        span = self.lookback + self.horizon
-        return max((self.values.shape[1] - span) // self.stride + 1, 0)
+        return max(self.values.shape[1] - self.lookback - self.horizon + 1, 0)
 
     @property
     def origins(self) -> np.ndarray:
-        return np.arange(len(self)) * self.stride
+        return np.arange(len(self))
 
     @property
     def inputs(self) -> np.ndarray:
@@ -88,7 +87,7 @@ class WindowBatch:
         """(n, channels, ceil(width/step)) read-only view of `series`: every
         `step`-th of the `width` samples that start at each window origin."""
         sliding = np.lib.stride_tricks.sliding_window_view(series, width, axis=1)
-        return sliding[:, :: self.stride][:, : len(self), ::step].transpose(1, 0, 2)
+        return sliding[:, : len(self), ::step].transpose(1, 0, 2)
 
 
 # Channel counts and granularities of the common benchmark files, used to
@@ -248,20 +247,18 @@ def fit_transform(train: Segment, *others: Segment) -> tuple:
     return (scaler, *out)
 
 
-def windows(segment: Segment, lookback: int, horizon: int, stride: int = 1) -> WindowBatch:
+def windows(segment: Segment, lookback: int, horizon: int) -> WindowBatch:
     """All (input, target) windows of a segment in origin order, as views.
 
-    Window b covers [t, t+L) for inputs and [t+L, t+L+H) for targets with
-    t = b * stride; nothing ever reads past the end of the segment.
+    Window b covers [b, b+L) for inputs and [b+L, b+L+H) for targets;
+    nothing ever reads past the end of the segment.
     """
-    if stride < 1:
-        raise ShapeMismatchError(f"stride must be >= 1, got {stride}")
     T = segment.values.shape[1]
     if T < lookback + horizon:
         raise SegmentTooShortError(
             f"{segment.name}: {T} steps cannot fit lookback {lookback} + horizon {horizon}"
         )
-    return WindowBatch(segment.values, lookback, horizon, stride)
+    return WindowBatch(segment.values, lookback, horizon)
 
 
 def inject_noise(segment: Segment, eta: float, seed: int) -> Segment:
@@ -271,7 +268,7 @@ def inject_noise(segment: Segment, eta: float, seed: int) -> Segment:
     eta = 0 returns a bit-identical copy.
     """
     if eta < 0.0:
-        raise ValueError(f"eta must be >= 0, got {eta}")
+        raise HadlError(f"eta must be >= 0, got {eta}")
     if eta == 0.0:
         return Segment(segment.name, segment.values.copy())
     rng = np.random.default_rng(seed)
@@ -362,9 +359,12 @@ def load_registry(path) -> dict[str, dict]:
             parts = [p.strip() for p in rest.split(",")]
             if len(parts) != 3:
                 raise ParseError(f"{path}: line {line_no}: expected 3 comma-separated fields")
-            registry[name.strip()] = {
-                "path": parts[0],
-                "convention": parts[1],
-                "channels": int(parts[2]),
-            }
+            try:
+                channels = int(parts[2])
+            except ValueError:
+                raise ParseError(
+                    f"{path}: line {line_no}: channel count {parts[2]!r} is not an integer"
+                ) from None
+            registry[name.strip()] = {"path": parts[0], "convention": parts[1],
+                                      "channels": channels}
     return registry

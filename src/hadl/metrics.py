@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -74,7 +74,6 @@ class EvalReport:
     noise_eta: float
     mse: float
     mae: float
-    config: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)

@@ -69,10 +69,13 @@ class ParamCount:
     breakdown: dict[str, int] = field(default_factory=dict)
 
 
-def _check_variant(lookback: int, horizon: int, rank: int, use_haar: bool, head: str) -> None:
-    """The one check that a model of this shape exists, shared by `init_model`,
-    `param_count` and `load_checkpoint`: positive lookback and horizon, an
-    even lookback with the Haar stage on, a known head, rank >= 1 if low-rank."""
+def param_shapes(lookback: int, horizon: int, rank: int, with_bias: bool, use_haar: bool,
+                 head: str) -> dict[str, tuple[int, ...]]:
+    """The trainable arrays' shapes by name, in draw order, for any variant:
+    P (d_in x r) and Q (r x H), or W (d_in x H), then bias (H,); d_in is L/2
+    with the Haar stage on, else L. The one check that such a model exists:
+    positive lookback and horizon, an even lookback with the Haar stage on,
+    a known head, rank >= 1 if low-rank."""
     if lookback < 1 or horizon < 1:
         raise ShapeMismatchError(
             f"lookback and horizon must be positive, got {lookback}, {horizon}"
@@ -83,6 +86,14 @@ def _check_variant(lookback: int, horizon: int, rank: int, use_haar: bool, head:
         raise ShapeMismatchError(f"unknown head kind {head!r}")
     if head == HEAD_LOW_RANK and rank < 1:
         raise ShapeMismatchError(f"rank must be >= 1, got {rank}")
+    d_in = lookback // 2 if use_haar else lookback
+    if head == HEAD_LOW_RANK:
+        shapes = {"P": (d_in, rank), "Q": (rank, horizon)}
+    else:
+        shapes = {"W": (d_in, horizon)}
+    if with_bias:
+        shapes["bias"] = (horizon,)
+    return shapes
 
 
 def init_model(
@@ -98,29 +109,18 @@ def init_model(
     """Build a model with fan-in-scaled uniform weights and zero bias.
 
     Weights are i.i.d. uniform on [-1/sqrt(d_in), +1/sqrt(d_in)], drawn from
-    a generator seeded with `seed`, so identical arguments give bit-identical
-    models. The scheme is recorded via `seed` for run metadata.
+    a generator seeded with `seed` in `param_shapes` order, so identical
+    arguments give bit-identical models. The scheme is recorded via `seed`
+    for run metadata.
     """
-    _check_variant(lookback, horizon, rank, use_haar, head)
-    d_in = lookback // 2 if use_haar else lookback
-    bound = 1.0 / math.sqrt(d_in)
+    shapes = param_shapes(lookback, horizon, rank, with_bias, use_haar, head)
+    model = HadlModel(lookback=lookback, horizon=horizon, use_haar=use_haar, use_dct=use_dct,
+                      head=head, seed=seed)
+    bound = 1.0 / math.sqrt(model.d_in)
     rng = np.random.default_rng(seed)
-    model = HadlModel(
-        lookback=lookback,
-        horizon=horizon,
-        use_haar=use_haar,
-        use_dct=use_dct,
-        head=head,
-        seed=seed,
-    )
-    if head == HEAD_LOW_RANK:
-        model.P = rng.uniform(-bound, bound, size=(d_in, rank))
-        model.Q = rng.uniform(-bound, bound, size=(rank, horizon))
-    else:
-        model.W = rng.uniform(-bound, bound, size=(d_in, horizon))
-    if with_bias:
-        model.bias = np.zeros(horizon, dtype=np.float64)
-    return model
+    params = {name: np.zeros(shape) if name == "bias" else rng.uniform(-bound, bound, size=shape)
+              for name, shape in shapes.items()}
+    return replace_params(model, params)
 
 
 def haar_rows(model: HadlModel, X) -> np.ndarray:
@@ -231,21 +231,11 @@ def param_count(
     use_haar: bool,
     head: str = HEAD_LOW_RANK,
 ) -> ParamCount:
-    """Trainable-parameter arithmetic for any variant.
-
-    d_in = L/2 if the Haar stage is on else L. Low-rank: d_in*r + r*H
-    (+ H for bias); dense: d_in*H (+ H).
-    """
-    _check_variant(lookback, horizon, rank, use_haar, head)
-    d_in = lookback // 2 if use_haar else lookback
-    breakdown: dict[str, int] = {}
-    if head == HEAD_LOW_RANK:
-        breakdown["P"] = d_in * rank
-        breakdown["Q"] = rank * horizon
-    else:
-        breakdown["W"] = d_in * horizon
-    if with_bias:
-        breakdown["bias"] = horizon
+    """Trainable-parameter arithmetic for any variant: the sizes of the
+    `param_shapes` arrays. Low-rank: d_in*r + r*H (+ H for bias); dense:
+    d_in*H (+ H)."""
+    shapes = param_shapes(lookback, horizon, rank, with_bias, use_haar, head)
+    breakdown = {name: math.prod(shape) for name, shape in shapes.items()}
     return ParamCount(total=sum(breakdown.values()), breakdown=breakdown)
 
 
@@ -364,29 +354,26 @@ def load_checkpoint(path) -> HadlModel:
 
 
 def _check_checkpoint(model: HadlModel, arrays: dict[str, np.ndarray], path) -> None:
-    try:  # the rank is checked against the arrays below
-        _check_variant(model.lookback, model.horizon, 1, model.use_haar, model.head)
+    P = arrays.get("P")
+    # the meta fixes every shape but the rank, which P's last axis declares
+    rank = P.shape[-1] if P is not None and P.ndim > 0 else 1
+    try:
+        shapes = param_shapes(model.lookback, model.horizon, rank, "bias" in arrays,
+                              model.use_haar, model.head)
     except HadlError as exc:
         raise CorruptCheckpointError(f"{path}: {exc}") from exc
-    heads = {HEAD_LOW_RANK: ["P", "Q"], HEAD_DENSE: ["W"]}
-    if sorted(set(arrays) - {"bias"}) != heads[model.head]:
+    if sorted(arrays) != sorted(shapes):
         raise CorruptCheckpointError(
             f"{path}: arrays {sorted(arrays)} do not match a {model.head} head"
         )
-    d_in, H = model.d_in, model.horizon
-    rank = arrays["P"].shape[1] if model.head == HEAD_LOW_RANK and arrays["P"].ndim == 2 else 0
-    if model.head == HEAD_LOW_RANK and rank < 1:
-        raise CorruptCheckpointError(
-            f"{path}: P has shape {arrays['P'].shape}, expected ({d_in}, rank >= 1)"
-        )
-    shapes = {"P": (d_in, rank), "Q": (rank, H), "W": (d_in, H), "bias": (H,)}
     for name, value in arrays.items():
         if value.dtype != np.float64:
             raise CorruptCheckpointError(f"{path}: {name} has dtype {value.dtype}, not float64")
         if value.shape != shapes[name]:
             raise CorruptCheckpointError(
                 f"{path}: {name} has shape {value.shape}, expected {shapes[name]}"
-                f" (lookback {model.lookback}, horizon {H}, use_haar={model.use_haar})"
+                f" (lookback {model.lookback}, horizon {model.horizon},"
+                f" use_haar={model.use_haar})"
             )
         if not np.all(np.isfinite(value)):
             raise CorruptCheckpointError(f"{path}: {name} holds non-finite values")

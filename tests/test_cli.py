@@ -48,7 +48,6 @@ def synth_config(tmp_path, **overrides) -> ExperimentConfig:
         outdir=str(tmp_path / "runs"),
         synth_length=480,
         synth_channels=3,
-        synth_period=24.0,
     )
     base.update(overrides)
     return ExperimentConfig(**base)
@@ -74,11 +73,14 @@ class TestConfig:
         assert values["eta_list"] == (0.0, 0.3)
         assert values["learning_rate"] == 0.01
 
-    def test_unknown_key_rejected(self, tmp_path):
+    def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text("no_such_key = 1\n")
         with pytest.raises(HadlError):
             read_config_file(cfg_file)
+        cfg_file.write_text("stride = 2\n")  # windows are always stride 1
+        assert main(["params", "--config", str(cfg_file)]) == 1
+        assert "unknown config key 'stride'" in capsys.readouterr().err
 
     def test_flag_overrides_file(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
@@ -471,7 +473,7 @@ def test_params_command_output(capsys):
 
 @pytest.mark.parametrize("flags, key", [
     (["--patience", "0"], "patience"),
-    (["--beta1", "1.5"], "beta1"),
+    (["--noise-eta=-1"], "noise_eta"),  # trained on clean data and exited 0
     (["--batch-size", "0"], "batch_size"),
     (["--l1-lambda", "-1"], "l1_lambda"),
     (["--learning-rate=-0.01"], "learning_rate"),  # trained uphill and exited 0
@@ -481,16 +483,36 @@ def test_params_command_output(capsys):
 def test_bad_config_value_is_one_error_line(tmp_path, capsys, flags, key):
     rc = main(["train", "--dataset", "sine_mix", "--lookback", "32", "--horizons", "8",
                *flags, "--outdir", str(tmp_path / "runs")])
-    err = capsys.readouterr().err.splitlines()
+    out, err = capsys.readouterr()
+    err = err.splitlines()
     assert rc == 1
+    assert out == ""  # no job trained
     assert len(err) == 1 and err[0].startswith("error: ") and key in err[0], err
     assert not (tmp_path / "runs").exists()
+
+
+def test_negative_eta_fails_before_any_job(tmp_path, capsys):
+    # trained all three jobs, then failed without naming -1
+    rc = main(["robustness", "--dataset", "sine_mix", "--lookback", "32", "--horizons", "8",
+               "--eta-list=-1,0,0.5", "--outdir", str(tmp_path / "runs")])
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert out == ""
+    assert err.splitlines() == ["error: eta_list: noise intensity must be >= 0, got -1.0"]
+    assert not (tmp_path / "runs").exists()
+
+
+# a dataset on which a valid cell trains, in one epoch, at L=32 and H=96
+TRAINABLE = ["--synth-length", "2000", "--max-epochs", "1", "--patience", "1"]
 
 
 @pytest.mark.parametrize("argv", [
     ["params", "--rank", "-3"],  # printed "-1440 parameters"
     ["params", "--lookback", "33"],
     ["ablate", "rank", "--rank-list", "0", "--params-only"],
+    # each trained its valid cell and printed its job line first
+    ["ablate", "lookback", "--lookback-list", "32,33", *TRAINABLE],
+    ["ablate", "rank", "--rank-list", "2,0", "--lookback", "32", *TRAINABLE],
 ])
 def test_impossible_model_is_one_error_line(tmp_path, capsys, argv):
     rc = main(argv + ["--horizons", "96", "--outdir", str(tmp_path / "runs")])

@@ -21,6 +21,7 @@ from hadl.data import (
 from hadl.errors import (
     ConstantChannelError,
     EmptyFileError,
+    HadlError,
     MissingValueError,
     ParseError,
     SegmentTooShortError,
@@ -191,26 +192,20 @@ class TestWindows:
         batch = windows(seg, lookback=512, horizon=96)
         assert len(batch) == 8033
 
-    def test_stride(self):
-        seg = Segment("s", np.arange(12, dtype=float)[None, :])
-        batch = windows(seg, lookback=4, horizon=2, stride=3)
-        assert list(batch.origins) == [0, 3, 6]
-
     @settings(max_examples=60, deadline=None)
     @given(
         timesteps=st.integers(min_value=2, max_value=60),
         lookback=st.integers(min_value=1, max_value=12),
         horizon=st.integers(min_value=1, max_value=12),
-        stride=st.integers(min_value=1, max_value=4),
     )
-    def test_windows_stay_inside_segment(self, timesteps, lookback, horizon, stride):
+    def test_windows_stay_inside_segment(self, timesteps, lookback, horizon):
         seg = Segment("s", np.arange(timesteps, dtype=float)[None, :])
         if timesteps < lookback + horizon:
             with pytest.raises(SegmentTooShortError):
-                windows(seg, lookback, horizon, stride)
+                windows(seg, lookback, horizon)
             return
-        batch = windows(seg, lookback, horizon, stride)
-        expected = (timesteps - lookback - horizon) // stride + 1
+        batch = windows(seg, lookback, horizon)
+        expected = timesteps - lookback - horizon + 1
         assert len(batch) == expected
         for b in range(len(batch)):
             t = int(batch.origins[b])
@@ -248,7 +243,7 @@ class TestInjectNoise:
         assert np.array_equal(values, before)
 
     def test_negative_eta_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(HadlError, match="-0.1"):
             inject_noise(Segment("s", np.zeros((1, 4))), -0.1, seed=0)
 
 
@@ -308,4 +303,12 @@ def test_registry_bad_line(tmp_path):
     reg = tmp_path / "datasets.txt"
     reg.write_text("ETTh1 data/ETTh1.csv\n")
     with pytest.raises(ParseError):
+        load_registry(reg)
+
+
+def test_registry_channel_count_not_an_integer(tmp_path):
+    # was a ValueError traceback from int()
+    reg = tmp_path / "datasets.txt"
+    reg.write_text("# comment\nx = data/x.csv, ratio, two\n")
+    with pytest.raises(ParseError, match=r"datasets.txt: line 2: channel count 'two'"):
         load_registry(reg)

@@ -44,7 +44,6 @@ def assert_close(got, want, rel=1e-12):
 def cases(draw):
     lookback = 2 * draw(st.integers(1, 12))
     horizon = draw(st.integers(1, 8))
-    stride = draw(st.integers(1, 3))
     channels = draw(st.integers(1, 4))
     # up to ~2.5 blocks of windows, so the blocked passes cross block edges
     timesteps = lookback + horizon + draw(st.integers(0, 2 * EVAL_BLOCK + 40))
@@ -58,7 +57,7 @@ def cases(draw):
     )
     if model.bias is not None:
         model.bias[:] = np.random.default_rng(1).normal(size=horizon)
-    return windows(Segment("s", values), lookback, horizon, stride), model
+    return windows(Segment("s", values), lookback, horizon), model
 
 
 class TestViews:
