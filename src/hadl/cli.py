@@ -218,7 +218,7 @@ def run_single(job: ExperimentConfig, horizon: int, data, grad_norm: bool = Fals
     Returns (best_model, trace, EvalReport). The model init seed does not
     depend on noise_eta, so a robustness sweep perturbs only the training data.
     With grad_norm, trace.final_grad_norm is filled in for the best model
-    (a full pass over the training windows, which only `train` writes out);
+    (from the training windows' statistics; only `train` writes it out);
     otherwise it stays NaN.
     """
     # every TrainConfig field is the job's config key of the same name
@@ -261,6 +261,8 @@ def run_grid(cells, data, workers: int, grad_norm: bool) -> list:
     progress line per job as its result arrives, in cell order, and returns
     the (best_model, trace, EvalReport) triples in cell order. grad_norm is
     passed to every run_single, so a pool computes the norms in its workers."""
+    if workers < 1:
+        raise InvalidConfigError(f"workers must be >= 1, got {workers}")
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 

@@ -10,7 +10,7 @@ order, so two runs with identical inputs produce bit-identical results.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -31,9 +31,10 @@ from .model import (
     transform_inputs,  # noqa: F401  (hadl.optim.transform_inputs: a benchmark tracing target)
     window_rows,
 )
+from .transforms import haar_pairs
 
-# Windows per block of the full-set passes (validation, final grad norm, test
-# evaluation): bounds their memory and fixes their summation order.
+# Windows per block of the full-set passes (validation and test evaluation):
+# bounds their memory and fixes their summation order.
 EVAL_BLOCK = 64
 
 # ADAM's moment decay rates and denominator guard: Kingma & Ba's (ICLR 2015)
@@ -60,7 +61,7 @@ class TrainConfig:
     def __post_init__(self):
         if not self.learning_rate > 0.0:
             raise InvalidConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.l1_lambda < 0.0:
+        if not self.l1_lambda >= 0.0:  # NaN included
             raise InvalidConfigError(f"l1_lambda must be >= 0, got {self.l1_lambda}")
         if self.max_epochs < 0:
             raise InvalidConfigError(f"max_epochs must be >= 0, got {self.max_epochs}")
@@ -80,10 +81,9 @@ class TrainTrace:
     """Per-epoch history plus the early-stopping outcome.
 
     best_epoch indexes the epoch with the lowest validation MSE (-1 when no
-    epoch ran). final_grad_norm is NaN as `train` returns it: it costs a
-    full pass over the training set, so only a caller that reports it fills
-    it in, with `dense_equivalent_grad_norm` of the returned model and the
-    training windows.
+    epoch ran). final_grad_norm is NaN as `train` returns it: only a caller
+    that reports it fills it in, with `dense_equivalent_grad_norm` of the
+    returned model and the training windows.
     """
 
     train_loss: list[float] = field(default_factory=list)
@@ -257,21 +257,78 @@ def evaluate(model: HadlModel, batch) -> tuple[float, float]:
     return squared / count, absolute / count
 
 
+def _lag_product(u: np.ndarray, v: np.ndarray, lag: int, start: int, stop: int) -> np.ndarray:
+    """Channel-summed lag product: u[:, t] . v[:, t + lag] for start <= t < stop."""
+    return np.einsum("ct,ct->t", u[:, start:stop], v[:, start + lag : stop + lag])
+
+
+def _window_sums(p: np.ndarray, n: int, step: int) -> np.ndarray:
+    """sum(p[a : a + n]) for a = 0, step, 2*step, ..., len(p) - n. The first
+    window is summed whole and each later one from the values that enter and
+    leave it, so the rounding stays that of one n-term sum, not of a prefix
+    sum over the whole series."""
+    moves = np.cumsum(p[n:] - p[: len(p) - n])
+    return p[:n].sum() + np.concatenate(([0.0], moves))[::step]
+
+
+def window_stats(model: HadlModel, batch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """G = S.T @ S (d_in x d_in), C = S.T @ Y (d_in x H) and S.T @ 1 (d_in,)
+    for the Haar rows S (see `window_rows`) and the targets Y of every
+    (window, channel) row of a WindowBatch, without gathering a window.
+
+    Feature i of the window at origin b is s[c, b + step*i], where s =
+    haar_pairs(values) and step = 2 (s = values and step = 1 with the Haar
+    stage off), and its target h is values[c, b + L + h]. So G[i, i + k] sums
+    the lag-step*k products of s over n consecutive origins from step*i, and
+    C[i, h] the lag-(L + h - step*i) products of s with the values: one
+    channel-summed lag product serves every entry of its lag. That costs
+    O(channels * timesteps * (d_in + L + H)) instead of the
+    O(rows * d_in * (d_in + H)) of blocked row products.
+    """
+    if (batch.lookback, batch.horizon) != (model.lookback, model.horizon):
+        raise ShapeMismatchError(
+            f"windows have lookback/horizon {batch.lookback}/{batch.horizon},"
+            f" model has {model.lookback}/{model.horizon}"
+        )
+    x = batch.values
+    s, step = (haar_pairs(x), 2) if model.use_haar else (x, 1)
+    d, L, H, n = model.d_in, model.lookback, model.horizon, len(batch)
+    last = step * (d - 1) + n  # one past the last sample any feature reads
+    gram = np.empty((d, d))
+    for k in range(d):
+        i = np.arange(d - k)
+        gram[i, i + k] = gram[i + k, i] = _window_sums(
+            _lag_product(s, s, step * k, 0, last - step * k), n, step)
+    cross = np.empty((d, H))
+    for lag in range(L - step * (d - 1), L + H):
+        # the features i whose target h = lag - L + step*i lies in [0, H)
+        i = np.arange(max(0, -((lag - L) // step)), min(d - 1, (L + H - 1 - lag) // step) + 1)
+        if i.size:  # none when H = 1 and lag - L is odd
+            cross[i, lag - L + step * i] = _window_sums(
+                _lag_product(s, x, lag, step * i[0], step * i[-1] + n), n, step)
+    return gram, cross, _window_sums(s[:, :last].sum(axis=0), n, step)
+
+
 def dense_equivalent_grad_norm(model: HadlModel, batch) -> float:
     """Frobenius norm of the residual gradient w.r.t. W = P@Q (or W itself)
     over every window of a WindowBatch.
 
     Computed without the L1 term; at a true minimum of the data term this
     vanishes even though the factored gradients only vanish individually.
+    The forecast of rows S is S @ M + bias with M the folded head, so the
+    summed gradient S.T @ (S @ M + bias - Y) = G @ M + (S.T @ 1) bias - C
+    comes from `window_stats`, with no pass over the windows.
     """
     F = dct_matrix(model)
     folded = fold_dct(model, F)
-    total = np.zeros((model.d_in, model.horizon))
-    for rows, target, out in _gather_blocks(model, batch, range(len(batch)), EVAL_BLOCK):
-        head_into(folded, rows, out)
-        total += rows.T @ np.subtract(out, target, out=out)
+    gram, cross, row_sum = window_stats(model, batch)
+    residual = np.empty_like(cross)
+    head_into(replace(folded, bias=None), gram, residual)  # G @ M
+    residual -= cross
+    if model.bias is not None:
+        residual += np.outer(row_sum, model.bias)
     count = len(batch) * batch.values.shape[0] * model.horizon
-    return float(np.linalg.norm((2.0 / count) * _dct_basis(F, total)))
+    return 2.0 / count * float(np.linalg.norm(_dct_basis(F, residual)))
 
 
 def train(

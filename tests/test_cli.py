@@ -479,6 +479,7 @@ def test_params_command_output(capsys):
     (["--learning-rate=-0.01"], "learning_rate"),  # trained uphill and exited 0
     (["--lookback", "abc"], "lookback"),
     (["--horizons", "8,x"], "horizons"),
+    (["--l1-lambda", "nan"], "l1_lambda"),  # trained without L1 and wrote NaN into eval.json
 ])
 def test_bad_config_value_is_one_error_line(tmp_path, capsys, flags, key):
     rc = main(["train", "--dataset", "sine_mix", "--lookback", "32", "--horizons", "8",
@@ -488,6 +489,19 @@ def test_bad_config_value_is_one_error_line(tmp_path, capsys, flags, key):
     assert rc == 1
     assert out == ""  # no job trained
     assert len(err) == 1 and err[0].startswith("error: ") and key in err[0], err
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "robustness"])
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_workers_below_one_fail_before_any_job(tmp_path, capsys, command, workers):
+    # each ran serially and exited 0
+    rc = main([command, "--workers", workers, "--dataset", "sine_mix", "--lookback", "32",
+               "--horizons", "8", "--outdir", str(tmp_path / "runs")])
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert out == ""
+    assert err.splitlines() == [f"error: workers must be >= 1, got {workers}"]
     assert not (tmp_path / "runs").exists()
 
 

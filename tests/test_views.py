@@ -1,18 +1,21 @@
 """The zero-copy path against materialized windows.
 
 Windows are views into their segment, the Haar rows of every window are a
-view of one pass over the segment, the DCT is folded into the head, and the
-full-set passes run in blocks. Each is checked here against the copied
-windows and unfolded features they replace.
+view of one pass over the segment, the DCT is folded into the head, the
+full-set passes run in blocks, and the window statistics come from lag sums
+over the segment. Each is checked here against the copied windows, unfolded
+features or blocked sums they replace.
 """
 
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hadl.data import Segment, windows
+from hadl.data import Segment, WindowBatch, windows
+from hadl.errors import ShapeMismatchError
 from hadl.model import (
     HEAD_DENSE,
     HEAD_LOW_RANK,
@@ -30,6 +33,7 @@ from hadl.optim import (
     gradcheck,
     gradients,
     train,
+    window_stats,
 )
 from hadl.transforms import haar_batch
 
@@ -134,3 +138,49 @@ def test_train_epoch_never_copies_the_window_set():
         tracemalloc.stop()
     copied = len(train_w) * channels * (lookback + horizon) * 8
     assert peak < copied / 4, f"peak {peak / 1e6:.1f} MB vs copied windows {copied / 1e6:.1f} MB"
+
+
+def reference_stats(model, batch):
+    """rows.T @ rows, rows.T @ Y and rows.T @ 1 summed over slices of
+    EVAL_BLOCK windows of the Haar rows and targets."""
+    S, Y = window_rows(model, batch), batch.targets
+    gram = np.zeros((model.d_in, model.d_in))
+    cross = np.zeros((model.d_in, model.horizon))
+    row_sum = np.zeros(model.d_in)
+    for start in range(0, len(batch), EVAL_BLOCK):
+        rows = S[start : start + EVAL_BLOCK].reshape(-1, model.d_in)
+        gram += rows.T @ rows
+        cross += rows.T @ Y[start : start + EVAL_BLOCK].reshape(-1, model.horizon)
+        row_sum += rows.sum(axis=0)
+    return gram, cross, row_sum
+
+
+class TestWindowStats:
+    @settings(max_examples=80, deadline=None)
+    @given(lookback=st.integers(1, 12).map(lambda half: 2 * half), horizon=st.integers(1, 9),
+           channels=st.integers(1, 4), n=st.integers(1, 150), use_haar=st.booleans(),
+           seed=st.integers(0, 2**16))
+    def test_equal_to_blocked_sums(self, lookback, horizon, channels, n, use_haar, seed):
+        # an offset keeps the row sums away from zero, where relative error means nothing
+        values = 0.5 + np.random.default_rng(seed).normal(
+            size=(channels, n + lookback + horizon - 1))
+        batch = WindowBatch(values, lookback, horizon)
+        assert len(batch) == n
+        model = init_model(lookback, horizon, 1, seed=0, use_haar=use_haar)
+        for got, want in zip(window_stats(model, batch), reference_stats(model, batch)):
+            assert_close(got, want)
+
+    @pytest.mark.parametrize("use_haar", [True, False])
+    def test_long_series(self, use_haar):
+        # as long as a full ETTh1 series: every window sum runs over ~18k terms
+        values = 0.5 + np.random.default_rng(3).normal(size=(2, 18000))
+        batch = WindowBatch(values, 16, 8)
+        model = init_model(16, 8, 1, seed=0, use_haar=use_haar)
+        for got, want in zip(window_stats(model, batch), reference_stats(model, batch)):
+            assert_close(got, want)
+
+    def test_rejects_other_window_shapes(self):
+        batch = WindowBatch(np.zeros((1, 40)), 16, 8)
+        for lookback, horizon in ((8, 8), (16, 4)):
+            with pytest.raises(ShapeMismatchError):
+                window_stats(init_model(lookback, horizon, 1, seed=0), batch)
