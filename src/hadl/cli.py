@@ -88,6 +88,12 @@ class ExperimentConfig:
             bad = [eta for eta in etas if not eta >= 0.0]  # NaN included
             if bad:
                 raise InvalidConfigError(f"{key}: noise intensity must be >= 0, got {bad[0]}")
+        # a repeat trains the same job twice: checkpoints overwrite, eval rows double
+        for key in ("horizons", "seeds"):
+            listed = getattr(self, key)
+            repeated = [v for i, v in enumerate(listed) if v in listed[:i]]
+            if repeated:
+                raise InvalidConfigError(f"{key}: {repeated[0]} is listed twice")
 
     def fingerprint(self) -> str:
         blob = json.dumps(asdict(self), sort_keys=True)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,17 +121,64 @@ def load_csv(path, convention: str, name: str | None = None,
     columns must be finite decimal numbers. Row order and column order are
     preserved. Errors name the offending cell, or the convention the series
     is too short for.
+
+    numpy's C reader parses the rows; a file it rejects, or whose result
+    fails a guard, goes through `_parse_cells`, which names the bad cell or
+    reads text numpy does not (such as `1_5`).
     """
     with open(path, "r", newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
         try:
-            header = next(reader)
+            header = next(csv.reader(handle))
         except StopIteration:
             raise EmptyFileError(f"{path}: file is empty") from None
         if len(header) < 2:
             raise ParseError(f"{path}: need a timestamp column plus data columns")
         channels = tuple(h.strip() for h in header[1:])
+        with warnings.catch_warnings():
+            # a header-only file: _parse_cells raises the one error for it
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            try:
+                # the converter keeps loadtxt's field-count check on every
+                # row, which usecols would skip (extra fields, trailing commas)
+                table = np.loadtxt(handle, delimiter=",", comments=None, quotechar='"',
+                                   ndmin=2, converters={0: lambda _: 0.0})
+            except ValueError:
+                table = None
 
+    if (table is not None and table.shape[1] == len(header) and len(table) > 0
+            and np.isfinite(table).all()):
+        # C order, as _parse_cells returns it: it fixes Scaler.fit's sum order
+        values = np.ascontiguousarray(table[:, 1:].T)
+    else:
+        values = _parse_cells(path)
+
+    if name is None:
+        name = str(path).rsplit("/", 1)[-1].rsplit(".", 1)[0]
+    info = KNOWN_DATASETS.get(name.lower())
+    if expected_channels is None and info is not None:
+        expected_channels = info["channels"]
+    if expected_channels is not None and values.shape[0] != expected_channels:
+        raise ParseError(
+            f"{path}: expected {expected_channels} channels for {name}, found {values.shape[0]}"
+        )
+    granularity = info["granularity"] if info else "unknown"
+    train_end, val_end, _ = _split_edges(convention, values.shape[1])
+    return Dataset(
+        name=name,
+        series=SeriesTensor(values=values, channels=channels),
+        granularity=granularity,
+        split_bounds=(train_end, val_end),
+    )
+
+
+def _parse_cells(path) -> np.ndarray:
+    """The reference parser: `float()` on every cell after the header, as a
+    (channels, timesteps) array. Raises a named error for the first bad row
+    or cell."""
+    with open(path, "r", newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        header = next(reader)  # load_csv has checked it
+        channels = tuple(h.strip() for h in header[1:])
         columns: list[list[float]] = [[] for _ in channels]
         n_rows = 0
         for row_idx, row in enumerate(reader, start=1):
@@ -162,25 +210,7 @@ def load_csv(path, convention: str, name: str | None = None,
 
     if n_rows == 0:
         raise EmptyFileError(f"{path}: no data rows")
-
-    values = np.asarray(columns, dtype=np.float64)
-    if name is None:
-        name = str(path).rsplit("/", 1)[-1].rsplit(".", 1)[0]
-    info = KNOWN_DATASETS.get(name.lower())
-    if expected_channels is None and info is not None:
-        expected_channels = info["channels"]
-    if expected_channels is not None and values.shape[0] != expected_channels:
-        raise ParseError(
-            f"{path}: expected {expected_channels} channels for {name}, found {values.shape[0]}"
-        )
-    granularity = info["granularity"] if info else "unknown"
-    train_end, val_end, _ = _split_edges(convention, values.shape[1])
-    return Dataset(
-        name=name,
-        series=SeriesTensor(values=values, channels=channels),
-        granularity=granularity,
-        split_bounds=(train_end, val_end),
-    )
+    return np.asarray(columns, dtype=np.float64)
 
 
 def _split_edges(convention: str, timesteps: int) -> tuple[int, int, int]:
@@ -242,6 +272,8 @@ def fit_transform(train: Segment, *others: Segment) -> tuple:
     Returns (scaler, train_std, *others_std). Statistics never see val/test
     content.
     """
+    if train.values.shape[1] == 0:  # the mean and std of no steps are NaN
+        raise SegmentTooShortError(f"{train.name}: 0 steps, nothing to fit the scaler on")
     scaler = Scaler.fit(train.values)
     out = [Segment(seg.name, scaler.transform(seg.values)) for seg in (train, *others)]
     return (scaler, *out)

@@ -480,6 +480,9 @@ def test_params_command_output(capsys):
     (["--lookback", "abc"], "lookback"),
     (["--horizons", "8,x"], "horizons"),
     (["--l1-lambda", "nan"], "l1_lambda"),  # trained without L1 and wrote NaN into eval.json
+    # each trained twice, overwrote the checkpoint and wrote the repeat into eval.csv
+    (["--horizons", "8,16,8"], "horizons"),
+    (["--seeds", "1,1"], "seeds"),
 ])
 def test_bad_config_value_is_one_error_line(tmp_path, capsys, flags, key):
     rc = main(["train", "--dataset", "sine_mix", "--lookback", "32", "--horizons", "8",
@@ -534,6 +537,28 @@ def test_impossible_model_is_one_error_line(tmp_path, capsys, argv):
     assert rc == 1
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    # five numpy RuntimeWarnings from fitting the scaler on no steps came first
+    ("date,a\n0,1\n", "error: one/train: 0 steps, nothing to fit the scaler on"),
+    # loadtxt warns on a file without rows
+    ("date,a\n", "no data rows"),
+], ids=["one_row", "header_only"])
+def test_unusable_csv_is_one_error_line(tmp_path, text, message):
+    csv_path = tmp_path / "one.csv"
+    csv_path.write_text(text)
+    # a fresh interpreter shows every warning numpy would print to a user
+    proc = subprocess.run(
+        [sys.executable, "-m", "hadl.cli", "train", "--dataset", "one", "--data-path",
+         str(csv_path), "--lookback", "4", "--horizons", "2", "--outdir", str(tmp_path / "runs")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0], proc.stderr
     assert not (tmp_path / "runs").exists()
 
 

@@ -1,15 +1,20 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
+import hadl.data
 from hadl.data import (
     KNOWN_DATASETS,
     Dataset,
     Scaler,
     Segment,
     SeriesTensor,
+    _parse_cells,
     fit_transform,
     inject_noise,
     load_csv,
@@ -94,6 +99,84 @@ class TestLoadCsv:
         path = write_csv(tmp_path / "three.csv", "date,a,b,c\nt0,1,2,3\n")
         ds = load_csv(path, "ratio", expected_channels=3)
         assert ds.series.values.shape == (3, 1)
+
+
+def parse_outcome(parse, path):
+    """The values a parser returns, or the type and message it raises."""
+    try:
+        return parse(path)
+    except HadlError as exc:
+        return type(exc), str(exc)
+
+
+def load_values(path):
+    return load_csv(path, "ratio").series.values
+
+
+# load_csv must agree with the per-cell reference parser on each of these,
+# whichever of its two parsers ends up reading the file
+EDGE_CSVS = {
+    "extra_field": ("date,a,b\nt0,1,2\nt1,3,4,5\n", ParseError),
+    "trailing_comma": ("date,a,b\nt0,1,2\nt1,3,4,\n", ParseError),
+    "missing_field": ("date,a,b\nt0,1,2\nt1,3\n", ParseError),
+    "whitespace_line": ("date,a,b\nt0,1,2\n  \t\nt1,3,4\n", ParseError),
+    "quoted_cell": ('date,a,b\nt0,"1.5"," 2 "\n', [[1.5], [2.0]]),
+    "space_before_quote": ('date,a,b\nt0,"1.5", "2"\n', ParseError),
+    "quoted_timestamp_comma": ('date,a,b\n"2016-07-01, 00:00",1,2\n', [[1.0], [2.0]]),
+    "bom": ("\ufeffdate,a,b\nt0,1,2\n", [[1.0], [2.0]]),
+    "underscore": ("date,a,b\nt0,1_5,2\n", [[15.0], [2.0]]),
+    "nan": ("date,a,b\nt0,1,2\nt1,nan,4\n", MissingValueError),
+    "inf": ("date,a,b\nt0,1,-inf\n", MissingValueError),
+    "overflow": ("date,a,b\nt0,1e400,2\n", MissingValueError),
+    "inline_hash": ("date,a,b\nt0,2 # c,2\n", ParseError),
+    "header_only": ("date,a,b\n", EmptyFileError),
+    "one_row": ("date,a,b\nt0,1,2", [[1.0], [2.0]]),
+    "every_row_one_extra": ("date,a,b\nt0,1,2,3\nt1,4,5,6\n", ParseError),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_CSVS))
+def test_load_csv_agrees_with_parse_cells(tmp_path, name):
+    text, expected = EDGE_CSVS[name]
+    path = write_csv(tmp_path / "edge.csv", text)
+    fast, reference = parse_outcome(load_values, path), parse_outcome(_parse_cells, path)
+    if isinstance(expected, list):
+        assert np.array_equal(reference, expected)
+        assert np.array_equal(fast.view(np.int64), reference.view(np.int64))
+    else:
+        assert reference[0] is expected
+        assert isinstance(fast, tuple) and fast == reference
+
+
+CELL_FORMATS = (repr, "%.17g".__mod__, "%.6e".__mod__, "%.3f".__mod__, "%.25g".__mod__)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    values=arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 4)),
+                  elements=st.floats(allow_nan=False, allow_infinity=False)),
+    fmt=st.sampled_from(CELL_FORMATS),
+    quoted_stamp=st.booleans(),
+    newline=st.sampled_from(["\n", "\r\n"]),
+    blank_every=st.integers(0, 3),
+)
+def test_load_csv_bit_identical_to_parse_cells(tmp_path_factory, values, fmt, quoted_stamp,
+                                               newline, blank_every):
+    rows = ["date," + ",".join(f"c{c}" for c in range(values.shape[1]))]
+    for t, row in enumerate(values):
+        stamp = f'"2016-07-01 {t:02d}:00, Mon"' if quoted_stamp else f"2016-07-01T{t:02d}"
+        rows.append(",".join([stamp, *(fmt(float(v)) for v in row)]))
+        if blank_every and t % blank_every == 0:
+            rows.append("")
+    path = tmp_path_factory.mktemp("csv") / "random.csv"
+    path.write_bytes(newline.join(rows).encode("utf-8"))
+    reference = _parse_cells(path)
+    # a well-formed file never reaches the per-cell parser
+    with mock.patch.object(hadl.data, "_parse_cells", side_effect=AssertionError("fell back")):
+        fast = load_values(path)
+    assert fast.flags.c_contiguous
+    assert fast.shape == reference.shape
+    assert np.array_equal(fast.view(np.int64), reference.view(np.int64))
 
 
 class TestSplit:
