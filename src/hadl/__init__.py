@@ -23,8 +23,6 @@ from .data import (
 from .metrics import (
     EvalReport,
     RobustnessReport,
-    improvement,
-    mae,
     mav,
     mse,
     nrr,
@@ -46,19 +44,12 @@ from .optim import (
     TrainConfig,
     TrainTrace,
     adam_step,
-    gradcheck,
-    gradients,
-    loss,
     train,
 )
 from .transforms import (
-    HaarPair,
-    dct2_orthonormal,
     dct2_raw,
     dct2_scaled,
     haar_batch,
-    haar_forward,
-    haar_inverse,
 )
 
 __version__ = "0.1.0"

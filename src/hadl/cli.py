@@ -26,8 +26,7 @@ import numpy as np
 from . import data as hadl_data
 from . import metrics as hadl_metrics
 from . import optim as hadl_optim
-from .errors import (HadlError, InvalidConfigError, InvalidHorizonsError, MissingZeroEtaError,
-                     UnknownAxisError)
+from .errors import HadlError, InvalidConfigError, MissingZeroEtaError, UnknownAxisError
 from .model import (
     HEAD_DENSE,
     HEAD_LOW_RANK,
@@ -40,8 +39,6 @@ from .model import (
     save_checkpoint,
 )
 from .optim import TrainConfig, evaluate, train, write_trace_csv, write_trace_json
-
-SYNTH_KINDS = ("sine_mix", "low_rank_target", "random_walk")
 
 
 @dataclass
@@ -80,16 +77,27 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if not self.horizons or min(self.horizons) < 1:
-            raise InvalidHorizonsError(
+            raise InvalidConfigError(
                 f"horizons must list at least one horizon >= 1, got {list(self.horizons)}"
             )
+        for key in ("rank_list", "lookback_list"):
+            if not getattr(self, key):
+                raise InvalidConfigError(f"{key}: the list is empty")
+        # here, not as a numpy ValueError mid-run: default_rng takes no negative
+        # seed, and no series has a negative length or fewer than one channel
+        for key, values, low in (("seed", (self.seed,), 0), ("seeds", self.seeds, 0),
+                                 ("synth_length", (self.synth_length,), 0),
+                                 ("synth_channels", (self.synth_channels,), 1)):
+            bad = [v for v in values if v < low]
+            if bad:
+                raise InvalidConfigError(f"{key} must be >= {low}, got {bad[0]}")
         # here, before any job trains: prepare_windows would train eta < 0 on clean data
         for key, etas in (("noise_eta", (self.noise_eta,)), ("eta_list", self.eta_list)):
             bad = [eta for eta in etas if not eta >= 0.0]  # NaN included
             if bad:
                 raise InvalidConfigError(f"{key}: noise intensity must be >= 0, got {bad[0]}")
-        # a repeat trains the same job twice: checkpoints overwrite, eval rows double
-        for key in ("horizons", "seeds"):
+        # a repeat trains the same job twice: checkpoints overwrite, rows double
+        for key in ("horizons", "seeds", "rank_list", "lookback_list"):
             listed = getattr(self, key)
             repeated = [v for i, v in enumerate(listed) if v in listed[:i]]
             if repeated:
@@ -140,7 +148,7 @@ def read_config_file(path) -> dict:
     """Flat `key = value` lines; '#' comments and blank lines ignored."""
     values: dict = {}
     known = {f.name for f in fields(ExperimentConfig)}
-    with open(path, "r", encoding="utf-8") as handle:
+    with hadl_data.open_text(path) as handle:
         for line_no, line in enumerate(handle, start=1):
             line = line.split("#", 1)[0].strip()
             if not line:
@@ -191,7 +199,7 @@ def load_dataset(config: ExperimentConfig) -> tuple[hadl_data.Dataset, str]:
     name = config.dataset
     entry = hadl_data.load_registry(config.registry).get(name, {}) if config.registry else {}
     convention = config.convention or entry.get("convention") or hadl_data.convention_for(name)
-    if name in SYNTH_KINDS:
+    if name in hadl_data.SYNTH_KINDS:
         params = {"length": config.synth_length, "channels": config.synth_channels}
         return hadl_data.synth(name, params, seed=mix_seed(config.seed, "dataset")), convention
     path = config.data_path or entry.get("path") or os.path.join("data", f"{name}.csv")

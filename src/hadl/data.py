@@ -9,6 +9,7 @@ inputs, never forward, so no target ever leaks across a boundary.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 import warnings
@@ -107,10 +108,25 @@ KNOWN_DATASETS: dict[str, dict] = {
 _ETTH_SPLIT = (8640, 2880, 2880)
 _ETTM_SPLIT = (34560, 11520, 11520)
 
+SYNTH_KINDS = ("sine_mix", "low_rank_target", "random_walk")
+# Period, in steps, of the sine_mix and low_rank_target sinusoids.
+SYNTH_PERIOD = 24.0
+
 
 def convention_for(name: str) -> str:
     info = KNOWN_DATASETS.get(name.lower())
     return info["convention"] if info else "ratio"
+
+
+@contextlib.contextmanager
+def open_text(path):
+    """`path` opened as UTF-8 text for reading; a byte that does not decode
+    raises a ParseError naming the file, wherever the reader meets it."""
+    with open(path, "r", newline="", encoding="utf-8") as handle:
+        try:
+            yield handle
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def load_csv(path, convention: str, name: str | None = None,
@@ -126,7 +142,7 @@ def load_csv(path, convention: str, name: str | None = None,
     fails a guard, goes through `_parse_cells`, which names the bad cell or
     reads text numpy does not (such as `1_5`).
     """
-    with open(path, "r", newline="", encoding="utf-8") as handle:
+    with open_text(path) as handle:
         try:
             header = next(csv.reader(handle))
         except StopIteration:
@@ -175,7 +191,7 @@ def _parse_cells(path) -> np.ndarray:
     """The reference parser: `float()` on every cell after the header, as a
     (channels, timesteps) array. Raises a named error for the first bad row
     or cell."""
-    with open(path, "r", newline="", encoding="utf-8") as handle:
+    with open_text(path) as handle:
         reader = csv.reader(handle)
         header = next(reader)  # load_csv has checked it
         channels = tuple(h.strip() for h in header[1:])
@@ -262,9 +278,6 @@ class Scaler:
     def transform(self, values: np.ndarray) -> np.ndarray:
         return (values - self.mean[:, None]) / self.std[:, None]
 
-    def inverse(self, values: np.ndarray) -> np.ndarray:
-        return values * self.std[:, None] + self.mean[:, None]
-
 
 def fit_transform(train: Segment, *others: Segment) -> tuple:
     """Fit a Scaler on the train segment and standardize all given segments.
@@ -309,53 +322,38 @@ def inject_noise(segment: Segment, eta: float, seed: int) -> Segment:
 
 
 def synth(kind: str, params: dict | None = None, seed: int = 0) -> Dataset:
-    """Deterministic desk-scale test signals.
+    """Deterministic desk-scale test signals; `params` may set `length` and
+    `channels`.
 
     kinds:
-      sine_mix       sum of sinusoids with the given periods/amplitudes and
-                     per-channel random phases; bit-exactly periodic when a
-                     period is a whole number.
-      low_rank_target one shared-period sinusoid per channel (random phase
-                     and amplitude). The window-to-target map of such a
-                     signal factors through its two-dimensional oscillator
-                     state, so a rank-2 head can fit it exactly: a
-                     realizable task for optimizer tests.
-      random_walk    cumulative sum of seeded Gaussian steps.
+      sine_mix       one unit sinusoid of period SYNTH_PERIOD per channel,
+                     with a random phase; bit-exactly periodic.
+      low_rank_target the same with a random amplitude as well. The
+                     window-to-target map of such a signal factors through
+                     its two-dimensional oscillator state, so a rank-2 head
+                     can fit it exactly: a realizable task for optimizer
+                     tests.
+      random_walk    cumulative sum of seeded standard-normal steps.
     """
     params = dict(params or {})
     rng = np.random.default_rng(seed)
     length = int(params.pop("length", 480))
     n_channels = int(params.pop("channels", 3))
-
-    if kind == "sine_mix":
-        periods = [float(p) for p in params.pop("periods", [24.0])]
-        amplitudes = [float(a) for a in params.pop("amplitudes", [1.0] * len(periods))]
-        if len(amplitudes) != len(periods):
-            raise ShapeMismatchError("periods and amplitudes must have the same length")
-        _reject_unknown(kind, params)
-        t = np.arange(length, dtype=np.float64)
-        values = np.zeros((n_channels, length), dtype=np.float64)
-        for c in range(n_channels):
-            for period, amp in zip(periods, amplitudes):
-                phase = rng.uniform(0.0, 1.0)
-                # t % period keeps x[t] == x[t + period] bit-exact
-                values[c] += amp * np.sin(2.0 * np.pi * ((t % period) / period + phase))
-    elif kind == "low_rank_target":
-        period = float(params.pop("period", 24.0))
-        _reject_unknown(kind, params)
-        t = np.arange(length, dtype=np.float64)
-        values = np.zeros((n_channels, length), dtype=np.float64)
-        for c in range(n_channels):
-            amp = rng.uniform(0.5, 1.5)
-            phase = rng.uniform(0.0, 1.0)
-            values[c] = amp * np.sin(2.0 * np.pi * ((t % period) / period + phase))
-    elif kind == "random_walk":
-        step_std = float(params.pop("step_std", 1.0))
-        _reject_unknown(kind, params)
-        steps = rng.normal(0.0, step_std, size=(n_channels, length))
-        values = np.cumsum(steps, axis=1)
-    else:
+    if kind not in SYNTH_KINDS:
         raise UnknownKindError(f"unknown synthetic kind {kind!r}")
+    if params:
+        raise UnknownKindError(f"unknown {kind} parameters: {sorted(params)}")
+
+    if kind == "random_walk":
+        values = np.cumsum(rng.normal(0.0, 1.0, size=(n_channels, length)), axis=1)
+    else:
+        t = np.arange(length, dtype=np.float64)
+        values = np.zeros((n_channels, length), dtype=np.float64)
+        for c in range(n_channels):
+            amp = rng.uniform(0.5, 1.5) if kind == "low_rank_target" else 1.0
+            phase = rng.uniform(0.0, 1.0)
+            # t % SYNTH_PERIOD keeps x[t] == x[t + SYNTH_PERIOD] bit-exact
+            values[c] = amp * np.sin(2.0 * np.pi * ((t % SYNTH_PERIOD) / SYNTH_PERIOD + phase))
 
     train_end, val_end, _ = _split_edges("ratio", length)
     return Dataset(
@@ -368,11 +366,6 @@ def synth(kind: str, params: dict | None = None, seed: int = 0) -> Dataset:
     )
 
 
-def _reject_unknown(kind: str, leftover: dict) -> None:
-    if leftover:
-        raise UnknownKindError(f"unknown {kind} parameters: {sorted(leftover)}")
-
-
 def load_registry(path) -> dict[str, dict]:
     """Parse a registry file mapping dataset name -> path, convention, channels.
 
@@ -380,7 +373,7 @@ def load_registry(path) -> dict[str, dict]:
     lines starting with '#' are skipped.
     """
     registry: dict[str, dict] = {}
-    with open(path, "r", encoding="utf-8") as handle:
+    with open_text(path) as handle:
         for line_no, line in enumerate(handle, start=1):
             line = line.strip()
             if not line or line.startswith("#"):

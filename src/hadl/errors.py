@@ -41,10 +41,6 @@ class EmptyDataError(HadlError):
     """Training or validation window set is empty."""
 
 
-class InvalidStepError(HadlError):
-    """Finite-difference step must be a positive number."""
-
-
 class DivergedError(HadlError):
     """Training produced a non-finite train loss or validation MSE."""
 
@@ -101,7 +97,3 @@ class MissingZeroEtaError(HadlError):
 
 class UnknownAxisError(HadlError):
     """Unsupported ablation axis."""
-
-
-class InvalidHorizonsError(HadlError):
-    """The horizons list is empty or holds a horizon below 1."""

@@ -1,8 +1,7 @@
 """Error metrics, derived comparison statistics, and report serialization.
 
-Conventions: `improvement` is best-baseline MSE minus ours (positive favors
-ours); `nrr` is the ratio of noisy-trained test MSE to noise-free test MSE;
-`mav` is the mean absolute deviation of NRR values from 1, computed over
+Conventions: `nrr` is the ratio of noisy-trained test MSE to noise-free test
+MSE; `mav` is the mean absolute deviation of NRR values from 1, computed over
 whatever noisy intensities a run actually used, so MAVs are only comparable
 across identical eta lists (the list is recorded in the report).
 """
@@ -27,21 +26,6 @@ def mse(pred, target) -> float:
         raise EmptyInputError("mse of empty arrays")
     diff = pred - target
     return float(np.mean(diff * diff))
-
-
-def mae(pred, target) -> float:
-    pred = np.asarray(pred, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    if pred.shape != target.shape:
-        raise ShapeMismatchError(f"pred {pred.shape} vs target {target.shape}")
-    if pred.size == 0:
-        raise EmptyInputError("mae of empty arrays")
-    return float(np.mean(np.abs(pred - target)))
-
-
-def improvement(mse_best_baseline: float, mse_ours: float) -> float:
-    """Signed MSE gap; positive means ours beats the best baseline."""
-    return float(mse_best_baseline) - float(mse_ours)
 
 
 def nrr(mse_eta: float, mse_zero: float) -> float:

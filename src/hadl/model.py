@@ -283,25 +283,6 @@ def replace_params(model: HadlModel, params: dict[str, np.ndarray]) -> HadlModel
     )
 
 
-def models_equal(a: HadlModel, b: HadlModel) -> bool:
-    """Bit-exact equality of flags, shapes and parameters."""
-    if (a.lookback, a.horizon, a.use_haar, a.use_dct, a.head, a.seed) != (
-        b.lookback,
-        b.horizon,
-        b.use_haar,
-        b.use_dct,
-        b.head,
-        b.seed,
-    ):
-        return False
-    for pa, pb in ((a.P, b.P), (a.Q, b.Q), (a.W, b.W), (a.bias, b.bias)):
-        if (pa is None) != (pb is None):
-            return False
-        if pa is not None and not np.array_equal(pa, pb, equal_nan=True):
-            return False
-    return True
-
-
 # Checkpoint layout: a single .npz archive. Key "meta" holds a JSON string
 # with lookback, horizon, use_haar, use_dct, head, seed and which arrays are
 # present; keys "P", "Q", "W", "bias" hold the float64 parameter matrices in

@@ -1,10 +1,10 @@
-"""Loss, analytic gradients, ADAM, early stopping and gradient verification.
+"""Analytic gradients, ADAM, early stopping, evaluation and the grad norm.
 
 The head is linear in its parameters, so the closed-form gradients below are
-exact; `gradcheck` verifies them against central finite differences. Training
-is plain mini-batch ADAM with epoch-level early stopping that restores the
-best-validation snapshot. Shuffling is seeded and every reduction has a fixed
-order, so two runs with identical inputs produce bit-identical results.
+exact. Training is plain mini-batch ADAM with epoch-level early stopping that
+restores the best-validation snapshot. Shuffling is seeded and every
+reduction has a fixed order, so two runs with identical inputs produce
+bit-identical results.
 """
 
 from __future__ import annotations
@@ -14,16 +14,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import (DivergedError, EmptyDataError, InvalidConfigError, InvalidStepError,
-                     ShapeMismatchError)
+from .errors import DivergedError, EmptyDataError, InvalidConfigError, ShapeMismatchError
 from .metrics import write_json_bundle, write_table
 from .model import (
     HEAD_LOW_RANK,
     HadlModel,
     dct_matrix,
     fold_dct,
-    forward,
-    haar_rows,
     head_apply,  # noqa: F401  (hadl.optim.head_apply: a benchmark tracing target)
     head_into,
     model_params,
@@ -102,19 +99,6 @@ def l1_penalty(params: dict[str, np.ndarray]) -> float:
     return total
 
 
-def loss(pred, target, model: HadlModel, l1_lambda: float) -> float:
-    """Mean squared error plus l1_lambda times the weight L1 norm."""
-    pred = np.asarray(pred, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    if pred.shape != target.shape:
-        raise ShapeMismatchError(f"pred {pred.shape} vs target {target.shape}")
-    diff = pred - target
-    value = float(np.mean(diff * diff))
-    if l1_lambda > 0.0:
-        value += l1_lambda * l1_penalty(model_params(model))
-    return value
-
-
 def _dct_basis(F: np.ndarray | None, grad: np.ndarray) -> np.ndarray:
     """A gradient w.r.t. the folded first factor F @ P (or F @ W) taken back
     to the DCT-basis parameter: dL/dP = F.T @ dL/d(F @ P)."""
@@ -161,28 +145,6 @@ def _gradients_from_rows(
                 grads[name] = grads[name] + l1_lambda * np.sign(value)
         total += l1_lambda * l1_penalty(model_params(model))
     return grads, total
-
-
-def gradients(model: HadlModel, X_batch, Y_batch, l1_lambda: float) -> dict[str, np.ndarray]:
-    """Analytic gradients of `loss` for a raw (batch, channels, L) batch.
-
-    Returns arrays keyed like `model_params`. Channels share the head, so
-    every (window, channel) pair contributes one row.
-    """
-    X_batch = np.asarray(X_batch, dtype=np.float64)
-    Y_batch = np.array(Y_batch, dtype=np.float64)  # a copy: the step overwrites it
-    if X_batch.shape[:-1] != Y_batch.shape[:-1]:
-        raise ShapeMismatchError(
-            f"batch/channel dims differ: {X_batch.shape} vs {Y_batch.shape}"
-        )
-    if Y_batch.shape[-1] != model.horizon:
-        raise ShapeMismatchError(
-            f"target length {Y_batch.shape[-1]} != horizon {model.horizon}"
-        )
-    S = haar_rows(model, X_batch)
-    grads, _ = _gradients_from_rows(model, S, Y_batch, l1_lambda, dct_matrix(model),
-                                    np.empty_like(Y_batch))
-    return grads
 
 
 @dataclass
@@ -400,64 +362,6 @@ def train(
                 break
 
     return replace_params(model, best_params), trace
-
-
-@dataclass(frozen=True)
-class GradCheckReport:
-    max_rel_error: float
-    mean_rel_error: float
-    n_params: int
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return self.max_rel_error <= self.tolerance
-
-
-def gradcheck(
-    model: HadlModel,
-    X,
-    Y,
-    l1_lambda: float = 0.0,
-    step: float = 1e-6,
-    tolerance: float = 1e-5,
-) -> GradCheckReport:
-    """Compare analytic gradients against central finite differences.
-
-    Perturbs every parameter entry by +-step and differences the full loss.
-    Intended for small instances (<= ~1e4 parameters). Relative error uses
-    max(|analytic|, |numeric|, 1e-8) as the denominator.
-    """
-    if step <= 0.0:
-        raise InvalidStepError(f"step must be positive, got {step}")
-    X = np.asarray(X, dtype=np.float64)
-    Y = np.asarray(Y, dtype=np.float64)
-
-    analytic = gradients(model, X, Y, l1_lambda)
-    params = {k: v.copy() for k, v in model_params(model).items()}
-    perturbed = replace_params(model, params)  # holds the arrays perturbed in place below
-
-    errors = []
-    for name, base in params.items():
-        flat = base.reshape(-1)
-        for i in range(flat.size):
-            original = flat[i]
-            flat[i] = original + step
-            up = loss(forward(perturbed, X), Y, perturbed, l1_lambda)
-            flat[i] = original - step
-            down = loss(forward(perturbed, X), Y, perturbed, l1_lambda)
-            flat[i] = original
-            numeric = (up - down) / (2.0 * step)
-            a = float(analytic[name].reshape(-1)[i])
-            denom = max(abs(a), abs(numeric), 1e-8)
-            errors.append(abs(a - numeric) / denom)
-    errors = np.asarray(errors)
-    return GradCheckReport(
-        max_rel_error=float(errors.max()),
-        mean_rel_error=float(errors.mean()),
-        n_params=int(errors.size),
-        tolerance=tolerance,
-    )
 
 
 def write_trace_csv(trace: TrainTrace, path, fingerprint: str = "") -> None:

@@ -483,6 +483,16 @@ def test_params_command_output(capsys):
     # each trained twice, overwrote the checkpoint and wrote the repeat into eval.csv
     (["--horizons", "8,16,8"], "horizons"),
     (["--seeds", "1,1"], "seeds"),
+    # ablate wrote each repeated row twice and an empty list as an empty table
+    (["--rank-list", "4,4"], "rank_list"),
+    (["--lookback-list", "48,48"], "lookback_list"),
+    (["--rank-list="], "rank_list"),
+    (["--lookback-list="], "lookback_list"),
+    # each was a numpy ValueError traceback
+    (["--seed=-1"], "seed"),
+    (["--seeds", "1,-2"], "seeds"),
+    (["--synth-channels", "0"], "synth_channels"),
+    (["--synth-length=-1"], "synth_length"),
 ])
 def test_bad_config_value_is_one_error_line(tmp_path, capsys, flags, key):
     rc = main(["train", "--dataset", "sine_mix", "--lookback", "32", "--horizons", "8",
@@ -540,18 +550,24 @@ def test_impossible_model_is_one_error_line(tmp_path, capsys, argv):
     assert not (tmp_path / "runs").exists()
 
 
-@pytest.mark.parametrize("text, message", [
+NOT_UTF8 = b"date,a\n0,1\xe9\n1,2\n"  # was a UnicodeDecodeError traceback
+
+
+@pytest.mark.parametrize("text, flag, message", [
     # five numpy RuntimeWarnings from fitting the scaler on no steps came first
-    ("date,a\n0,1\n", "error: one/train: 0 steps, nothing to fit the scaler on"),
+    (b"date,a\n0,1\n", "--data-path", "error: one/train: 0 steps, nothing to fit the scaler on"),
     # loadtxt warns on a file without rows
-    ("date,a\n", "no data rows"),
-], ids=["one_row", "header_only"])
-def test_unusable_csv_is_one_error_line(tmp_path, text, message):
+    (b"date,a\n", "--data-path", "no data rows"),
+    (NOT_UTF8, "--data-path", "one.csv: not UTF-8 text"),
+    (NOT_UTF8, "--config", "one.csv: not UTF-8 text"),
+    (NOT_UTF8, "--registry", "one.csv: not UTF-8 text"),
+], ids=["one_row", "header_only", "not_utf8", "not_utf8_config", "not_utf8_registry"])
+def test_unusable_csv_is_one_error_line(tmp_path, text, flag, message):
     csv_path = tmp_path / "one.csv"
-    csv_path.write_text(text)
+    csv_path.write_bytes(text)
     # a fresh interpreter shows every warning numpy would print to a user
     proc = subprocess.run(
-        [sys.executable, "-m", "hadl.cli", "train", "--dataset", "one", "--data-path",
+        [sys.executable, "-m", "hadl.cli", "train", "--dataset", "one", flag,
          str(csv_path), "--lookback", "4", "--horizons", "2", "--outdir", str(tmp_path / "runs")],
         capture_output=True, text=True,
     )

@@ -227,12 +227,6 @@ class TestScaler:
         direct = Scaler(mean=np.array([5.0]), std=np.array([2.0]))
         assert direct.transform(np.array([[9.0]]))[0, 0] == pytest.approx(2.0)
 
-    def test_inverse_round_trip(self):
-        rng = np.random.default_rng(1)
-        values = rng.normal(3.0, 2.5, size=(4, 50))
-        scaler = Scaler.fit(values)
-        assert_allclose(scaler.inverse(scaler.transform(values)), values, atol=1e-12)
-
     def test_standardized_train_stats(self):
         rng = np.random.default_rng(2)
         train = Segment("train", rng.normal(7.0, 3.0, size=(3, 400)))
@@ -332,7 +326,7 @@ class TestInjectNoise:
 
 class TestSynth:
     def test_sine_mix_bounded_and_periodic(self):
-        ds = synth("sine_mix", {"length": 96, "channels": 2, "periods": [24.0]}, seed=7)
+        ds = synth("sine_mix", {"length": 96, "channels": 2}, seed=7)
         values = ds.series.values
         assert values.shape == (2, 96)
         assert np.all(np.abs(values) <= 1.0 + 1e-12)
@@ -360,7 +354,7 @@ class TestSynth:
         # and the exact solution has (numerical) rank 2
         from hadl.model import init_model, transform_inputs
 
-        ds = synth("low_rank_target", {"length": 480, "channels": 3, "period": 24.0}, seed=0)
+        ds = synth("low_rank_target", {"length": 480, "channels": 3}, seed=0)
         train_seg, val_seg, _ = split(ds, "ratio", lookback=64)
         _, train_seg, val_seg = fit_transform(train_seg, val_seg)
         batch = windows(train_seg, 64, 16)

@@ -6,8 +6,6 @@ from hadl.errors import EmptyInputError, ShapeMismatchError, ZeroBaselineError
 from hadl.metrics import (
     EVAL_CSV_COLUMNS,
     EvalReport,
-    improvement,
-    mae,
     mav,
     mse,
     nrr,
@@ -15,6 +13,7 @@ from hadl.metrics import (
     write_eval_csv,
     write_robustness_csv,
 )
+from oracles import improvement, mae
 
 # Published benchmark MSE columns used as desk-scale goldens below. Rows are
 # the seven reference models, columns the four horizons; "ours" rows are the

@@ -17,12 +17,12 @@ from hadl.model import (
     kilo_display,
     load_checkpoint,
     model_params,
-    models_equal,
     param_count,
     replace_params,
     save_checkpoint,
     transform_inputs,
 )
+from oracles import models_equal
 
 SQRT2 = math.sqrt(2.0)
 

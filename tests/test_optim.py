@@ -6,8 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from hadl.data import WindowBatch, fit_transform, split, synth, windows
-from hadl.errors import (DivergedError, EmptyDataError, InvalidConfigError, InvalidStepError,
-                         ShapeMismatchError)
+from hadl.errors import DivergedError, EmptyDataError, InvalidConfigError, ShapeMismatchError
 from hadl.model import (
     HEAD_DENSE,
     HEAD_LOW_RANK,
@@ -17,7 +16,6 @@ from hadl.model import (
     head_apply,
     init_model,
     model_params,
-    models_equal,
     replace_params,
     window_rows,
 )
@@ -28,23 +26,17 @@ from hadl.optim import (
     adam_step,
     dense_equivalent_grad_norm,
     evaluate,
-    gradcheck,
-    gradients,
     init_adam,
     l1_penalty,
-    loss,
     train,
     write_trace_csv,
 )
+from oracles import InvalidStepError, gradcheck, gradients, loss, models_equal
 
 
 def realizable_windows(lookback=64, horizon=16, channels=3, length=480, seed=0):
     """Windows of the planted realizable task; a rank-2 head fits it exactly."""
-    ds = synth(
-        "low_rank_target",
-        {"length": length, "channels": channels, "period": 24.0},
-        seed=seed,
-    )
+    ds = synth("low_rank_target", {"length": length, "channels": channels}, seed=seed)
     train_seg, val_seg, test_seg = split(ds, "ratio", lookback=lookback)
     _, train_seg, val_seg, test_seg = fit_transform(train_seg, val_seg, test_seg)
     return (

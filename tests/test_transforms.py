@@ -5,17 +5,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from hadl.errors import OddLengthError, ShapeMismatchError, TooShortError
-from hadl.transforms import (
-    HaarPair,
-    dct2_bruteforce,
-    dct2_orthonormal,
-    dct2_raw,
-    dct2_scaled,
-    haar_batch,
-    haar_forward,
-    haar_inverse,
-    signal_energy,
-)
+from hadl.transforms import dct2_raw, dct2_scaled, haar_batch
+from oracles import (HaarPair, dct2_bruteforce, dct2_orthonormal, haar_forward, haar_inverse,
+                     signal_energy)
 
 SQRT2 = math.sqrt(2.0)
 

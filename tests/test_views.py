@@ -30,12 +30,11 @@ from hadl.optim import (
     TrainConfig,
     dense_equivalent_grad_norm,
     evaluate,
-    gradcheck,
-    gradients,
     train,
     window_stats,
 )
 from hadl.transforms import haar_batch
+from oracles import gradcheck, gradients
 
 
 def assert_close(got, want, rel=1e-12):
