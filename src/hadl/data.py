@@ -120,9 +120,10 @@ def convention_for(name: str) -> str:
 
 @contextlib.contextmanager
 def open_text(path):
-    """`path` opened as UTF-8 text for reading; a byte that does not decode
-    raises a ParseError naming the file, wherever the reader meets it."""
-    with open(path, "r", newline="", encoding="utf-8") as handle:
+    """`path` opened as UTF-8 text for reading, a leading byte-order mark
+    dropped; a byte that does not decode raises a ParseError naming the file,
+    wherever the reader meets it."""
+    with open(path, "r", newline="", encoding="utf-8-sig") as handle:
         try:
             yield handle
         except UnicodeDecodeError as exc:

@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DivergedError, EmptyDataError, InvalidConfigError, ShapeMismatchError
 from .metrics import write_json_bundle, write_table
 from .model import (
+    HEAD_DENSE,
     HEAD_LOW_RANK,
     HadlModel,
     dct_matrix,
@@ -105,6 +107,18 @@ def _dct_basis(F: np.ndarray | None, grad: np.ndarray) -> np.ndarray:
     return grad if F is None else F.T @ grad
 
 
+def _add_l1(model: HadlModel, grads: dict[str, np.ndarray], data_loss: float,
+            l1_lambda: float) -> float:
+    """Add the L1 subgradient (sign(0) = 0) to the weight gradients in place;
+    return the data loss plus the L1 term."""
+    if l1_lambda > 0.0:
+        for name, value in model_params(model).items():
+            if name != "bias":
+                grads[name] = grads[name] + l1_lambda * np.sign(value)
+        data_loss += l1_lambda * l1_penalty(model_params(model))
+    return data_loss
+
+
 def _gradients_from_rows(
     model: HadlModel,
     S: np.ndarray,
@@ -137,14 +151,7 @@ def _gradients_from_rows(
     if model.bias is not None:
         grads["bias"] = G.sum(axis=0)
 
-    total = data_loss
-    if l1_lambda > 0.0:
-        for name, value in model_params(model).items():
-            if name != "bias":
-                # subgradient with sign(0) = 0
-                grads[name] = grads[name] + l1_lambda * np.sign(value)
-        total += l1_lambda * l1_penalty(model_params(model))
-    return grads, total
+    return grads, _add_l1(model, grads, data_loss, l1_lambda)
 
 
 @dataclass
@@ -233,20 +240,11 @@ def _window_sums(p: np.ndarray, n: int, step: int) -> np.ndarray:
     return p[:n].sum() + np.concatenate(([0.0], moves))[::step]
 
 
-def window_stats(model: HadlModel, batch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """G = S.T @ S (d_in x d_in), C = S.T @ Y (d_in x H) and S.T @ 1 (d_in,)
-    for the Haar rows S (see `window_rows`) and the targets Y of every
-    (window, channel) row of a WindowBatch, without gathering a window.
-
-    Feature i of the window at origin b is s[c, b + step*i], where s =
-    haar_pairs(values) and step = 2 (s = values and step = 1 with the Haar
-    stage off), and its target h is values[c, b + L + h]. So G[i, i + k] sums
-    the lag-step*k products of s over n consecutive origins from step*i, and
-    C[i, h] the lag-(L + h - step*i) products of s with the values: one
-    channel-summed lag product serves every entry of its lag. That costs
-    O(channels * timesteps * (d_in + L + H)) instead of the
-    O(rows * d_in * (d_in + H)) of blocked row products.
-    """
+def _haar_series(model: HadlModel, batch):
+    """(s, step, last) for a WindowBatch: feature i of the window at origin b
+    is s[c, b + step*i], where s = haar_pairs(values) and step = 2 (s =
+    values and step = 1 with the Haar stage off), and `last` is one past the
+    last sample of s that any feature reads."""
     if (batch.lookback, batch.horizon) != (model.lookback, model.horizon):
         raise ShapeMismatchError(
             f"windows have lookback/horizon {batch.lookback}/{batch.horizon},"
@@ -254,21 +252,128 @@ def window_stats(model: HadlModel, batch) -> tuple[np.ndarray, np.ndarray, np.nd
         )
     x = batch.values
     s, step = (haar_pairs(x), 2) if model.use_haar else (x, 1)
-    d, L, H, n = model.d_in, model.lookback, model.horizon, len(batch)
-    last = step * (d - 1) + n  # one past the last sample any feature reads
-    gram = np.empty((d, d))
+    return s, step, step * (model.d_in - 1) + len(batch)
+
+
+def _gram_lags(s: np.ndarray, step: int, d: int, last: int):
+    """(k, p) for k < d: p[t] = sum_c s[c, t] s[c, t + step*k] for every t
+    with t + step*k < last, the products that feature pairs (i, i + k) read."""
     for k in range(d):
-        i = np.arange(d - k)
-        gram[i, i + k] = gram[i + k, i] = _window_sums(
-            _lag_product(s, s, step * k, 0, last - step * k), n, step)
-    cross = np.empty((d, H))
+        yield k, _lag_product(s, s, step * k, 0, last - step * k)
+
+
+def _cross_lags(s: np.ndarray, x: np.ndarray, step: int, d: int, L: int, H: int, n: int):
+    """(lag, i, p) for L - step*(d-1) <= lag < L + H: the features i whose
+    target h = lag - L + step*i lies in [0, H), and p[t - step*i[0]] =
+    sum_c s[c, t] x[c, t + lag] for the origins t they read."""
     for lag in range(L - step * (d - 1), L + H):
-        # the features i whose target h = lag - L + step*i lies in [0, H)
         i = np.arange(max(0, -((lag - L) // step)), min(d - 1, (L + H - 1 - lag) // step) + 1)
         if i.size:  # none when H = 1 and lag - L is odd
-            cross[i, lag - L + step * i] = _window_sums(
-                _lag_product(s, x, lag, step * i[0], step * i[-1] + n), n, step)
+            yield lag, i, _lag_product(s, x, lag, step * i[0], step * i[-1] + n)
+
+
+def window_stats(model: HadlModel, batch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """G = S.T @ S (d_in x d_in), C = S.T @ Y (d_in x H) and S.T @ 1 (d_in,)
+    for the Haar rows S (see `window_rows`) and the targets Y of every
+    (window, channel) row of a WindowBatch, without gathering a window.
+
+    Feature i of the window at origin b is s[c, b + step*i] (see
+    `_haar_series`) and its target h is values[c, b + L + h]. So G[i, i + k]
+    sums the lag-step*k products of s over n consecutive origins from
+    step*i, and C[i, h] the lag-(L + h - step*i) products of s with the
+    values: one channel-summed lag product serves every entry of its lag.
+    That costs O(channels * timesteps * (d_in + L + H)) instead of the
+    O(rows * d_in * (d_in + H)) of blocked row products.
+    """
+    s, step, last = _haar_series(model, batch)
+    d, H, n = model.d_in, model.horizon, len(batch)
+    gram = np.empty((d, d))
+    for k, p in _gram_lags(s, step, d, last):
+        i = np.arange(d - k)
+        gram[i, i + k] = gram[i + k, i] = _window_sums(p, n, step)
+    cross = np.empty((d, H))
+    for lag, i, p in _cross_lags(s, batch.values, step, d, model.lookback, H, n):
+        cross[i, lag - model.lookback + step * i] = _window_sums(p, n, step)
     return gram, cross, _window_sums(s[:, :last].sum(axis=0), n, step)
+
+
+class BatchStats(NamedTuple):
+    """What a training step's loss and gradients depend on, for the Haar rows
+    S (rows x d_in) and targets Y (rows x H) of a set of windows: G = S.T @ S,
+    C = S.T @ Y, S.T @ 1, Y.T @ 1, ||Y||^2 and the row count."""
+
+    gram: np.ndarray
+    cross: np.ndarray
+    row_sum: np.ndarray
+    target_sum: np.ndarray
+    target_energy: float
+    rows: int
+
+
+class LagTables:
+    """Per-origin, channel-summed lag products of a WindowBatch, from which
+    `stats` sums any subset of its windows' `BatchStats` without gathering a
+    Haar row.
+
+    Time-major, so that one window's block of each table is a strided view:
+    gram[t, k] = sum_c s[c, t] s[c, t + step*k] and cross[t, lag - lag0] =
+    sum_c s[c, t] x[c, t + lag] with lag0 = L - step*(d_in - 1), for s, step
+    and the origins t of `_haar_series`, built by the per-lag products
+    `window_stats` uses. The window at origin b reads gram[b + step*i, j - i]
+    as G[i, j] (j >= i) and cross[b + step*i, L + h - step*i - lag0] as C[i, h].
+    Building costs O(channels * timesteps * (d_in + L + H)) once; each window
+    then costs d_in * (d_in + H) additions, whatever the channel count.
+    """
+
+    def __init__(self, model: HadlModel, batch):
+        s, step, last = _haar_series(model, batch)
+        x, d, L, H, n = batch.values, model.d_in, model.lookback, model.horizon, len(batch)
+        width = H + step * (d - 1)  # the lags of the cross table
+        gram = np.zeros((last, d))
+        for k, p in _gram_lags(s, step, d, last):
+            gram[: len(p), k] = p
+        cross = np.zeros((last, width))
+        for lag, i, p in _cross_lags(s, x, step, d, L, H, n):
+            cross[step * i[0] : step * i[0] + len(p), lag - L + step * (d - 1)] = p
+        strided = np.lib.stride_tricks.as_strided
+        item = gram.itemsize
+        # G[i, j] of window b at gram.flat[b*d + i*(step*d - 1) + j]; its
+        # entries j < i read other products and are discarded
+        self.gram = strided(gram, (n, d, d), (d * item, (step * d - 1) * item, item),
+                            writeable=False)
+        # C[i, h] of window b at cross.flat[b*width + i*step*(width - 1) + h + step*(d - 1)]
+        self.cross = strided(cross.reshape(-1)[step * (d - 1):], (n, d, H),
+                             (width * item, step * (width - 1) * item, item), writeable=False)
+        # (n, d_in) and (n, H) views of the channel sums of s, x and x^2
+        self.row_sum = batch.view(s[:, :last].sum(axis=0)[None], step * (d - 1) + 1, step)[:, 0]
+        self.target_sum = batch.view(x[:, L:].sum(axis=0)[None], H)[:, 0]
+        self.target_energy = batch.view(np.einsum("ct,ct->t", x[:, L:], x[:, L:])[None], H)[:, 0]
+        self.channels = x.shape[0]
+
+    def stats(self, origins) -> BatchStats:
+        """`BatchStats` of the windows at `origins`, summed in their order."""
+        gram = np.zeros(self.gram.shape[1:])
+        cross = np.zeros(self.cross.shape[1:])
+        for b in origins:
+            gram += self.gram[b]
+            cross += self.cross[b]
+        gram = np.triu(gram)
+        gram += np.triu(gram, 1).T
+        return BatchStats(gram, cross, self.row_sum[origins].sum(axis=0),
+                          self.target_sum[origins].sum(axis=0),
+                          float(self.target_energy[origins].sum()), len(origins) * self.channels)
+
+
+def _summed_residual(folded: HadlModel, gram: np.ndarray, cross: np.ndarray,
+                     row_sum: np.ndarray) -> np.ndarray:
+    """S.T @ (S @ M + bias - Y) = G @ M + (S.T @ 1) bias - C for the folded
+    head M (d_in x H), from the statistics of rows S and targets Y."""
+    residual = np.empty_like(cross)
+    head_into(replace(folded, bias=None), gram, residual)  # G @ M
+    residual -= cross
+    if folded.bias is not None:
+        residual += np.outer(row_sum, folded.bias)
+    return residual
 
 
 def dense_equivalent_grad_norm(model: HadlModel, batch) -> float:
@@ -282,15 +387,95 @@ def dense_equivalent_grad_norm(model: HadlModel, batch) -> float:
     comes from `window_stats`, with no pass over the windows.
     """
     F = dct_matrix(model)
-    folded = fold_dct(model, F)
-    gram, cross, row_sum = window_stats(model, batch)
-    residual = np.empty_like(cross)
-    head_into(replace(folded, bias=None), gram, residual)  # G @ M
-    residual -= cross
-    if model.bias is not None:
-        residual += np.outer(row_sum, model.bias)
+    residual = _summed_residual(fold_dct(model, F), *window_stats(model, batch))
     count = len(batch) * batch.values.shape[0] * model.horizon
     return 2.0 / count * float(np.linalg.norm(_dct_basis(F, residual)))
+
+
+def _gradients_from_stats(
+    model: HadlModel,
+    stats: BatchStats,
+    l1_lambda: float,
+    F: np.ndarray | None,
+) -> tuple[dict[str, np.ndarray], float]:
+    """`_gradients_from_rows` for the rows S and targets Y whose statistics
+    are `stats`, from the quadratic form they determine.
+
+    With M the folded head, b the bias, R = G @ M + (S.T @ 1) b.T - C and
+    N the row count, the residual S @ M + 1 b.T - Y has S.T-product R and
+    column sum M.T @ (S.T @ 1) + N b - Y.T @ 1, and its squared norm is
+    <M, R - C> + b . (M.T @ (S.T @ 1) + N b - 2 Y.T @ 1) + ||Y||^2. Every
+    gradient follows from R and that column sum, so the step costs
+    O(d_in^2 * H) whatever N is. The gradients match the row products to
+    rounding (1e-12 relative in the tests). The loss is a difference of
+    terms as large as ||S @ M + 1 b.T||^2 and ||Y||^2, so its absolute
+    error is about 1e-16 * (||S @ M + 1 b.T||^2 + ||Y||^2) / (N H): within
+    1e-12 * ||Y||^2 / N while the forecast's energy stays within a few
+    thousand times H of the targets'.
+    """
+    folded = fold_dct(model, F)
+    R = _summed_residual(folded, stats.gram, stats.cross, stats.row_sum)
+    M = folded.P @ model.Q if model.head == HEAD_LOW_RANK else folded.W
+    squared = float(np.vdot(M, R - stats.cross)) + stats.target_energy
+    scale = 2.0 / (stats.rows * model.horizon)
+    R *= scale
+    grads: dict[str, np.ndarray] = {}
+    if model.head == HEAD_LOW_RANK:
+        grads["P"] = _dct_basis(F, R @ model.Q.T)
+        grads["Q"] = folded.P.T @ R
+    else:
+        grads["W"] = _dct_basis(F, R)
+    if model.bias is not None:
+        column_sum = stats.row_sum @ M + stats.rows * model.bias
+        squared += float(model.bias @ (column_sum - 2.0 * stats.target_sum))
+        grads["bias"] = scale * (column_sum - stats.target_sum)
+    return grads, _add_l1(model, grads, squared / (stats.rows * model.horizon), l1_lambda)
+
+
+# Costs in units of one multiply-add of a rows-step product, fitted to the
+# sweeps in `steps_from_stats`: one value a rows step gathers or passes over
+# elementwise, one table entry a statistics step adds, and the rest of a
+# statistics step's cost per window (its per-window loop and its d_in-sized
+# products, shared by 64 windows).
+ROW_VALUE_COST = 200
+STATS_VALUE_COST = 35
+STATS_WINDOW_COST = 100_000
+
+
+def steps_from_stats(channels: int, d_in: int, horizon: int, rank: int | None,
+                     head: str) -> bool:
+    """Whether `train` takes its steps from `LagTables` statistics rather
+    than from gathered rows: whether, per window, the rows step costs more.
+
+    Per window, the rows step runs channels * (2 d_in r + 3 r H) multiply-adds
+    (channels * 2 d_in H for a dense head) and gathers and passes over
+    channels * (d_in + H) values; the statistics step adds d_in * (d_in + H)
+    table entries whatever the channel count, plus a fixed overhead.
+
+    The constants come from two sweeps at 64 windows per step with one BLAS
+    thread. The first is at L = 512 (Haar on unless d_in = 512). Step times
+    in ms, rows / statistics, by channel count, and the channel count above
+    which the rule takes statistics:
+
+        d_in  H    head       4         7         14        21        32        64        rule
+        256   96   r=50   2.5/8.6   2.6/7.3   4.3/7.9   6.3/7.9  10.0/6.6  14.0/7.2   > 29.5
+        256   96   r=8    0.7/6.3   1.0/5.8   1.8/6.1   2.7/6.2   4.5/7.0   9.9/6.8   > 42.4
+        256   96   dense  2.2/7.9   2.9/7.7   4.7/8.2   6.5/7.7   9.2/7.8  18.6/7.8   > 27.2
+        256   720  r=50   4.3/22.8  6.5/22.8 12.3/22.9 17.5/22.6 32.1/22.4 73.3/21.5   > 26.9
+        256   720  r=8    2.0/19.1  3.3/19.4  6.4/19.7 10.1/19.6 16.6/19.1 44.0/19.8   > 40.8
+        256   720  dense 10.1/26.4 13.9/25.9 22.7/25.6 32.3/25.7 46.7/25.7 102.3/25.5  > 15.7
+        512   96   r=50   3.6/25.4  4.2/25.5  6.5/25.4  9.6/26.1 13.6/27.0 28.0/25.8   > 58.7
+        512   96   dense  5.0/28.1  6.3/26.3  8.9/25.7 12.3/26.1 17.2/26.8 33.1/26.7   > 50.0
+
+    The rule picks the faster path in every cell. The second sweep covers
+    small heads: d_in 8 to 64, H 4 to 96, r 2 and 8, and 2 to 128 channels
+    (168 cells, 0.16 to 14 ms per step). There the rule picks the slower
+    path in 9 cells, by at most 0.09 ms each. ETTh1 (7 channels) steps from
+    rows, electricity and traffic (321 and 862) from statistics.
+    """
+    per_row = 2 * d_in * horizon if head == HEAD_DENSE else 2 * d_in * rank + 3 * rank * horizon
+    return (channels * (per_row + ROW_VALUE_COST * (d_in + horizon))
+            > STATS_VALUE_COST * d_in * (d_in + horizon) + STATS_WINDOW_COST)
 
 
 def train(
@@ -301,9 +486,13 @@ def train(
 ) -> tuple[HadlModel, TrainTrace]:
     """Mini-batch ADAM with seeded shuffling and best-snapshot early stopping.
 
-    Each epoch gathers its mini-batches from views of the training segment
-    into arrays allocated once per epoch (`_gather_blocks`), so no window
-    set is ever copied whole. `final_grad_norm` is left NaN (see TrainTrace).
+    Each step takes its loss and gradients from one of two equivalent
+    sources, chosen by `steps_from_stats` from the shapes alone. Few
+    channels: the mini-batch's Haar rows and targets, gathered from views of
+    the training segment into arrays allocated once per epoch
+    (`_gather_blocks`), so no window set is ever copied whole. Many
+    channels: the batch's statistics, summed from `LagTables` built on the
+    first epoch. `final_grad_norm` is left NaN (see TrainTrace).
     Validation MSE (without the L1 term) is evaluated after every epoch;
     training stops after `patience` epochs without strict improvement and
     the parameters of the best epoch are returned. A non-finite train loss
@@ -315,6 +504,9 @@ def train(
         raise EmptyDataError("training and validation window sets must be non-empty")
 
     F = dct_matrix(model)
+    from_stats = steps_from_stats(train_windows.values.shape[0], model.d_in, model.horizon,
+                                  model.rank, model.head)
+    tables = None
 
     params = {k: v.copy() for k, v in model_params(model).items()}
     state = init_adam(params)
@@ -332,15 +524,27 @@ def train(
             loss_sum = 0.0
             row_count = 0
             order = rng.permutation(n_train)
-            for rows, target, out in _gather_blocks(model, train_windows, order, config.batch_size):
-                grads, batch_loss = _gradients_from_rows(
-                    replace_params(model, params), rows, target, config.l1_lambda, F, out
-                )
-                params, state = adam_step(state, params, grads, config)
-                loss_sum += batch_loss * len(rows)
-                row_count += len(rows)
-            # the epoch's step arrays go before the validation pass makes its own
-            del rows, target, out
+            if from_stats:
+                if tables is None:
+                    tables = LagTables(model, train_windows)
+                for start in range(0, n_train, config.batch_size):
+                    stats = tables.stats(order[start : start + config.batch_size])
+                    grads, batch_loss = _gradients_from_stats(
+                        replace_params(model, params), stats, config.l1_lambda, F)
+                    params, state = adam_step(state, params, grads, config)
+                    loss_sum += batch_loss * stats.rows
+                    row_count += stats.rows
+            else:
+                for rows, target, out in _gather_blocks(model, train_windows, order,
+                                                        config.batch_size):
+                    grads, batch_loss = _gradients_from_rows(
+                        replace_params(model, params), rows, target, config.l1_lambda, F, out
+                    )
+                    params, state = adam_step(state, params, grads, config)
+                    loss_sum += batch_loss * len(rows)
+                    row_count += len(rows)
+                # the epoch's step arrays go before the validation pass makes its own
+                del rows, target, out
             trace.train_loss.append(loss_sum / row_count)
             val_mse, _ = evaluate(replace_params(model, params), val_windows)
         trace.val_mse.append(val_mse)

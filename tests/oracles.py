@@ -5,7 +5,9 @@ check. Nothing in the package calls them.
 The Haar inverse and the orthonormal DCT verify the energy properties that
 justify the pipeline; the double-loop DCT is independent of the matrix
 product `hadl.transforms.dct2_raw` uses; `gradients` and `gradcheck` check
-the trainer's closed-form gradients against central differences of `loss`.
+the trainer's closed-form gradients against central differences of `loss`;
+`reference_step` and `reference_train` are the training step and loop with
+every array freshly allocated.
 """
 
 from __future__ import annotations
@@ -16,8 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from hadl.errors import EmptyInputError, HadlError, ShapeMismatchError
-from hadl.model import HadlModel, dct_matrix, forward, haar_rows, model_params, replace_params
-from hadl.optim import _gradients_from_rows, l1_penalty
+from hadl.model import (HEAD_LOW_RANK, HadlModel, dct_matrix, fold_dct, forward, haar_rows,
+                        model_params, replace_params, window_rows)
+from hadl.optim import _gradients_from_rows, adam_step, evaluate, init_adam, l1_penalty
 from hadl.transforms import SQRT2, _check_even_length, dct2_raw
 
 
@@ -222,3 +225,68 @@ def gradcheck(
         n_params=int(errors.size),
         tolerance=tolerance,
     )
+
+
+def reference_step(model, S, Y, l1_lambda, F):
+    """The training step's arithmetic with every array freshly allocated."""
+    folded = fold_dct(model, F)
+    if model.head == HEAD_LOW_RANK:
+        Z = S @ folded.P
+        pred = Z @ model.Q
+    else:
+        pred = S @ folded.W
+    if model.bias is not None:
+        pred = pred + model.bias
+    diff = pred - Y
+    total = float(np.mean(diff * diff))
+    G = diff * (2.0 / Y.size)
+    to_dct = (lambda g: g) if F is None else (lambda g: F.T @ g)
+    grads = {}
+    if model.head == HEAD_LOW_RANK:
+        grads["P"] = to_dct(S.T @ (G @ model.Q.T))
+        grads["Q"] = Z.T @ G
+    else:
+        grads["W"] = to_dct(S.T @ G)
+    if model.bias is not None:
+        grads["bias"] = G.sum(axis=0)
+    if l1_lambda > 0.0:
+        for name, value in model_params(model).items():
+            if name != "bias":
+                grads[name] = grads[name] + l1_lambda * np.sign(value)
+        total += l1_lambda * l1_penalty(model_params(model))
+    return grads, total
+
+
+def reference_train(model, train_windows, val_windows, config):
+    """`train` with fresh fancy-indexed batches and step arrays at every step:
+    (best model, train_loss, val_mse)."""
+    n_train = len(train_windows)
+    S_train = window_rows(model, train_windows)
+    Y_train = train_windows.targets
+    F = dct_matrix(model)
+    params = {k: v.copy() for k, v in model_params(model).items()}
+    state = init_adam(params)
+    rng = np.random.default_rng(config.seed)
+    train_loss, val_mse = [], []
+    best_params, best_val, waited = params, float("inf"), 0
+    for _ in range(config.max_epochs):
+        order = rng.permutation(n_train)
+        loss_sum, row_count = 0.0, 0
+        for start in range(0, n_train, config.batch_size):
+            idx = order[start : start + config.batch_size]
+            S = S_train[idx].reshape(-1, model.d_in)
+            Y = Y_train[idx].reshape(-1, model.horizon)
+            grads, batch_loss = reference_step(replace_params(model, params), S, Y,
+                                               config.l1_lambda, F)
+            params, state = adam_step(state, params, grads, config)
+            loss_sum += batch_loss * S.shape[0]
+            row_count += S.shape[0]
+        train_loss.append(loss_sum / row_count)
+        val_mse.append(evaluate(replace_params(model, params), val_windows)[0])
+        if val_mse[-1] < best_val:
+            best_params, best_val, waited = params, val_mse[-1], 0
+        else:
+            waited += 1
+            if waited >= config.patience:
+                break
+    return replace_params(model, best_params), train_loss, val_mse

@@ -56,22 +56,22 @@ def synth_config(tmp_path, **overrides) -> ExperimentConfig:
 class TestConfig:
     def test_file_parsing_and_types(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
-        cfg_file.write_text(
-            "# comment\n"
-            "dataset = sine_mix\n"
-            "lookback = 64\n"
-            "horizons = 16, 32\n"
-            "use_haar = false\n"
-            "eta_list = 0.0, 0.3\n"
-            "learning_rate = 0.01\n"
-        )
-        values = read_config_file(cfg_file)
-        assert values["dataset"] == "sine_mix"
-        assert values["lookback"] == 64
-        assert values["horizons"] == (16, 32)
-        assert values["use_haar"] is False
-        assert values["eta_list"] == (0.0, 0.3)
-        assert values["learning_rate"] == 0.01
+        body = ("dataset = sine_mix\n"
+                "lookback = 64\n"
+                "horizons = 16, 32\n"
+                "use_haar = false\n"
+                "eta_list = 0.0, 0.3\n"
+                "learning_rate = 0.01\n")
+        # a byte-order mark was read as part of the first key
+        for head in ("# comment\n", "\ufeff"):
+            cfg_file.write_text(head + body, encoding="utf-8")
+            values = read_config_file(cfg_file)
+            assert values["dataset"] == "sine_mix"
+            assert values["lookback"] == 64
+            assert values["horizons"] == (16, 32)
+            assert values["use_haar"] is False
+            assert values["eta_list"] == (0.0, 0.3)
+            assert values["learning_rate"] == 0.01
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg_file = tmp_path / "run.cfg"
@@ -135,14 +135,16 @@ class TestTrainCommand:
         assert np.isfinite(reports[0].mse)
 
     def test_rerun_is_byte_identical(self, tmp_path):
-        config = synth_config(tmp_path)
-        cmd_train(config)
-        run_dir = tmp_path / "runs" / "sine_mix" / "haar-dct-lowrank_r4-bias" / "16"
-        csv_files = sorted(run_dir.glob("*.csv")) + sorted(run_dir.glob("*.json"))
-        before = {p.name: p.read_bytes() for p in csv_files}
-        cmd_train(config)
-        after = {p.name: p.read_bytes() for p in csv_files}
-        assert before == after
+        for channels in (3, 24):  # steps from rows, from statistics
+            config = synth_config(tmp_path, outdir=str(tmp_path / str(channels)),
+                                  synth_channels=channels)
+            cmd_train(config)
+            run_dir = Path(config.outdir) / "sine_mix" / "haar-dct-lowrank_r4-bias" / "16"
+            csv_files = sorted(run_dir.glob("*.csv")) + sorted(run_dir.glob("*.json"))
+            before = {p.name: p.read_bytes() for p in csv_files}
+            cmd_train(config)
+            after = {p.name: p.read_bytes() for p in csv_files}
+            assert before == after
 
     def test_multi_seed_writes_one_row_each(self, tmp_path):
         config = synth_config(tmp_path, seeds=(1, 2))
@@ -223,27 +225,31 @@ class TestTrainCommand:
         assert "convention 'etth' needs 14400" in capsys.readouterr().err
 
     def test_parallel_workers_match_serial(self, tmp_path):
-        serial = synth_config(tmp_path, outdir=str(tmp_path / "serial"), seeds=(1, 2))
-        parallel = synth_config(tmp_path, outdir=str(tmp_path / "parallel"), seeds=(1, 2))
-        cmd_train(serial)
-        cmd_train(parallel, workers=2)
-        serial_files = sorted((tmp_path / "serial").rglob("*.csv"))
-        parallel_files = sorted((tmp_path / "parallel").rglob("*.csv"))
-        assert [p.name for p in serial_files] == [p.name for p in parallel_files]
-        for a, b in zip(serial_files, parallel_files):
-            # traces and eval rows identical; only the outdir in the embedded
-            # config fingerprint may differ
-            a_lines = [l for l in a.read_text().splitlines() if not l.startswith("#")]
-            b_lines = [l for l in b.read_text().splitlines() if not l.startswith("#")]
-            assert a_lines == b_lines
-        # trace_seed*.json, final_grad_norm included, computed in the workers
-        serial_json = sorted((tmp_path / "serial").rglob("trace_seed*.json"))
-        parallel_json = sorted((tmp_path / "parallel").rglob("trace_seed*.json"))
-        assert len(serial_json) == 2
-        for a, b in zip(serial_json, parallel_json):
-            a_trace, b_trace = json.loads(a.read_text()), json.loads(b.read_text())
-            del a_trace["config_fingerprint"], b_trace["config_fingerprint"]
-            assert a_trace == b_trace
+        for channels in (3, 24):  # steps from rows, from statistics
+            root = tmp_path / str(channels)
+            serial = synth_config(tmp_path, outdir=str(root / "serial"), seeds=(1, 2),
+                                  synth_channels=channels)
+            parallel = synth_config(tmp_path, outdir=str(root / "parallel"), seeds=(1, 2),
+                                    synth_channels=channels)
+            cmd_train(serial)
+            cmd_train(parallel, workers=2)
+            serial_files = sorted((root / "serial").rglob("*.csv"))
+            parallel_files = sorted((root / "parallel").rglob("*.csv"))
+            assert [p.name for p in serial_files] == [p.name for p in parallel_files]
+            for a, b in zip(serial_files, parallel_files):
+                # traces and eval rows identical; only the outdir in the embedded
+                # config fingerprint may differ
+                a_lines = [l for l in a.read_text().splitlines() if not l.startswith("#")]
+                b_lines = [l for l in b.read_text().splitlines() if not l.startswith("#")]
+                assert a_lines == b_lines
+            # trace_seed*.json, final_grad_norm included, computed in the workers
+            serial_json = sorted((root / "serial").rglob("trace_seed*.json"))
+            parallel_json = sorted((root / "parallel").rglob("trace_seed*.json"))
+            assert len(serial_json) == 2
+            for a, b in zip(serial_json, parallel_json):
+                a_trace, b_trace = json.loads(a.read_text()), json.loads(b.read_text())
+                del a_trace["config_fingerprint"], b_trace["config_fingerprint"]
+                assert a_trace == b_trace
 
     def test_trace_grad_norm_is_the_returned_models(self, tmp_path):
         config = synth_config(tmp_path, horizons=(8, 16), seeds=(1, 2), max_epochs=3,

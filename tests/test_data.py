@@ -370,10 +370,13 @@ class TestSynth:
 
 def test_load_registry(tmp_path):
     reg = tmp_path / "datasets.txt"
-    reg.write_text("# comment\nETTh1 = data/ETTh1.csv, etth, 7\ncustom = /tmp/x.csv, ratio, 12\n")
-    parsed = load_registry(reg)
-    assert parsed["ETTh1"] == {"path": "data/ETTh1.csv", "convention": "etth", "channels": 7}
-    assert parsed["custom"]["channels"] == 12
+    # a byte-order mark was read as part of the first name
+    for head in ("# comment\n", "\ufeff"):
+        reg.write_text(head + "ETTh1 = data/ETTh1.csv, etth, 7\ncustom = /tmp/x.csv, ratio, 12\n",
+                       encoding="utf-8")
+        parsed = load_registry(reg)
+        assert parsed["ETTh1"] == {"path": "data/ETTh1.csv", "convention": "etth", "channels": 7}
+        assert parsed["custom"]["channels"] == 12
 
 
 def test_registry_bad_line(tmp_path):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import hadl.optim
 from hadl.data import WindowBatch, fit_transform, split, synth, windows
 from hadl.errors import DivergedError, EmptyDataError, InvalidConfigError, ShapeMismatchError
 from hadl.model import (
@@ -16,7 +17,6 @@ from hadl.model import (
     head_apply,
     init_model,
     model_params,
-    replace_params,
     window_rows,
 )
 from hadl.optim import (
@@ -28,10 +28,12 @@ from hadl.optim import (
     evaluate,
     init_adam,
     l1_penalty,
+    steps_from_stats,
     train,
     write_trace_csv,
 )
-from oracles import InvalidStepError, gradcheck, gradients, loss, models_equal
+from oracles import (InvalidStepError, gradcheck, gradients, loss, models_equal,
+                     reference_train)
 
 
 def realizable_windows(lookback=64, horizon=16, channels=3, length=480, seed=0):
@@ -285,71 +287,6 @@ class TestTrain:
         assert float(np.mean(refit * refit)) == pytest.approx(min(trace.val_mse), rel=1e-12)
 
 
-def reference_step(model, S, Y, l1_lambda, F):
-    """The training step's arithmetic with every array freshly allocated."""
-    folded = fold_dct(model, F)
-    if model.head == HEAD_LOW_RANK:
-        Z = S @ folded.P
-        pred = Z @ model.Q
-    else:
-        pred = S @ folded.W
-    if model.bias is not None:
-        pred = pred + model.bias
-    diff = pred - Y
-    total = float(np.mean(diff * diff))
-    G = diff * (2.0 / Y.size)
-    to_dct = (lambda g: g) if F is None else (lambda g: F.T @ g)
-    grads = {}
-    if model.head == HEAD_LOW_RANK:
-        grads["P"] = to_dct(S.T @ (G @ model.Q.T))
-        grads["Q"] = Z.T @ G
-    else:
-        grads["W"] = to_dct(S.T @ G)
-    if model.bias is not None:
-        grads["bias"] = G.sum(axis=0)
-    if l1_lambda > 0.0:
-        for name, value in model_params(model).items():
-            if name != "bias":
-                grads[name] = grads[name] + l1_lambda * np.sign(value)
-        total += l1_lambda * l1_penalty(model_params(model))
-    return grads, total
-
-
-def reference_train(model, train_windows, val_windows, config):
-    """`train` with fresh fancy-indexed batches and step arrays at every step:
-    (best model, train_loss, val_mse)."""
-    n_train = len(train_windows)
-    S_train = window_rows(model, train_windows)
-    Y_train = train_windows.targets
-    F = dct_matrix(model)
-    params = {k: v.copy() for k, v in model_params(model).items()}
-    state = init_adam(params)
-    rng = np.random.default_rng(config.seed)
-    train_loss, val_mse = [], []
-    best_params, best_val, waited = params, float("inf"), 0
-    for _ in range(config.max_epochs):
-        order = rng.permutation(n_train)
-        loss_sum, row_count = 0.0, 0
-        for start in range(0, n_train, config.batch_size):
-            idx = order[start : start + config.batch_size]
-            S = S_train[idx].reshape(-1, model.d_in)
-            Y = Y_train[idx].reshape(-1, model.horizon)
-            grads, batch_loss = reference_step(replace_params(model, params), S, Y,
-                                               config.l1_lambda, F)
-            params, state = adam_step(state, params, grads, config)
-            loss_sum += batch_loss * S.shape[0]
-            row_count += S.shape[0]
-        train_loss.append(loss_sum / row_count)
-        val_mse.append(evaluate(replace_params(model, params), val_windows)[0])
-        if val_mse[-1] < best_val:
-            best_params, best_val, waited = params, val_mse[-1], 0
-        else:
-            waited += 1
-            if waited >= config.patience:
-                break
-    return replace_params(model, best_params), train_loss, val_mse
-
-
 class TestBufferedSteps:
     """`train` reuses one epoch's step arrays; every bit must match fresh ones."""
 
@@ -372,6 +309,46 @@ class TestBufferedSteps:
         assert trace.train_loss == ref_train_loss
         assert trace.val_mse == ref_val_mse
         assert models_equal(best, ref_best)
+
+
+class TestStatisticsSteps:
+    """Many-channel steps come from `LagTables` statistics: the same training
+    as fresh row products, to rounding."""
+
+    @pytest.mark.parametrize("model_kwargs", [{}, {"head": HEAD_DENSE}, {"use_haar": False}])
+    def test_train_matches_fresh_row_steps(self, monkeypatch, model_kwargs):
+        # noise, not a realizable task: the quadratic form cannot resolve a
+        # near-zero loss relative to itself
+        values = np.random.default_rng(11).normal(size=(40, 330))
+        w_train = WindowBatch(values[:, :240], 32, 8)
+        w_val = WindowBatch(values[:, 200:], 32, 8)
+        model = init_model(32, 8, 4, seed=3, **model_kwargs)
+        assert steps_from_stats(40, model.d_in, 8, model.rank, model.head)
+
+        def no_row_steps(*args):
+            raise AssertionError("a many-channel step gathered rows")
+
+        monkeypatch.setattr(hadl.optim, "_gradients_from_rows", no_row_steps)
+        cfg = TrainConfig(learning_rate=0.05, l1_lambda=1e-4, max_epochs=3, patience=3,
+                          batch_size=48, seed=4)  # 201 windows: a final batch of 9
+        best, trace = train(model, w_train, w_val, cfg)
+        monkeypatch.undo()
+        ref_best, ref_train_loss, ref_val_mse = reference_train(model, w_train, w_val, cfg)
+        assert trace.best_epoch == int(np.argmin(ref_val_mse))
+        assert_allclose(trace.train_loss, ref_train_loss, rtol=1e-9, atol=0.0)
+        assert_allclose(trace.val_mse, ref_val_mse, rtol=1e-9, atol=0.0)
+        for name, want in model_params(ref_best).items():
+            got = model_params(best)[name]
+            assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
+    def test_benchmark_shapes_fall_on_opposite_sides(self):
+        # L = 512, r = 50: ETTh1 steps from rows, electricity and traffic from statistics
+        for horizon in (96, 192, 336, 720):
+            assert not steps_from_stats(7, 256, horizon, 50, HEAD_LOW_RANK)
+            assert steps_from_stats(321, 256, horizon, 50, HEAD_LOW_RANK)
+            assert steps_from_stats(862, 256, horizon, 50, HEAD_LOW_RANK)
+        assert not steps_from_stats(7, 256, 96, None, HEAD_DENSE)
+        assert steps_from_stats(321, 256, 96, None, HEAD_DENSE)
 
 
 def reference_residuals(model, batch):

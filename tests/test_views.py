@@ -2,9 +2,10 @@
 
 Windows are views into their segment, the Haar rows of every window are a
 view of one pass over the segment, the DCT is folded into the head, the
-full-set passes run in blocks, and the window statistics come from lag sums
-over the segment. Each is checked here against the copied windows, unfolded
-features or blocked sums they replace.
+full-set passes run in blocks, and the window statistics, of all windows or
+of one training batch, come from lag sums over the segment. Each is checked
+here against the copied windows, unfolded features or row products they
+replace.
 """
 
 import tracemalloc
@@ -19,6 +20,7 @@ from hadl.errors import ShapeMismatchError
 from hadl.model import (
     HEAD_DENSE,
     HEAD_LOW_RANK,
+    dct_matrix,
     forward,
     head_apply,
     init_model,
@@ -27,14 +29,16 @@ from hadl.model import (
 )
 from hadl.optim import (
     EVAL_BLOCK,
+    LagTables,
     TrainConfig,
+    _gradients_from_stats,
     dense_equivalent_grad_norm,
     evaluate,
     train,
     window_stats,
 )
 from hadl.transforms import haar_batch
-from oracles import gradcheck, gradients
+from oracles import gradcheck, gradients, reference_step
 
 
 def assert_close(got, want, rel=1e-12):
@@ -139,19 +143,27 @@ def test_train_epoch_never_copies_the_window_set():
     assert peak < copied / 4, f"peak {peak / 1e6:.1f} MB vs copied windows {copied / 1e6:.1f} MB"
 
 
-def reference_stats(model, batch):
-    """rows.T @ rows, rows.T @ Y and rows.T @ 1 summed over slices of
+def reference_stats(model, batch, origins=None):
+    """rows.T @ rows, rows.T @ Y, rows.T @ 1, Y.T @ 1 and ||Y||^2 of the
+    windows at `origins` (every window by default), summed over slices of
     EVAL_BLOCK windows of the Haar rows and targets."""
     S, Y = window_rows(model, batch), batch.targets
+    origins = np.arange(len(batch)) if origins is None else origins
     gram = np.zeros((model.d_in, model.d_in))
     cross = np.zeros((model.d_in, model.horizon))
     row_sum = np.zeros(model.d_in)
-    for start in range(0, len(batch), EVAL_BLOCK):
-        rows = S[start : start + EVAL_BLOCK].reshape(-1, model.d_in)
+    target_sum = np.zeros(model.horizon)
+    energy = 0.0
+    for start in range(0, len(origins), EVAL_BLOCK):
+        idx = origins[start : start + EVAL_BLOCK]
+        rows = S[idx].reshape(-1, model.d_in)
+        target = Y[idx].reshape(-1, model.horizon)
         gram += rows.T @ rows
-        cross += rows.T @ Y[start : start + EVAL_BLOCK].reshape(-1, model.horizon)
+        cross += rows.T @ target
         row_sum += rows.sum(axis=0)
-    return gram, cross, row_sum
+        target_sum += target.sum(axis=0)
+        energy += float(np.sum(target * target))
+    return gram, cross, row_sum, target_sum, energy
 
 
 class TestWindowStats:
@@ -183,3 +195,49 @@ class TestWindowStats:
         for lookback, horizon in ((8, 8), (16, 4)):
             with pytest.raises(ShapeMismatchError):
                 window_stats(init_model(lookback, horizon, 1, seed=0), batch)
+
+
+class TestLagTables:
+    @settings(max_examples=80, deadline=None)
+    @given(lookback=st.integers(1, 24), horizon=st.integers(1, 9), channels=st.integers(1, 5),
+           n=st.integers(1, 150), use_haar=st.booleans(), batch_size=st.integers(1, 64),
+           seed=st.integers(0, 2**16))
+    def test_batches_equal_row_products(self, lookback, horizon, channels, n, use_haar,
+                                        batch_size, seed):
+        lookback += use_haar and lookback % 2  # odd lookbacks only with the Haar stage off
+        rng = np.random.default_rng(seed)
+        # an offset keeps the sums away from zero, where relative error means nothing
+        values = 0.5 + rng.normal(size=(channels, n + lookback + horizon - 1))
+        batch = WindowBatch(values, lookback, horizon)
+        model = init_model(lookback, horizon, 1, seed=0, use_haar=use_haar)
+        tables = LagTables(model, batch)
+        order = rng.permutation(n)
+        for start in range(0, n, batch_size):  # the last batch may be partial
+            origins = order[start : start + batch_size]
+            stats = tables.stats(origins)
+            assert stats.rows == len(origins) * channels
+            for got, want in zip(stats, reference_stats(model, batch, origins)):
+                assert_close(got, want)
+
+    @pytest.mark.parametrize("head", [HEAD_LOW_RANK, HEAD_DENSE])
+    @pytest.mark.parametrize("use_haar", [True, False])
+    @pytest.mark.parametrize("use_dct", [True, False])
+    @pytest.mark.parametrize("with_bias", [True, False])
+    def test_gradients_from_stats_match_the_row_step(self, head, use_haar, use_dct, with_bias):
+        rng = np.random.default_rng(2)
+        batch = WindowBatch(rng.normal(size=(6, 140)), 16, 5)
+        model = init_model(16, 5, 3, seed=4, use_haar=use_haar, use_dct=use_dct, head=head,
+                           with_bias=with_bias)
+        if with_bias:
+            model.bias[:] = rng.normal(size=5)
+        origins = rng.permutation(len(batch))[:37]
+        F = dct_matrix(model)
+        grads, loss = _gradients_from_stats(model, LagTables(model, batch).stats(origins),
+                                            1e-4, F)
+        S = np.array(window_rows(model, batch)[origins]).reshape(-1, model.d_in)
+        Y = np.array(batch.targets[origins]).reshape(-1, model.horizon)
+        want, want_loss = reference_step(model, S, Y, 1e-4, F)
+        assert grads.keys() == want.keys()
+        for name in want:
+            assert_close(grads[name], want[name])
+        assert abs(loss - want_loss) <= 1e-12 * float(np.sum(Y * Y)) / len(S)
