@@ -232,8 +232,9 @@ def run_single(job: ExperimentConfig, horizon: int, data, grad_norm: bool = Fals
     Returns (best_model, trace, EvalReport). The model init seed does not
     depend on noise_eta, so a robustness sweep perturbs only the training data.
     With grad_norm, trace.final_grad_norm is filled in for the best model
-    (from the training windows' statistics; only `train` writes it out);
-    otherwise it stays NaN.
+    (from the training windows' statistics, `trace.train_stats` where
+    `train` left them; only `train` writes it out); otherwise it stays NaN.
+    trace.train_stats is dropped either way, so a result stays small.
     """
     # every TrainConfig field is the job's config key of the same name
     train_config = TrainConfig(**{f.name: getattr(job, f.name) for f in fields(TrainConfig)})
@@ -251,7 +252,9 @@ def run_single(job: ExperimentConfig, horizon: int, data, grad_norm: bool = Fals
     best, trace = train(model, w_train, w_val, train_config)
     if grad_norm:
         # looked up on hadl.optim, where the benchmark's tracer wraps it
-        trace.final_grad_norm = hadl_optim.dense_equivalent_grad_norm(best, w_train)
+        trace.final_grad_norm = hadl_optim.dense_equivalent_grad_norm(best, w_train,
+                                                                      trace.train_stats)
+    trace.train_stats = None
     test_mse, test_mae = evaluate(best, w_test)
     report = hadl_metrics.EvalReport(
         dataset=data[0].name,

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import hadl.cli
 import hadl.optim
 from hadl.cli import (
     ExperimentConfig,
@@ -25,8 +26,9 @@ from hadl.cli import (
     run_single,
 )
 from hadl.errors import CorruptCheckpointError, HadlError, MissingZeroEtaError, UnknownAxisError
-from hadl.model import effective_weight, init_model, load_checkpoint, save_checkpoint
-from hadl.optim import dense_equivalent_grad_norm
+from hadl.model import (HEAD_LOW_RANK, effective_weight, init_model, load_checkpoint,
+                        save_checkpoint)
+from hadl.optim import dense_equivalent_grad_norm, steps_from_stats
 
 
 def table_rows(path) -> list[list[str]]:
@@ -252,31 +254,46 @@ class TestTrainCommand:
                 assert a_trace == b_trace
 
     def test_trace_grad_norm_is_the_returned_models(self, tmp_path):
-        config = synth_config(tmp_path, horizons=(8, 16), seeds=(1, 2), max_epochs=3,
-                              patience=3)
-        cmd_train(config)
-        data = load_dataset(config)
-        for horizon in config.horizons:
-            run_dir = tmp_path / "runs" / "sine_mix" / "haar-dct-lowrank_r4-bias" / str(horizon)
-            for seed in config.seeds:
-                best = load_checkpoint(run_dir / f"checkpoint_seed{seed}.npz")
-                w_train, _, _ = prepare_windows(replace(config, seed=seed), horizon, data)
-                written = json.loads((run_dir / f"trace_seed{seed}.json").read_text())
-                assert written["final_grad_norm"] == dense_equivalent_grad_norm(best, w_train)
+        # 3 channels step from rows and take the norm from `window_stats`, as
+        # this check does; 40 step from statistics and take it from the
+        # training tables' totals, which agree to rounding
+        for channels in (3, 40):
+            root = tmp_path / str(channels)
+            config = synth_config(root, horizons=(8, 16), seeds=(1, 2), max_epochs=3,
+                                  patience=3, synth_channels=channels)
+            cmd_train(config)
+            data = load_dataset(config)
+            for horizon in config.horizons:
+                from_stats = steps_from_stats(channels, 32, horizon, 4, HEAD_LOW_RANK)
+                assert from_stats == (channels == 40)
+                run_dir = root / "runs" / "sine_mix" / "haar-dct-lowrank_r4-bias" / str(horizon)
+                for seed in config.seeds:
+                    best = load_checkpoint(run_dir / f"checkpoint_seed{seed}.npz")
+                    w_train, _, _ = prepare_windows(replace(config, seed=seed), horizon, data)
+                    written = json.loads((run_dir / f"trace_seed{seed}.json").read_text())
+                    want = dense_equivalent_grad_norm(best, w_train)
+                    if from_stats:
+                        assert written["final_grad_norm"] == pytest.approx(want, rel=1e-12,
+                                                                           abs=0.0)
+                    else:
+                        assert written["final_grad_norm"] == want
 
 
-def count_grad_norms(monkeypatch) -> list:
-    """Wrap hadl.optim.dense_equivalent_grad_norm; the returned list grows by
-    one per call."""
+def count_calls(monkeypatch, module, name: str) -> list:
+    """Wrap `module.name`; the returned list grows by one per call."""
     calls = []
-    original = hadl.optim.dense_equivalent_grad_norm
+    original = getattr(module, name)
 
     def counted(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(hadl.optim, "dense_equivalent_grad_norm", counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def count_grad_norms(monkeypatch) -> list:
+    return count_calls(monkeypatch, hadl.optim, "dense_equivalent_grad_norm")
 
 
 class TestGradNormOnlyWhereWritten:
@@ -297,6 +314,26 @@ class TestGradNormOnlyWhereWritten:
         cmd_ablate(synth_config(tmp_path, horizons=(8,), ablate_rank=2, max_epochs=2,
                                 patience=2), "head")
         assert calls == []
+
+
+class TestFullSetPasses:
+    """Validation MSEs come from the validation windows' statistics, so a job
+    gathers windows for the test pass alone."""
+
+    @pytest.mark.parametrize("channels, stats_per_job", [
+        (40, 1),  # validation; the grad norm sums the training tables
+        (3, 2),  # validation and the grad norm
+    ])
+    def test_one_evaluate_per_job(self, tmp_path, monkeypatch, channels, stats_per_job):
+        assert steps_from_stats(channels, 32, 8, 4, HEAD_LOW_RANK) == (channels == 40)
+        evaluations = count_calls(monkeypatch, hadl.cli, "evaluate")
+        # any pass `train` made would call it on hadl.optim
+        evaluations_in_train = count_calls(monkeypatch, hadl.optim, "evaluate")
+        stats = count_calls(monkeypatch, hadl.optim, "window_stats")
+        cmd_train(synth_config(tmp_path, horizons=(8, 16), seeds=(1, 2), max_epochs=3,
+                               patience=3, synth_channels=channels))
+        assert len(evaluations) == 4 and evaluations_in_train == []
+        assert len(stats) == 4 * stats_per_job
 
 
 class TestRobustnessCommand:

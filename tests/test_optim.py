@@ -262,6 +262,26 @@ class TestTrain:
             norms.append(l1_penalty(model_params(best)))
         assert norms[0] >= norms[1] >= norms[2]
 
+    @pytest.mark.parametrize("channels", [3, 40])
+    def test_exact_fit_writes_no_negative_val_mse(self, channels):
+        # low_rank_target is bit-exactly periodic with period 24, so the dense
+        # head that copies the sample 24 steps back forecasts every window
+        # exactly; a learning rate of 1e-300 keeps it there whatever rounding
+        # the statistics steps' gradients carry, and each validation MSE's
+        # quadratic form is rounding around 0, below it for some seeds
+        lookback, horizon = 32, 8
+        W = np.zeros((lookback, horizon))
+        for h in range(horizon):
+            W[lookback + h - 24 * (h // 24 + 1), h] = 1.0
+        model = replace(init_model(lookback, horizon, None, seed=0, use_haar=False,
+                                   use_dct=False, head=HEAD_DENSE, with_bias=False), W=W)
+        cfg = TrainConfig(learning_rate=1e-300, l1_lambda=0.0, max_epochs=2, patience=2, seed=0)
+        for seed in range(4):
+            w_train, w_val, _ = realizable_windows(lookback, horizon, channels, seed=seed)
+            assert evaluate(model, w_val) == (0.0, 0.0)
+            _, trace = train(model, w_train, w_val, cfg)
+            assert all(0.0 <= mse < 1e-12 for mse in trace.val_mse), trace.val_mse
+
     def test_empty_windows_rejected(self):
         w_train, w_val, _ = realizable_windows()
         # a segment one step short of a window holds no windows
@@ -288,7 +308,9 @@ class TestTrain:
 
 
 class TestBufferedSteps:
-    """`train` reuses one epoch's step arrays; every bit must match fresh ones."""
+    """`train` reuses one epoch's step arrays; every bit of the steps must
+    match fresh ones. The validation MSE comes from window statistics, not
+    from the rows `reference_train` evaluates, so it matches to rounding."""
 
     @pytest.mark.parametrize("model_kwargs, batch_size", [
         ({}, 48),  # 257 windows: five full batches and a final one of 17
@@ -307,7 +329,8 @@ class TestBufferedSteps:
         best, trace = train(model, w_train, w_val, cfg)
         ref_best, ref_train_loss, ref_val_mse = reference_train(model, w_train, w_val, cfg)
         assert trace.train_loss == ref_train_loss
-        assert trace.val_mse == ref_val_mse
+        assert_allclose(trace.val_mse, ref_val_mse, rtol=1e-12, atol=0.0)
+        assert trace.best_epoch == int(np.argmin(ref_val_mse))
         assert models_equal(best, ref_best)
 
 

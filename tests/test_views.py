@@ -12,7 +12,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hadl.data import Segment, WindowBatch, windows
@@ -21,6 +21,7 @@ from hadl.model import (
     HEAD_DENSE,
     HEAD_LOW_RANK,
     dct_matrix,
+    fold_dct,
     forward,
     head_apply,
     init_model,
@@ -32,6 +33,7 @@ from hadl.optim import (
     LagTables,
     TrainConfig,
     _gradients_from_stats,
+    _quadratic_form,
     dense_equivalent_grad_norm,
     evaluate,
     train,
@@ -197,6 +199,29 @@ class TestWindowStats:
                 window_stats(init_model(lookback, horizon, 1, seed=0), batch)
 
 
+class TestValidationFromStats:
+    @settings(max_examples=80, deadline=None)
+    @given(lookback=st.integers(1, 24), horizon=st.integers(1, 9), channels=st.integers(1, 4),
+           n=st.integers(1, 150), rank=st.integers(1, 4),
+           head=st.sampled_from([HEAD_LOW_RANK, HEAD_DENSE]), use_haar=st.booleans(),
+           use_dct=st.booleans(), with_bias=st.booleans(), seed=st.integers(0, 2**16))
+    @example(lookback=7, horizon=1, channels=1, n=20, rank=2, head=HEAD_LOW_RANK,
+             use_haar=False, use_dct=True, with_bias=True, seed=0)
+    def test_mse_equal_to_evaluate(self, lookback, horizon, channels, n, rank, head,
+                                   use_haar, use_dct, with_bias, seed):
+        lookback += use_haar and lookback % 2  # odd lookbacks only with the Haar stage off
+        rng = np.random.default_rng(seed)
+        batch = WindowBatch(rng.normal(size=(channels, n + lookback + horizon - 1)),
+                            lookback, horizon)
+        model = init_model(lookback, horizon, rank, seed=seed, use_haar=use_haar,
+                           use_dct=use_dct, head=head, with_bias=with_bias)
+        if with_bias:
+            model.bias[:] = rng.normal(size=horizon)
+        _, _, mse = _quadratic_form(fold_dct(model, dct_matrix(model)),
+                                    window_stats(model, batch))
+        assert mse == pytest.approx(evaluate(model, batch)[0], rel=1e-12, abs=0.0)
+
+
 class TestLagTables:
     @settings(max_examples=80, deadline=None)
     @given(lookback=st.integers(1, 24), horizon=st.integers(1, 9), channels=st.integers(1, 5),
@@ -218,6 +243,8 @@ class TestLagTables:
             assert stats.rows == len(origins) * channels
             for got, want in zip(stats, reference_stats(model, batch, origins)):
                 assert_close(got, want)
+        for got, want in zip(tables.totals(), window_stats(model, batch)):
+            assert_close(got, want)
 
     @pytest.mark.parametrize("head", [HEAD_LOW_RANK, HEAD_DENSE])
     @pytest.mark.parametrize("use_haar", [True, False])
