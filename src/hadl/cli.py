@@ -38,13 +38,14 @@ from .model import (
     param_count,
     save_checkpoint,
 )
-from .optim import TrainConfig, evaluate, train, write_trace_csv, write_trace_json
+from .optim import TrainConfig, check_budget, evaluate, train, write_trace_csv, write_trace_json
 
 
-@dataclass
-class ExperimentConfig:
+@dataclass(frozen=True)
+class ExperimentConfig(TrainConfig):
     """Every knob a run can turn. Names double as config-file keys and
-    as --flags (with '-' for '_')."""
+    as --flags (with '-' for '_'). The training keys, their defaults and
+    their checks are TrainConfig's, so a job is itself what `train` takes."""
 
     dataset: str = "sine_mix"
     data_path: str = ""
@@ -57,12 +58,6 @@ class ExperimentConfig:
     use_dct: bool = True
     head: str = HEAD_LOW_RANK
     with_bias: bool = True
-    learning_rate: float = 1e-3
-    l1_lambda: float = 1e-4
-    max_epochs: int = 100
-    patience: int = 20
-    batch_size: int = 64
-    seed: int = 0
     seeds: tuple[int, ...] = ()
     noise_eta: float = 0.0
     eta_list: tuple[float, ...] = (0.0, 0.3, 0.7, 1.3, 1.7, 2.3)
@@ -76,6 +71,8 @@ class ExperimentConfig:
     synth_channels: int = 3
 
     def __post_init__(self):
+        super().__post_init__()
+        check_budget(self.robust_max_epochs, self.robust_patience, "robust_")
         if not self.horizons or min(self.horizons) < 1:
             raise InvalidConfigError(
                 f"horizons must list at least one horizon >= 1, got {list(self.horizons)}"
@@ -85,7 +82,7 @@ class ExperimentConfig:
                 raise InvalidConfigError(f"{key}: the list is empty")
         # here, not as a numpy ValueError mid-run: default_rng takes no negative
         # seed, and no series has a negative length or fewer than one channel
-        for key, values, low in (("seed", (self.seed,), 0), ("seeds", self.seeds, 0),
+        for key, values, low in (("seeds", self.seeds, 0),
                                  ("synth_length", (self.synth_length,), 0),
                                  ("synth_channels", (self.synth_channels,), 1)):
             bad = [v for v in values if v < low]
@@ -236,8 +233,6 @@ def run_single(job: ExperimentConfig, horizon: int, data, grad_norm: bool = Fals
     `train` left them; only `train` writes it out); otherwise it stays NaN.
     trace.train_stats is dropped either way, so a result stays small.
     """
-    # every TrainConfig field is the job's config key of the same name
-    train_config = TrainConfig(**{f.name: getattr(job, f.name) for f in fields(TrainConfig)})
     w_train, w_val, w_test = prepare_windows(job, horizon, data)
     model = init_model(
         job.lookback,
@@ -249,7 +244,7 @@ def run_single(job: ExperimentConfig, horizon: int, data, grad_norm: bool = Fals
         head=job.head,
         with_bias=job.with_bias,
     )
-    best, trace = train(model, w_train, w_val, train_config)
+    best, trace = train(model, w_train, w_val, job)
     if grad_norm:
         # looked up on hadl.optim, where the benchmark's tracer wraps it
         trace.final_grad_norm = hadl_optim.dense_equivalent_grad_norm(best, w_train,
@@ -458,8 +453,8 @@ def cmd_params(config: ExperimentConfig) -> None:
 
 
 def cmd_export_weights(checkpoint_path: str, out_path: str) -> None:
-    """Dump the effective d_in x H weight matrix of a low-rank checkpoint
-    as a plain CSV matrix (one row per input feature)."""
+    """Dump a checkpoint's d_in x H head map (`effective_weight`: P@Q, or W
+    for a dense head) as a plain CSV matrix (one row per input feature)."""
     model = load_checkpoint(checkpoint_path)
     weight = effective_weight(model)
     with open(out_path, "w", newline="", encoding="utf-8") as handle:

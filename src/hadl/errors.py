@@ -26,10 +26,6 @@ class ShapeMismatchError(HadlError):
 
 # -- model --------------------------------------------------------------------
 
-class WrongHeadError(HadlError):
-    """Operation requires a low-rank head but the model has a dense one."""
-
-
 class CorruptCheckpointError(HadlError):
     """Checkpoint arrays are missing, misnamed, misshapen, not float64 or
     not finite for the lookback, horizon and head its meta declares."""

@@ -21,8 +21,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import (CorruptCheckpointError, HadlError, OddLengthError, ShapeMismatchError,
-                     WrongHeadError)
+from .errors import CorruptCheckpointError, HadlError, OddLengthError, ShapeMismatchError
 from .transforms import dct2_raw, dct2_scaled, haar_batch, haar_pairs
 
 HEAD_LOW_RANK = "low_rank"
@@ -133,17 +132,25 @@ def haar_rows(model: HadlModel, X) -> np.ndarray:
     return haar_batch(X) if model.use_haar else X
 
 
+def haar_series(model: HadlModel, batch):
+    """(s, step, last) for a WindowBatch of the model's lookback and horizon:
+    feature i of the window at origin b is s[c, b + step*i], where s =
+    haar_pairs(values) and step = 2 (s = values and step = 1 with the Haar
+    stage off), and `last` is one past the last sample of s any feature reads."""
+    if (batch.lookback, batch.horizon) != (model.lookback, model.horizon):
+        raise ShapeMismatchError(
+            f"windows have lookback/horizon {batch.lookback}/{batch.horizon},"
+            f" model has {model.lookback}/{model.horizon}"
+        )
+    s, step = (haar_pairs(batch.values), 2) if model.use_haar else (batch.values, 1)
+    return s, step, step * (model.d_in - 1) + len(batch)
+
+
 def window_rows(model: HadlModel, batch) -> np.ndarray:
     """`haar_rows` of every window of a WindowBatch, as a read-only
-    (n, channels, d_in) view: the Haar step runs once over the segment and
-    each window reads every second value of it, so nothing is copied."""
-    if batch.lookback != model.lookback:
-        raise ShapeMismatchError(
-            f"windows have lookback {batch.lookback}, model lookback is {model.lookback}"
-        )
-    if model.use_haar:
-        return batch.view(haar_pairs(batch.values), model.lookback - 1, 2)
-    return batch.inputs
+    (n, channels, d_in) view of its `haar_series`, so nothing is copied."""
+    s, step, _ = haar_series(model, batch)
+    return batch.view(s, step * (model.d_in - 1) + 1, step)
 
 
 def dct_stage(model: HadlModel, A) -> np.ndarray:
@@ -217,10 +224,8 @@ def forward(model: HadlModel, X) -> np.ndarray:
 
 
 def effective_weight(model: HadlModel) -> np.ndarray:
-    """The dense matrix P@Q realized by a low-rank head (for export/plots)."""
-    if model.head != HEAD_LOW_RANK:
-        raise WrongHeadError("effective_weight requires a low-rank head")
-    return model.P @ model.Q
+    """The head's d_in x H map: P@Q for a low-rank head, W for a dense one."""
+    return model.P @ model.Q if model.head == HEAD_LOW_RANK else model.W
 
 
 def param_count(
@@ -239,24 +244,12 @@ def param_count(
     return ParamCount(total=sum(breakdown.values()), breakdown=breakdown)
 
 
-def kilo_display(total: int, decimals: int = 2, floor: bool = False) -> str:
-    """Format a parameter count in thousands, e.g. 14176 -> '14.18K'.
-
-    Rounds to `decimals` places and trims trailing zeros down to one decimal
-    (39040 -> '39.04K' but 50000 -> '50.0K'). With floor=True the value is
-    truncated instead of rounded, the convention some summary tables use at
-    one decimal.
-    """
-    k = total / 1000.0
-    if floor:
-        factor = 10**decimals
-        k = math.floor(k * factor) / factor
-    text = f"{k:.{decimals}f}"
-    if "." in text:
-        text = text.rstrip("0")
-        if text.endswith("."):
-            text += "0"
-    return text + "K"
+def kilo_display(total: int) -> str:
+    """Format a parameter count in thousands, e.g. 14176 -> '14.18K':
+    rounded to two decimals, trailing zeros trimmed down to one decimal
+    (39040 -> '39.04K' but 50000 -> '50.0K')."""
+    text = f"{total / 1000.0:.2f}".rstrip("0")
+    return text + ("0K" if text.endswith(".") else "K")
 
 
 def model_params(model: HadlModel) -> dict[str, np.ndarray]:

@@ -15,14 +15,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DivergedError, EmptyDataError, InvalidConfigError, ShapeMismatchError
+from .errors import DivergedError, EmptyDataError, InvalidConfigError
 from .metrics import write_json_bundle, write_table
 from .model import (
     HEAD_DENSE,
     HEAD_LOW_RANK,
     HadlModel,
     dct_matrix,
+    effective_weight,
     fold_dct,
+    haar_series,
     head_apply,  # noqa: F401  (hadl.optim.head_apply: a benchmark tracing target)
     head_into,
     model_params,
@@ -30,7 +32,6 @@ from .model import (
     transform_inputs,  # noqa: F401  (hadl.optim.transform_inputs: a benchmark tracing target)
     window_rows,
 )
-from .transforms import haar_pairs
 
 # Windows per block of the full-set passes (validation and test evaluation):
 # bounds their memory and fixes their summation order.
@@ -46,8 +47,8 @@ class TrainConfig:
     """Optimizer hyperparameters and run bookkeeping.
 
     Learning rate, batch size and l1_lambda defaults are conventional choices
-    for a linear head at these scales; the CLI records them in each eval.json
-    config so results stay reproducible.
+    for a linear head at these scales; the CLI's ExperimentConfig extends
+    this class, so each eval.json config records them.
     """
 
     learning_rate: float = 1e-3
@@ -62,17 +63,25 @@ class TrainConfig:
             raise InvalidConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
         if not self.l1_lambda >= 0.0:  # NaN included
             raise InvalidConfigError(f"l1_lambda must be >= 0, got {self.l1_lambda}")
-        if self.max_epochs < 0:
-            raise InvalidConfigError(f"max_epochs must be >= 0, got {self.max_epochs}")
-        if self.patience < 1:
-            raise InvalidConfigError(f"patience must be >= 1, got {self.patience}")
-        # patience <= max_epochs, except for the degenerate no-training config
-        if self.max_epochs > 0 and self.patience > self.max_epochs:
-            raise InvalidConfigError(
-                f"patience ({self.patience}) must not exceed max_epochs ({self.max_epochs})"
-            )
+        check_budget(self.max_epochs, self.patience)
         if self.batch_size < 1:
             raise InvalidConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.seed < 0:  # here, not as a numpy ValueError: default_rng takes no negative seed
+            raise InvalidConfigError(f"seed must be >= 0, got {self.seed}")
+
+
+def check_budget(max_epochs: int, patience: int, prefix: str = "") -> None:
+    """The epoch budget's rules, naming the keys `prefix` + max_epochs and
+    `prefix` + patience: max_epochs >= 0, patience >= 1, and patience <=
+    max_epochs, except for the degenerate no-training config."""
+    if max_epochs < 0:
+        raise InvalidConfigError(f"{prefix}max_epochs must be >= 0, got {max_epochs}")
+    if patience < 1:
+        raise InvalidConfigError(f"{prefix}patience must be >= 1, got {patience}")
+    if max_epochs > 0 and patience > max_epochs:
+        raise InvalidConfigError(
+            f"{prefix}patience ({patience}) must not exceed {prefix}max_epochs ({max_epochs})"
+        )
 
 
 @dataclass
@@ -245,21 +254,6 @@ def _window_sums(p: np.ndarray, n: int, step: int) -> np.ndarray:
     return p[:n].sum() + np.concatenate(([0.0], moves))[::step]
 
 
-def _haar_series(model: HadlModel, batch):
-    """(s, step, last) for a WindowBatch: feature i of the window at origin b
-    is s[c, b + step*i], where s = haar_pairs(values) and step = 2 (s =
-    values and step = 1 with the Haar stage off), and `last` is one past the
-    last sample of s that any feature reads."""
-    if (batch.lookback, batch.horizon) != (model.lookback, model.horizon):
-        raise ShapeMismatchError(
-            f"windows have lookback/horizon {batch.lookback}/{batch.horizon},"
-            f" model has {model.lookback}/{model.horizon}"
-        )
-    x = batch.values
-    s, step = (haar_pairs(x), 2) if model.use_haar else (x, 1)
-    return s, step, step * (model.d_in - 1) + len(batch)
-
-
 class BatchStats(NamedTuple):
     """What the loss, gradients and MSE of a head depend on, for the Haar
     rows S (rows x d_in) and targets Y (rows x H) of a set of windows:
@@ -289,7 +283,7 @@ def _all_window_stats(model: HadlModel, n: int, channels: int, step: int, gram_l
     x[c, t + lag] for start <= t < stop, and `sums` from `_channel_sums`.
 
     Feature i of the window at origin b is s[c, b + step*i] (see
-    `_haar_series`) and its target h is x[c, b + L + h]. So G[i, i + k] sums
+    `haar_series`) and its target h is x[c, b + L + h]. So G[i, i + k] sums
     the lag-step*k products over n consecutive origins from step*i, and
     C[i, h] the lag-(L + h - step*i) products: one lag's products serve
     every entry of that lag, through `_window_sums`.
@@ -320,9 +314,13 @@ def window_stats(model: HadlModel, batch) -> BatchStats:
     of two shifted copies of the series (see `_all_window_stats`). That
     costs O(channels * timesteps * (d_in + L + H)) instead of the
     O(rows * d_in * (d_in + H)) of blocked row products, and holds no more
-    than a few series-length arrays at once.
+    than a few series-length arrays at once. It stays beside `LagTables`,
+    which `train` builds only to step from statistics: at the ETTh1 train
+    shape (7 channels) this takes 37-62 ms, lags chunked into GEMMs 70-151
+    ms, and the tables 99-182 ms and 60-96 MB; at 321 channels the tables
+    and their `totals` take 20 + 13 ms against 161 ms here.
     """
-    s, step, last = _haar_series(model, batch)
+    s, step, last = haar_series(model, batch)
     x = batch.values
     return _all_window_stats(
         model, len(batch), x.shape[0], step,
@@ -364,7 +362,7 @@ class LagTables:
     Time-major, so that one window's block of each table is a strided view:
     gram[t, k] = sum_c s[c, t] s[c, t + step*k] and cross[t, lag - lag0] =
     sum_c s[c, t] x[c, t + lag] with lag0 = L - step*(d_in - 1), for s, step
-    and the origins t of `_haar_series`, built by blocked GEMM over the
+    and the origins t of `haar_series`, built by blocked GEMM over the
     channels (`_lag_table`). The window at origin b reads gram[b + step*i,
     j - i] as G[i, j] (j >= i) and cross[b + step*i, L + h - step*i - lag0]
     as C[i, h]. Building costs O(channels * timesteps * (d_in + L + H)) once;
@@ -373,7 +371,7 @@ class LagTables:
     """
 
     def __init__(self, model: HadlModel, batch):
-        s, step, last = _haar_series(model, batch)
+        s, step, last = haar_series(model, batch)
         x, d, L, H, n = batch.values, model.d_in, model.lookback, model.horizon, len(batch)
         width = H + step * (d - 1)  # the lags of the cross table
         self._model, self._step, self._lag0 = model, step, L - step * (d - 1)
@@ -439,7 +437,7 @@ def _quadratic_form(folded: HadlModel, stats: BatchStats):
     R -= stats.cross
     if folded.bias is not None:
         R += np.outer(stats.row_sum, folded.bias)
-    M = folded.P @ folded.Q if folded.head == HEAD_LOW_RANK else folded.W
+    M = effective_weight(folded)
     squared = float(np.vdot(M, R - stats.cross)) + stats.target_energy
     column_sum = None
     if folded.bias is not None:

@@ -129,6 +129,12 @@ def mae(pred, target) -> float:
     return float(np.mean(np.abs(pred - target)))
 
 
+def floor_kilo_display(total: int) -> str:
+    """A parameter count in thousands truncated to one decimal, the
+    convention of the paper's summary table: 17696 -> '17.6K'."""
+    return f"{total // 100 / 10:.1f}K"
+
+
 def improvement(mse_best_baseline: float, mse_ours: float) -> float:
     """Signed MSE gap; positive means ours beats the best baseline."""
     return float(mse_best_baseline) - float(mse_ours)

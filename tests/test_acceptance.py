@@ -19,8 +19,8 @@ from hadl.metrics import mav
 from hadl.model import HEAD_DENSE, HEAD_LOW_RANK, init_model, kilo_display, param_count
 from hadl.optim import TrainConfig, train
 from hadl.transforms import dct2_raw
-from oracles import (dct2_bruteforce, dct2_orthonormal, gradcheck, haar_forward, haar_inverse,
-                     improvement, signal_energy)
+from oracles import (dct2_bruteforce, dct2_orthonormal, floor_kilo_display, gradcheck,
+                     haar_forward, haar_inverse, improvement, signal_energy)
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -89,7 +89,7 @@ def test_criterion_3_parameter_count_goldens():
     ]:
         pc = param_count(512, horizon, 50, with_bias=True, use_haar=True)
         assert pc.total == total
-        assert kilo_display(pc.total, decimals=1, floor=True) == shown
+        assert floor_kilo_display(pc.total) == shown
 
     # rank-40 haar ablation cells, with and without the compression stage
     for horizon, with_haar, shown_w, without_haar, shown_wo in [

@@ -461,12 +461,13 @@ class TestExportWeights:
         matrix = np.loadtxt(out, delimiter=",")
         assert_allclose(matrix, effective_weight(model), atol=1e-12)
 
-    def test_dense_checkpoint_rejected(self, tmp_path):
+    def test_dense_checkpoint_round_trips_w(self, tmp_path):
         model = init_model(8, 3, 2, seed=0, head="dense")
         ckpt = tmp_path / "m.npz"
         save_checkpoint(model, ckpt)
         rc = main(["export-weights", str(ckpt), str(tmp_path / "w.csv")])
-        assert rc == 1
+        assert rc == 0
+        assert np.array_equal(np.loadtxt(tmp_path / "w.csv", delimiter=","), model.W)
 
     @pytest.mark.parametrize("case", ["q_columns", "meta_horizon", "nan_in_p", "missing_array",
                                       "float32_p", "head_names", "not_npz", "npy", "truncated"])
@@ -576,20 +577,30 @@ def test_negative_eta_fails_before_any_job(tmp_path, capsys):
 TRAINABLE = ["--synth-length", "2000", "--max-epochs", "1", "--patience", "1"]
 
 
-@pytest.mark.parametrize("argv", [
-    ["params", "--rank", "-3"],  # printed "-1440 parameters"
-    ["params", "--lookback", "33"],
-    ["ablate", "rank", "--rank-list", "0", "--params-only"],
+IMPOSSIBLE = [  # (argv, the config key the error names)
+    (["params", "--rank", "-3"], "rank"),  # printed "-1440 parameters"
+    (["params", "--lookback", "33"], "lookback"),
+    (["ablate", "rank", "--rank-list", "0", "--params-only"], "rank"),
     # each trained its valid cell and printed its job line first
-    ["ablate", "lookback", "--lookback-list", "32,33", *TRAINABLE],
-    ["ablate", "rank", "--rank-list", "2,0", "--lookback", "32", *TRAINABLE],
-])
-def test_impossible_model_is_one_error_line(tmp_path, capsys, argv):
+    (["ablate", "lookback", "--lookback-list", "32,33", *TRAINABLE], "lookback"),
+    (["ablate", "rank", "--rank-list", "2,0", "--lookback", "32", *TRAINABLE], "rank"),
+    # the two commands that train nothing checked no training key: each exited 0
+    (["params", "--patience", "0"], "patience"),
+    (["params", "--learning-rate", "-1"], "learning_rate"),
+    (["ablate", "rank", "--params-only", "--patience", "0"], "patience"),
+    # loaded the dataset, then failed naming patience
+    (["robustness", "--robust-patience", "0"], "robust_patience"),
+]
+
+
+@pytest.mark.parametrize("argv, key", IMPOSSIBLE,
+                         ids=[f"argv{i}" for i in range(len(IMPOSSIBLE))])
+def test_impossible_model_is_one_error_line(tmp_path, capsys, argv, key):
     rc = main(argv + ["--horizons", "96", "--outdir", str(tmp_path / "runs")])
     out, err = capsys.readouterr()
     assert rc == 1
     assert out == ""
-    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: {key} "), err
     assert not (tmp_path / "runs").exists()
 
 

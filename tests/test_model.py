@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from hadl.errors import OddLengthError, ShapeMismatchError, WrongHeadError
+from hadl.errors import OddLengthError, ShapeMismatchError
 from hadl.model import (
     HEAD_DENSE,
     HEAD_LOW_RANK,
@@ -22,7 +22,7 @@ from hadl.model import (
     save_checkpoint,
     transform_inputs,
 )
-from oracles import models_equal
+from oracles import floor_kilo_display, models_equal
 
 SQRT2 = math.sqrt(2.0)
 
@@ -122,10 +122,9 @@ class TestEffectiveWeight:
         m.P[:] = 0.0
         assert_allclose(effective_weight(m), np.zeros((4, 3)), atol=0)
 
-    def test_dense_head_rejected(self):
+    def test_dense_head_is_w(self):
         m = small_model(head=HEAD_DENSE)
-        with pytest.raises(WrongHeadError):
-            effective_weight(m)
+        assert effective_weight(m) is m.W
 
 
 @pytest.mark.parametrize("kwargs", [{}, {"head": HEAD_DENSE}, {"with_bias": False}])
@@ -157,7 +156,7 @@ class TestParamCount:
     def test_rank50_summary_cells(self, horizon, total, display):
         pc = param_count(512, horizon, 50, with_bias=True, use_haar=True)
         assert pc.total == total
-        assert kilo_display(pc.total, decimals=1, floor=True) == display
+        assert floor_kilo_display(pc.total) == display
 
     @pytest.mark.parametrize(
         "horizon,with_haar,without_haar",

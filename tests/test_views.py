@@ -193,10 +193,15 @@ class TestWindowStats:
             assert_close(got, want)
 
     def test_rejects_other_window_shapes(self):
+        # window_rows took another horizon; evaluate and train hit a numpy broadcast error
         batch = WindowBatch(np.zeros((1, 40)), 16, 8)
+        config = TrainConfig(max_epochs=1, patience=1)
+        passes = (window_stats, window_rows, evaluate, LagTables,
+                  lambda model, batch: train(model, batch, batch, config))
         for lookback, horizon in ((8, 8), (16, 4)):
-            with pytest.raises(ShapeMismatchError):
-                window_stats(init_model(lookback, horizon, 1, seed=0), batch)
+            for run in passes:
+                with pytest.raises(ShapeMismatchError):
+                    run(init_model(lookback, horizon, 1, seed=0), batch)
 
 
 class TestValidationFromStats:
