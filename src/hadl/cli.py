@@ -267,6 +267,14 @@ def run_single(job: ExperimentConfig, horizon: int, data, grad_norm: bool = Fals
     return best, trace, report
 
 
+def param_totals(cells) -> list[int]:
+    """Parameter totals of the (job, horizon) cells. Commands call it before
+    loading data: `param_count` rejects an impossible model shape there, so
+    it fails before any dataset loads or worker process starts."""
+    return [param_count(job.lookback, horizon, job.rank, job.with_bias, job.use_haar,
+                        job.head).total for job, horizon in cells]
+
+
 def run_grid(cells, data, workers: int, grad_norm: bool) -> list:
     """run_single over (job, horizon) cells, serially or in one process pool;
     a job is the command's config with the cell's keys replaced. Prints one
@@ -307,12 +315,13 @@ def cmd_train(config: ExperimentConfig, workers: int = 1) -> list[hadl_metrics.E
     workers > 1 runs the (horizon, seed) grid in parallel processes; job
     outputs are independent of scheduling, so results match a serial run.
     """
-    data = load_dataset(config)  # validates inputs before any output dir exists
-    fingerprint = config.fingerprint()
-    variant = variant_name(config)
     seeds = config.seed_list()
     cells = [(replace(config, seed=seed), horizon)
              for horizon in config.horizons for seed in seeds]
+    param_totals(cells)
+    data = load_dataset(config)  # validates inputs before any output dir exists
+    fingerprint = config.fingerprint()
+    variant = variant_name(config)
     results = run_grid(cells, data, workers, grad_norm=True)  # written to trace_seed*.json
 
     for i, horizon in enumerate(config.horizons):
@@ -349,14 +358,15 @@ def cmd_robustness(config: ExperimentConfig, workers: int = 1) -> hadl_metrics.R
     etas = tuple(sorted(set(config.eta_list)))
     if 0.0 not in etas:
         raise MissingZeroEtaError("eta_list must contain 0.0")
-    data = load_dataset(config)
-    fingerprint = config.fingerprint()
     horizon = config.horizons[0]
-    variant = variant_name(config)
     base = replace(config, seed=config.seed_list()[0], max_epochs=config.robust_max_epochs,
                    patience=config.robust_patience)
-    results = run_grid([(replace(base, noise_eta=eta), horizon) for eta in etas], data, workers,
-                       grad_norm=False)
+    cells = [(replace(base, noise_eta=eta), horizon) for eta in etas]
+    param_totals(cells)
+    data = load_dataset(config)
+    fingerprint = config.fingerprint()
+    variant = variant_name(config)
+    results = run_grid(cells, data, workers, grad_norm=False)
     report = hadl_metrics.robustness_report(etas, [r.mse for _, _, r in results])
 
     for prev, nxt in zip(report.nrr_per_eta, report.nrr_per_eta[1:]):
@@ -417,9 +427,7 @@ def cmd_ablate(config: ExperimentConfig, axis: str, params_only: bool = False) -
     grid = _ablate_grid(config, axis)
     labels = [label for label, _ in grid for _ in config.horizons]
     cells = [(job, horizon) for _, job in grid for horizon in config.horizons]
-    # counted first: param_count rejects an impossible cell before any cell trains
-    totals = [param_count(job.lookback, horizon, job.rank, job.with_bias, job.use_haar,
-                          job.head).total for job, horizon in cells]
+    totals = param_totals(cells)
     if params_only:
         mses = [""] * len(cells)
     else:

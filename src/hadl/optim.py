@@ -33,9 +33,26 @@ from .model import (
     window_rows,
 )
 
-# Windows per block of the full-set passes (validation and test evaluation):
-# bounds their memory and fixes their summation order.
-EVAL_BLOCK = 64
+# Rows per block of the test pass (`evaluate`): it takes max(1, EVAL_ROWS //
+# channels) whole windows at a time, so its Haar-row, target and forecast
+# arrays hold at most max(EVAL_ROWS, channels) rows whatever the channel
+# count, and its summation order is fixed. Swept at L = 512 and r = 50 with
+# one BLAS thread: ms per window / tracemalloc peak (MB) of one pass, by
+# EVAL_ROWS, against the former fixed block of 64 windows:
+#
+#     channels  H     64 windows  256         512         1024        2048        4096
+#     7         96    0.013/2.1   0.015/1.3   0.015/2.4   0.016/4.4   0.017/8.5   0.017/16.6
+#     7         720   0.044/6.6   0.037/3.9   0.045/7.5   0.044/14.6  0.051/28.9  0.069/57.6
+#     321       96    0.99/84     0.45/3.8    0.55/3.8    0.53/6.3    0.56/10.2   0.63/17.8
+#     321       720   3.89/291    2.18/8.1    2.18/8.1    2.09/17.1   2.28/30.5   3.36/57.4
+#     862       720   11.1/491    5.28/21.0   5.26/21.0   6.06/21.0   6.04/33.0   7.03/57.1
+#
+# Times are flat from 256 to 1024 rows, within the 10% that identical blocks
+# vary by (256 and 512 rows both take one window at 321 channels), and rise
+# beyond. End to end (benchmark/run.py, seed 11), wide_train peaked at 135 MB
+# RSS with 64-window blocks, 62 MB from 256 to 2048 rows and 85 MB at 8192;
+# etth1_train stayed at 90.6 MB up to 2048 rows and rose to 160 MB at 8192.
+EVAL_ROWS = 512
 
 # ADAM's moment decay rates and denominator guard: Kingma & Ba's (ICLR 2015)
 # defaults, which the training protocol fixes.
@@ -228,10 +245,12 @@ def _gather_blocks(model: HadlModel, batch, order, size: int):
 
 def evaluate(model: HadlModel, batch) -> tuple[float, float]:
     """MSE and MAE (no L1 term) of the forecasts for every window of a
-    WindowBatch, summed block by block without a full-set array."""
+    WindowBatch, summed block by block (see EVAL_ROWS) without a full-set
+    array."""
     folded = fold_dct(model, dct_matrix(model))
     squared = absolute = 0.0
-    for rows, target, out in _gather_blocks(model, batch, range(len(batch)), EVAL_BLOCK):
+    size = max(1, EVAL_ROWS // batch.values.shape[0])
+    for rows, target, out in _gather_blocks(model, batch, range(len(batch)), size):
         head_into(folded, rows, out)
         diff = np.subtract(out, target, out=out)
         squared += float(np.sum(np.multiply(diff, diff, out=target)))

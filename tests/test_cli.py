@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import json
 import subprocess
@@ -601,6 +602,35 @@ def test_impossible_model_is_one_error_line(tmp_path, capsys, argv, key):
     assert rc == 1
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith(f"error: {key} "), err
+    assert not (tmp_path / "runs").exists()
+
+
+def must_not_run(*args, **kwargs):
+    raise AssertionError("reached before the model shape was checked")
+
+
+@pytest.mark.parametrize("command", ["train", "robustness"])
+def test_model_shape_checked_before_loading(tmp_path, capsys, monkeypatch, command):
+    # each loaded the dataset first: an electricity-sized CSV takes 1.7 s
+    monkeypatch.setattr(hadl.cli, "load_dataset", must_not_run)
+    rc = main([command, "--dataset", "sine_mix", "--lookback", "33", "--horizons", "8",
+               "--outdir", str(tmp_path / "runs")])
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: lookback "), err
+
+
+@pytest.mark.parametrize("command", ["train", "robustness"])
+def test_model_shape_checked_before_the_pool(tmp_path, capsys, monkeypatch, command):
+    # each started its worker processes, whose first job then failed
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", must_not_run)
+    rc = main([command, "--workers", "2", "--dataset", "sine_mix", "--lookback", "33",
+               "--horizons", "8", "--outdir", str(tmp_path / "runs")])
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: lookback "), err
     assert not (tmp_path / "runs").exists()
 
 

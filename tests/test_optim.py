@@ -20,7 +20,7 @@ from hadl.model import (
     window_rows,
 )
 from hadl.optim import (
-    EVAL_BLOCK,
+    EVAL_ROWS,
     AdamState,
     TrainConfig,
     adam_step,
@@ -374,14 +374,21 @@ class TestStatisticsSteps:
         assert steps_from_stats(321, 256, 96, None, HEAD_DENSE)
 
 
+def eval_windows(channels: int) -> int:
+    """Windows per block of `evaluate` for a batch of `channels` channels."""
+    return max(1, EVAL_ROWS // channels)
+
+
 def reference_residuals(model, batch):
-    """(Haar rows, forecast minus target) of each EVAL_BLOCK windows in origin
-    order: `head_apply` on sliced, reshape-copied blocks, fresh arrays each."""
+    """(Haar rows, forecast minus target) of each block of `eval_windows`
+    windows in origin order: `head_apply` on sliced, reshape-copied blocks,
+    fresh arrays each."""
     folded = fold_dct(model, dct_matrix(model))
     S, Y = window_rows(model, batch), batch.targets
-    for start in range(0, len(batch), EVAL_BLOCK):
-        rows = S[start : start + EVAL_BLOCK].reshape(-1, model.d_in)
-        target = Y[start : start + EVAL_BLOCK].reshape(-1, model.horizon)
+    size = eval_windows(batch.values.shape[0])
+    for start in range(0, len(batch), size):
+        rows = S[start : start + size].reshape(-1, model.d_in)
+        target = Y[start : start + size].reshape(-1, model.horizon)
         yield rows, head_apply(folded, rows) - target
 
 
@@ -403,6 +410,26 @@ def reference_grad_norm(model, batch):
     return float(np.linalg.norm((2.0 / count) * (total if F is None else F.T @ total)))
 
 
+def random_batch(channels, n, lookback=64, horizon=16, seed=0):
+    """n windows of a random series of `channels` channels."""
+    values = np.random.default_rng(seed).normal(size=(channels, n + lookback + horizon - 1))
+    batch = WindowBatch(values, lookback, horizon)
+    assert len(batch) == n
+    return batch
+
+
+# (channels, windows): full blocks then a final one-window block; a single
+# partial block; one window per block above the row budget and exactly at
+# it; two windows per block, the last block one window
+BLOCK_CASES = [
+    (3, 2 * eval_windows(3) + 1),
+    (3, eval_windows(3) // 2),
+    (EVAL_ROWS + 1, 3),
+    (EVAL_ROWS, 3),
+    (EVAL_ROWS // 2, 5),
+]
+
+
 class TestBlockedPasses:
     """`evaluate` gathers each block into arrays allocated once per pass;
     every bit must match fresh per-block arrays. The grad norm comes from
@@ -413,35 +440,37 @@ class TestBlockedPasses:
     @pytest.mark.parametrize("use_haar", [True, False])
     @pytest.mark.parametrize("use_dct", [True, False])
     def test_equal_to_sliced_blocks(self, head, with_bias, use_haar, use_dct):
-        w_train, w_val, _ = realizable_windows()
-        # four full blocks and a final one of a single window; one partial block
-        assert len(w_train) % EVAL_BLOCK == 1 and len(w_val) < EVAL_BLOCK
+        # (full blocks, windows in a last partial block) of each case
+        assert [divmod(n, eval_windows(c)) for c, n in BLOCK_CASES] == [
+            (2, 1), (0, eval_windows(3) // 2), (3, 0), (3, 0), (2, 1)]
         model = init_model(64, 16, 2, seed=7, head=head, with_bias=with_bias,
                            use_haar=use_haar, use_dct=use_dct)
         if with_bias:
             model.bias[:] = np.random.default_rng(8).normal(size=16)
-        for batch in (w_train, w_val):
+        for seed, (channels, n) in enumerate(BLOCK_CASES):
+            batch = random_batch(channels, n, seed=seed)
             assert evaluate(model, batch) == reference_evaluate(model, batch)
             assert dense_equivalent_grad_norm(model, batch) == pytest.approx(
                 reference_grad_norm(model, batch), rel=1e-12, abs=0.0)
 
     @staticmethod
-    def etth1_peak(pass_) -> float:
-        """tracemalloc peak of a full-set pass over ETTh1 validation at L=512,
-        H=720 (2161 windows of 7 channels), in units of one block's copied
-        targets or forecast: a 448 x 720 array."""
-        values = np.random.default_rng(9).normal(size=(7, 2161 + 512 + 720 - 1))
-        batch = WindowBatch(values, 512, 720)
-        assert len(batch) == 2161
-        model = init_model(512, 720, 50, seed=0)
+    def traced_peak(pass_, model, batch) -> int:
+        """tracemalloc peak, in bytes, of one pass over a batch."""
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
             pass_(model, batch)
-            peak = tracemalloc.get_traced_memory()[1] - before
+            return tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        return peak / (EVAL_BLOCK * 7 * 720 * 8)
+
+    def etth1_peak(self, pass_) -> float:
+        """tracemalloc peak of a full-set pass over ETTh1 validation at L=512,
+        H=720 (2161 windows of 7 channels), in units of one block's copied
+        targets or forecast: an (eval_windows(7) * 7) x 720 array."""
+        batch = random_batch(7, 2161, 512, 720, seed=9)
+        peak = self.traced_peak(pass_, init_model(512, 720, 50, seed=0), batch)
+        return peak / (eval_windows(7) * 7 * 720 * 8)
 
     def test_evaluate_memory_at_etth1_shape(self):
         assert self.etth1_peak(evaluate) < 4
@@ -449,6 +478,15 @@ class TestBlockedPasses:
     def test_grad_norm_memory_at_etth1_shape(self):
         # the blocked pass peaked at 3.82: it allocated a d_in x H product per block
         assert self.etth1_peak(dense_equivalent_grad_norm) < 3.82
+
+    def test_evaluate_memory_is_bounded_in_rows(self):
+        # 400 channels: 64-window blocks would take all 32 windows, 12800 rows
+        # (16 MB over the three arrays); a one-window block holds 400 rows
+        channels, lookback, horizon = 400, 128, 48
+        model = init_model(lookback, horizon, 8, seed=0)
+        batch = random_batch(channels, 32, lookback, horizon, seed=10)
+        bound = 4 * max(EVAL_ROWS, channels) * (model.d_in + 2 * horizon) * 8
+        assert self.traced_peak(evaluate, model, batch) < bound
 
 
 def test_trace_csv_columns(tmp_path):

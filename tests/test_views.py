@@ -29,7 +29,7 @@ from hadl.model import (
     window_rows,
 )
 from hadl.optim import (
-    EVAL_BLOCK,
+    EVAL_ROWS,
     LagTables,
     TrainConfig,
     _gradients_from_stats,
@@ -54,8 +54,8 @@ def cases(draw):
     lookback = 2 * draw(st.integers(1, 12))
     horizon = draw(st.integers(1, 8))
     channels = draw(st.integers(1, 4))
-    # up to ~2.5 blocks of windows, so the blocked passes cross block edges
-    timesteps = lookback + horizon + draw(st.integers(0, 2 * EVAL_BLOCK + 40))
+    # up to ~2.5 blocks of the test pass's windows, so its blocks cross edges
+    timesteps = lookback + horizon + draw(st.integers(0, 5 * (EVAL_ROWS // channels) // 2))
     values = np.random.default_rng(draw(st.integers(0, 2**16))).normal(
         size=(channels, timesteps))
     model = init_model(
@@ -148,7 +148,7 @@ def test_train_epoch_never_copies_the_window_set():
 def reference_stats(model, batch, origins=None):
     """rows.T @ rows, rows.T @ Y, rows.T @ 1, Y.T @ 1 and ||Y||^2 of the
     windows at `origins` (every window by default), summed over slices of
-    EVAL_BLOCK windows of the Haar rows and targets."""
+    64 windows of the Haar rows and targets."""
     S, Y = window_rows(model, batch), batch.targets
     origins = np.arange(len(batch)) if origins is None else origins
     gram = np.zeros((model.d_in, model.d_in))
@@ -156,8 +156,8 @@ def reference_stats(model, batch, origins=None):
     row_sum = np.zeros(model.d_in)
     target_sum = np.zeros(model.horizon)
     energy = 0.0
-    for start in range(0, len(origins), EVAL_BLOCK):
-        idx = origins[start : start + EVAL_BLOCK]
+    for start in range(0, len(origins), 64):
+        idx = origins[start : start + 64]
         rows = S[idx].reshape(-1, model.d_in)
         target = Y[idx].reshape(-1, model.horizon)
         gram += rows.T @ rows
