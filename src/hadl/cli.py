@@ -19,6 +19,7 @@ import hashlib
 import json
 import os
 import sys
+import typing
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
@@ -90,7 +91,7 @@ class ExperimentConfig(TrainConfig):
                 raise InvalidConfigError(f"{key} must be >= {low}, got {bad[0]}")
         # here, before any job trains: prepare_windows would train eta < 0 on clean data
         for key, etas in (("noise_eta", (self.noise_eta,)), ("eta_list", self.eta_list)):
-            bad = [eta for eta in etas if not eta >= 0.0]  # NaN included
+            bad = [eta for eta in etas if eta < 0.0]
             if bad:
                 raise InvalidConfigError(f"{key}: noise intensity must be >= 0, got {bad[0]}")
         # a repeat trains the same job twice: checkpoints overwrite, rows double
@@ -108,43 +109,31 @@ class ExperimentConfig(TrainConfig):
         return self.seeds if self.seeds else (self.seed,)
 
 
-_LIST_ELEM = {
-    "horizons": int,
-    "seeds": int,
-    "eta_list": float,
-    "rank_list": int,
-    "lookback_list": int,
-}
+# every config key's type, from the annotations; also the known-key set
+_KEY_TYPES = typing.get_type_hints(ExperimentConfig)
 
 
 def _parse_value(name: str, text: str):
+    kind, text = _KEY_TYPES[name], text.strip()
     try:
-        if name in _LIST_ELEM:
-            text = text.strip()
-            if not text:
-                return ()
-            return tuple(_LIST_ELEM[name](part.strip()) for part in text.split(","))
-        default = getattr(ExperimentConfig(), name)
-        if isinstance(default, bool):
-            lowered = text.strip().lower()
+        if typing.get_origin(kind) is tuple:
+            elem = typing.get_args(kind)[0]
+            return tuple(elem(part.strip()) for part in text.split(",")) if text else ()
+        if kind is bool:
+            lowered = text.lower()
             if lowered in ("true", "1", "yes", "on"):
                 return True
             if lowered in ("false", "0", "no", "off"):
                 return False
             raise ValueError(f"expected a boolean, got {text!r}")
-        if isinstance(default, int):
-            return int(text)
-        if isinstance(default, float):
-            return float(text)
+        return kind(text)
     except ValueError as exc:
         raise InvalidConfigError(f"config key {name}: {exc}") from exc
-    return text.strip()
 
 
 def read_config_file(path) -> dict:
     """Flat `key = value` lines; '#' comments and blank lines ignored."""
     values: dict = {}
-    known = {f.name for f in fields(ExperimentConfig)}
     with hadl_data.open_text(path) as handle:
         for line_no, line in enumerate(handle, start=1):
             line = line.split("#", 1)[0].strip()
@@ -154,7 +143,7 @@ def read_config_file(path) -> dict:
                 raise HadlError(f"{path}: line {line_no}: expected `key = value`")
             key, _, value = line.partition("=")
             key = key.strip()
-            if key not in known:
+            if key not in _KEY_TYPES:
                 raise HadlError(f"{path}: line {line_no}: unknown config key {key!r}")
             values[key] = _parse_value(key, value)
     return values
@@ -309,6 +298,12 @@ def _run_dir(config: ExperimentConfig, variant: str, horizon: int) -> str:
     return path
 
 
+def _json_header(config: ExperimentConfig, horizon: int, variant: str) -> dict:
+    """The keys eval.json and robustness.json open with."""
+    return {"config": asdict(config), "config_fingerprint": config.fingerprint(),
+            "dataset": config.dataset, "horizon": horizon, "variant": variant}
+
+
 def cmd_train(config: ExperimentConfig, workers: int = 1) -> list[hadl_metrics.EvalReport]:
     """Train per horizon (and per seed), write checkpoints, traces, reports.
 
@@ -335,11 +330,7 @@ def cmd_train(config: ExperimentConfig, workers: int = 1) -> list[hadl_metrics.E
         hadl_metrics.write_eval_csv(reports, os.path.join(run_dir, "eval.csv"), fingerprint)
         mses = [r.mse for r in reports]
         bundle = {
-            "config": asdict(config),
-            "config_fingerprint": fingerprint,
-            "dataset": config.dataset,
-            "horizon": horizon,
-            "variant": variant,
+            **_json_header(config, horizon, variant),
             "reports": [asdict(r) for r in reports],
             "mse_mean": float(np.mean(mses)),
             "mse_std": float(np.std(mses)),
@@ -385,17 +376,7 @@ def cmd_robustness(config: ExperimentConfig, workers: int = 1) -> hadl_metrics.R
     hadl_metrics.write_robustness_csv(
         report, os.path.join(run_dir, "robustness.csv"), fingerprint
     )
-    bundle = {
-        "config": asdict(config),
-        "config_fingerprint": fingerprint,
-        "dataset": config.dataset,
-        "horizon": horizon,
-        "variant": variant,
-        "eta_list": list(report.eta_list),
-        "mse_per_eta": list(report.mse_per_eta),
-        "nrr_per_eta": list(report.nrr_per_eta),
-        "mav": report.mav,
-    }
+    bundle = {**_json_header(config, horizon, variant), **asdict(report)}
     hadl_metrics.write_json_bundle(bundle, os.path.join(run_dir, "robustness.json"))
     return report
 
@@ -431,8 +412,7 @@ def cmd_ablate(config: ExperimentConfig, axis: str, params_only: bool = False) -
     if params_only:
         mses = [""] * len(cells)
     else:
-        mses = [repr(r.mse) for _, _, r in run_grid(cells, load_dataset(config), 1,
-                                                    grad_norm=False)]
+        mses = [r.mse for _, _, r in run_grid(cells, load_dataset(config), 1, grad_norm=False)]
     rows = [[axis, label, job.lookback, horizon, mse, total, kilo_display(total)]
             for label, (job, horizon), mse, total in zip(labels, cells, mses, totals)]
 
@@ -466,9 +446,7 @@ def cmd_export_weights(checkpoint_path: str, out_path: str) -> None:
     model = load_checkpoint(checkpoint_path)
     weight = effective_weight(model)
     with open(out_path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        for row in weight:
-            writer.writerow([repr(float(v)) for v in row])
+        csv.writer(handle).writerows(weight.tolist())
     print(f"wrote {weight.shape[0]}x{weight.shape[1]} weight matrix to {out_path}")
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -91,34 +91,15 @@ def robustness_report(eta_list, mse_per_eta) -> RobustnessReport:
     )
 
 
-# Fixed CSV column order for evaluation rows. Headers and order are part of
-# the output contract; floats are written with repr so outputs round-trip
-# exactly and re-runs are byte-identical.
-EVAL_CSV_COLUMNS = [
-    "dataset",
-    "horizon",
-    "use_haar",
-    "use_dct",
-    "head",
-    "with_bias",
-    "rank",
-    "seed",
-    "noise_eta",
-    "mse",
-    "mae",
-]
-
-
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    if value is None:
-        return ""
-    return str(value)
+# The eval.csv columns are EvalReport's fields in declaration order; their
+# names and order are part of the output contract. csv.writer writes a float
+# as its repr and None as an empty cell, so rows round-trip exactly and
+# re-runs are byte-identical.
+EVAL_CSV_COLUMNS = [f.name for f in fields(EvalReport)]
 
 
 def write_table(path, header: list[str], rows, fingerprint: str) -> None:
-    """A CSV of already-formatted rows under a `# config_fingerprint=` line
+    """A CSV of raw-valued rows under a `# config_fingerprint=` line
     (omitted when the fingerprint is empty) and the header."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
         if fingerprint:
@@ -129,8 +110,7 @@ def write_table(path, header: list[str], rows, fingerprint: str) -> None:
 
 
 def write_eval_csv(reports: list[EvalReport], path, fingerprint: str = "") -> None:
-    rows = [[_fmt(row[col]) for col in EVAL_CSV_COLUMNS] for row in map(asdict, reports)]
-    write_table(path, EVAL_CSV_COLUMNS, rows, fingerprint)
+    write_table(path, EVAL_CSV_COLUMNS, map(astuple, reports), fingerprint)
 
 
 ROBUSTNESS_CSV_COLUMNS = ["eta", "mse", "nrr", "mav"]
@@ -141,18 +121,11 @@ def write_robustness_csv(report: RobustnessReport, path, fingerprint: str = "") 
 
     A sweep without noisy settings marks mav as 'undefined'.
     """
-    rows = []
-    noisy_seen = 0
-    for i, (eta, m) in enumerate(zip(report.eta_list, report.mse_per_eta)):
-        ratio = ""
-        if eta > 0.0:
-            ratio = _fmt(report.nrr_per_eta[noisy_seen])
-            noisy_seen += 1
-        last = i == len(report.eta_list) - 1
-        mav_cell = ""
-        if last:
-            mav_cell = "undefined" if report.mav is None else _fmt(report.mav)
-        rows.append([_fmt(eta), _fmt(m), ratio, mav_cell])
+    noisy = iter(report.nrr_per_eta)
+    rows = [[eta, m, next(noisy) if eta > 0.0 else "", ""]
+            for eta, m in zip(report.eta_list, report.mse_per_eta)]
+    if rows:
+        rows[-1][-1] = "undefined" if report.mav is None else report.mav
     write_table(path, ROBUSTNESS_CSV_COLUMNS, rows, fingerprint)
 
 

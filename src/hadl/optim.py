@@ -10,7 +10,7 @@ bit-identical results.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -76,9 +76,16 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.learning_rate > 0.0:
+        # every float key must be finite, ExperimentConfig's too: inf passes the checks below
+        for f in fields(self):
+            value = getattr(self, f.name)
+            bad = [v for v in (value if isinstance(value, tuple) else (value,))
+                   if isinstance(v, float) and not math.isfinite(v)]
+            if bad:
+                raise InvalidConfigError(f"{f.name} must be finite, got {bad[0]}")
+        if self.learning_rate <= 0.0:
             raise InvalidConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if not self.l1_lambda >= 0.0:  # NaN included
+        if self.l1_lambda < 0.0:
             raise InvalidConfigError(f"l1_lambda must be >= 0, got {self.l1_lambda}")
         check_budget(self.max_epochs, self.patience)
         if self.batch_size < 1:
@@ -661,19 +668,13 @@ def train(
 
 def write_trace_csv(trace: TrainTrace, path, fingerprint: str = "") -> None:
     """Columns: epoch, train_loss, val_mse. One row per completed epoch."""
-    rows = [[epoch, repr(tl), repr(vm)]
-            for epoch, (tl, vm) in enumerate(zip(trace.train_loss, trace.val_mse))]
+    rows = [[epoch, tl, vm] for epoch, (tl, vm) in enumerate(zip(trace.train_loss, trace.val_mse))]
     write_table(path, ["epoch", "train_loss", "val_mse"], rows, fingerprint)
 
 
 def write_trace_json(trace: TrainTrace, path, fingerprint: str = "") -> None:
-    payload = {
-        "train_loss": trace.train_loss,
-        "val_mse": trace.val_mse,
-        "best_epoch": trace.best_epoch,
-        "stopped_early": trace.stopped_early,
-        "final_grad_norm": trace.final_grad_norm,
-    }
+    """Every TrainTrace field but train_stats, plus the fingerprint if set."""
+    payload = {f.name: getattr(trace, f.name) for f in fields(trace) if f.name != "train_stats"}
     if fingerprint:
         payload["config_fingerprint"] = fingerprint
     write_json_bundle(payload, path)

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hadl.cli import ExperimentConfig, cmd_robustness, cmd_train
+from hadl.cli import ExperimentConfig, cmd_ablate, cmd_robustness, cmd_train
 from hadl.data import fit_transform, split, synth, windows
 from hadl.metrics import mav
 from hadl.model import HEAD_DENSE, HEAD_LOW_RANK, init_model, kilo_display, param_count
@@ -191,15 +191,16 @@ def test_criterion_8_determinism(tmp_path):
         dataset="sine_mix", lookback=64, horizons=(16,), rank=4,
         max_epochs=8, patience=8, learning_rate=0.01, seed=7,
         outdir=str(tmp_path / "runs"), synth_length=480, synth_channels=3,
-        eta_list=(0.0, 0.3), robust_max_epochs=4, robust_patience=4,
+        eta_list=(0.0, 0.3), robust_max_epochs=4, robust_patience=4, rank_list=(2, 4),
     )
-    cmd_train(config)
-    cmd_robustness(config)
+    commands = (cmd_train, cmd_robustness, lambda c: cmd_ablate(c, "rank"))
+    for command in commands:
+        command(config)
     out_root = Path(config.outdir)
     files = sorted(p for p in out_root.rglob("*") if p.suffix in (".csv", ".json"))
-    assert files
+    assert (out_root / "sine_mix" / "ablate_rank.csv") in files
     before = {str(p): p.read_bytes() for p in files}
-    cmd_train(config)
-    cmd_robustness(config)
+    for command in commands:
+        command(config)
     after = {str(p): p.read_bytes() for p in files}
     assert before == after

@@ -3,7 +3,7 @@ import csv
 import json
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -75,6 +75,19 @@ class TestConfig:
             assert values["use_haar"] is False
             assert values["eta_list"] == (0.0, 0.3)
             assert values["learning_rate"] == 0.01
+        # every key at its default: each annotation type the parser reads
+        default = ExperimentConfig()
+        lines = []
+        for f in fields(ExperimentConfig):
+            value = getattr(default, f.name)
+            if isinstance(value, tuple):
+                value = ",".join(map(str, value))
+            elif isinstance(value, bool):
+                value = str(value).lower()
+            lines.append(f"{f.name} = {value}\n")
+        assert len(lines) == 28
+        cfg_file.write_text("".join(lines), encoding="utf-8")
+        assert ExperimentConfig(**read_config_file(cfg_file)) == default
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg_file = tmp_path / "run.cfg"
@@ -116,6 +129,16 @@ class TestTrainCommand:
         for name in ("checkpoint_seed1.npz", "trace_seed1.csv", "trace_seed1.json",
                      "eval.csv", "eval.json"):
             assert (run_dir / name).exists()
+        # the JSON keys are part of the output contract
+        trace = json.loads((run_dir / "trace_seed1.json").read_text())
+        assert list(trace) == ["best_epoch", "config_fingerprint", "final_grad_norm",
+                               "stopped_early", "train_loss", "val_mse"]
+        bundle = json.loads((run_dir / "eval.json").read_text())
+        assert list(bundle) == ["config", "config_fingerprint", "dataset", "horizon",
+                                "mse_mean", "mse_std", "reports", "variant"]
+        assert list(bundle["reports"][0]) == ["dataset", "head", "horizon", "mae", "mse",
+                                              "noise_eta", "rank", "seed", "use_dct",
+                                              "use_haar", "with_bias"]
         trace_head = (run_dir / "trace_seed1.csv").read_text().splitlines()[0]
         assert trace_head == f"# config_fingerprint={config.fingerprint()}"
 
@@ -362,6 +385,10 @@ class TestRobustnessCommand:
         assert len(report.nrr_per_eta) == 2
         assert report.mav is not None
         assert all(r > 0 for r in report.nrr_per_eta)
+        run_dir = tmp_path / "runs" / "low_rank_target" / "haar-dct-lowrank_r4-bias" / "16"
+        bundle = json.loads((run_dir / "robustness.json").read_text())
+        assert list(bundle) == ["config", "config_fingerprint", "dataset", "eta_list",
+                                "horizon", "mav", "mse_per_eta", "nrr_per_eta", "variant"]
 
     def test_parallel_workers_match_serial(self, tmp_path):
         kwargs = dict(dataset="low_rank_target", eta_list=(0.0, 0.3, 0.7),
@@ -538,6 +565,11 @@ def test_params_command_output(capsys):
     (["--seeds", "1,-2"], "seeds"),
     (["--synth-channels", "0"], "synth_channels"),
     (["--synth-length=-1"], "synth_length"),
+    # each trained an epoch, then failed as a diverged run
+    (["--noise-eta", "inf"], "noise_eta"),
+    (["--learning-rate", "inf"], "learning_rate"),
+    (["--l1-lambda", "inf"], "l1_lambda"),
+    (["--eta-list", "0,inf"], "eta_list"),  # train exited 0; robustness trained eta=0 first
 ])
 def test_bad_config_value_is_one_error_line(tmp_path, capsys, flags, key):
     rc = main(["train", "--dataset", "sine_mix", "--lookback", "32", "--horizons", "8",

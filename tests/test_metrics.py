@@ -192,7 +192,8 @@ def test_eval_csv_round_trip(tmp_path):
     write_eval_csv([report], path, fingerprint="deadbeef")
     lines = path.read_text().splitlines()
     assert lines[0] == "# config_fingerprint=deadbeef"
-    assert lines[1] == ",".join(EVAL_CSV_COLUMNS)
+    assert lines[1] == ("dataset,horizon,use_haar,use_dct,head,with_bias,rank,seed,"
+                        "noise_eta,mse,mae")
     cells = lines[2].split(",")
     assert cells[0] == "toy"
     assert float(cells[EVAL_CSV_COLUMNS.index("mse")]) == 0.125

@@ -188,6 +188,7 @@ class TestTrainConfig:
     @pytest.mark.parametrize("key, value", [
         ("learning_rate", -0.01), ("l1_lambda", -1.0), ("l1_lambda", float("nan")),
         ("max_epochs", -1), ("patience", 0), ("batch_size", 0),
+        ("learning_rate", float("inf")), ("l1_lambda", float("inf")),
     ])
     def test_error_names_the_key(self, key, value):
         with pytest.raises(InvalidConfigError, match=key):
