@@ -264,14 +264,25 @@ def param_totals(cells) -> list[int]:
                         job.head).total for job, horizon in cells]
 
 
-def run_grid(cells, data, workers: int, grad_norm: bool) -> list:
-    """run_single over (job, horizon) cells, serially or in one process pool;
-    a job is the command's config with the cell's keys replaced. Prints one
-    progress line per job as its result arrives, in cell order, and returns
-    the (best_model, trace, EvalReport) triples in cell order. grad_norm is
-    passed to every run_single, so a pool computes the norms in its workers."""
+def check_workers(workers: int) -> None:
+    """Reject a worker count below 1 or above the CPU count, before the
+    command loads data: workers beyond the CPUs only share them, and a pool
+    started by fork starts every worker at its first job."""
     if workers < 1:
         raise InvalidConfigError(f"workers must be >= 1, got {workers}")
+    cpus = os.cpu_count() or 1
+    if workers > cpus:
+        raise InvalidConfigError(f"workers must be <= {cpus}, the CPU count, got {workers}")
+
+
+def run_grid(cells, data, workers: int, grad_norm: bool) -> list:
+    """run_single over (job, horizon) cells, serially or in one process pool
+    of at most one worker per cell; a job is the command's config with the
+    cell's keys replaced. Prints one progress line per job as its result
+    arrives, in cell order, and returns the (best_model, trace, EvalReport)
+    triples in cell order. grad_norm is passed to every run_single, so a
+    pool computes the norms in its workers."""
+    workers = min(workers, len(cells))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -314,6 +325,7 @@ def cmd_train(config: ExperimentConfig, workers: int = 1) -> list[hadl_metrics.E
     cells = [(replace(config, seed=seed), horizon)
              for horizon in config.horizons for seed in seeds]
     param_totals(cells)
+    check_workers(workers)
     data = load_dataset(config)  # validates inputs before any output dir exists
     fingerprint = config.fingerprint()
     variant = variant_name(config)
@@ -354,6 +366,7 @@ def cmd_robustness(config: ExperimentConfig, workers: int = 1) -> hadl_metrics.R
                    patience=config.robust_patience)
     cells = [(replace(base, noise_eta=eta), horizon) for eta in etas]
     param_totals(cells)
+    check_workers(workers)
     data = load_dataset(config)
     fingerprint = config.fingerprint()
     variant = variant_name(config)

@@ -311,7 +311,9 @@ def inject_noise(segment: Segment, eta: float, seed: int) -> Segment:
     """Additive standard-normal noise scaled by eta, as a new segment.
 
     Pure: the input segment (and anything sharing its memory) is untouched.
-    eta = 0 returns a bit-identical copy.
+    eta = 0 returns a bit-identical copy. An eta whose noisy values overflow
+    float64 is a HadlError naming it, not an overflow warning and a
+    diverged run.
     """
     if eta < 0.0:
         raise HadlError(f"eta must be >= 0, got {eta}")
@@ -319,7 +321,11 @@ def inject_noise(segment: Segment, eta: float, seed: int) -> Segment:
         return Segment(segment.name, segment.values.copy())
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal(segment.values.shape)
-    return Segment(segment.name, segment.values + eta * noise)
+    try:
+        with np.errstate(over="raise"):
+            return Segment(segment.name, segment.values + eta * noise)
+    except FloatingPointError:
+        raise HadlError(f"noise intensity eta={eta!r} overflows float64") from None
 
 
 def synth(kind: str, params: dict | None = None, seed: int = 0) -> Dataset:

@@ -152,7 +152,7 @@ def _add_l1(model: HadlModel, grads: dict[str, np.ndarray], data_loss: float,
     if l1_lambda > 0.0:
         for name, value in model_params(model).items():
             if name != "bias":
-                grads[name] = grads[name] + l1_lambda * np.sign(value)
+                grads[name] += l1_lambda * np.sign(value)
         data_loss += l1_lambda * l1_penalty(model_params(model))
     return data_loss
 
@@ -171,23 +171,25 @@ def _gradients_from_rows(
     The forecast comes from `head_into` on the folded head, as in `forward`,
     so a target produced by `forward` gives an exactly zero residual term
     here. `pred`, a caller-owned array shaped like Y, receives the forecast,
-    then the residual and the output gradient; Y itself is overwritten with
-    the squared residual, so a training loop passes the block it gathered.
+    then the residual E; Y is only read. The loss is one dot product of E,
+    and the 2 / Y.size of the output gradient scales the d_in x r, r x H (or
+    d_in x H) and H-sized results, not E: after the residual, the rows are
+    only read, by that dot product, the products and the bias's column sum.
     """
     Z = head_into(fold_dct(model, F), S, pred)
-    diff = np.subtract(pred, Y, out=pred)
-    data_loss = float(np.mean(np.multiply(diff, diff, out=Y)))
-    G = np.multiply(diff, 2.0 / Y.size, out=diff).reshape(-1, model.horizon)
+    E = np.subtract(pred, Y, out=pred).reshape(-1, model.horizon)
+    data_loss = float(np.vdot(E, E)) / Y.size
+    scale = 2.0 / Y.size
     S2 = S.reshape(-1, model.d_in)
 
     grads: dict[str, np.ndarray] = {}
     if model.head == HEAD_LOW_RANK:
-        grads["P"] = _dct_basis(F, S2.T @ (G @ model.Q.T))
-        grads["Q"] = Z.reshape(-1, Z.shape[-1]).T @ G
+        grads["P"] = _dct_basis(F, np.multiply(S2.T @ (E @ model.Q.T), scale))
+        grads["Q"] = np.multiply(Z.reshape(-1, Z.shape[-1]).T @ E, scale)
     else:
-        grads["W"] = _dct_basis(F, S2.T @ G)
+        grads["W"] = _dct_basis(F, np.multiply(S2.T @ E, scale))
     if model.bias is not None:
-        grads["bias"] = G.sum(axis=0)
+        grads["bias"] = np.multiply(E.sum(axis=0), scale)
 
     return grads, _add_l1(model, grads, data_loss, l1_lambda)
 
@@ -212,21 +214,31 @@ def adam_step(
     grads: dict[str, np.ndarray],
     config: TrainConfig,
 ) -> tuple[dict[str, np.ndarray], AdamState]:
-    """One bias-corrected ADAM update. Pure: returns new params and state."""
-    t = state.step + 1
+    """One bias-corrected ADAM update: returns fresh parameter arrays and
+    `state`, whose step and moments it advances in place. Every value takes
+    the textbook operations in the textbook order, m = BETA1 m + (1 - BETA1)
+    g, v = BETA2 v + ((1 - BETA2) g) g and p - (lr (m / (1 - BETA1^t))) /
+    (sqrt(v / (1 - BETA2^t)) + EPSILON), so the result is bit for bit that
+    of fresh arrays at every step; only the temporaries go. `params` and
+    `grads` are only read."""
+    state.step += 1
     new_params: dict[str, np.ndarray] = {}
-    new_m: dict[str, np.ndarray] = {}
-    new_v: dict[str, np.ndarray] = {}
     for name, p in params.items():
-        g = grads[name]
-        m = BETA1 * state.m[name] + (1.0 - BETA1) * g
-        v = BETA2 * state.v[name] + (1.0 - BETA2) * g * g
-        m_hat = m / (1.0 - BETA1**t)
-        v_hat = v / (1.0 - BETA2**t)
-        new_params[name] = p - config.learning_rate * m_hat / (np.sqrt(v_hat) + EPSILON)
-        new_m[name] = m
-        new_v[name] = v
-    return new_params, AdamState(step=t, m=new_m, v=new_v)
+        g, m, v = grads[name], state.m[name], state.v[name]
+        update = np.multiply(g, 1.0 - BETA1)
+        m *= BETA1
+        m += update
+        scratch = np.multiply(g, 1.0 - BETA2)
+        scratch *= g
+        v *= BETA2
+        v += scratch
+        denominator = np.sqrt(np.divide(v, 1.0 - BETA2**state.step, out=scratch), out=scratch)
+        denominator += EPSILON
+        np.divide(m, 1.0 - BETA1**state.step, out=update)
+        update *= config.learning_rate
+        update /= denominator
+        new_params[name] = np.subtract(p, update, out=update)
+    return new_params, state
 
 
 def _gather_blocks(model: HadlModel, batch, order, size: int):
@@ -264,11 +276,6 @@ def evaluate(model: HadlModel, batch) -> tuple[float, float]:
         absolute += float(np.sum(np.abs(diff, out=target)))
     count = len(batch) * batch.values.shape[0] * model.horizon
     return squared / count, absolute / count
-
-
-def _lag_product(u: np.ndarray, v: np.ndarray, lag: int, start: int, stop: int) -> np.ndarray:
-    """Channel-summed lag product: u[:, t] . v[:, t + lag] for start <= t < stop."""
-    return np.einsum("ct,ct->t", u[:, start:stop], v[:, start + lag : stop + lag])
 
 
 def _window_sums(p: np.ndarray, n: int, step: int) -> np.ndarray:
@@ -327,32 +334,91 @@ def _all_window_stats(model: HadlModel, n: int, channels: int, step: int, gram_l
         if i.size:  # none when H = 1 and lag - L is odd
             p = cross_lag(lag, step * i[0], step * i[-1] + n)
             cross[i, lag - L + step * i] = _window_sums(p, n, step)
+    return _batch_stats(gram, cross, sums, n, step, channels)
+
+
+def _batch_stats(gram: np.ndarray, cross: np.ndarray, sums, n: int, step: int,
+                 channels: int) -> BatchStats:
+    """`BatchStats` of n windows from their G and C and the per-time sums of
+    `_channel_sums`."""
     row_sum, target_sum, energy = sums
     return BatchStats(gram, cross, _window_sums(row_sum, n, step), _window_sums(target_sum, n, 1),
                       float(_window_sums(energy, n, 1).sum()), n * channels)
+
+
+# Channels per block of `window_stats`: its FFTs and GEMMs hold a few
+# series-length arrays for this many channels at a time. wide_train's peak
+# RSS is set while the validation statistics are computed beside the
+# training `LagTables`: 63.2 MB with blocks of 16 and 72.8 MB with every
+# channel in one block, against 63.8 MB for the lag-by-lag products before.
+STATS_BLOCK = 16
 
 
 def window_stats(model: HadlModel, batch) -> BatchStats:
     """`BatchStats` of the Haar rows S (see `window_rows`) and targets Y of
     every (window, channel) row of a WindowBatch, without gathering a window.
 
-    The lag products come one lag at a time, each a channel-summed product
-    of two shifted copies of the series (see `_all_window_stats`). That
-    costs O(channels * timesteps * (d_in + L + H)) instead of the
-    O(rows * d_in * (d_in + H)) of blocked row products, and holds no more
-    than a few series-length arrays at once. It stays beside `LagTables`,
-    which `train` builds only to step from statistics: at the ETTh1 train
-    shape (7 channels) this takes 37-62 ms, lags chunked into GEMMs 70-151
-    ms, and the tables 99-182 ms and 60-96 MB; at 321 channels the tables
-    and their `totals` take 20 + 13 ms against 161 ms here.
+    Shifting every window by one feature step adds the `step` samples per
+    channel that enter the last window and drops those that leave the
+    first, so G and C have low displacement rank (Kailath, Kung & Morf,
+    1979): with A and B those entering and leaving samples, G[i+1, j+1] =
+    G[i, j] + (A.T @ A - B.T @ B)[i, j] and C[i+1, h+step] = C[i, h] +
+    (A.T @ A_x - B.T @ B_x)[i, h], where A_x and B_x are the targets that
+    enter and leave. So G's first row, C's first row and C's first `step`
+    columns determine every other entry. Each of those is a channel-summed
+    cross-correlation of a length-n head segment against a whole series,
+    computed by FFT at a length no shorter than the series, so no circular
+    wrap reaches a lag it reads; the updates are GEMMs. Both run over
+    blocks of STATS_BLOCK channels. That costs O(channels * timesteps *
+    log(timesteps)) for the correlations and O(channels * step * d_in *
+    (d_in + H)) for the updates, where blocked row products cost O(rows *
+    d_in * (d_in + H)). With one BLAS thread, the faster of two runs took,
+    at ETTh1's train shape (7 channels, L = 512), 6.8 ms at H = 96 and 5.3
+    ms at H = 720, where lag-by-lag products took 60 and 106 ms; at
+    wide_train's (321 channels, H = 96), 31 ms against 227 ms. It agrees
+    with the lag-by-lag sums to 2e-15 relative: each recurrence carries the
+    rounding of at most d_in additions along a diagonal.
     """
     s, step, last = haar_series(model, batch)
     x = batch.values
-    return _all_window_stats(
-        model, len(batch), x.shape[0], step,
-        lambda k, stop: _lag_product(s, s, step * k, 0, stop),
-        lambda lag, start, stop: _lag_product(s, x, lag, start, stop),
-        _channel_sums(s, x, model.lookback, last))
+    d, L, H, n = model.d_in, model.lookback, model.horizon, len(batch)
+    size = 1 << (max(last, x.shape[1] - L) - 1).bit_length()  # no shorter than either series
+    cols = min(step, H)
+    # channel-summed spectra of the correlations: G's first row, C's first
+    # row, then C's first `cols` columns
+    spectra = np.zeros((2 + cols, size // 2 + 1), dtype=complex)
+    gram_moves = np.zeros((d - 1, d - 1))
+    cross_moves = np.zeros((d - 1, max(H - step, 0)))
+    for c in range(0, x.shape[0], STATS_BLOCK):
+        sb, xb = s[c : c + STATS_BLOCK, :last], x[c : c + STATS_BLOCK]
+        series = np.fft.rfft(sb, size)
+        head = np.fft.rfft(sb[:, :n], size).conj()
+        spectra[0] += (head * series).sum(axis=0)
+        spectra[1] += (head * np.fft.rfft(xb[:, L:], size)).sum(axis=0)
+        for h in range(cols):
+            spectra[2 + h] += (np.fft.rfft(xb[:, L + h : L + h + n], size).conj()
+                               * series).sum(axis=0)
+        for k in range(step):
+            # features 0..d-2 and targets 0..H-step-1 of the samples that
+            # enter (n + k) and leave (k) a window at each shift
+            enter = sb[:, n + k : n + k + step * (d - 1) : step]
+            leave = sb[:, k : k + step * (d - 1) : step]
+            gram_moves += enter.T @ enter - leave.T @ leave
+            cross_moves += (enter.T @ xb[:, n + L + k : n + L + H - step + k]
+                            - leave.T @ xb[:, L + k : L + H - step + k])
+    lags = np.fft.irfft(spectra, size)
+    features = slice(0, step * (d - 1) + 1, step)  # the lags of features 0..d-1
+    gram = np.empty((d, d))
+    gram[0] = lags[0, features]
+    for i in range(1, d):
+        gram[i, i:] = gram[i - 1, i - 1 : -1] + gram_moves[i - 1, i - 1 :]
+        gram[i, :i] = gram[:i, i]
+    cross = np.empty((d, H))
+    cross[0] = lags[1, :H]
+    cross[:, :cols] = lags[2:, features].T
+    for i in range(1, d):
+        cross[i, step:] = cross[i - 1, : H - step] + cross_moves[i - 1]
+    return _batch_stats(gram, cross, _channel_sums(s, x, L, last), n, step, x.shape[0])
 
 
 # Origins per GEMM of a LagTables build: each product computes this many
@@ -378,6 +444,14 @@ def _lag_table(u: np.ndarray, v: np.ndarray, offset: int, step: int, count: int,
         table[start : start + size] = np.lib.stride_tricks.as_strided(
             product, (size, count), ((width + 1) * item, step * item))
     return table
+
+
+# Row blocks in which `LagTables.stats` sums a batch's upper band of G: each
+# block also adds the entries below the diagonal within it, so more blocks
+# add fewer entries in more calls. At wide_train's shape (d_in 256, H 96, 64
+# windows a batch, one BLAS thread) a whole `stats` call took a median of
+# 6.1 ms with 1 block, 5.5 with 2, 4.9 with 3 or 4 and 5.2 with 6 or 8.
+UPPER_BLOCKS = 4
 
 
 class LagTables:
@@ -420,12 +494,25 @@ class LagTables:
         self.channels = x.shape[0]
 
     def stats(self, origins) -> BatchStats:
-        """`BatchStats` of the windows at `origins`, summed in their order."""
-        gram = np.zeros(self.gram.shape[1:])
+        """`BatchStats` of the windows at `origins`, summed in their order.
+
+        Only G's upper band is summed: in UPPER_BLOCKS blocks of rows, each
+        from its first row's diagonal on, into arrays of their own (adding
+        into slices of one d_in x d_in array ran at half the speed). The
+        band's entries get the additions of a whole-matrix sum, in its order.
+        """
+        d = self.gram.shape[1]
+        size = -(-d // UPPER_BLOCKS)
+        blocks = [(a, np.zeros((min(size, d - a), d - a))) for a in range(0, d, size)]
         cross = np.zeros(self.cross.shape[1:])
         for b in origins:
-            gram += self.gram[b]
+            window = self.gram[b]
+            for a, block in blocks:
+                block += window[a : a + len(block), a:]
             cross += self.cross[b]
+        gram = np.zeros((d, d))
+        for a, block in blocks:
+            gram[a : a + len(block), a:] = block
         gram = np.triu(gram)
         gram += np.triu(gram, 1).T
         return BatchStats(gram, cross, self.row_sum[origins].sum(axis=0),
@@ -543,24 +630,30 @@ def steps_from_stats(channels: int, d_in: int, horizon: int, rank: int | None,
 
     The constants come from two sweeps at 64 windows per step with one BLAS
     thread. The first is at L = 512 (Haar on unless d_in = 512). Step times
-    in ms, rows / statistics, by channel count, and the channel count above
-    which the rule takes statistics:
+    in ms (gather or table sums, gradients and the ADAM update), rows /
+    statistics, by channel count, and the channel count above which the
+    rule takes statistics:
 
         d_in  H    head       4         7         14        21        32        64        rule
-        256   96   r=50   2.5/8.6   2.6/7.3   4.3/7.9   6.3/7.9  10.0/6.6  14.0/7.2   > 29.5
-        256   96   r=8    0.7/6.3   1.0/5.8   1.8/6.1   2.7/6.2   4.5/7.0   9.9/6.8   > 42.4
-        256   96   dense  2.2/7.9   2.9/7.7   4.7/8.2   6.5/7.7   9.2/7.8  18.6/7.8   > 27.2
-        256   720  r=50   4.3/22.8  6.5/22.8 12.3/22.9 17.5/22.6 32.1/22.4 73.3/21.5   > 26.9
-        256   720  r=8    2.0/19.1  3.3/19.4  6.4/19.7 10.1/19.6 16.6/19.1 44.0/19.8   > 40.8
-        256   720  dense 10.1/26.4 13.9/25.9 22.7/25.6 32.3/25.7 46.7/25.7 102.3/25.5  > 15.7
-        512   96   r=50   3.6/25.4  4.2/25.5  6.5/25.4  9.6/26.1 13.6/27.0 28.0/25.8   > 58.7
-        512   96   dense  5.0/28.1  6.3/26.3  8.9/25.7 12.3/26.1 17.2/26.8 33.1/26.7   > 50.0
+        256   96   r=50   1.8/7.1   2.4/6.9   3.9/6.9   5.4/5.6   5.7/5.9  11.9/6.3   > 29.5
+        256   96   r=8    0.4/4.9   0.5/4.7   1.3/4.6   1.6/4.7   2.5/4.8   5.2/4.9   > 42.4
+        256   96   dense  1.5/5.9   1.8/5.8   2.9/5.6   4.0/5.9   7.0/6.3  15.8/6.2   > 27.2
+        256   720  r=50   3.6/20.3  4.5/20.6  8.9/19.5 13.3/19.8 18.7/18.0 39.0/18.0   > 26.9
+        256   720  r=8    1.1/15.6  1.9/15.2  3.8/15.4  5.8/16.9 10.0/16.3 24.3/15.8   > 40.8
+        256   720  dense  8.6/21.7 11.4/22.7 16.9/21.6 23.9/21.9 37.3/23.1 71.8/23.1   > 15.7
+        512   96   r=50   2.6/19.0  3.3/18.4  5.0/19.6  7.3/19.2  9.7/19.2 24.4/18.9   > 58.7
+        512   96   dense  5.3/20.9  5.0/19.8  6.4/23.1 11.7/23.7 14.7/21.0 27.7/22.2   > 50.0
 
-    The rule picks the faster path in every cell. The second sweep covers
-    small heads: d_in 8 to 64, H 4 to 96, r 2 and 8, and 2 to 128 channels
-    (168 cells, 0.16 to 14 ms per step). There the rule picks the slower
-    path in 9 cells, by at most 0.09 ms each. ETTh1 (7 channels) steps from
-    rows, electricity and traffic (321 and 862) from statistics.
+    The table was measured after the rows step lost its elementwise passes
+    after the residual; the constants were fitted to an earlier sweep, taken
+    before that in another session. The rule still picks the faster path in
+    every cell above but (256, 96, r=50) at 32 channels, where the paths
+    tie: three repeats gave 5.8/6.0, 7.7/6.7 and 7.3/5.4. The second sweep,
+    not repeated since, covers small heads: d_in 8 to 64, H 4 to 96, r 2 and
+    8, and 2 to 128 channels (168 cells, 0.16 to 14 ms per step). There the
+    rule picked the slower path in 9 cells, by at most 0.09 ms each. ETTh1
+    (7 channels) steps from rows, electricity and traffic (321 and 862)
+    from statistics.
     """
     per_row = 2 * d_in * horizon if head == HEAD_DENSE else 2 * d_in * rank + 3 * rank * horizon
     return (channels * (per_row + ROW_VALUE_COST * (d_in + horizon))

@@ -6,8 +6,8 @@ The Haar inverse and the orthonormal DCT verify the energy properties that
 justify the pipeline; the double-loop DCT is independent of the matrix
 product `hadl.transforms.dct2_raw` uses; `gradients` and `gradcheck` check
 the trainer's closed-form gradients against central differences of `loss`;
-`reference_step` and `reference_train` are the training step and loop with
-every array freshly allocated.
+`reference_step`, `textbook_adam` and `reference_train` are the training
+step, the ADAM update and the loop with every array freshly allocated.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ import numpy as np
 from hadl.errors import EmptyInputError, HadlError, ShapeMismatchError
 from hadl.model import (HEAD_LOW_RANK, HadlModel, dct_matrix, fold_dct, forward, haar_rows,
                         model_params, replace_params, window_rows)
-from hadl.optim import _gradients_from_rows, adam_step, evaluate, init_adam, l1_penalty
+from hadl.optim import (BETA1, BETA2, EPSILON, _gradients_from_rows, adam_step, evaluate,
+                        init_adam, l1_penalty)
 from hadl.transforms import SQRT2, _check_even_length, dct2_raw
 
 
@@ -160,7 +161,7 @@ def gradients(model: HadlModel, X_batch, Y_batch, l1_lambda: float) -> dict[str,
     L) batch, keyed like `model_params`. Channels share the head, so every
     (window, channel) pair contributes one row."""
     X_batch = np.asarray(X_batch, dtype=np.float64)
-    Y_batch = np.array(Y_batch, dtype=np.float64)  # a copy: the step overwrites it
+    Y_batch = np.asarray(Y_batch, dtype=np.float64)
     if X_batch.shape[:-1] != Y_batch.shape[:-1]:
         raise ShapeMismatchError(
             f"batch/channel dims differ: {X_batch.shape} vs {Y_batch.shape}"
@@ -234,7 +235,9 @@ def gradcheck(
 
 
 def reference_step(model, S, Y, l1_lambda, F):
-    """The training step's arithmetic with every array freshly allocated."""
+    """The training step's arithmetic with every array freshly allocated:
+    the loss is the residual's dot product over its size, and 2 / size
+    scales the parameter-shaped products, not the residual."""
     folded = fold_dct(model, F)
     if model.head == HEAD_LOW_RANK:
         Z = S @ folded.P
@@ -244,23 +247,38 @@ def reference_step(model, S, Y, l1_lambda, F):
     if model.bias is not None:
         pred = pred + model.bias
     diff = pred - Y
-    total = float(np.mean(diff * diff))
-    G = diff * (2.0 / Y.size)
+    total = float(np.vdot(diff, diff)) / Y.size
+    scale = 2.0 / Y.size
     to_dct = (lambda g: g) if F is None else (lambda g: F.T @ g)
     grads = {}
     if model.head == HEAD_LOW_RANK:
-        grads["P"] = to_dct(S.T @ (G @ model.Q.T))
-        grads["Q"] = Z.T @ G
+        grads["P"] = to_dct((S.T @ (diff @ model.Q.T)) * scale)
+        grads["Q"] = (Z.T @ diff) * scale
     else:
-        grads["W"] = to_dct(S.T @ G)
+        grads["W"] = to_dct((S.T @ diff) * scale)
     if model.bias is not None:
-        grads["bias"] = G.sum(axis=0)
+        grads["bias"] = diff.sum(axis=0) * scale
     if l1_lambda > 0.0:
         for name, value in model_params(model).items():
             if name != "bias":
                 grads[name] = grads[name] + l1_lambda * np.sign(value)
         total += l1_lambda * l1_penalty(model_params(model))
     return grads, total
+
+
+def textbook_adam(params, grads, moments, step, config):
+    """Kingma & Ba's bias-corrected ADAM update on fresh arrays: (new params,
+    new moments) for moments = (m, v) and the update's 1-based `step`."""
+    m, v = moments
+    new_m, new_v, new_params = {}, {}, {}
+    for name, p in params.items():
+        g = grads[name]
+        new_m[name] = BETA1 * m[name] + (1.0 - BETA1) * g
+        new_v[name] = BETA2 * v[name] + (1.0 - BETA2) * g * g
+        m_hat = new_m[name] / (1.0 - BETA1**step)
+        v_hat = new_v[name] / (1.0 - BETA2**step)
+        new_params[name] = p - config.learning_rate * m_hat / (np.sqrt(v_hat) + EPSILON)
+    return new_params, (new_m, new_v)
 
 
 def reference_train(model, train_windows, val_windows, config):

@@ -595,6 +595,73 @@ def test_workers_below_one_fail_before_any_job(tmp_path, capsys, command, worker
     assert not (tmp_path / "runs").exists()
 
 
+class RecordingPool:
+    """A ProcessPoolExecutor stand-in that records its size and runs each job
+    at submit, in this process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
+
+
+@pytest.mark.parametrize("command", ["train", "robustness"])
+def test_workers_above_the_cpu_count_fail_before_loading(tmp_path, capsys, monkeypatch, command):
+    # each loaded the dataset and handed 5000 to the pool, which forks every
+    # worker at its first job
+    monkeypatch.setattr(hadl.cli, "load_dataset", must_not_run)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", must_not_run)
+    monkeypatch.setattr(hadl.cli.os, "cpu_count", lambda: 4)
+    rc = main([command, "--workers", "5000", "--dataset", "sine_mix", "--lookback", "32",
+               "--horizons", "8", "--outdir", str(tmp_path / "runs")])
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert out == ""
+    assert err.splitlines() == ["error: workers must be <= 4, the CPU count, got 5000"]
+
+
+@pytest.mark.parametrize("command, cells", [
+    ("train", ["--horizons", "8,12"]),
+    ("robustness", ["--horizons", "8", "--eta-list", "0,0.5"]),
+])
+def test_pool_has_at_most_one_worker_per_cell(tmp_path, capsys, monkeypatch, command, cells):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(hadl.cli.os, "cpu_count", lambda: 64)
+    rc = main([command, "--workers", "64", "--dataset", "sine_mix", "--lookback", "32",
+               *cells, "--max-epochs", "1", "--patience", "1", "--robust-max-epochs", "1",
+               "--robust-patience", "1", "--outdir", str(tmp_path / "runs")])
+    assert rc == 0, capsys.readouterr().err
+    assert RecordingPool.sizes == [2]
+
+
+@pytest.mark.parametrize("command, noise", [
+    ("train", ["--noise-eta", "1e308"]),
+    ("robustness", ["--eta-list", "0,1e308", "--robust-max-epochs", "1",
+                    "--robust-patience", "1"]),
+])
+def test_overflowing_noise_is_one_error_line(tmp_path, command, noise):
+    # an overflow RuntimeWarning from inject_noise, then "training diverged"
+    proc = subprocess.run(
+        [sys.executable, "-m", "hadl.cli", command, "--dataset", "sine_mix", "--lookback", "32",
+         "--horizons", "8", *noise, "--outdir", str(tmp_path / "runs")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == ["error: noise intensity eta=1e+308 overflows float64"]
+
+
 def test_negative_eta_fails_before_any_job(tmp_path, capsys):
     # trained all three jobs, then failed without naming -1
     rc = main(["robustness", "--dataset", "sine_mix", "--lookback", "32", "--horizons", "8",

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import hadl.optim
@@ -33,7 +35,7 @@ from hadl.optim import (
     write_trace_csv,
 )
 from oracles import (InvalidStepError, gradcheck, gradients, loss, models_equal,
-                     reference_train)
+                     reference_train, textbook_adam)
 
 
 def realizable_windows(lookback=64, horizon=16, channels=3, length=480, seed=0):
@@ -182,6 +184,33 @@ class TestAdam:
         b = adam_step(init_adam(params), params, grads, cfg)
         assert np.array_equal(a[0]["w"], b[0]["w"])
         assert a[1].step == b[1].step
+
+    @settings(max_examples=60, deadline=None)
+    @given(shapes=st.lists(st.tuples(st.integers(1, 6), st.integers(1, 6)), min_size=1,
+                           max_size=3),
+           steps=st.integers(1, 12), learning_rate=st.floats(1e-6, 1.0),
+           seed=st.integers(0, 2**16))
+    def test_equals_textbook_adam_bit_for_bit(self, shapes, steps, learning_rate, seed):
+        # the moments are updated in place; every value must match fresh arrays
+        rng = np.random.default_rng(seed)
+        cfg = TrainConfig(learning_rate=learning_rate)
+        params = {f"p{i}": rng.normal(size=shape) for i, shape in enumerate(shapes)}
+        zeros = {k: np.zeros_like(v) for k, v in params.items()}
+        want, moments = dict(params), (zeros, zeros)
+        state = init_adam(params)
+        for step in range(1, steps + 1):
+            # gradients of every scale, exact zeros included
+            grads = {k: rng.normal(size=v.shape) * 10.0 ** rng.integers(-8, 4, size=v.shape)
+                        * rng.integers(0, 2, size=v.shape) for k, v in params.items()}
+            before = {k: v.copy() for k, v in grads.items()}
+            params, state = adam_step(state, params, grads, cfg)
+            want, moments = textbook_adam(want, grads, moments, step, cfg)
+            assert state.step == step
+            for name in params:
+                assert np.array_equal(params[name], want[name])
+                assert np.array_equal(state.m[name], moments[0][name])
+                assert np.array_equal(state.v[name], moments[1][name])
+                assert np.array_equal(grads[name], before[name])
 
 
 class TestTrainConfig:

@@ -30,6 +30,7 @@ from hadl.model import (
 )
 from hadl.optim import (
     EVAL_ROWS,
+    STATS_BLOCK,
     LagTables,
     TrainConfig,
     _gradients_from_stats,
@@ -189,6 +190,18 @@ class TestWindowStats:
         values = 0.5 + np.random.default_rng(3).normal(size=(2, 18000))
         batch = WindowBatch(values, 16, 8)
         model = init_model(16, 8, 1, seed=0, use_haar=use_haar)
+        for got, want in zip(window_stats(model, batch), reference_stats(model, batch)):
+            assert_close(got, want)
+
+    @pytest.mark.parametrize("use_haar", [True, False])
+    def test_channel_blocks_and_horizon_beyond_lookback(self, use_haar):
+        # more channels than one block of the correlations and the updates,
+        # and H > L, so both recurrences run to the far ends of C's rows
+        channels, lookback, horizon, n = STATS_BLOCK + 3, 8, 13, 60
+        values = 0.5 + np.random.default_rng(4).normal(
+            size=(channels, n + lookback + horizon - 1))
+        batch = WindowBatch(values, lookback, horizon)
+        model = init_model(lookback, horizon, 1, seed=0, use_haar=use_haar)
         for got, want in zip(window_stats(model, batch), reference_stats(model, batch)):
             assert_close(got, want)
 
