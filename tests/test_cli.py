@@ -1,6 +1,7 @@
 import concurrent.futures
 import csv
 import json
+import shutil
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -11,6 +12,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import hadl.cli
+import hadl.data
 import hadl.optim
 from hadl.cli import (
     ExperimentConfig,
@@ -622,7 +624,10 @@ def test_workers_above_the_cpu_count_fail_before_loading(tmp_path, capsys, monke
     # worker at its first job
     monkeypatch.setattr(hadl.cli, "load_dataset", must_not_run)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", must_not_run)
-    monkeypatch.setattr(hadl.cli.os, "cpu_count", lambda: 4)
+    # the count is of the CPUs in the affinity mask, not of the machine
+    monkeypatch.setattr(hadl.cli.os, "sched_getaffinity", lambda pid: set(range(4)),
+                        raising=False)
+    monkeypatch.setattr(hadl.cli.os, "cpu_count", lambda: 64)
     rc = main([command, "--workers", "5000", "--dataset", "sine_mix", "--lookback", "32",
                "--horizons", "8", "--outdir", str(tmp_path / "runs")])
     out, err = capsys.readouterr()
@@ -638,7 +643,8 @@ def test_workers_above_the_cpu_count_fail_before_loading(tmp_path, capsys, monke
 def test_pool_has_at_most_one_worker_per_cell(tmp_path, capsys, monkeypatch, command, cells):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(RecordingPool, "sizes", [])
-    monkeypatch.setattr(hadl.cli.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(hadl.cli.os, "sched_getaffinity", lambda pid: set(range(64)),
+                        raising=False)
     rc = main([command, "--workers", "64", "--dataset", "sine_mix", "--lookback", "32",
                *cells, "--max-epochs", "1", "--patience", "1", "--robust-max-epochs", "1",
                "--robust-patience", "1", "--outdir", str(tmp_path / "runs")])
@@ -759,6 +765,48 @@ def test_unusable_csv_is_one_error_line(tmp_path, text, flag, message):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0], proc.stderr
     assert not (tmp_path / "runs").exists()
+
+
+def cache_run(tmp_path, capsys):
+    """`hadl train` on a 3-channel CSV: exit code, stdout, stderr and every
+    output file's bytes; the outputs are removed after reading."""
+    csv_path = tmp_path / "wave.csv"
+    if not csv_path.exists():
+        rows = [f"t{i}," + ",".join(repr(float(np.sin(i / (3.0 + c)))) for c in range(3))
+                for i in range(400)]
+        csv_path.write_text("\n".join(["date,a,b,c", *rows]) + "\n")
+    runs = tmp_path / "runs"
+    rc = main(["train", "--dataset", "wave", "--data-path", str(csv_path), "--lookback", "32",
+               "--horizons", "8", "--rank", "2", "--max-epochs", "2", "--patience", "2",
+               "--outdir", str(runs)])
+    out, err = capsys.readouterr()
+    files = {str(p.relative_to(runs)): p.read_bytes() for p in sorted(runs.rglob("*"))
+             if p.is_file()}
+    shutil.rmtree(runs)
+    return rc, out, err, files
+
+
+def test_train_twice_misses_then_hits_the_ingest_cache(tmp_path, capsys, monkeypatch):
+    cache = tmp_path / "__hadlcache__" / "wave.csv.npz"
+    first = cache_run(tmp_path, capsys)
+    assert first[0] == 0 and first[2] == "" and len(first[3]) == 5
+    assert cache.is_file()
+    # a hit never opens the CSV as text
+    monkeypatch.setattr(hadl.data, "open_text", must_not_run)
+    assert cache_run(tmp_path, capsys) == first
+
+
+def test_unwritable_ingest_cache_changes_nothing(tmp_path, capsys, monkeypatch):
+    def denied(*args):
+        raise PermissionError(13, "Permission denied")
+
+    # tests may run as root, whom a read-only directory would not stop
+    with monkeypatch.context() as patch:
+        patch.setattr(hadl.data.os, "replace", denied)
+        unwritable = cache_run(tmp_path, capsys)
+    assert unwritable[0] == 0 and unwritable[2] == ""
+    assert list((tmp_path / "__hadlcache__").iterdir()) == []
+    assert cache_run(tmp_path, capsys) == unwritable
 
 
 def test_module_entry_point_help():

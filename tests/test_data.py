@@ -1,3 +1,9 @@
+import csv
+import hashlib
+import io
+import json
+import os
+import sys
 from unittest import mock
 
 import numpy as np
@@ -177,6 +183,181 @@ def test_load_csv_bit_identical_to_parse_cells(tmp_path_factory, values, fmt, qu
     assert fast.flags.c_contiguous
     assert fast.shape == reference.shape
     assert np.array_equal(fast.view(np.int64), reference.view(np.int64))
+
+
+def cache_file(path):
+    return path.parent / "__hadlcache__" / (path.name + ".npz")
+
+
+def parse_fails():
+    """A patch under which load_csv can answer only from its cache: every
+    parse opens the CSV as text first."""
+    return mock.patch.object(hadl.data, "open_text", side_effect=AssertionError("parsed"))
+
+
+def assert_same_dataset(a, b):
+    assert (a.name, a.granularity, a.split_bounds) == (b.name, b.granularity, b.split_bounds)
+    assert a.series.channels == b.series.channels
+    for values in (a.series.values, b.series.values):
+        assert values.dtype == np.float64 and values.flags.c_contiguous
+    assert a.series.values.shape == b.series.values.shape
+    assert np.array_equal(a.series.values.view(np.int64), b.series.values.view(np.int64))
+
+
+# the csv module reads a NUL only from Python 3.11 on
+HEADER_NAMES = st.text(st.characters(exclude_categories=("Cs",), exclude_characters=(
+    "" if sys.version_info >= (3, 11) else "\x00")), max_size=5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    names=st.lists(HEADER_NAMES, min_size=1, max_size=4),
+    data=st.data(),
+    quoting=st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]),
+    bom=st.booleans(),
+    underscores=st.booleans(),
+)
+def test_cache_hit_equals_parse(tmp_path_factory, names, data, quoting, bom, underscores):
+    values = data.draw(arrays(np.float64, st.tuples(st.integers(1, 5), st.just(len(names))),
+                              elements=st.floats(allow_nan=False, allow_infinity=False)
+                              | st.integers(-10**6, 10**6).map(float)))
+
+    def cell(v):  # `1_000` takes the per-cell parser
+        return f"{int(v):_}" if underscores and v.is_integer() and abs(v) < 1e15 else repr(v)
+
+    text = io.StringIO()
+    writer = csv.writer(text, quoting=quoting)
+    writer.writerow(["date", *names])
+    writer.writerows([f"t{t}", *map(cell, row)] for t, row in enumerate(values.tolist()))
+    path = tmp_path_factory.mktemp("csv") / "drawn.csv"
+    path.write_text(("\ufeff" if bom else "") + text.getvalue(), encoding="utf-8")
+    miss = load_csv(path, "ratio")
+    assert cache_file(path).is_file()
+    with parse_fails():
+        hit = load_csv(path, "ratio")
+    assert_same_dataset(miss, hit)
+    assert miss.series.channels == tuple(n.strip() for n in names)
+    assert np.array_equal(miss.series.values, values.T)
+
+
+class TestIngestCache:
+    CSV = "date,a,b\nt0,1.5,4\nt1,2,5\nt2,3,6.25\n"
+
+    def test_cache_layout(self, tmp_path):
+        path = write_csv(tmp_path / "toy.csv", self.CSV)
+        load_csv(path, "ratio")
+        with np.load(cache_file(path), allow_pickle=False) as archive:
+            assert sorted(archive.files) == ["meta", "values"]
+            meta = json.loads(str(archive["meta"]))
+            values = archive["values"]
+        assert meta == {"format": hadl.data.CACHE_FORMAT, "channels": ["a", "b"],
+                        "sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
+        assert values.dtype == np.float64 and values.flags.c_contiguous
+        assert np.array_equal(values, [[1.5, 2, 3], [4, 5, 6.25]])
+
+    def test_trailing_nul_in_a_name_survives(self, tmp_path):
+        if sys.version_info < (3, 11):
+            pytest.skip("the csv module reads a NUL only from Python 3.11 on")
+        path = write_csv(tmp_path / "nul.csv", "date,a\x00,\x00\nt0,1,2\n")
+        load_csv(path, "ratio")
+        with parse_fails():
+            assert load_csv(path, "ratio").series.channels == ("a\x00", "\x00")
+
+    def test_rewritten_digit_with_same_size_and_mtime_is_parsed(self, tmp_path):
+        path = write_csv(tmp_path / "toy.csv", self.CSV)
+        load_csv(path, "ratio")
+        stamp = path.stat()
+        write_csv(path, self.CSV.replace("1.5", "7.5"))
+        os.utime(path, ns=(stamp.st_atime_ns, stamp.st_mtime_ns))
+        assert path.stat().st_size == stamp.st_size
+        assert load_csv(path, "ratio").series.values[0, 0] == 7.5
+        with parse_fails():  # the cache now holds the new bytes
+            assert load_csv(path, "ratio").series.values[0, 0] == 7.5
+
+    @pytest.mark.parametrize("damage", ["truncated", "garbage", "flipped_byte", "other_file",
+                                        "other_format", "no_meta", "wrong_dtype", "wrong_rows"])
+    def test_damaged_cache_is_parsed_and_rewritten(self, tmp_path, capfd, damage):
+        path = write_csv(tmp_path / "toy.csv", self.CSV)
+        want = load_csv(path, "ratio")
+        cache = cache_file(path)
+        good = cache.read_bytes()
+        with np.load(cache) as archive:
+            meta = json.loads(str(archive["meta"]))
+        if damage == "truncated":
+            cache.write_bytes(good[: len(good) // 2])
+        elif damage == "garbage":
+            cache.write_bytes(b"not a cache at all")
+        elif damage == "flipped_byte":  # inside the values: a CRC error
+            at = good.index(np.float64(6.25).tobytes())
+            cache.write_bytes(good[:at] + bytes([good[at] ^ 1]) + good[at + 1:])
+        elif damage == "other_file":
+            other = write_csv(tmp_path / "other.csv", "date,a,b\nt0,9,9\n")
+            load_csv(other, "ratio")
+            cache.write_bytes(cache_file(other).read_bytes())
+        else:
+            values = want.series.values
+            if damage == "other_format":
+                meta["format"] += 1
+            elif damage == "wrong_dtype":
+                values = values.astype(np.float32)
+            elif damage == "wrong_rows":
+                values = values[:1]
+            arrays = {"values": values} if damage == "no_meta" else {
+                "values": values, "meta": json.dumps(meta)}
+            with open(cache, "wb") as handle:
+                np.savez(handle, **arrays)
+        assert_same_dataset(load_csv(path, "ratio"), want)
+        with parse_fails():
+            assert_same_dataset(load_csv(path, "ratio"), want)
+        assert capfd.readouterr() == ("", "")
+
+    def test_file_changed_during_the_parse_is_not_cached(self, tmp_path):
+        path = write_csv(tmp_path / "toy.csv", self.CSV)
+        real_open = hadl.data.open_text
+
+        def touch_then_open(p):
+            os.utime(p, ns=(0, path.stat().st_mtime_ns + 1))
+            return real_open(p)
+
+        with mock.patch.object(hadl.data, "open_text", side_effect=touch_then_open):
+            load_csv(path, "ratio")
+        assert not cache_file(path).parent.exists()
+
+    def test_unwritable_cache_is_skipped_in_silence(self, tmp_path, capfd):
+        path = write_csv(tmp_path / "toy.csv", self.CSV)
+        with mock.patch.object(hadl.data.os, "replace", side_effect=PermissionError(13, "denied")):
+            first = load_csv(path, "ratio")
+        assert list(cache_file(path).parent.iterdir()) == []  # no temporary file left
+        assert_same_dataset(load_csv(path, "ratio"), first)
+        assert capfd.readouterr() == ("", "")
+
+    def test_pipe_skips_the_cache(self, tmp_path):
+        read_end, write_end = os.pipe()
+        os.write(write_end, self.CSV.encode())
+        os.close(write_end)
+        try:
+            with mock.patch.object(hadl.data, "_read_cache", side_effect=AssertionError("read")):
+                ds = load_csv(f"/dev/fd/{read_end}", "ratio", name="toy")
+        finally:
+            os.close(read_end)
+        assert np.array_equal(ds.series.values, [[1.5, 2, 3], [4, 5, 6.25]])
+
+    @pytest.mark.parametrize("text", ["date,a,b\nt0,1,oops\n", "date,a\n", "date\nt0\n"])
+    def test_failed_parse_leaves_no_cache(self, tmp_path, text):
+        path = write_csv(tmp_path / "bad.csv", text)
+        errors = [parse_outcome(load_values, path) for _ in range(2)]
+        assert errors[0] == errors[1] and issubclass(errors[0][0], HadlError)
+        assert not cache_file(path).parent.exists()
+
+    def test_known_name_checked_on_a_hit(self, tmp_path):
+        path = write_csv(tmp_path / "ETTh1.csv", self.CSV)
+        load_csv(path, "ratio", expected_channels=2)
+        with parse_fails():
+            with pytest.raises(ParseError, match="expected 7 channels for ETTh1, found 2"):
+                load_csv(path, "etth")
+            with pytest.raises(ParseError, match="expected 3 channels for ETTh1, found 2"):
+                load_csv(path, "ratio", expected_channels=3)
+            assert load_csv(path, "ratio", expected_channels=2).series.values.shape == (2, 3)
 
 
 class TestSplit:
