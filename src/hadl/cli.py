@@ -265,10 +265,9 @@ def param_totals(cells) -> list[int]:
 
 
 def check_workers(workers: int) -> None:
-    """Reject a worker count below 1 or above the CPU count, before the
-    command loads data: workers beyond the CPUs only share them, and a pool
-    started by fork starts every worker at its first job. The count is of
-    the CPUs this process may run on, where the platform reports them."""
+    """Reject a worker count below 1 or above the CPUs this process may run
+    on, before the command loads data: workers beyond the CPUs only share
+    them, and a pool started by fork starts every worker at its first job."""
     if workers < 1:
         raise InvalidConfigError(f"workers must be >= 1, got {workers}")
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1

@@ -115,8 +115,7 @@ _ETTM_SPLIT = (34560, 11520, 11520)
 SYNTH_KINDS = ("sine_mix", "low_rank_target", "random_walk")
 # Period, in steps, of the sine_mix and low_rank_target sinusoids.
 SYNTH_PERIOD = 24.0
-# load_csv's cache layout; a new value makes every older cache file a miss
-CACHE_FORMAT = 1
+CACHE_FORMAT = 1  # load_csv's cache layout: a new value makes older caches misses
 
 
 def convention_for(name: str) -> str:
@@ -150,17 +149,7 @@ def load_csv(path, convention: str, name: str | None = None,
     reads text numpy does not (such as `1_5`). The result is cached in
     `<csv dir>/__hadlcache__/<file name>.npz`, keyed on the file's SHA-256.
     """
-    key = _file_key(path)  # None: a pipe or an unreadable file, never cached
-    cache = os.path.join(os.path.dirname(path), "__hadlcache__", os.path.basename(path) + ".npz")
-    meta = {"format": CACHE_FORMAT, "sha256": key[0]} if key else None
-    cached = _read_cache(cache, meta) if key else None
-    if cached is not None:
-        channels, values = cached
-    else:
-        channels, values = _parse_csv(path)  # its arrays are freed before the write
-        if key:
-            _write_cache(cache, {**meta, "channels": channels}, values, path, key[1])
-
+    channels, values = _cached_parse(path)
     if name is None:
         name = str(path).rsplit("/", 1)[-1].rsplit(".", 1)[0]
     info = KNOWN_DATASETS.get(name.lower())
@@ -208,53 +197,45 @@ def _parse_csv(path) -> tuple[tuple[str, ...], np.ndarray]:
     return channels, _parse_cells(path)
 
 
-def _file_key(path) -> tuple[str, tuple[int, int]] | None:
-    """A regular file's SHA-256, read 64 KiB at a time, and its (size, mtime)
-    before the read; None for a pipe or a file that cannot be read."""
+def _cached_parse(path) -> tuple[tuple[str, ...], np.ndarray]:
+    """`_parse_csv` through a cache keyed on the file's SHA-256, read only if it
+    and its directory belong to the CSV's owner or to this user; the cache of a
+    file whose size and mtime held is written. Pipes skip it; it prints nothing."""
     try:
-        before = os.stat(path)
+        before, digest = os.stat(path), hashlib.sha256()
         if not stat.S_ISREG(before.st_mode):
-            return None
-        digest = hashlib.sha256()
+            return _parse_csv(path)
         with open(path, "rb") as handle:
-            # below glibc's 128 KiB mmap threshold, which freed 1 MiB chunks
-            # raise for the rest of the run (+1.2 MB peak RSS, 1700x321 train)
+            # 64 KiB reads: freed 1 MiB ones raise glibc's mmap threshold (+1.2 MB peak RSS)
             while chunk := handle.read(1 << 16):
                 digest.update(chunk)
     except OSError:
-        return None  # the parse raises this file's error
-    return digest.hexdigest(), (before.st_size, before.st_mtime_ns)
-
-
-def _read_cache(cache: str, meta: dict) -> tuple[tuple[str, ...], np.ndarray] | None:
-    """The cached (names, values) when `cache` holds `meta` and fitting shapes."""
-    try:
+        return _parse_csv(path)  # which raises this file's error
+    cache = os.path.join(os.path.dirname(path), "__hadlcache__", os.path.basename(path) + ".npz")
+    meta = {"format": CACHE_FORMAT, "sha256": digest.hexdigest()}
+    with contextlib.suppress(Exception):  # a damaged zip fails in many ways: all miss
         # an open handle of our own: np.load leaks the one it opens for a bad zip
         with open(cache, "rb") as handle, np.load(handle, allow_pickle=False) as archive:
+            owners = {os.fstat(handle.fileno()).st_uid, os.stat(os.path.dirname(cache)).st_uid}
             stored, values = json.loads(str(archive["meta"])), archive["values"]
         channels = tuple(stored.pop("channels"))
-    except Exception:  # a missing or damaged file fails in zipfile or numpy in many ways
-        return None
-    if (stored == meta and values.dtype == np.float64 and values.ndim == 2
-            and len(values) == len(channels)):
-        return channels, np.ascontiguousarray(values)
-    return None
-
-
-def _write_cache(cache: str, meta: dict, values: np.ndarray, path, stamp) -> None:
-    """Write the cache unless `path` changed from `stamp` during the parse, by
-    `os.replace` of a whole temporary file; any OSError skips it in silence."""
+        if (owners <= {before.st_uid, os.geteuid()} and stored == meta
+                and values.dtype == np.float64 and values.ndim == 2
+                and values.flags.c_contiguous and len(values) == len(channels)):
+            return channels, values
+    channels, values = _parse_csv(path)  # its arrays are freed before the write
     tmp = f"{cache}.{os.getpid()}.tmp.npz"
     try:
         after = os.stat(path)
-        if (after.st_size, after.st_mtime_ns) == stamp:
+        if (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns):
             os.makedirs(os.path.dirname(cache), exist_ok=True)
             # names as JSON: numpy string arrays drop trailing NULs
-            np.savez(tmp, values=values, meta=json.dumps(meta))
+            np.savez(tmp, values=values, meta=json.dumps({**meta, "channels": channels}))
             os.replace(tmp, cache)
     except OSError:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
+    return channels, values
 
 
 def _parse_cells(path) -> np.ndarray:

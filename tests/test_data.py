@@ -195,6 +195,27 @@ def parse_fails():
     return mock.patch.object(hadl.data, "open_text", side_effect=AssertionError("parsed"))
 
 
+class _Owned:
+    def __init__(self, st, uid):
+        self._st, self.st_uid = st, uid
+
+    def __getattr__(self, name):
+        return getattr(self._st, name)
+
+
+def owned_by(uid, *paths):
+    """A patch under which os.stat and os.fstat report `uid` as the owner of
+    the files that are now at `paths`."""
+    inodes = {os.stat(p).st_ino for p in paths}
+    real_stat, real_fstat = os.stat, os.fstat
+
+    def relabel(st):
+        return _Owned(st, uid) if st.st_ino in inodes else st
+
+    return mock.patch.multiple(hadl.data.os, stat=lambda *a, **k: relabel(real_stat(*a, **k)),
+                               fstat=lambda fd: relabel(real_fstat(fd)))
+
+
 def assert_same_dataset(a, b):
     assert (a.name, a.granularity, a.split_bounds) == (b.name, b.granularity, b.split_bounds)
     assert a.series.channels == b.series.channels
@@ -275,7 +296,8 @@ class TestIngestCache:
             assert load_csv(path, "ratio").series.values[0, 0] == 7.5
 
     @pytest.mark.parametrize("damage", ["truncated", "garbage", "flipped_byte", "other_file",
-                                        "other_format", "no_meta", "wrong_dtype", "wrong_rows"])
+                                        "other_format", "no_meta", "wrong_dtype", "wrong_rows",
+                                        "fortran_order"])
     def test_damaged_cache_is_parsed_and_rewritten(self, tmp_path, capfd, damage):
         path = write_csv(tmp_path / "toy.csv", self.CSV)
         want = load_csv(path, "ratio")
@@ -302,6 +324,8 @@ class TestIngestCache:
                 values = values.astype(np.float32)
             elif damage == "wrong_rows":
                 values = values[:1]
+            elif damage == "fortran_order":  # would change Scaler.fit's sum order
+                values = np.asfortranarray(values)
             arrays = {"values": values} if damage == "no_meta" else {
                 "values": values, "meta": json.dumps(meta)}
             with open(cache, "wb") as handle:
@@ -336,11 +360,41 @@ class TestIngestCache:
         os.write(write_end, self.CSV.encode())
         os.close(write_end)
         try:
-            with mock.patch.object(hadl.data, "_read_cache", side_effect=AssertionError("read")):
+            with mock.patch.object(hadl.data.np, "load", wraps=np.load) as np_load:
                 ds = load_csv(f"/dev/fd/{read_end}", "ratio", name="toy")
         finally:
             os.close(read_end)
+        assert np_load.call_count == 0
         assert np.array_equal(ds.series.values, [[1.5, 2, 3], [4, 5, 6.25]])
+
+    def plant(self, path):
+        """A cache for `path`'s bytes with doubled values, as another user
+        able to write the cache directory could leave it."""
+        load_csv(path, "ratio")
+        with np.load(cache_file(path)) as archive:
+            planted = {"meta": str(archive["meta"]), "values": archive["values"] * 2}
+        with open(cache_file(path), "wb") as handle:
+            np.savez(handle, **planted)
+        return planted["values"]
+
+    @pytest.mark.parametrize("foreign", ["file", "directory"])
+    def test_cache_of_another_user_is_not_read(self, tmp_path, capfd, foreign):
+        path = write_csv(tmp_path / "toy.csv", self.CSV)
+        planted = self.plant(path)
+        target = cache_file(path) if foreign == "file" else cache_file(path).parent
+        with owned_by(4242, target):
+            assert load_csv(path, "ratio").series.values[0, 0] == 1.5
+        with parse_fails():  # the parse rewrote the cache as this user's
+            assert load_csv(path, "ratio").series.values[0, 0] == 1.5
+        assert capfd.readouterr() == ("", "")
+        assert planted[0, 0] == 3.0
+
+    def test_cache_of_the_csv_owner_is_read_by_another_user(self, tmp_path):
+        path = write_csv(tmp_path / "toy.csv", self.CSV)
+        planted = self.plant(path)
+        with owned_by(4242, path, cache_file(path), cache_file(path).parent), \
+                mock.patch.object(hadl.data.os, "geteuid", return_value=1000), parse_fails():
+            assert np.array_equal(load_csv(path, "ratio").series.values, planted)
 
     @pytest.mark.parametrize("text", ["date,a,b\nt0,1,oops\n", "date,a\n", "date\nt0\n"])
     def test_failed_parse_leaves_no_cache(self, tmp_path, text):
