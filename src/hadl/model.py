@@ -299,30 +299,33 @@ def load_checkpoint(path) -> HadlModel:
     """The model saved at `path`. Raises CorruptCheckpointError unless the
     archive holds exactly the arrays its meta lists, named for the head kind
     and shaped for its lookback, horizon and rank, as finite float64."""
-    try:
-        archive = np.load(path, allow_pickle=False)
-    except (ValueError, zipfile.BadZipFile) as exc:  # numpy reads a non-zip file as a pickle
-        raise CorruptCheckpointError(f"{path}: not an .npz archive") from exc
-    if not isinstance(archive, np.lib.npyio.NpzFile):
-        raise CorruptCheckpointError(f"{path}: a single .npy array, not an .npz archive")
-    with archive:
+    # an open handle of our own: np.load leaks the one it opens for a bad zip
+    with open(path, "rb") as handle:
         try:
-            meta = json.loads(str(archive["meta"]))
-            names = [str(name) for name in meta["arrays"]]
-            model = HadlModel(
-                lookback=int(meta["lookback"]),
-                horizon=int(meta["horizon"]),
-                use_haar=bool(meta["use_haar"]),
-                use_dct=bool(meta["use_dct"]),
-                head=str(meta["head"]),
-                seed=int(meta["seed"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CorruptCheckpointError(f"{path}: unreadable meta: {exc!r}") from exc
-        absent = [name for name in names if name not in archive.files]
-        if absent:
-            raise CorruptCheckpointError(f"{path}: meta lists arrays {absent} the archive lacks")
-        arrays = {name: archive[name] for name in names}
+            archive = np.load(handle, allow_pickle=False)
+        except (ValueError, zipfile.BadZipFile) as exc:  # numpy reads a non-zip file as a pickle
+            raise CorruptCheckpointError(f"{path}: not an .npz archive") from exc
+        if not isinstance(archive, np.lib.npyio.NpzFile):
+            raise CorruptCheckpointError(f"{path}: a single .npy array, not an .npz archive")
+        with archive:
+            try:
+                meta = json.loads(str(archive["meta"]))
+                names = [str(name) for name in meta["arrays"]]
+                model = HadlModel(
+                    lookback=int(meta["lookback"]),
+                    horizon=int(meta["horizon"]),
+                    use_haar=bool(meta["use_haar"]),
+                    use_dct=bool(meta["use_dct"]),
+                    head=str(meta["head"]),
+                    seed=int(meta["seed"]),
+                )
+            except (KeyError, TypeError, ValueError) as exc:
+                raise CorruptCheckpointError(f"{path}: unreadable meta: {exc!r}") from exc
+            absent = [name for name in names if name not in archive.files]
+            if absent:
+                raise CorruptCheckpointError(
+                    f"{path}: meta lists arrays {absent} the archive lacks")
+            arrays = {name: archive[name] for name in names}
     _check_checkpoint(model, arrays, path)
     return replace_params(model, arrays)
 

@@ -117,9 +117,7 @@ class TrainTrace:
     one (-1 when no epoch ran). final_grad_norm is NaN as `train` returns
     it: only a caller that reports it fills it in, with
     `dense_equivalent_grad_norm` of the returned model and the training
-    windows. train_stats holds the training windows' `BatchStats` when the
-    steps came from `LagTables` (their `totals`), for that norm, and is
-    None otherwise; it is never written out.
+    windows.
     """
 
     train_loss: list[float] = field(default_factory=list)
@@ -127,7 +125,6 @@ class TrainTrace:
     best_epoch: int = -1
     stopped_early: bool = False
     final_grad_norm: float = float("nan")
-    train_stats: BatchStats | None = None
 
 
 def l1_penalty(params: dict[str, np.ndarray]) -> float:
@@ -308,44 +305,6 @@ def _channel_sums(s: np.ndarray, x: np.ndarray, lookback: int, last: int):
             np.einsum("ct,ct->t", targets, targets))
 
 
-def _all_window_stats(model: HadlModel, n: int, channels: int, step: int, gram_lag,
-                      cross_lag, sums) -> BatchStats:
-    """`BatchStats` of all n windows from per-origin, channel-summed lag
-    products: gram_lag(k, stop)[t] = sum_c s[c, t] s[c, t + step*k] for
-    t < stop, cross_lag(lag, start, stop)[t - start] = sum_c s[c, t]
-    x[c, t + lag] for start <= t < stop, and `sums` from `_channel_sums`.
-
-    Feature i of the window at origin b is s[c, b + step*i] (see
-    `haar_series`) and its target h is x[c, b + L + h]. So G[i, i + k] sums
-    the lag-step*k products over n consecutive origins from step*i, and
-    C[i, h] the lag-(L + h - step*i) products: one lag's products serve
-    every entry of that lag, through `_window_sums`.
-    """
-    d, L, H = model.d_in, model.lookback, model.horizon
-    last = step * (d - 1) + n
-    gram = np.empty((d, d))
-    for k in range(d):
-        i = np.arange(d - k)
-        gram[i, i + k] = gram[i + k, i] = _window_sums(gram_lag(k, last - step * k), n, step)
-    cross = np.empty((d, H))
-    for lag in range(L - step * (d - 1), L + H):
-        # the features i whose target h = lag - L + step*i lies in [0, H)
-        i = np.arange(max(0, -((lag - L) // step)), min(d - 1, (L + H - 1 - lag) // step) + 1)
-        if i.size:  # none when H = 1 and lag - L is odd
-            p = cross_lag(lag, step * i[0], step * i[-1] + n)
-            cross[i, lag - L + step * i] = _window_sums(p, n, step)
-    return _batch_stats(gram, cross, sums, n, step, channels)
-
-
-def _batch_stats(gram: np.ndarray, cross: np.ndarray, sums, n: int, step: int,
-                 channels: int) -> BatchStats:
-    """`BatchStats` of n windows from their G and C and the per-time sums of
-    `_channel_sums`."""
-    row_sum, target_sum, energy = sums
-    return BatchStats(gram, cross, _window_sums(row_sum, n, step), _window_sums(target_sum, n, 1),
-                      float(_window_sums(energy, n, 1).sum()), n * channels)
-
-
 # Channels per block of `window_stats`: its FFTs and GEMMs hold a few
 # series-length arrays for this many channels at a time. wide_train's peak
 # RSS is set while the validation statistics are computed beside the
@@ -418,7 +377,9 @@ def window_stats(model: HadlModel, batch) -> BatchStats:
     cross[:, :cols] = lags[2:, features].T
     for i in range(1, d):
         cross[i, step:] = cross[i - 1, : H - step] + cross_moves[i - 1]
-    return _batch_stats(gram, cross, _channel_sums(s, x, L, last), n, step, x.shape[0])
+    row_sum, target_sum, energy = _channel_sums(s, x, L, last)
+    return BatchStats(gram, cross, _window_sums(row_sum, n, step), _window_sums(target_sum, n, 1),
+                      float(_window_sums(energy, n, 1).sum()), n * x.shape[0])
 
 
 # Origins per GEMM of a LagTables build: each product computes this many
@@ -457,7 +418,7 @@ UPPER_BLOCKS = 4
 class LagTables:
     """Per-origin, channel-summed lag products of a WindowBatch, from which
     `stats` sums any subset of its windows' `BatchStats` without gathering a
-    Haar row, and `totals` those of every window.
+    Haar row.
 
     Time-major, so that one window's block of each table is a strided view:
     gram[t, k] = sum_c s[c, t] s[c, t + step*k] and cross[t, lag - lag0] =
@@ -474,10 +435,9 @@ class LagTables:
         s, step, last = haar_series(model, batch)
         x, d, L, H, n = batch.values, model.d_in, model.lookback, model.horizon, len(batch)
         width = H + step * (d - 1)  # the lags of the cross table
-        self._model, self._step, self._lag0 = model, step, L - step * (d - 1)
-        self._gram = gram = _lag_table(s, s, 0, step, d, last)
-        self._cross = cross = _lag_table(s, x, self._lag0, 1, width, last)
-        self._sums = row_sum, target_sum, energy = _channel_sums(s, x, L, last)
+        gram = _lag_table(s, s, 0, step, d, last)
+        cross = _lag_table(s, x, L - step * (d - 1), 1, width, last)
+        row_sum, target_sum, energy = _channel_sums(s, x, L, last)
         strided = np.lib.stride_tricks.as_strided
         item = gram.itemsize
         # G[i, j] of window b at gram.flat[b*d + i*(step*d - 1) + j]; its
@@ -519,15 +479,6 @@ class LagTables:
                           self.target_sum[origins].sum(axis=0),
                           float(self.target_energy[origins].sum()), len(origins) * self.channels)
 
-    def totals(self) -> BatchStats:
-        """`BatchStats` of every window: `window_stats`, with the lag
-        products read down the tables' columns instead of recomputed."""
-        return _all_window_stats(
-            self._model, len(self.gram), self.channels, self._step,
-            lambda k, stop: self._gram[:stop, k],
-            lambda lag, start, stop: self._cross[start:stop, lag - self._lag0],
-            self._sums)
-
 
 def _quadratic_form(folded: HadlModel, stats: BatchStats):
     """(R, column_sum, mse) of the folded head's residual E = S @ M + 1 b.T
@@ -561,7 +512,7 @@ def _quadratic_form(folded: HadlModel, stats: BatchStats):
     return R, column_sum, squared / (stats.rows * folded.horizon)
 
 
-def dense_equivalent_grad_norm(model: HadlModel, batch, stats: BatchStats | None = None) -> float:
+def dense_equivalent_grad_norm(model: HadlModel, batch) -> float:
     """Frobenius norm of the residual gradient w.r.t. W = P@Q (or W itself)
     over every window of a WindowBatch.
 
@@ -569,12 +520,9 @@ def dense_equivalent_grad_norm(model: HadlModel, batch, stats: BatchStats | None
     vanishes even though the factored gradients only vanish individually.
     The forecast of rows S is S @ M + bias with M the folded head, so the
     summed gradient S.T @ (S @ M + bias - Y) = G @ M + (S.T @ 1) bias - C
-    comes from the windows' statistics, with no pass over the windows:
-    `stats` when the caller has them (`TrainTrace.train_stats`), else
-    `window_stats`.
+    comes from the windows' `window_stats`, with no pass over the windows.
     """
-    if stats is None:
-        stats = window_stats(model, batch)
+    stats = window_stats(model, batch)
     F = dct_matrix(model)
     residual, _, _ = _quadratic_form(fold_dct(model, F), stats)
     return 2.0 / (stats.rows * model.horizon) * float(np.linalg.norm(_dct_basis(F, residual)))
@@ -674,8 +622,7 @@ def train(
     the training segment into arrays allocated once per epoch
     (`_gather_blocks`), so no window set is ever copied whole. Many
     channels: the batch's statistics, summed from `LagTables` built on the
-    first epoch, whose `totals` become `trace.train_stats` before the tables
-    are dropped. `final_grad_norm` is left NaN (see TrainTrace).
+    first epoch. `final_grad_norm` is left NaN (see TrainTrace).
 
     Validation MSE (without the L1 term) comes after every epoch from the
     quadratic form of the validation windows' `window_stats`, computed on
@@ -754,8 +701,6 @@ def train(
                 trace.stopped_early = True
                 break
 
-    if tables is not None:
-        trace.train_stats = tables.totals()
     return replace_params(model, best_params), trace
 
 
@@ -766,8 +711,8 @@ def write_trace_csv(trace: TrainTrace, path, fingerprint: str = "") -> None:
 
 
 def write_trace_json(trace: TrainTrace, path, fingerprint: str = "") -> None:
-    """Every TrainTrace field but train_stats, plus the fingerprint if set."""
-    payload = {f.name: getattr(trace, f.name) for f in fields(trace) if f.name != "train_stats"}
+    """Every TrainTrace field, plus the fingerprint if set."""
+    payload = {f.name: getattr(trace, f.name) for f in fields(trace)}
     if fingerprint:
         payload["config_fingerprint"] = fingerprint
     write_json_bundle(payload, path)

@@ -280,9 +280,8 @@ class TestTrainCommand:
                 assert a_trace == b_trace
 
     def test_trace_grad_norm_is_the_returned_models(self, tmp_path):
-        # 3 channels step from rows and take the norm from `window_stats`, as
-        # this check does; 40 step from statistics and take it from the
-        # training tables' totals, which agree to rounding
+        # 3 channels step from rows and 40 from statistics; both take the
+        # norm from `window_stats`, as this check does
         for channels in (3, 40):
             root = tmp_path / str(channels)
             config = synth_config(root, horizons=(8, 16), seeds=(1, 2), max_epochs=3,
@@ -297,12 +296,7 @@ class TestTrainCommand:
                     best = load_checkpoint(run_dir / f"checkpoint_seed{seed}.npz")
                     w_train, _, _ = prepare_windows(replace(config, seed=seed), horizon, data)
                     written = json.loads((run_dir / f"trace_seed{seed}.json").read_text())
-                    want = dense_equivalent_grad_norm(best, w_train)
-                    if from_stats:
-                        assert written["final_grad_norm"] == pytest.approx(want, rel=1e-12,
-                                                                           abs=0.0)
-                    else:
-                        assert written["final_grad_norm"] == want
+                    assert written["final_grad_norm"] == dense_equivalent_grad_norm(best, w_train)
 
 
 def count_calls(monkeypatch, module, name: str) -> list:
@@ -346,11 +340,8 @@ class TestFullSetPasses:
     """Validation MSEs come from the validation windows' statistics, so a job
     gathers windows for the test pass alone."""
 
-    @pytest.mark.parametrize("channels, stats_per_job", [
-        (40, 1),  # validation; the grad norm sums the training tables
-        (3, 2),  # validation and the grad norm
-    ])
-    def test_one_evaluate_per_job(self, tmp_path, monkeypatch, channels, stats_per_job):
+    @pytest.mark.parametrize("channels", [40, 3])
+    def test_one_evaluate_per_job(self, tmp_path, monkeypatch, channels):
         assert steps_from_stats(channels, 32, 8, 4, HEAD_LOW_RANK) == (channels == 40)
         evaluations = count_calls(monkeypatch, hadl.cli, "evaluate")
         # any pass `train` made would call it on hadl.optim
@@ -359,7 +350,7 @@ class TestFullSetPasses:
         cmd_train(synth_config(tmp_path, horizons=(8, 16), seeds=(1, 2), max_epochs=3,
                                patience=3, synth_channels=channels))
         assert len(evaluations) == 4 and evaluations_in_train == []
-        assert len(stats) == 4 * stats_per_job
+        assert len(stats) == 4 * 2  # validation and the grad norm
 
 
 class TestRobustnessCommand:
@@ -462,7 +453,7 @@ class TestAblateCommand:
     def test_haar_axis_grid(self, tmp_path):
         config = synth_config(tmp_path, horizons=(8,), ablate_rank=2, max_epochs=2, patience=2)
         out_path = cmd_ablate(config, "haar")
-        text = open(out_path).read()
+        text = Path(out_path).read_text()
         assert "with_haar" in text and "without_haar" in text
 
     def test_unknown_axis(self, tmp_path):

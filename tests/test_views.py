@@ -261,8 +261,6 @@ class TestLagTables:
             assert stats.rows == len(origins) * channels
             for got, want in zip(stats, reference_stats(model, batch, origins)):
                 assert_close(got, want)
-        for got, want in zip(tables.totals(), window_stats(model, batch)):
-            assert_close(got, want)
 
     @pytest.mark.parametrize("head", [HEAD_LOW_RANK, HEAD_DENSE])
     @pytest.mark.parametrize("use_haar", [True, False])
