@@ -39,7 +39,8 @@ from .model import (
     param_count,
     save_checkpoint,
 )
-from .optim import TrainConfig, check_budget, evaluate, train, write_trace_csv, write_trace_json
+from .optim import (TrainConfig, check_budget, evaluate, train, window_mse, write_trace_csv,
+                    write_trace_json)
 
 
 @dataclass(frozen=True)
@@ -211,15 +212,17 @@ def prepare_windows(job: ExperimentConfig, horizon: int, data):
     return w_train, w_val, w_test
 
 
-def run_single(job: ExperimentConfig, horizon: int, data, grad_norm: bool = False):
+def run_single(job: ExperimentConfig, horizon: int, data, train_outputs: bool = False):
     """Train one model on `data` = (dataset, convention) and evaluate it on
     the clean test split.
 
     Returns (best_model, trace, EvalReport). The model init seed does not
     depend on noise_eta, so a robustness sweep perturbs only the training data.
-    With grad_norm, trace.final_grad_norm is filled in for the best model
-    from the training windows' `window_stats` (only `train` writes it out);
-    otherwise it stays NaN.
+    The test MSE comes from the test windows' `window_stats` (`window_mse`),
+    with no forecast. train_outputs adds what only `train` writes: the test
+    MAE, from one forecast pass over the test windows (`evaluate`), and
+    trace.final_grad_norm of the best model, from the training windows'
+    `window_stats`. Without it the MAE is None and the norm stays NaN.
     """
     w_train, w_val, w_test = prepare_windows(job, horizon, data)
     model = init_model(
@@ -233,10 +236,11 @@ def run_single(job: ExperimentConfig, horizon: int, data, grad_norm: bool = Fals
         with_bias=job.with_bias,
     )
     best, trace = train(model, w_train, w_val, job)
-    if grad_norm:
+    test_mae = None
+    if train_outputs:
         # looked up on hadl.optim, where the benchmark's tracer wraps it
         trace.final_grad_norm = hadl_optim.dense_equivalent_grad_norm(best, w_train)
-    test_mse, test_mae = evaluate(best, w_test)
+        test_mae = evaluate(best, w_test)
     report = hadl_metrics.EvalReport(
         dataset=data[0].name,
         horizon=horizon,
@@ -247,7 +251,7 @@ def run_single(job: ExperimentConfig, horizon: int, data, grad_norm: bool = Fals
         rank=job.rank if job.head == HEAD_LOW_RANK else None,
         seed=job.seed,
         noise_eta=job.noise_eta,
-        mse=test_mse,
+        mse=window_mse(best, w_test),
         mae=test_mae,
     )
     return best, trace, report
@@ -272,30 +276,31 @@ def check_workers(workers: int) -> None:
         raise InvalidConfigError(f"workers must be <= {cpus}, the CPU count, got {workers}")
 
 
-def run_grid(cells, data, workers: int, grad_norm: bool) -> list:
+def run_grid(cells, data, workers: int, train_outputs: bool) -> list:
     """run_single over (job, horizon) cells, serially or in one process pool
     of at most one worker per cell; a job is the command's config with the
     cell's keys replaced. Prints one progress line per job as its result
     arrives, in cell order, and returns the (best_model, trace, EvalReport)
-    triples in cell order. grad_norm is passed to every run_single, so a
-    pool computes the norms in its workers."""
+    triples in cell order. train_outputs is passed to every run_single, so
+    a pool computes the norms and MAEs in its workers."""
     workers = min(workers, len(cells))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(run_single, job, horizon, data, grad_norm)
+            futures = [pool.submit(run_single, job, horizon, data, train_outputs)
                        for job, horizon in cells]
             return [_progress(cell, future.result()) for cell, future in zip(cells, futures)]
-    return [_progress(cell, run_single(*cell, data, grad_norm)) for cell in cells]
+    return [_progress(cell, run_single(*cell, data, train_outputs)) for cell in cells]
 
 
 def _progress(cell, result):
     (job, horizon), (_, trace, report) = cell, result
+    mae = "" if report.mae is None else f" test_mae={report.mae:.6f}"
     print(
         f"job dataset={report.dataset} variant={variant_name(job)} L={job.lookback} "
         f"H={horizon} seed={job.seed} eta={job.noise_eta} best_epoch={trace.best_epoch} "
-        f"test_mse={report.mse:.6f} test_mae={report.mae:.6f}"
+        f"test_mse={report.mse:.6f}{mae}"
     )
     return result
 
@@ -326,7 +331,7 @@ def cmd_train(config: ExperimentConfig, workers: int = 1) -> list[hadl_metrics.E
     data = load_dataset(config)  # validates inputs before any output dir exists
     fingerprint = config.fingerprint()
     variant = variant_name(config)
-    results = run_grid(cells, data, workers, grad_norm=True)  # written to trace_seed*.json
+    results = run_grid(cells, data, workers, train_outputs=True)  # the norms and MAEs
 
     for i, horizon in enumerate(config.horizons):
         run_dir = _run_dir(config, variant, horizon)
@@ -367,7 +372,7 @@ def cmd_robustness(config: ExperimentConfig, workers: int = 1) -> hadl_metrics.R
     data = load_dataset(config)
     fingerprint = config.fingerprint()
     variant = variant_name(config)
-    results = run_grid(cells, data, workers, grad_norm=False)
+    results = run_grid(cells, data, workers, train_outputs=False)
     report = hadl_metrics.robustness_report(etas, [r.mse for _, _, r in results])
 
     for prev, nxt in zip(report.nrr_per_eta, report.nrr_per_eta[1:]):
@@ -422,7 +427,8 @@ def cmd_ablate(config: ExperimentConfig, axis: str, params_only: bool = False) -
     if params_only:
         mses = [""] * len(cells)
     else:
-        mses = [r.mse for _, _, r in run_grid(cells, load_dataset(config), 1, grad_norm=False)]
+        results = run_grid(cells, load_dataset(config), 1, train_outputs=False)
+        mses = [r.mse for _, _, r in results]
     rows = [[axis, label, job.lookback, horizon, mse, total, kilo_display(total)]
             for label, (job, horizon), mse, total in zip(labels, cells, mses, totals)]
 

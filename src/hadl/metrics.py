@@ -45,7 +45,8 @@ def mav(nrr_list) -> float:
 
 @dataclass(frozen=True)
 class EvalReport:
-    """Test-set errors for one (dataset, horizon, variant, eta, seed) cell."""
+    """Test-set errors for one (dataset, horizon, variant, eta, seed) cell;
+    mae is None where a command computes no forecast (see `cli.run_single`)."""
 
     dataset: str
     horizon: int
@@ -57,7 +58,7 @@ class EvalReport:
     seed: int
     noise_eta: float
     mse: float
-    mae: float
+    mae: float | None
 
 
 @dataclass(frozen=True)

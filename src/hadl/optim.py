@@ -33,8 +33,8 @@ from .model import (
     window_rows,
 )
 
-# Rows per block of the test pass (`evaluate`): it takes max(1, EVAL_ROWS //
-# channels) whole windows at a time, so its Haar-row, target and forecast
+# Rows per block of the test MAE pass (`evaluate`): it takes max(1, EVAL_ROWS
+# // channels) whole windows at a time, so its Haar-row, target and forecast
 # arrays hold at most max(EVAL_ROWS, channels) rows whatever the channel
 # count, and its summation order is fixed. Swept at L = 512 and r = 50 with
 # one BLAS thread: ms per window / tracemalloc peak (MB) of one pass, by
@@ -241,10 +241,12 @@ def adam_step(
 def _gather_blocks(model: HadlModel, batch, order, size: int):
     """The windows of `order`, `size` at a time: (rows, d_in) Haar rows,
     (rows, H) targets and a (rows, H) scratch array for the forecast, copied
-    window by window from the views of a WindowBatch into arrays allocated
-    once per call (fancy indexing would allocate every block afresh, and
-    `np.take` copies the whole strided Haar view first). The caller may
-    overwrite the targets and the scratch; the next block refills them."""
+    from the views of a WindowBatch into arrays allocated once per call
+    (fancy indexing would allocate every block afresh, and `np.take` copies
+    the whole strided Haar view first). A `range` order copies each block
+    with one slice assignment per array, any other order window by window.
+    The caller may overwrite the targets and the scratch; the next block
+    refills them."""
     S, Y = window_rows(model, batch), batch.targets
     n, channels = len(order), S.shape[1]
     S_buf = np.empty((min(size, n),) + S.shape[1:])
@@ -252,27 +254,29 @@ def _gather_blocks(model: HadlModel, batch, order, size: int):
     out = np.empty((min(size, n) * channels, model.horizon))
     for start in range(0, n, size):
         idx = order[start : start + size]
-        for j, w in enumerate(idx):
-            S_buf[j] = S[w]
-            Y_buf[j] = Y[w]
+        if isinstance(idx, range):
+            S_buf[: len(idx)] = S[idx.start : idx.stop : idx.step]
+            Y_buf[: len(idx)] = Y[idx.start : idx.stop : idx.step]
+        else:
+            for j, w in enumerate(idx):
+                S_buf[j] = S[w]
+                Y_buf[j] = Y[w]
         rows = len(idx) * channels
         yield S_buf[: len(idx)].reshape(rows, -1), Y_buf[: len(idx)].reshape(rows, -1), out[:rows]
 
 
-def evaluate(model: HadlModel, batch) -> tuple[float, float]:
-    """MSE and MAE (no L1 term) of the forecasts for every window of a
-    WindowBatch, summed block by block (see EVAL_ROWS) without a full-set
-    array."""
+def evaluate(model: HadlModel, batch) -> float:
+    """MAE of the forecasts for every window of a WindowBatch, summed block
+    by block in origin order (see EVAL_ROWS) without a full-set array. The
+    MSE needs no forecast: see `window_mse`."""
     folded = fold_dct(model, dct_matrix(model))
-    squared = absolute = 0.0
+    absolute = 0.0
     size = max(1, EVAL_ROWS // batch.values.shape[0])
     for rows, target, out in _gather_blocks(model, batch, range(len(batch)), size):
         head_into(folded, rows, out)
         diff = np.subtract(out, target, out=out)
-        squared += float(np.sum(np.multiply(diff, diff, out=target)))
         absolute += float(np.sum(np.abs(diff, out=target)))
-    count = len(batch) * batch.values.shape[0] * model.horizon
-    return squared / count, absolute / count
+    return absolute / (len(batch) * batch.values.shape[0] * model.horizon)
 
 
 def _window_sums(p: np.ndarray, n: int, step: int) -> np.ndarray:
@@ -313,6 +317,21 @@ def _channel_sums(s: np.ndarray, x: np.ndarray, lookback: int, last: int):
 STATS_BLOCK = 16
 
 
+def _fft_length(n: int) -> int:
+    """The smallest 2^a * 3^b * 5^c >= n: numpy's FFT takes such a length in
+    radix-2, -3, -4 and -5 passes, at a size that the next power of two can
+    nearly double (ETTh1's 8640-step train split: 8640 against 16384)."""
+    best = 1 << (n - 1).bit_length()
+    power3 = 1
+    while power3 < best:
+        odd = power3
+        while odd < best:  # odd = 3^b * 5^c, times the fewest twos that reach n
+            best = min(best, odd << (-(-n // odd) - 1).bit_length())
+            odd *= 5
+        power3 *= 3
+    return best
+
+
 def window_stats(model: HadlModel, batch) -> BatchStats:
     """`BatchStats` of the Haar rows S (see `window_rows`) and targets Y of
     every (window, channel) row of a WindowBatch, without gathering a window.
@@ -326,8 +345,9 @@ def window_stats(model: HadlModel, batch) -> BatchStats:
     enter and leave. So G's first row, C's first row and C's first `step`
     columns determine every other entry. Each of those is a channel-summed
     cross-correlation of a length-n head segment against a whole series,
-    computed by FFT at a length no shorter than the series, so no circular
-    wrap reaches a lag it reads; the updates are GEMMs. Both run over
+    computed by FFT at a 5-smooth length no shorter than the series
+    (`_fft_length`), so no circular wrap reaches a lag it reads; the
+    updates are GEMMs. Both run over
     blocks of STATS_BLOCK channels. That costs O(channels * timesteps *
     log(timesteps)) for the correlations and O(channels * step * d_in *
     (d_in + H)) for the updates, where blocked row products cost O(rows *
@@ -341,7 +361,7 @@ def window_stats(model: HadlModel, batch) -> BatchStats:
     s, step, last = haar_series(model, batch)
     x = batch.values
     d, L, H, n = model.d_in, model.lookback, model.horizon, len(batch)
-    size = 1 << (max(last, x.shape[1] - L) - 1).bit_length()  # no shorter than either series
+    size = _fft_length(max(last, x.shape[1] - L))  # no shorter than either series
     cols = min(step, H)
     # channel-summed spectra of the correlations: G's first row, C's first
     # row, then C's first `cols` columns
@@ -512,6 +532,15 @@ def _quadratic_form(folded: HadlModel, stats: BatchStats):
     return R, column_sum, squared / (stats.rows * folded.horizon)
 
 
+def window_mse(model: HadlModel, batch) -> float:
+    """MSE (no L1 term) of the forecasts for every window of a WindowBatch,
+    from the quadratic form of the windows' `window_stats`, with no forecast:
+    it agrees with the forecasts' MSE to about 1e-12 relative (see
+    `_quadratic_form`)."""
+    _, _, mse = _quadratic_form(fold_dct(model, dct_matrix(model)), window_stats(model, batch))
+    return mse
+
+
 def dense_equivalent_grad_norm(model: HadlModel, batch) -> float:
     """Frobenius norm of the residual gradient w.r.t. W = P@Q (or W itself)
     over every window of a WindowBatch.
@@ -627,7 +656,7 @@ def train(
     Validation MSE (without the L1 term) comes after every epoch from the
     quadratic form of the validation windows' `window_stats`, computed on
     the first epoch, so no epoch passes over the validation windows (it
-    agrees with `evaluate` to about 1e-12 relative; see `_quadratic_form`).
+    agrees with the forecasts' MSE to about 1e-12 relative; see `window_mse`).
     Training stops after `patience` epochs without strict improvement and
     the parameters of the best epoch are returned. A non-finite train loss
     or validation MSE raises DivergedError at once, since the initial

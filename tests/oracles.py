@@ -6,8 +6,10 @@ The Haar inverse and the orthonormal DCT verify the energy properties that
 justify the pipeline; the double-loop DCT is independent of the matrix
 product `hadl.transforms.dct2_raw` uses; `gradients` and `gradcheck` check
 the trainer's closed-form gradients against central differences of `loss`;
-`reference_step`, `textbook_adam` and `reference_train` are the training
-step, the ADAM update and the loop with every array freshly allocated.
+`forecast_mse` is the MSE of materialized forecasts, which the package takes
+from window statistics instead; `reference_step`, `textbook_adam` and
+`reference_train` are the training step, the ADAM update and the loop with
+every array freshly allocated.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ import numpy as np
 from hadl.errors import EmptyInputError, HadlError, ShapeMismatchError
 from hadl.model import (HEAD_LOW_RANK, HadlModel, dct_matrix, fold_dct, forward, haar_rows,
                         model_params, replace_params, window_rows)
-from hadl.optim import (BETA1, BETA2, EPSILON, _gradients_from_rows, adam_step, evaluate,
-                        init_adam, l1_penalty)
+from hadl.optim import (BETA1, BETA2, EPSILON, _gradients_from_rows, adam_step, init_adam,
+                        l1_penalty)
 from hadl.transforms import SQRT2, _check_even_length, dct2_raw
 
 
@@ -142,6 +144,13 @@ def improvement(mse_best_baseline: float, mse_ours: float) -> float:
 
 
 # -- optim --------------------------------------------------------------------
+
+def forecast_mse(model: HadlModel, batch) -> float:
+    """MSE (no L1 term) of `forward` on every window of a WindowBatch,
+    copied whole."""
+    diff = forward(model, np.array(batch.inputs)) - batch.targets
+    return float(np.vdot(diff, diff)) / diff.size
+
 
 def loss(pred, target, model: HadlModel, l1_lambda: float) -> float:
     """Mean squared error plus l1_lambda times the weight L1 norm."""
@@ -306,7 +315,7 @@ def reference_train(model, train_windows, val_windows, config):
             loss_sum += batch_loss * S.shape[0]
             row_count += S.shape[0]
         train_loss.append(loss_sum / row_count)
-        val_mse.append(evaluate(replace_params(model, params), val_windows)[0])
+        val_mse.append(forecast_mse(replace_params(model, params), val_windows))
         if val_mse[-1] < best_val:
             best_params, best_val, waited = params, val_mse[-1], 0
         else:

@@ -337,11 +337,11 @@ class TestGradNormOnlyWhereWritten:
 
 
 class TestFullSetPasses:
-    """Validation MSEs come from the validation windows' statistics, so a job
-    gathers windows for the test pass alone."""
+    """Validation and test MSEs come from the windows' statistics, so only
+    `train` forecasts, once per job, for the test MAE it writes."""
 
     @pytest.mark.parametrize("channels", [40, 3])
-    def test_one_evaluate_per_job(self, tmp_path, monkeypatch, channels):
+    def test_one_evaluate_per_job(self, tmp_path, monkeypatch, channels, capsys):
         assert steps_from_stats(channels, 32, 8, 4, HEAD_LOW_RANK) == (channels == 40)
         evaluations = count_calls(monkeypatch, hadl.cli, "evaluate")
         # any pass `train` made would call it on hadl.optim
@@ -350,7 +350,28 @@ class TestFullSetPasses:
         cmd_train(synth_config(tmp_path, horizons=(8, 16), seeds=(1, 2), max_epochs=3,
                                patience=3, synth_channels=channels))
         assert len(evaluations) == 4 and evaluations_in_train == []
-        assert len(stats) == 4 * 2  # validation and the grad norm
+        assert len(stats) == 4 * 3  # validation, the grad norm and the test MSE
+        jobs = [line for line in capsys.readouterr().out.splitlines() if line.startswith("job ")]
+        assert len(jobs) == 4 and all(" test_mae=" in line for line in jobs)
+
+    @pytest.mark.parametrize("channels", [40, 3])
+    def test_robustness_and_ablate_forecast_nothing(self, tmp_path, monkeypatch, channels,
+                                                    capsys):
+        def forecast(*args):
+            raise AssertionError("robustness or ablate forecast the test set")
+
+        for module in (hadl.cli, hadl.optim):
+            monkeypatch.setattr(module, "evaluate", forecast)
+        stats = count_calls(monkeypatch, hadl.optim, "window_stats")
+        config = synth_config(tmp_path, horizons=(8,), eta_list=(0.0, 0.7), robust_max_epochs=2,
+                              robust_patience=2, ablate_rank=2, max_epochs=2, patience=2,
+                              synth_channels=channels)
+        report = cmd_robustness(config)
+        cmd_ablate(config, "head")
+        assert all(np.isfinite(report.mse_per_eta))
+        assert len(stats) == 4 * 2  # validation and the test MSE
+        jobs = [line for line in capsys.readouterr().out.splitlines() if line.startswith("job ")]
+        assert len(jobs) == 4 and not any("test_mae" in line for line in jobs)
 
 
 class TestRobustnessCommand:

@@ -1,28 +1,33 @@
-"""A differential end-to-end property over the variant grid.
+"""Differential end-to-end properties over the variant grid.
 
-Each draw writes a small CSV, runs `hadl train` through `hadl.cli.main` for
-one or two epochs, and recomputes what the run wrote from the checkpoint
-alone: the test MSE and MAE from the CSV with explicit products of the oracle
-Haar and DCT matrices, the `eval.csv` row from `eval.json`, and the
-`export-weights` matrix from `effective_weight`. The channel count falls on
-both sides of `steps_from_stats`, so both step sources run. A draw whose
-model cannot exist must fail with one error line and write nothing.
+Each draw of the first writes a small CSV, runs `hadl train` through
+`hadl.cli.main` for one or two epochs, and recomputes what the run wrote from
+the checkpoint alone: the test MSE and MAE from the CSV with explicit
+products of the oracle Haar and DCT matrices, the `eval.csv` row from
+`eval.json`, and the `export-weights` matrix from `effective_weight`. The
+second checks the test errors of every command's jobs against the returned
+model's forecasts. The channel count falls on both sides of
+`steps_from_stats`, so both step sources run. A draw whose model cannot
+exist must fail with one error line and write nothing.
 """
 
 import contextlib
 import csv
 import io
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hadl.cli import main
-from hadl.model import HEAD_DENSE, HEAD_LOW_RANK, effective_weight, load_checkpoint
+import hadl.cli
+from hadl.cli import ExperimentConfig, load_dataset, main, prepare_windows, run_single
+from hadl.model import HEAD_DENSE, HEAD_LOW_RANK, effective_weight, forward, load_checkpoint
 from hadl.optim import steps_from_stats
-from oracles import dct2_bruteforce, haar_forward
+from oracles import dct2_bruteforce, forecast_mse, haar_forward
 
 TIMESTEPS = 120  # ratio split: 84 train, 12 validation and 24 test steps
 
@@ -147,3 +152,52 @@ def test_train_matches_an_independent_recomputation(tmp_path_factory, lookback, 
     exported = np.loadtxt(tmp / "w.csv", delimiter=",", ndmin=2)
     assert np.array_equal(exported, head_map(model))
     assert np.array_equal(exported, effective_weight(model))
+
+
+@settings(max_examples=60, deadline=None)
+@given(lookback=st.integers(2, 8).map(lambda half: 2 * half), horizon=st.integers(1, 8),
+       rank=st.integers(1, 6), head=st.sampled_from([HEAD_LOW_RANK, HEAD_DENSE]),
+       use_haar=st.booleans(), use_dct=st.booleans(), with_bias=st.booleans(),
+       wide=st.booleans(), narrow_channels=st.integers(1, 3), train_outputs=st.booleans(),
+       test_windows=st.integers(1, 17), seed=st.integers(0, 2**16))
+@example(lookback=16, horizon=8, rank=3, head=HEAD_LOW_RANK, use_haar=True, use_dct=True,
+         with_bias=True, wide=True, narrow_channels=1, train_outputs=False, test_windows=1,
+         seed=0)
+@example(lookback=4, horizon=1, rank=1, head=HEAD_DENSE, use_haar=False, use_dct=True,
+         with_bias=False, wide=False, narrow_channels=2, train_outputs=True, test_windows=1,
+         seed=1)
+def test_job_test_errors_equal_the_forecasts(lookback, horizon, rank, head, use_haar, use_dct,
+                                             with_bias, wide, narrow_channels, train_outputs,
+                                             test_windows, seed):
+    # run_single's report holds what each command writes: train its mse and
+    # mae, robustness and ablate (train_outputs off) the mse alone. The test
+    # segment is cut to `test_windows` windows, down to one.
+    d_in = lookback // 2 if use_haar else lookback
+    channels = narrow_channels
+    if wide:
+        channels = next(c for c in range(1, 1000)
+                        if steps_from_stats(c, d_in, horizon, rank, head))
+    assert steps_from_stats(channels, d_in, horizon, rank, head) == wide
+    job = ExperimentConfig(dataset="sine_mix", synth_length=TIMESTEPS, synth_channels=channels,
+                           lookback=lookback, horizons=(horizon,), rank=rank, head=head,
+                           use_haar=use_haar, use_dct=use_dct, with_bias=with_bias,
+                           max_epochs=2, patience=2, learning_rate=0.01, seed=seed)
+    tests = []
+
+    def cut_test_segment(job, horizon, data):
+        w_train, w_val, w_test = prepare_windows(job, horizon, data)
+        span = lookback + horizon + test_windows - 1
+        tests.append(replace(w_test, values=w_test.values[:, :span]))
+        return w_train, w_val, tests[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hadl.cli, "prepare_windows", cut_test_segment)
+        best, _, report = run_single(job, horizon, load_dataset(job), train_outputs)
+    [w_test] = tests
+    assert len(w_test) == test_windows
+    assert report.mse == pytest.approx(forecast_mse(best, w_test), rel=1e-12, abs=0.0)
+    if train_outputs:
+        errors = forward(best, np.array(w_test.inputs)) - w_test.targets
+        assert report.mae == pytest.approx(float(np.mean(np.abs(errors))), rel=1e-12, abs=0.0)
+    else:
+        assert report.mae is None

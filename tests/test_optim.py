@@ -32,9 +32,10 @@ from hadl.optim import (
     l1_penalty,
     steps_from_stats,
     train,
+    window_mse,
     write_trace_csv,
 )
-from oracles import (InvalidStepError, gradcheck, gradients, loss, models_equal,
+from oracles import (InvalidStepError, forecast_mse, gradcheck, gradients, loss, models_equal,
                      reference_train, textbook_adam)
 
 
@@ -308,7 +309,7 @@ class TestTrain:
         cfg = TrainConfig(learning_rate=1e-300, l1_lambda=0.0, max_epochs=2, patience=2, seed=0)
         for seed in range(4):
             w_train, w_val, _ = realizable_windows(lookback, horizon, channels, seed=seed)
-            assert evaluate(model, w_val) == (0.0, 0.0)
+            assert forecast_mse(model, w_val) == 0.0 and evaluate(model, w_val) == 0.0
             _, trace = train(model, w_train, w_val, cfg)
             assert all(0.0 <= mse < 1e-12 for mse in trace.val_mse), trace.val_mse
 
@@ -422,13 +423,11 @@ def reference_residuals(model, batch):
         yield rows, head_apply(folded, rows) - target
 
 
-def reference_evaluate(model, batch):
-    squared = absolute = 0.0
+def reference_mae(model, batch):
+    absolute = 0.0
     for _, diff in reference_residuals(model, batch):
-        squared += float(np.sum(diff * diff))
         absolute += float(np.sum(np.abs(diff)))
-    count = len(batch) * batch.values.shape[0] * model.horizon
-    return squared / count, absolute / count
+    return absolute / (len(batch) * batch.values.shape[0] * model.horizon)
 
 
 def reference_grad_norm(model, batch):
@@ -461,9 +460,10 @@ BLOCK_CASES = [
 
 
 class TestBlockedPasses:
-    """`evaluate` gathers each block into arrays allocated once per pass;
-    every bit must match fresh per-block arrays. The grad norm comes from
-    window statistics instead, so it matches the blocked pass to rounding."""
+    """`evaluate`, the MAE pass, gathers each block into arrays allocated
+    once per pass; every bit must match fresh per-block arrays. The MSE and
+    the grad norm come from window statistics instead, so they match the
+    forecasts to rounding."""
 
     @pytest.mark.parametrize("head", [HEAD_LOW_RANK, HEAD_DENSE])
     @pytest.mark.parametrize("with_bias", [True, False])
@@ -479,7 +479,9 @@ class TestBlockedPasses:
             model.bias[:] = np.random.default_rng(8).normal(size=16)
         for seed, (channels, n) in enumerate(BLOCK_CASES):
             batch = random_batch(channels, n, seed=seed)
-            assert evaluate(model, batch) == reference_evaluate(model, batch)
+            assert evaluate(model, batch) == reference_mae(model, batch)
+            assert window_mse(model, batch) == pytest.approx(
+                forecast_mse(model, batch), rel=1e-12, abs=0.0)
             assert dense_equivalent_grad_norm(model, batch) == pytest.approx(
                 reference_grad_norm(model, batch), rel=1e-12, abs=0.0)
 
