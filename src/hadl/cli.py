@@ -31,7 +31,9 @@ from .errors import HadlError, InvalidConfigError, MissingZeroEtaError, UnknownA
 from .model import (
     HEAD_DENSE,
     HEAD_LOW_RANK,
+    dct_matrix,
     effective_weight,
+    fold_dct,
     forward,  # noqa: F401  (hadl.cli.forward: a benchmark tracing target)
     init_model,
     kilo_display,
@@ -218,29 +220,27 @@ def run_single(job: ExperimentConfig, horizon: int, data, train_outputs: bool = 
 
     Returns (best_model, trace, EvalReport). The model init seed does not
     depend on noise_eta, so a robustness sweep perturbs only the training data.
-    The test MSE comes from the test windows' `window_stats` (`window_mse`),
-    with no forecast. train_outputs adds what only `train` writes: the test
-    MAE, from one forecast pass over the test windows (`evaluate`), and
-    trace.final_grad_norm of the best model, from the training windows'
-    `window_stats`. Without it the MAE is None and the norm stays NaN.
+    F = dct_matrix(model) is built once, for `train` and the best head's
+    fold. The test MSE comes from the test windows' `window_stats`, with no
+    forecast. train_outputs adds what only `train` writes: the test MAE, from
+    one forecast pass over the test windows (`evaluate`), and
+    trace.final_grad_norm, from the training windows' `window_stats`.
+    Without it the MAE is None and the norm stays NaN.
     """
     w_train, w_val, w_test = prepare_windows(job, horizon, data)
-    model = init_model(
-        job.lookback,
-        horizon,
-        job.rank,
-        seed=mix_seed(job.seed, "init", job.lookback, horizon),
-        use_haar=job.use_haar,
-        use_dct=job.use_dct,
-        head=job.head,
-        with_bias=job.with_bias,
-    )
-    best, trace = train(model, w_train, w_val, job)
+    model = init_model(job.lookback, horizon, job.rank,
+                       seed=mix_seed(job.seed, "init", job.lookback, horizon),
+                       use_haar=job.use_haar, use_dct=job.use_dct, head=job.head,
+                       with_bias=job.with_bias)
+    F = dct_matrix(model)
+    best, trace = train(model, w_train, w_val, job, F)
+    folded = fold_dct(best, F)
     test_mae = None
     if train_outputs:
         # looked up on hadl.optim, where the benchmark's tracer wraps it
-        trace.final_grad_norm = hadl_optim.dense_equivalent_grad_norm(best, w_train)
-        test_mae = evaluate(best, w_test)
+        trace.final_grad_norm = hadl_optim.dense_equivalent_grad_norm(
+            folded, hadl_optim.window_stats(folded, w_train), F)
+        test_mae = evaluate(folded, w_test)
     report = hadl_metrics.EvalReport(
         dataset=data[0].name,
         horizon=horizon,
@@ -251,7 +251,7 @@ def run_single(job: ExperimentConfig, horizon: int, data, train_outputs: bool = 
         rank=job.rank if job.head == HEAD_LOW_RANK else None,
         seed=job.seed,
         noise_eta=job.noise_eta,
-        mse=window_mse(best, w_test),
+        mse=window_mse(folded, hadl_optim.window_stats(folded, w_test)),
         mae=test_mae,
     )
     return best, trace, report
@@ -520,8 +520,9 @@ def main(argv=None) -> int:
             cmd_params(resolve_config(args))
         elif args.command == "export-weights":
             cmd_export_weights(args.checkpoint, args.out)
-    except (HadlError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (HadlError, OSError, MemoryError) as exc:
+        oom = "out of memory: " if isinstance(exc, MemoryError) else ""
+        print(f"error: {oom}{exc}", file=sys.stderr)
         return 1
     return 0
 

@@ -21,7 +21,6 @@ from .model import (
     HEAD_DENSE,
     HEAD_LOW_RANK,
     HadlModel,
-    dct_matrix,
     effective_weight,
     fold_dct,
     haar_series,
@@ -117,7 +116,7 @@ class TrainTrace:
     one (-1 when no epoch ran). final_grad_norm is NaN as `train` returns
     it: only a caller that reports it fills it in, with
     `dense_equivalent_grad_norm` of the returned model and the training
-    windows.
+    windows' statistics.
     """
 
     train_loss: list[float] = field(default_factory=list)
@@ -147,10 +146,11 @@ def _add_l1(model: HadlModel, grads: dict[str, np.ndarray], data_loss: float,
     """Add the L1 subgradient (sign(0) = 0) to the weight gradients in place;
     return the data loss plus the L1 term."""
     if l1_lambda > 0.0:
-        for name, value in model_params(model).items():
+        params = model_params(model)
+        for name, value in params.items():
             if name != "bias":
                 grads[name] += l1_lambda * np.sign(value)
-        data_loss += l1_lambda * l1_penalty(model_params(model))
+        data_loss += l1_lambda * l1_penalty(params)
     return data_loss
 
 
@@ -265,18 +265,17 @@ def _gather_blocks(model: HadlModel, batch, order, size: int):
         yield S_buf[: len(idx)].reshape(rows, -1), Y_buf[: len(idx)].reshape(rows, -1), out[:rows]
 
 
-def evaluate(model: HadlModel, batch) -> float:
-    """MAE of the forecasts for every window of a WindowBatch, summed block
-    by block in origin order (see EVAL_ROWS) without a full-set array. The
-    MSE needs no forecast: see `window_mse`."""
-    folded = fold_dct(model, dct_matrix(model))
+def evaluate(folded: HadlModel, batch) -> float:
+    """MAE of the folded head's forecasts (see `fold_dct`) for every window
+    of a WindowBatch, summed block by block in origin order (see EVAL_ROWS)
+    without a full-set array. The MSE needs no forecast: see `window_mse`."""
     absolute = 0.0
     size = max(1, EVAL_ROWS // batch.values.shape[0])
-    for rows, target, out in _gather_blocks(model, batch, range(len(batch)), size):
+    for rows, target, out in _gather_blocks(folded, batch, range(len(batch)), size):
         head_into(folded, rows, out)
         diff = np.subtract(out, target, out=out)
         absolute += float(np.sum(np.abs(diff, out=target)))
-    return absolute / (len(batch) * batch.values.shape[0] * model.horizon)
+    return absolute / (len(batch) * batch.values.shape[0] * folded.horizon)
 
 
 def _window_sums(p: np.ndarray, n: int, step: int) -> np.ndarray:
@@ -532,29 +531,27 @@ def _quadratic_form(folded: HadlModel, stats: BatchStats):
     return R, column_sum, squared / (stats.rows * folded.horizon)
 
 
-def window_mse(model: HadlModel, batch) -> float:
-    """MSE (no L1 term) of the forecasts for every window of a WindowBatch,
-    from the quadratic form of the windows' `window_stats`, with no forecast:
-    it agrees with the forecasts' MSE to about 1e-12 relative (see
-    `_quadratic_form`)."""
-    _, _, mse = _quadratic_form(fold_dct(model, dct_matrix(model)), window_stats(model, batch))
-    return mse
+def window_mse(folded: HadlModel, stats: BatchStats) -> float:
+    """MSE (no L1 term) of the folded head's forecasts (see `fold_dct`) for
+    the windows whose `window_stats` are `stats`, with no forecast: it agrees
+    with the forecasts' MSE to about 1e-12 relative (see `_quadratic_form`)."""
+    return _quadratic_form(folded, stats)[2]
 
 
-def dense_equivalent_grad_norm(model: HadlModel, batch) -> float:
+def dense_equivalent_grad_norm(folded: HadlModel, stats: BatchStats,
+                               F: np.ndarray | None) -> float:
     """Frobenius norm of the residual gradient w.r.t. W = P@Q (or W itself)
-    over every window of a WindowBatch.
+    over the windows whose `window_stats` are `stats`, for the head folded
+    with F = dct_matrix(model).
 
     Computed without the L1 term; at a true minimum of the data term this
     vanishes even though the factored gradients only vanish individually.
     The forecast of rows S is S @ M + bias with M the folded head, so the
     summed gradient S.T @ (S @ M + bias - Y) = G @ M + (S.T @ 1) bias - C
-    comes from the windows' `window_stats`, with no pass over the windows.
+    comes from the statistics, with no pass over the windows.
     """
-    stats = window_stats(model, batch)
-    F = dct_matrix(model)
-    residual, _, _ = _quadratic_form(fold_dct(model, F), stats)
-    return 2.0 / (stats.rows * model.horizon) * float(np.linalg.norm(_dct_basis(F, residual)))
+    residual, _, _ = _quadratic_form(folded, stats)
+    return 2.0 / (stats.rows * folded.horizon) * float(np.linalg.norm(_dct_basis(F, residual)))
 
 
 def _gradients_from_stats(
@@ -642,6 +639,7 @@ def train(
     train_windows,
     val_windows,
     config: TrainConfig,
+    F: np.ndarray | None,
 ) -> tuple[HadlModel, TrainTrace]:
     """Mini-batch ADAM with seeded shuffling and best-snapshot early stopping.
 
@@ -651,7 +649,8 @@ def train(
     the training segment into arrays allocated once per epoch
     (`_gather_blocks`), so no window set is ever copied whole. Many
     channels: the batch's statistics, summed from `LagTables` built on the
-    first epoch. `final_grad_norm` is left NaN (see TrainTrace).
+    first epoch. F = dct_matrix(model) is the caller's, so a job builds it
+    once. `final_grad_norm` is left NaN (see TrainTrace).
 
     Validation MSE (without the L1 term) comes after every epoch from the
     quadratic form of the validation windows' `window_stats`, computed on
@@ -666,7 +665,6 @@ def train(
     if n_train == 0 or len(val_windows) == 0:
         raise EmptyDataError("training and validation window sets must be non-empty")
 
-    F = dct_matrix(model)
     from_stats = steps_from_stats(train_windows.values.shape[0], model.d_in, model.horizon,
                                   model.rank, model.head)
     tables = val_stats = None
@@ -711,7 +709,7 @@ def train(
             trace.train_loss.append(loss_sum / row_count)
             if val_stats is None:
                 val_stats = window_stats(model, val_windows)
-            _, _, val_mse = _quadratic_form(fold_dct(replace_params(model, params), F), val_stats)
+            val_mse = window_mse(fold_dct(replace_params(model, params), F), val_stats)
         trace.val_mse.append(val_mse)
         if not (math.isfinite(trace.train_loss[-1]) and math.isfinite(val_mse)):
             raise DivergedError(

@@ -16,7 +16,8 @@ import pytest
 from hadl.cli import ExperimentConfig, cmd_ablate, cmd_robustness, cmd_train
 from hadl.data import fit_transform, split, synth, windows
 from hadl.metrics import mav
-from hadl.model import HEAD_DENSE, HEAD_LOW_RANK, init_model, kilo_display, param_count
+from hadl.model import (HEAD_DENSE, HEAD_LOW_RANK, dct_matrix, init_model, kilo_display,
+                        param_count)
 from hadl.optim import TrainConfig, train
 from hadl.transforms import dct2_raw
 from oracles import (dct2_bruteforce, dct2_orthonormal, floor_kilo_display, gradcheck,
@@ -150,7 +151,7 @@ def test_criterion_5_realizable_task_convergence():
         batch_size=64, seed=1,
     )
     model = init_model(64, 16, 2, seed=5)
-    _, trace = train(model, w_train, w_val, config)
+    _, trace = train(model, w_train, w_val, config, dct_matrix(model))
     assert min(trace.val_mse) < 1e-4
     assert len(trace.val_mse) <= 200
     assert time.monotonic() - start < 30.0

@@ -13,6 +13,7 @@ from numpy.testing import assert_allclose
 
 import hadl.cli
 import hadl.data
+import hadl.model
 import hadl.optim
 from hadl.cli import (
     ExperimentConfig,
@@ -29,9 +30,9 @@ from hadl.cli import (
     run_single,
 )
 from hadl.errors import CorruptCheckpointError, HadlError, MissingZeroEtaError, UnknownAxisError
-from hadl.model import (HEAD_LOW_RANK, effective_weight, init_model, load_checkpoint,
-                        save_checkpoint)
-from hadl.optim import dense_equivalent_grad_norm, steps_from_stats
+from hadl.model import (HEAD_LOW_RANK, dct_matrix, effective_weight, fold_dct, init_model,
+                        load_checkpoint, save_checkpoint)
+from hadl.optim import dense_equivalent_grad_norm, steps_from_stats, window_stats
 
 
 def table_rows(path) -> list[list[str]]:
@@ -296,7 +297,10 @@ class TestTrainCommand:
                     best = load_checkpoint(run_dir / f"checkpoint_seed{seed}.npz")
                     w_train, _, _ = prepare_windows(replace(config, seed=seed), horizon, data)
                     written = json.loads((run_dir / f"trace_seed{seed}.json").read_text())
-                    assert written["final_grad_norm"] == dense_equivalent_grad_norm(best, w_train)
+                    F = dct_matrix(best)
+                    want = dense_equivalent_grad_norm(fold_dct(best, F),
+                                                      window_stats(best, w_train), F)
+                    assert written["final_grad_norm"] == want
 
 
 def count_calls(monkeypatch, module, name: str) -> list:
@@ -336,9 +340,29 @@ class TestGradNormOnlyWhereWritten:
         assert calls == []
 
 
+def dct_builds_per_job(monkeypatch) -> list:
+    """Calls of `hadl.model.dct2_scaled` (one per `dct_matrix` build with the
+    Haar stage on) in each serial `run_single`; the list grows by one count
+    per job, in job order."""
+    builds, per_job = count_calls(monkeypatch, hadl.model, "dct2_scaled"), []
+    run_single = hadl.cli.run_single
+
+    def counted(*args):
+        before = len(builds)
+        result = run_single(*args)
+        per_job.append(len(builds) - before)
+        return result
+
+    monkeypatch.setattr(hadl.cli, "run_single", counted)
+    return per_job
+
+
 class TestFullSetPasses:
     """Validation and test MSEs come from the windows' statistics, so only
-    `train` forecasts, once per job, for the test MAE it writes."""
+    `train` forecasts, once per job, for the test MAE it writes. Each job
+    builds its DCT matrix F once and each set of full-set statistics once;
+    `window_stats` is counted on hadl.optim, where `train` and `run_single`
+    both look it up."""
 
     @pytest.mark.parametrize("channels", [40, 3])
     def test_one_evaluate_per_job(self, tmp_path, monkeypatch, channels, capsys):
@@ -347,10 +371,12 @@ class TestFullSetPasses:
         # any pass `train` made would call it on hadl.optim
         evaluations_in_train = count_calls(monkeypatch, hadl.optim, "evaluate")
         stats = count_calls(monkeypatch, hadl.optim, "window_stats")
+        dct_builds = dct_builds_per_job(monkeypatch)
         cmd_train(synth_config(tmp_path, horizons=(8, 16), seeds=(1, 2), max_epochs=3,
                                patience=3, synth_channels=channels))
         assert len(evaluations) == 4 and evaluations_in_train == []
         assert len(stats) == 4 * 3  # validation, the grad norm and the test MSE
+        assert dct_builds == [1] * 4
         jobs = [line for line in capsys.readouterr().out.splitlines() if line.startswith("job ")]
         assert len(jobs) == 4 and all(" test_mae=" in line for line in jobs)
 
@@ -363,15 +389,19 @@ class TestFullSetPasses:
         for module in (hadl.cli, hadl.optim):
             monkeypatch.setattr(module, "evaluate", forecast)
         stats = count_calls(monkeypatch, hadl.optim, "window_stats")
+        dct_builds = dct_builds_per_job(monkeypatch)
         config = synth_config(tmp_path, horizons=(8,), eta_list=(0.0, 0.7), robust_max_epochs=2,
                               robust_patience=2, ablate_rank=2, max_epochs=2, patience=2,
                               synth_channels=channels)
         report = cmd_robustness(config)
         cmd_ablate(config, "head")
+        cmd_ablate(config, "dct")
         assert all(np.isfinite(report.mse_per_eta))
-        assert len(stats) == 4 * 2  # validation and the test MSE
+        assert len(stats) == 6 * 2  # validation and the test MSE
+        # two etas, low_rank and dense, then with_dct and without_dct
+        assert dct_builds == [1, 1, 1, 1, 1, 0]
         jobs = [line for line in capsys.readouterr().out.splitlines() if line.startswith("job ")]
-        assert len(jobs) == 4 and not any("test_mae" in line for line in jobs)
+        assert len(jobs) == 6 and not any("test_mae" in line for line in jobs)
 
 
 class TestRobustnessCommand:
@@ -748,6 +778,27 @@ def test_model_shape_checked_before_the_pool(tmp_path, capsys, monkeypatch, comm
     assert rc == 1
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: lookback "), err
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--synth-length", "10000000000"),
+                                         ("--synth-channels", "3000000")])
+def test_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch, flag, value):
+    # numpy's _ArrayMemoryError traceback; raised here by a stand-in, since a
+    # real allocation of that size can page in and get the process killed
+    message = "Unable to allocate 74.5 GiB for an array with shape (10000000000,)"
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(hadl.data, "synth", out_of_memory)
+    rc = main(["train", "--dataset", "random_walk", flag, value, "--lookback", "48",
+               "--horizons", "24", "--max-epochs", "1", "--patience", "1",
+               "--outdir", str(tmp_path / "runs")])
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert out == ""
+    assert err.splitlines() == [f"error: out of memory: {message}"]
     assert not (tmp_path / "runs").exists()
 
 

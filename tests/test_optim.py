@@ -33,6 +33,7 @@ from hadl.optim import (
     steps_from_stats,
     train,
     window_mse,
+    window_stats,
     write_trace_csv,
 )
 from oracles import (InvalidStepError, forecast_mse, gradcheck, gradients, loss, models_equal,
@@ -236,7 +237,7 @@ class TestTrain:
         cfg = TrainConfig(learning_rate=0.01, l1_lambda=0.0, max_epochs=200,
                           patience=200, batch_size=64, seed=1)
         model = init_model(64, 16, 2, seed=5)
-        best, trace = train(model, w_train, w_val, cfg)
+        best, trace = train(model, w_train, w_val, cfg, dct_matrix(model))
         assert min(trace.val_mse) < 1e-4
         assert trace.best_epoch == int(np.argmin(trace.val_mse))
 
@@ -245,7 +246,7 @@ class TestTrain:
         cfg = TrainConfig(learning_rate=0.01, l1_lambda=0.0, max_epochs=30,
                           patience=1, batch_size=64, seed=1)
         model = init_model(64, 16, 2, seed=5)
-        _, trace = train(model, w_train, w_train, cfg)
+        _, trace = train(model, w_train, w_train, cfg, dct_matrix(model))
         assert not trace.stopped_early
         assert len(trace.val_mse) == 30
 
@@ -253,7 +254,7 @@ class TestTrain:
         w_train, w_val, _ = realizable_windows()
         cfg = TrainConfig(max_epochs=0, patience=1, seed=0)
         model = init_model(64, 16, 2, seed=5)
-        best, trace = train(model, w_train, w_val, cfg)
+        best, trace = train(model, w_train, w_val, cfg, dct_matrix(model))
         assert models_equal(best, model)
         assert trace.train_loss == [] and trace.val_mse == []
         assert trace.best_epoch == -1
@@ -261,15 +262,16 @@ class TestTrain:
     def test_non_finite_loss_raises_diverged(self):
         w_train, w_val, _ = realizable_windows()
         cfg = TrainConfig(learning_rate=1e300, max_epochs=3, patience=3, seed=0)
+        model = init_model(64, 16, 2, seed=5)
         with np.errstate(all="ignore"), pytest.raises(DivergedError, match="epoch 0"):
-            train(init_model(64, 16, 2, seed=5), w_train, w_val, cfg)
+            train(model, w_train, w_val, cfg, dct_matrix(model))
 
     def test_bit_reproducible(self):
         w_train, w_val, _ = realizable_windows()
         cfg = TrainConfig(learning_rate=0.01, max_epochs=20, patience=20, seed=3)
         model = init_model(64, 16, 2, seed=5)
-        best_a, trace_a = train(model, w_train, w_val, cfg)
-        best_b, trace_b = train(model, w_train, w_val, cfg)
+        best_a, trace_a = train(model, w_train, w_val, cfg, dct_matrix(model))
+        best_b, trace_b = train(model, w_train, w_val, cfg, dct_matrix(model))
         assert models_equal(best_a, best_b)
         assert trace_a.train_loss == trace_b.train_loss
         assert trace_a.val_mse == trace_b.val_mse
@@ -279,8 +281,9 @@ class TestTrain:
         cfg = TrainConfig(learning_rate=0.01, l1_lambda=0.0, max_epochs=600,
                           patience=600, batch_size=64, seed=1)
         model = init_model(64, 16, 2, seed=5)
-        best, _ = train(model, w_train, w_val, cfg)
-        assert dense_equivalent_grad_norm(best, w_train) < 1e-3
+        F = dct_matrix(model)
+        best, _ = train(model, w_train, w_val, cfg, F)
+        assert dense_equivalent_grad_norm(fold_dct(best, F), window_stats(best, w_train), F) < 1e-3
 
     def test_l1_shrinks_weights_monotonically(self):
         w_train, w_val, _ = realizable_windows()
@@ -289,7 +292,7 @@ class TestTrain:
         for lam in (0.0, 1e-4, 1e-3):
             cfg = TrainConfig(learning_rate=0.01, l1_lambda=lam, max_epochs=150,
                               patience=150, batch_size=64, seed=1)
-            best, _ = train(model, w_train, w_val, cfg)
+            best, _ = train(model, w_train, w_val, cfg, dct_matrix(model))
             norms.append(l1_penalty(model_params(best)))
         assert norms[0] >= norms[1] >= norms[2]
 
@@ -310,7 +313,7 @@ class TestTrain:
         for seed in range(4):
             w_train, w_val, _ = realizable_windows(lookback, horizon, channels, seed=seed)
             assert forecast_mse(model, w_val) == 0.0 and evaluate(model, w_val) == 0.0
-            _, trace = train(model, w_train, w_val, cfg)
+            _, trace = train(model, w_train, w_val, cfg, dct_matrix(model))
             assert all(0.0 <= mse < 1e-12 for mse in trace.val_mse), trace.val_mse
 
     def test_empty_windows_rejected(self):
@@ -319,8 +322,9 @@ class TestTrain:
         span = w_train.lookback + w_train.horizon
         empty = replace(w_train, values=w_train.values[:, : span - 1])
         assert len(empty) == 0
+        model = init_model(64, 16, 2, seed=0)
         with pytest.raises(EmptyDataError):
-            train(init_model(64, 16, 2, seed=0), empty, w_val, TrainConfig(seed=0))
+            train(model, empty, w_val, TrainConfig(seed=0), dct_matrix(model))
 
     def test_early_stopping_restores_best_snapshot(self):
         # force overfitting-style oscillation with a large lr: the returned
@@ -329,7 +333,7 @@ class TestTrain:
         cfg = TrainConfig(learning_rate=0.2, l1_lambda=0.0, max_epochs=40,
                           patience=5, batch_size=64, seed=2)
         model = init_model(64, 16, 2, seed=6)
-        best, trace = train(model, w_train, w_val, cfg)
+        best, trace = train(model, w_train, w_val, cfg, dct_matrix(model))
         from hadl.model import head_apply, transform_inputs
 
         A_val = transform_inputs(best, w_val.inputs).reshape(-1, best.d_in)
@@ -357,7 +361,7 @@ class TestBufferedSteps:
         cfg = TrainConfig(learning_rate=0.05, l1_lambda=1e-4, max_epochs=8, patience=3,
                           batch_size=batch_size, seed=4)
         model = init_model(64, 16, 2, seed=5, **model_kwargs)
-        best, trace = train(model, w_train, w_val, cfg)
+        best, trace = train(model, w_train, w_val, cfg, dct_matrix(model))
         ref_best, ref_train_loss, ref_val_mse = reference_train(model, w_train, w_val, cfg)
         assert trace.train_loss == ref_train_loss
         assert_allclose(trace.val_mse, ref_val_mse, rtol=1e-12, atol=0.0)
@@ -385,7 +389,7 @@ class TestStatisticsSteps:
         monkeypatch.setattr(hadl.optim, "_gradients_from_rows", no_row_steps)
         cfg = TrainConfig(learning_rate=0.05, l1_lambda=1e-4, max_epochs=3, patience=3,
                           batch_size=48, seed=4)  # 201 windows: a final batch of 9
-        best, trace = train(model, w_train, w_val, cfg)
+        best, trace = train(model, w_train, w_val, cfg, dct_matrix(model))
         monkeypatch.undo()
         ref_best, ref_train_loss, ref_val_mse = reference_train(model, w_train, w_val, cfg)
         assert trace.best_epoch == int(np.argmin(ref_val_mse))
@@ -439,6 +443,14 @@ def reference_grad_norm(model, batch):
     return float(np.linalg.norm((2.0 / count) * (total if F is None else F.T @ total)))
 
 
+def mae_pass(folded, batch, F):
+    return evaluate(folded, batch)
+
+
+def grad_norm_pass(folded, batch, F):
+    return dense_equivalent_grad_norm(folded, window_stats(folded, batch), F)
+
+
 def random_batch(channels, n, lookback=64, horizon=16, seed=0):
     """n windows of a random series of `channels` channels."""
     values = np.random.default_rng(seed).normal(size=(channels, n + lookback + horizon - 1))
@@ -477,21 +489,25 @@ class TestBlockedPasses:
                            use_haar=use_haar, use_dct=use_dct)
         if with_bias:
             model.bias[:] = np.random.default_rng(8).normal(size=16)
+        F = dct_matrix(model)
+        folded = fold_dct(model, F)
         for seed, (channels, n) in enumerate(BLOCK_CASES):
             batch = random_batch(channels, n, seed=seed)
-            assert evaluate(model, batch) == reference_mae(model, batch)
-            assert window_mse(model, batch) == pytest.approx(
+            stats = window_stats(model, batch)
+            assert evaluate(folded, batch) == reference_mae(model, batch)
+            assert window_mse(folded, stats) == pytest.approx(
                 forecast_mse(model, batch), rel=1e-12, abs=0.0)
-            assert dense_equivalent_grad_norm(model, batch) == pytest.approx(
+            assert dense_equivalent_grad_norm(folded, stats, F) == pytest.approx(
                 reference_grad_norm(model, batch), rel=1e-12, abs=0.0)
 
     @staticmethod
-    def traced_peak(pass_, model, batch) -> int:
-        """tracemalloc peak, in bytes, of one pass over a batch."""
+    def traced_peak(pass_, folded, batch, F=None) -> int:
+        """tracemalloc peak, in bytes, of one pass `pass_(folded, batch, F)`
+        over a batch, for a head folded with F (see `fold_dct`)."""
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            pass_(model, batch)
+            pass_(folded, batch, F)
             return tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
@@ -501,15 +517,18 @@ class TestBlockedPasses:
         H=720 (2161 windows of 7 channels), in units of one block's copied
         targets or forecast: an (eval_windows(7) * 7) x 720 array."""
         batch = random_batch(7, 2161, 512, 720, seed=9)
-        peak = self.traced_peak(pass_, init_model(512, 720, 50, seed=0), batch)
+        model = init_model(512, 720, 50, seed=0)
+        F = dct_matrix(model)
+        peak = self.traced_peak(pass_, fold_dct(model, F), batch, F)
         return peak / (eval_windows(7) * 7 * 720 * 8)
 
     def test_evaluate_memory_at_etth1_shape(self):
-        assert self.etth1_peak(evaluate) < 4
+        assert self.etth1_peak(mae_pass) < 4
 
     def test_grad_norm_memory_at_etth1_shape(self):
-        # the blocked pass peaked at 3.82: it allocated a d_in x H product per block
-        assert self.etth1_peak(dense_equivalent_grad_norm) < 3.82
+        # the blocked pass peaked at 3.82: it allocated a d_in x H product per
+        # block; the pass includes the statistics, as a job builds them for it
+        assert self.etth1_peak(grad_norm_pass) < 3.82
 
     def test_evaluate_memory_is_bounded_in_rows(self):
         # 400 channels: 64-window blocks would take all 32 windows, 12800 rows
@@ -518,13 +537,14 @@ class TestBlockedPasses:
         model = init_model(lookback, horizon, 8, seed=0)
         batch = random_batch(channels, 32, lookback, horizon, seed=10)
         bound = 4 * max(EVAL_ROWS, channels) * (model.d_in + 2 * horizon) * 8
-        assert self.traced_peak(evaluate, model, batch) < bound
+        assert self.traced_peak(mae_pass, fold_dct(model, dct_matrix(model)), batch) < bound
 
 
 def test_trace_csv_columns(tmp_path):
     w_train, w_val, _ = realizable_windows()
     cfg = TrainConfig(learning_rate=0.01, max_epochs=3, patience=3, seed=0)
-    _, trace = train(init_model(64, 16, 2, seed=0), w_train, w_val, cfg)
+    model = init_model(64, 16, 2, seed=0)
+    _, trace = train(model, w_train, w_val, cfg, dct_matrix(model))
     path = tmp_path / "trace.csv"
     write_trace_csv(trace, path)
     lines = path.read_text().strip().splitlines()

@@ -34,7 +34,6 @@ from hadl.optim import (
     LagTables,
     TrainConfig,
     _gradients_from_stats,
-    _quadratic_form,
     dense_equivalent_grad_norm,
     evaluate,
     train,
@@ -102,12 +101,14 @@ class TestFoldedBlockedPasses:
         assert_close(forward(model, X), want_pred)
 
         diff = want_pred - Y
-        assert_close(window_mse(model, batch), np.mean(diff * diff))
-        assert_close(evaluate(model, batch), np.mean(np.abs(diff)))
+        F = dct_matrix(model)
+        folded, stats = fold_dct(model, F), window_stats(model, batch)
+        assert_close(window_mse(folded, stats), np.mean(diff * diff))
+        assert_close(evaluate(folded, batch), np.mean(np.abs(diff)))
 
         G = (2.0 / Y.size) * diff.reshape(-1, model.horizon)
         want_norm = np.linalg.norm(A.reshape(-1, model.d_in).T @ G)
-        assert_close(dense_equivalent_grad_norm(model, batch), want_norm)
+        assert_close(dense_equivalent_grad_norm(folded, stats, F), want_norm)
 
     @settings(max_examples=30, deadline=None)
     @given(cases())
@@ -138,7 +139,8 @@ def test_train_epoch_never_copies_the_window_set():
     try:
         train_w = windows(Segment("train", values[:, :1800]), lookback, horizon)
         val_w = windows(Segment("val", values[:, 1650:]), lookback, horizon)
-        train(model, train_w, val_w, TrainConfig(max_epochs=1, patience=1, seed=0))
+        train(model, train_w, val_w, TrainConfig(max_epochs=1, patience=1, seed=0),
+              dct_matrix(model))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -206,11 +208,14 @@ class TestWindowStats:
             assert_close(got, want)
 
     def test_rejects_other_window_shapes(self):
-        # window_rows took another horizon; evaluate and train hit a numpy broadcast error
+        # window_rows took another horizon; evaluate and train hit a numpy
+        # broadcast error. window_mse and dense_equivalent_grad_norm take
+        # statistics, so window_stats makes the check for them
         batch = WindowBatch(np.zeros((1, 40)), 16, 8)
         config = TrainConfig(max_epochs=1, patience=1)
-        passes = (window_stats, window_rows, evaluate, window_mse, LagTables,
-                  lambda model, batch: train(model, batch, batch, config))
+        passes = (window_stats, window_rows, LagTables,
+                  lambda model, batch: evaluate(fold_dct(model, dct_matrix(model)), batch),
+                  lambda model, batch: train(model, batch, batch, config, dct_matrix(model)))
         for lookback, horizon in ((8, 8), (16, 4)):
             for run in passes:
                 with pytest.raises(ShapeMismatchError):
@@ -235,8 +240,7 @@ class TestValidationFromStats:
                            use_dct=use_dct, head=head, with_bias=with_bias)
         if with_bias:
             model.bias[:] = rng.normal(size=horizon)
-        _, _, mse = _quadratic_form(fold_dct(model, dct_matrix(model)),
-                                    window_stats(model, batch))
+        mse = window_mse(fold_dct(model, dct_matrix(model)), window_stats(model, batch))
         assert mse == pytest.approx(forecast_mse(model, batch), rel=1e-12, abs=0.0)
 
 
