@@ -182,28 +182,30 @@ def variant_name(config: ExperimentConfig) -> str:
 
 
 def load_dataset(config: ExperimentConfig) -> tuple[hadl_data.Dataset, str]:
-    """The command's dataset and its split convention, reading the registry
-    at most once. Convention: explicit config wins, then the registry entry,
-    then the known-name default (ratio for anything unrecognized)."""
+    """The command's dataset, standardized in place (`hadl_data.standardize`),
+    and its split convention, reading the registry at most once. Convention:
+    explicit config wins, then the registry entry, then the known-name
+    default (ratio for anything unrecognized)."""
     name = config.dataset
     entry = hadl_data.load_registry(config.registry).get(name, {}) if config.registry else {}
     convention = config.convention or entry.get("convention") or hadl_data.convention_for(name)
     if name in hadl_data.SYNTH_KINDS:
         params = {"length": config.synth_length, "channels": config.synth_channels}
-        return hadl_data.synth(name, params, seed=mix_seed(config.seed, "dataset")), convention
-    path = config.data_path or entry.get("path") or os.path.join("data", f"{name}.csv")
-    if not os.path.exists(path):
-        raise HadlError(f"dataset file not found: {path} (set data_path or registry)")
-    dataset = hadl_data.load_csv(path, convention, name=name,
-                                 expected_channels=entry.get("channels"))
-    return dataset, convention
+        dataset = hadl_data.synth(name, params, seed=mix_seed(config.seed, "dataset"))
+    else:
+        path = config.data_path or entry.get("path") or os.path.join("data", f"{name}.csv")
+        if not os.path.exists(path):
+            raise HadlError(f"dataset file not found: {path} (set data_path or registry)")
+        dataset = hadl_data.load_csv(path, convention, name=name,
+                                     expected_channels=entry.get("channels"))
+    return hadl_data.standardize(dataset, convention), convention
 
 
 def prepare_windows(job: ExperimentConfig, horizon: int, data):
-    """Split, standardize, noise the train segment, and window all three."""
+    """Split `load_dataset`'s standardized `data` into views, noise the train
+    segment into a new one, and window all three."""
     dataset, convention = data
-    segments = hadl_data.split(dataset, convention, lookback=job.lookback)
-    _, train_seg, val_seg, test_seg = hadl_data.fit_transform(*segments)
+    train_seg, val_seg, test_seg = hadl_data.split(dataset, convention, lookback=job.lookback)
     if job.noise_eta > 0.0:
         train_seg = hadl_data.inject_noise(
             train_seg, job.noise_eta, mix_seed(job.seed, "noise", job.noise_eta)
@@ -215,8 +217,8 @@ def prepare_windows(job: ExperimentConfig, horizon: int, data):
 
 
 def run_single(job: ExperimentConfig, horizon: int, data, train_outputs: bool = False):
-    """Train one model on `data` = (dataset, convention) and evaluate it on
-    the clean test split.
+    """Train one model on `data` = `load_dataset`'s (dataset, convention)
+    and evaluate it on the clean test split.
 
     Returns (best_model, trace, EvalReport). The model init seed does not
     depend on noise_eta, so a robustness sweep perturbs only the training data.

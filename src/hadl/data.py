@@ -47,7 +47,8 @@ class Dataset:
     name: str
     series: SeriesTensor
     granularity: str
-    split_bounds: tuple[int, int]  # (train_end, val_end) timestep indices
+    # (train_end, val_end). Unread: synth's are ratio's whatever the convention
+    split_bounds: tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -330,17 +331,33 @@ class Scaler:
         return (values - self.mean[:, None]) / self.std[:, None]
 
 
+def _fit_scaler(train: Segment) -> Scaler:
+    if train.values.shape[1] == 0:  # the mean and std of no steps are NaN
+        raise SegmentTooShortError(f"{train.name}: 0 steps, nothing to fit the scaler on")
+    return Scaler.fit(train.values)
+
+
 def fit_transform(train: Segment, *others: Segment) -> tuple:
     """Fit a Scaler on the train segment and standardize all given segments.
 
     Returns (scaler, train_std, *others_std). Statistics never see val/test
     content.
     """
-    if train.values.shape[1] == 0:  # the mean and std of no steps are NaN
-        raise SegmentTooShortError(f"{train.name}: 0 steps, nothing to fit the scaler on")
-    scaler = Scaler.fit(train.values)
+    scaler = _fit_scaler(train)
     out = [Segment(seg.name, scaler.transform(seg.values)) for seg in (train, *others)]
     return (scaler, *out)
+
+
+def standardize(dataset: Dataset, convention: str) -> Dataset:
+    """`dataset` z-scored in place on `convention`'s train segment, which no
+    lookback changes, then made read-only: `split` then cuts every job's
+    segments as views of it, bit-equal to `fit_transform`'s copies."""
+    values = dataset.series.values
+    scaler = _fit_scaler(split(dataset, convention)[0])
+    values -= scaler.mean[:, None]
+    values /= scaler.std[:, None]
+    values.flags.writeable = False
+    return dataset
 
 
 def windows(segment: Segment, lookback: int, horizon: int) -> WindowBatch:
@@ -369,13 +386,14 @@ def inject_noise(segment: Segment, eta: float, seed: int) -> Segment:
         raise HadlError(f"eta must be >= 0, got {eta}")
     if eta == 0.0:
         return Segment(segment.name, segment.values.copy())
-    rng = np.random.default_rng(seed)
-    noise = rng.standard_normal(segment.values.shape)
+    noise = np.random.default_rng(seed).standard_normal(segment.values.shape)
     try:
         with np.errstate(over="raise"):
-            return Segment(segment.name, segment.values + eta * noise)
+            noise *= eta  # the bits of values + eta * noise, in one array
+            noise += segment.values
     except FloatingPointError:
         raise HadlError(f"noise intensity eta={eta!r} overflows float64") from None
+    return Segment(segment.name, noise)
 
 
 def synth(kind: str, params: dict | None = None, seed: int = 0) -> Dataset:

@@ -41,6 +41,10 @@ class DivergedError(HadlError):
     """Training produced a non-finite train loss or validation MSE."""
 
 
+class UnfoldedHeadError(HadlError):
+    """A full-set pass got a head whose DCT stage is on: fold it first."""
+
+
 class InvalidConfigError(HadlError):
     """A config value cannot be parsed or is out of range; names the key."""
 

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DivergedError, EmptyDataError, InvalidConfigError
+from .errors import DivergedError, EmptyDataError, InvalidConfigError, UnfoldedHeadError
 from .metrics import write_json_bundle, write_table
 from .model import (
     HEAD_DENSE,
@@ -269,6 +269,8 @@ def evaluate(folded: HadlModel, batch) -> float:
     """MAE of the folded head's forecasts (see `fold_dct`) for every window
     of a WindowBatch, summed block by block in origin order (see EVAL_ROWS)
     without a full-set array. The MSE needs no forecast: see `window_mse`."""
+    if folded.use_dct:  # the rows are Haar rows: it would be another predictor's MAE
+        raise UnfoldedHeadError("the head's DCT stage is on: pass fold_dct(model, F)")
     absolute = 0.0
     size = max(1, EVAL_ROWS // batch.values.shape[0])
     for rows, target, out in _gather_blocks(folded, batch, range(len(batch)), size):
@@ -515,6 +517,8 @@ def _quadratic_form(folded: HadlModel, stats: BatchStats):
     Near an exact fit that error can take ||E||^2 below 0, so it is clamped
     there.
     """
+    if folded.use_dct:  # G and C are of Haar rows: it would be another predictor's form
+        raise UnfoldedHeadError("the head's DCT stage is on: pass fold_dct(model, F)")
     R = np.empty_like(stats.cross)
     head_into(replace(folded, bias=None), stats.gram, R)  # G @ M
     R -= stats.cross

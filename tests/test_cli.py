@@ -4,6 +4,7 @@ import json
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -29,6 +30,7 @@ from hadl.cli import (
     read_config_file,
     run_single,
 )
+from hadl.data import load_csv, split, synth, windows
 from hadl.errors import CorruptCheckpointError, HadlError, MissingZeroEtaError, UnknownAxisError
 from hadl.model import (HEAD_LOW_RANK, dct_matrix, effective_weight, fold_dct, init_model,
                         load_checkpoint, save_checkpoint)
@@ -402,6 +404,80 @@ class TestFullSetPasses:
         assert dct_builds == [1, 1, 1, 1, 1, 0]
         jobs = [line for line in capsys.readouterr().out.splitlines() if line.startswith("job ")]
         assert len(jobs) == 6 and not any("test_mae" in line for line in jobs)
+
+
+class TestOneStandardizedSeries:
+    """A command standardizes its series once, in place, on the train
+    segment of its convention; every job's segments are views of it."""
+
+    def test_jobs_take_views_of_one_read_only_series(self, tmp_path, monkeypatch):
+        loaded, prepared = [], []
+        real_load, real_prepare = hadl.cli.load_dataset, hadl.cli.prepare_windows
+
+        def load(config):
+            loaded.append(real_load(config))
+            return loaded[-1]
+
+        def prepare(job, horizon, data):
+            prepared.append((job, real_prepare(job, horizon, data)))
+            return prepared[-1][1]
+
+        monkeypatch.setattr(hadl.cli, "load_dataset", load)
+        monkeypatch.setattr(hadl.cli, "prepare_windows", prepare)
+        config = synth_config(tmp_path, eta_list=(0.0, 0.7), robust_max_epochs=1,
+                              robust_patience=1, lookback_list=(32, 48), ablate_rank=2,
+                              max_epochs=1, patience=1)
+        cmd_robustness(config)
+        cmd_ablate(config, "lookback")
+        assert len(loaded) == 2 and [job.lookback for job, _ in prepared] == [64, 64, 32, 48]
+        for (dataset, _), jobs in zip(loaded, (prepared[:2], prepared[2:])):
+            series = dataset.series.values
+            assert not series.flags.writeable
+            for job, batches in jobs:
+                noisy = job.noise_eta > 0.0  # its noise went into a new train segment
+                assert [np.shares_memory(b.values, series) for b in batches] == [
+                    not noisy, True, True]
+
+    def test_standardizing_and_windowing_allocate_at_most_one_series(self):
+        # the copies each job made were about one series per job
+        config = ExperimentConfig(dataset="random_walk", synth_length=6000, synth_channels=4)
+        cells = [(replace(config, lookback=lookback), horizon)
+                 for lookback in (32, 64) for horizon in (8, 16)]
+        dataset = synth("random_walk", {"length": 6000, "channels": 4}, seed=0)
+        tracemalloc.start()
+        try:
+            data = (hadl.data.standardize(dataset, "ratio"), "ratio")
+            batches = [prepare_windows(job, horizon, data) for job, horizon in cells]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(batches) == 4 and peak <= dataset.series.values.nbytes
+
+    def test_etth_split_of_a_synthetic_series_writes_the_copies_bytes(self, tmp_path,
+                                                                      monkeypatch, capsys):
+        # the scaler fits etth's 8640 train steps, not the ratio split's 10500
+        # that synth reports in split_bounds; a random walk tells them apart
+        argv = ["train", "--dataset", "random_walk", "--synth-length", "15000", "--convention",
+                "etth", "--synth-channels", "2", "--lookback", "48", "--horizons", "24",
+                "--rank", "4", "--max-epochs", "1", "--patience", "1",
+                "--outdir", str(tmp_path / "runs")]
+
+        def outputs():
+            assert main(argv) == 0
+            files = {str(p.relative_to(tmp_path)): p.read_bytes()
+                     for p in sorted((tmp_path / "runs").rglob("*")) if p.is_file()}
+            shutil.rmtree(tmp_path / "runs")
+            return capsys.readouterr().out, files
+
+        views = outputs()
+
+        def copying(job, horizon, data):  # each job split and standardized its own copies
+            _, *segments = hadl.data.fit_transform(*split(*data, lookback=job.lookback))
+            return tuple(windows(segment, job.lookback, horizon) for segment in segments)
+
+        monkeypatch.setattr(hadl.data, "standardize", lambda dataset, convention: dataset)
+        monkeypatch.setattr(hadl.cli, "prepare_windows", copying)
+        assert len(views[1]) == 5 and outputs() == views
 
 
 class TestRobustnessCommand:
@@ -813,7 +889,11 @@ NOT_UTF8 = b"date,a\n0,1\xe9\n1,2\n"  # was a UnicodeDecodeError traceback
     (NOT_UTF8, "--data-path", "one.csv: not UTF-8 text"),
     (NOT_UTF8, "--config", "one.csv: not UTF-8 text"),
     (NOT_UTF8, "--registry", "one.csv: not UTF-8 text"),
-], ids=["one_row", "header_only", "not_utf8", "not_utf8_config", "not_utf8_registry"])
+    # channel b varies only after the 7-step train segment of the ratio split
+    (b"date,a,b\n" + b"".join(b"%d,%d,%d\n" % (t, t, max(t - 5, 1)) for t in range(10)),
+     "--data-path", "error: channel 1 is constant on the training segment"),
+], ids=["one_row", "header_only", "not_utf8", "not_utf8_config", "not_utf8_registry",
+        "constant_on_train"])
 def test_unusable_csv_is_one_error_line(tmp_path, text, flag, message):
     csv_path = tmp_path / "one.csv"
     csv_path.write_bytes(text)
@@ -854,6 +934,9 @@ def test_train_twice_misses_then_hits_the_ingest_cache(tmp_path, capsys, monkeyp
     first = cache_run(tmp_path, capsys)
     assert first[0] == 0 and first[2] == "" and len(first[3]) == 5
     assert cache.is_file()
+    # the command standardized its own array; the cache keeps the file's values
+    raw = np.array([[np.sin(i / (3.0 + c)) for i in range(400)] for c in range(3)])
+    assert np.array_equal(load_csv(tmp_path / "wave.csv", "ratio").series.values, raw)
     # a hit never opens the CSV as text
     monkeypatch.setattr(hadl.data, "open_text", must_not_run)
     assert cache_run(tmp_path, capsys) == first

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import sys
 from unittest import mock
 
@@ -557,6 +558,30 @@ class TestInjectNoise:
     def test_negative_eta_rejected(self):
         with pytest.raises(HadlError, match="-0.1"):
             inject_noise(Segment("s", np.zeros((1, 4))), -0.1, seed=0)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        values=arrays(np.float64, st.tuples(st.integers(1, 3), st.integers(1, 40)),
+                      elements=st.floats(-1e308, 1e308)),
+        eta=st.one_of(st.floats(1e-300, 1e3), st.floats(1e300, 1e308), st.just(1e308)),
+        seed=st.integers(0, 2**32),
+    )
+    def test_bits_of_values_plus_scaled_noise(self, values, eta, seed):
+        # one array in place of `values + eta * noise`, its bits unchanged;
+        # an overflow of either is the one named error, and the input,
+        # which jobs share read-only, is only read
+        values.flags.writeable = False
+        with np.errstate(over="raise"):
+            try:
+                want = values + eta * np.random.default_rng(seed).standard_normal(values.shape)
+            except FloatingPointError:
+                want = None
+        if want is None:
+            with pytest.raises(HadlError, match=re.escape(f"eta={eta!r} overflows float64")):
+                inject_noise(Segment("s", values), eta, seed)
+            return
+        got = inject_noise(Segment("s", values), eta, seed).values
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestSynth:

@@ -9,7 +9,8 @@ from numpy.testing import assert_allclose
 
 import hadl.optim
 from hadl.data import WindowBatch, fit_transform, split, synth, windows
-from hadl.errors import DivergedError, EmptyDataError, InvalidConfigError, ShapeMismatchError
+from hadl.errors import (DivergedError, EmptyDataError, InvalidConfigError, ShapeMismatchError,
+                         UnfoldedHeadError)
 from hadl.model import (
     HEAD_DENSE,
     HEAD_LOW_RANK,
@@ -499,6 +500,15 @@ class TestBlockedPasses:
                 forecast_mse(model, batch), rel=1e-12, abs=0.0)
             assert dense_equivalent_grad_norm(folded, stats, F) == pytest.approx(
                 reference_grad_norm(model, batch), rel=1e-12, abs=0.0)
+        # unfolded, each pass took another predictor's error (1.00012 against
+        # 0.96177 in one case)
+        for call in (lambda: window_mse(model, stats), lambda: evaluate(model, batch),
+                     lambda: dense_equivalent_grad_norm(model, stats, F)):
+            if use_dct:
+                with pytest.raises(UnfoldedHeadError, match="fold_dct"):
+                    call()
+            else:
+                call()  # with the DCT off the model is its own fold
 
     @staticmethod
     def traced_peak(pass_, folded, batch, F=None) -> int:
