@@ -27,7 +27,8 @@ import numpy as np
 from . import data as hadl_data
 from . import metrics as hadl_metrics
 from . import optim as hadl_optim
-from .errors import HadlError, InvalidConfigError, MissingZeroEtaError, UnknownAxisError
+from .errors import (HadlError, InvalidConfigError, MissingZeroEtaError, UnknownAxisError,
+                     WorkerDiedError)
 from .model import (
     HEAD_DENSE,
     HEAD_LOW_RANK,
@@ -250,7 +251,7 @@ def run_single(job: ExperimentConfig, horizon: int, data, train_outputs: bool = 
         use_dct=job.use_dct,
         head=job.head,
         with_bias=job.with_bias,
-        rank=job.rank if job.head == HEAD_LOW_RANK else None,
+        rank=best.rank,
         seed=job.seed,
         noise_eta=job.noise_eta,
         mse=window_mse(folded, hadl_optim.window_stats(folded, w_test)),
@@ -260,9 +261,9 @@ def run_single(job: ExperimentConfig, horizon: int, data, train_outputs: bool = 
 
 
 def param_totals(cells) -> list[int]:
-    """Parameter totals of the (job, horizon) cells. Commands call it before
-    loading data: `param_count` rejects an impossible model shape there, so
-    it fails before any dataset loads or worker process starts."""
+    """Parameter totals of the (job, horizon) cells. `run_grid` calls it
+    before loading data: `param_count` rejects an impossible model shape
+    there, so it fails before any dataset loads or worker process starts."""
     return [param_count(job.lookback, horizon, job.rank, job.with_bias, job.use_haar,
                         job.head).total for job, horizon in cells]
 
@@ -278,21 +279,31 @@ def check_workers(workers: int) -> None:
         raise InvalidConfigError(f"workers must be <= {cpus}, the CPU count, got {workers}")
 
 
-def run_grid(cells, data, workers: int, train_outputs: bool) -> list:
-    """run_single over (job, horizon) cells, serially or in one process pool
-    of at most one worker per cell; a job is the command's config with the
-    cell's keys replaced. Prints one progress line per job as its result
-    arrives, in cell order, and returns the (best_model, trace, EvalReport)
-    triples in cell order. train_outputs is passed to every run_single, so
-    a pool computes the norms and MAEs in its workers."""
+def run_grid(config: ExperimentConfig, cells, workers: int, train_outputs: bool) -> list:
+    """run_single over (job, horizon) cells on `config`'s dataset, serially or
+    in one pool of at most one worker per cell, once every cell's model shape
+    and windows and the worker count are checked. Prints one progress line
+    per job in cell order and returns the (best_model, trace, EvalReport)
+    triples in cell order; a pool's workers also compute the train_outputs."""
+    param_totals(cells)
+    check_workers(workers)
+    dataset, convention = data = load_dataset(config)
+    # the first cell whose segments hold no window fails here; views only, no noise
+    for lookback, horizon in dict.fromkeys((job.lookback, horizon) for job, horizon in cells):
+        for segment in hadl_data.split(dataset, convention, lookback=lookback):
+            hadl_data.windows(segment, lookback, horizon)
     workers = min(workers, len(cells))
     if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(run_single, job, horizon, data, train_outputs)
-                       for job, horizon in cells]
-            return [_progress(cell, future.result()) for cell, future in zip(cells, futures)]
+        try:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                futures = [pool.submit(run_single, job, horizon, data, train_outputs)
+                           for job, horizon in cells]
+                return [_progress(cell, future.result()) for cell, future in zip(cells, futures)]
+        except BrokenExecutor as exc:  # a worker died: BrokenProcessPool
+            raise WorkerDiedError("a worker process died before its jobs finished"
+                                  " (out of memory? fewer workers use less)") from exc
     return [_progress(cell, run_single(*cell, data, train_outputs)) for cell in cells]
 
 
@@ -328,12 +339,9 @@ def cmd_train(config: ExperimentConfig, workers: int = 1) -> list[hadl_metrics.E
     seeds = config.seed_list()
     cells = [(replace(config, seed=seed), horizon)
              for horizon in config.horizons for seed in seeds]
-    param_totals(cells)
-    check_workers(workers)
-    data = load_dataset(config)  # validates inputs before any output dir exists
+    results = run_grid(config, cells, workers, train_outputs=True)  # the norms and MAEs
     fingerprint = config.fingerprint()
     variant = variant_name(config)
-    results = run_grid(cells, data, workers, train_outputs=True)  # the norms and MAEs
 
     for i, horizon in enumerate(config.horizons):
         run_dir = _run_dir(config, variant, horizon)
@@ -369,12 +377,9 @@ def cmd_robustness(config: ExperimentConfig, workers: int = 1) -> hadl_metrics.R
     base = replace(config, seed=config.seed_list()[0], max_epochs=config.robust_max_epochs,
                    patience=config.robust_patience)
     cells = [(replace(base, noise_eta=eta), horizon) for eta in etas]
-    param_totals(cells)
-    check_workers(workers)
-    data = load_dataset(config)
+    results = run_grid(config, cells, workers, train_outputs=False)
     fingerprint = config.fingerprint()
     variant = variant_name(config)
-    results = run_grid(cells, data, workers, train_outputs=False)
     report = hadl_metrics.robustness_report(etas, [r.mse for _, _, r in results])
 
     for prev, nxt in zip(report.nrr_per_eta, report.nrr_per_eta[1:]):
@@ -429,7 +434,7 @@ def cmd_ablate(config: ExperimentConfig, axis: str, params_only: bool = False) -
     if params_only:
         mses = [""] * len(cells)
     else:
-        results = run_grid(cells, load_dataset(config), 1, train_outputs=False)
+        results = run_grid(config, cells, 1, train_outputs=False)
         mses = [r.mse for _, _, r in results]
     rows = [[axis, label, job.lookback, horizon, mse, total, kilo_display(total)]
             for label, (job, horizon), mse, total in zip(labels, cells, mses, totals)]

@@ -97,3 +97,7 @@ class MissingZeroEtaError(HadlError):
 
 class UnknownAxisError(HadlError):
     """Unsupported ablation axis."""
+
+
+class WorkerDiedError(HadlError):
+    """A pool worker ended abruptly, say killed for memory, mid-grid."""

@@ -26,6 +26,8 @@ from .transforms import dct2_raw, dct2_scaled, haar_batch, haar_pairs
 
 HEAD_LOW_RANK = "low_rank"
 HEAD_DENSE = "dense"
+# each head kind's factor names in draw order; the first is the one F folds into
+HEAD_FACTORS = {HEAD_LOW_RANK: ("P", "Q"), HEAD_DENSE: ("W",)}
 
 
 @dataclass(eq=False)
@@ -81,15 +83,14 @@ def param_shapes(lookback: int, horizon: int, rank: int, with_bias: bool, use_ha
         )
     if use_haar and lookback % 2 != 0:
         raise OddLengthError(f"lookback must be even with the Haar stage on, got {lookback}")
-    if head not in (HEAD_LOW_RANK, HEAD_DENSE):
+    if head not in HEAD_FACTORS:
         raise ShapeMismatchError(f"unknown head kind {head!r}")
     if head == HEAD_LOW_RANK and rank < 1:
         raise ShapeMismatchError(f"rank must be >= 1, got {rank}")
     d_in = lookback // 2 if use_haar else lookback
-    if head == HEAD_LOW_RANK:
-        shapes = {"P": (d_in, rank), "Q": (rank, horizon)}
-    else:
-        shapes = {"W": (d_in, horizon)}
+    # the factors chain d_in -> (r ->) H
+    dims = (d_in, rank, horizon) if head == HEAD_LOW_RANK else (d_in, horizon)
+    shapes = dict(zip(HEAD_FACTORS[head], zip(dims, dims[1:])))
     if with_bias:
         shapes["bias"] = (horizon,)
     return shapes
@@ -176,9 +177,8 @@ def fold_dct(model: HadlModel, F: np.ndarray | None) -> HadlModel:
     into the first head factor (P or W) and the DCT stage switched off."""
     if F is None:
         return model
-    if model.head == HEAD_LOW_RANK:
-        return replace(model, use_dct=False, P=F @ model.P)
-    return replace(model, use_dct=False, W=F @ model.W)
+    first = HEAD_FACTORS[model.head][0]
+    return replace(model, use_dct=False, **{first: F @ getattr(model, first)})
 
 
 def transform_inputs(model: HadlModel, X) -> np.ndarray:
@@ -253,27 +253,15 @@ def kilo_display(total: int) -> str:
 
 
 def model_params(model: HadlModel) -> dict[str, np.ndarray]:
-    """The trainable arrays by name, in a fixed order."""
-    params: dict[str, np.ndarray] = {}
-    if model.head == HEAD_LOW_RANK:
-        params["P"] = model.P
-        params["Q"] = model.Q
-    else:
-        params["W"] = model.W
-    if model.bias is not None:
-        params["bias"] = model.bias
-    return params
+    """The trainable arrays by name, in `param_shapes` order: the head kind's
+    factors, then bias if set."""
+    names = HEAD_FACTORS[model.head] + (("bias",) if model.bias is not None else ())
+    return {name: getattr(model, name) for name in names}
 
 
 def replace_params(model: HadlModel, params: dict[str, np.ndarray]) -> HadlModel:
     """A copy of `model` with the given parameter arrays swapped in."""
-    return replace(
-        model,
-        P=params.get("P", model.P),
-        Q=params.get("Q", model.Q),
-        W=params.get("W", model.W),
-        bias=params.get("bias", model.bias),
-    )
+    return replace(model, **params)
 
 
 # Checkpoint layout: a single .npz archive. Key "meta" holds a JSON string
@@ -282,6 +270,7 @@ def replace_params(model: HadlModel, params: dict[str, np.ndarray]) -> HadlModel
 # row-major order. float64 survives the round trip bit-exactly.
 
 def save_checkpoint(model: HadlModel, path) -> None:
+    params = model_params(model)
     meta = {
         "lookback": model.lookback,
         "horizon": model.horizon,
@@ -289,9 +278,9 @@ def save_checkpoint(model: HadlModel, path) -> None:
         "use_dct": model.use_dct,
         "head": model.head,
         "seed": model.seed,
-        "arrays": sorted(model_params(model).keys()),
+        "arrays": sorted(params),
     }
-    arrays = {k: np.ascontiguousarray(v) for k, v in model_params(model).items()}
+    arrays = {k: np.ascontiguousarray(v) for k, v in params.items()}
     np.savez(path, meta=json.dumps(meta, sort_keys=True), **arrays)
 
 

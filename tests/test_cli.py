@@ -1,6 +1,8 @@
 import concurrent.futures
 import csv
 import json
+import multiprocessing
+import os
 import shutil
 import subprocess
 import sys
@@ -854,6 +856,49 @@ def test_model_shape_checked_before_the_pool(tmp_path, capsys, monkeypatch, comm
     assert rc == 1
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: lookback "), err
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    # each trained its first cell and printed its job line, then failed
+    (["train", "--synth-length", "600", "--lookback", "48", "--horizons", "8,70", "--rank", "4"],
+     "sine_mix/val: 108 steps cannot fit lookback 48 + horizon 70"),
+    (["ablate", "lookback", "--synth-length", "300", "--lookback-list", "16,240",
+      "--horizons", "8", "--ablate-rank", "4"],
+     "sine_mix/train: 210 steps cannot fit lookback 240 + horizon 8"),
+], ids=["train_horizon", "ablate_lookback"])
+def test_a_cell_without_windows_fails_before_any_job(tmp_path, capsys, argv, message):
+    rc = main([*argv, "--dataset", "sine_mix", "--max-epochs", "3", "--patience", "3",
+               "--outdir", str(tmp_path / "runs")])
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert not any(line.startswith("job ") for line in out.splitlines())
+    assert err.splitlines() == [f"error: {message}"]
+    assert not (tmp_path / "runs").exists()
+
+
+def exit_at_horizon_12(job, horizon, data, train_outputs=False):
+    """run_single, except that the job at H=12 ends its process at once, as
+    the kernel's out-of-memory killer would."""
+    if horizon == 12:
+        os._exit(9)
+    return run_single(job, horizon, data, train_outputs)
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="only a forked worker sees the patched run_single")
+def test_dead_worker_is_one_error_line(tmp_path, capsys, monkeypatch):
+    # a BrokenProcessPool traceback
+    monkeypatch.setattr(hadl.cli, "run_single", exit_at_horizon_12)
+    monkeypatch.setattr(hadl.cli.os, "sched_getaffinity", lambda pid: set(range(2)),
+                        raising=False)
+    rc = main(["train", "--workers", "2", "--dataset", "sine_mix", "--lookback", "32",
+               "--horizons", "8,12", "--max-epochs", "1", "--patience", "1",
+               "--outdir", str(tmp_path / "runs")])
+    _, err = capsys.readouterr()
+    assert rc == 1
+    assert len(err.splitlines()) == 1, err
+    assert err.startswith("error: a worker process died before its jobs finished"), err
     assert not (tmp_path / "runs").exists()
 
 

@@ -1,7 +1,10 @@
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from hadl.errors import OddLengthError, ShapeMismatchError
@@ -9,7 +12,9 @@ from hadl.model import (
     HEAD_DENSE,
     HEAD_LOW_RANK,
     HadlModel,
+    dct_matrix,
     effective_weight,
+    fold_dct,
     forward,
     head_apply,
     head_into,
@@ -18,6 +23,7 @@ from hadl.model import (
     load_checkpoint,
     model_params,
     param_count,
+    param_shapes,
     replace_params,
     save_checkpoint,
     transform_inputs,
@@ -243,3 +249,33 @@ class TestCheckpoint:
         m2 = replace_params(m, new)
         assert not models_equal(m, m2)
         assert_allclose(m2.P, m.P + 1.0, atol=0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(head=st.sampled_from([HEAD_LOW_RANK, HEAD_DENSE]), with_bias=st.booleans(),
+       use_haar=st.booleans(), use_dct=st.booleans(), stray=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_head_parameters_follow_the_head_kind(head, with_bias, use_haar, use_dct, stray, seed):
+    m = small_model(seed=seed, lookback=12, horizon=5, rank=3, head=head, with_bias=with_bias,
+                    use_haar=use_haar, use_dct=use_dct)
+    if stray:  # the other kind's factors, set by hand, are not parameters
+        other = small_model(seed=seed + 1, lookback=12, horizon=5, rank=3, use_haar=use_haar,
+                            head=HEAD_DENSE if head == HEAD_LOW_RANK else HEAD_LOW_RANK)
+        m = replace(m, P=other.P, Q=other.Q) if head == HEAD_DENSE else replace(m, W=other.W)
+    names = list(model_params(m))
+    assert names == list(param_shapes(12, 5, 3, with_bias, use_haar, head))
+
+    F = dct_matrix(m)
+    folded = fold_dct(m, F)
+    if F is None:
+        assert folded is m
+    else:
+        first = names[0]
+        assert getattr(folded, first).tobytes() == (F @ getattr(m, first)).tobytes()
+        assert folded.use_dct is False
+        for f in fields(HadlModel):
+            if f.name not in (first, "use_dct"):
+                assert getattr(folded, f.name) is getattr(m, f.name), f.name
+
+    again = replace_params(m, model_params(m))
+    assert all(getattr(again, f.name) is getattr(m, f.name) for f in fields(HadlModel))
