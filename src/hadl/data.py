@@ -15,6 +15,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import stat
 import warnings
 from dataclasses import dataclass
@@ -134,6 +135,28 @@ def open_text(path):
             yield handle
         except UnicodeDecodeError as exc:
             raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def read_key_values(path, form: str = "key = value") -> dict[str, tuple[int, str]]:
+    """key -> (line number, value), both stripped, of a flat `key = value`
+    file (see `open_text`). A '#' at a line's start or after whitespace opens
+    a comment (`runs#2` keeps its '#'). A line without '=' (`form` is the one
+    expected) or a key listed twice raises a ParseError."""
+    entries: dict[str, tuple[int, str]] = {}
+    with open_text(path) as handle:
+        for line_no, line in enumerate(handle, start=1):
+            line = re.sub(r"(^|\s)#.*", "", line, count=1).strip()
+            if not line:
+                continue
+            key, equals, value = line.partition("=")
+            key = key.strip()
+            if not equals:
+                raise ParseError(f"{path}: line {line_no}: expected `{form}`")
+            if key in entries:
+                raise ParseError(f"{path}: line {line_no}: {key!r} is listed twice,"
+                                 f" first on line {entries[key][0]}")
+            entries[key] = line_no, value.strip()
+    return entries
 
 
 def load_csv(path, convention: str, name: str | None = None,
@@ -442,29 +465,16 @@ def synth(kind: str, params: dict | None = None, seed: int = 0) -> Dataset:
 
 
 def load_registry(path) -> dict[str, dict]:
-    """Parse a registry file mapping dataset name -> path, convention, channels.
-
-    One entry per line: `name = path, convention, channels`. Blank lines and
-    lines starting with '#' are skipped.
-    """
+    """Dataset name -> path, convention and channels, from a registry file of
+    `name = path, convention, channels` lines read by `read_key_values`."""
     registry: dict[str, dict] = {}
-    with open_text(path) as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ParseError(f"{path}: line {line_no}: expected `name = path, convention, channels`")
-            name, rest = line.split("=", 1)
-            parts = [p.strip() for p in rest.split(",")]
-            if len(parts) != 3:
-                raise ParseError(f"{path}: line {line_no}: expected 3 comma-separated fields")
-            try:
-                channels = int(parts[2])
-            except ValueError:
-                raise ParseError(
-                    f"{path}: line {line_no}: channel count {parts[2]!r} is not an integer"
-                ) from None
-            registry[name.strip()] = {"path": parts[0], "convention": parts[1],
-                                      "channels": channels}
+    for name, (line_no, rest) in read_key_values(path, "name = path, convention, channels").items():
+        parts = [p.strip() for p in rest.split(",")]
+        if len(parts) != 3:
+            raise ParseError(f"{path}: line {line_no}: expected 3 comma-separated fields")
+        try:
+            registry[name] = {"path": parts[0], "convention": parts[1], "channels": int(parts[2])}
+        except ValueError:
+            raise ParseError(f"{path}: line {line_no}: channel count {parts[2]!r}"
+                             " is not an integer") from None
     return registry

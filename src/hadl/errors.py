@@ -31,6 +31,11 @@ class CorruptCheckpointError(HadlError):
     not finite for the lookback, horizon and head its meta declares."""
 
 
+class UnfoldedHeadError(HadlError):
+    """`fold_dct`, through which every head is applied, got an F that is not
+    dct_matrix(model): None with the DCT on, any with it off, not d_in x d_in."""
+
+
 # -- optim --------------------------------------------------------------------
 
 class EmptyDataError(HadlError):
@@ -41,10 +46,6 @@ class DivergedError(HadlError):
     """Training produced a non-finite train loss or validation MSE."""
 
 
-class UnfoldedHeadError(HadlError):
-    """A full-set pass got a head whose DCT stage is on: fold it first."""
-
-
 class InvalidConfigError(HadlError):
     """A config value cannot be parsed or is out of range; names the key."""
 
@@ -52,7 +53,8 @@ class InvalidConfigError(HadlError):
 # -- data ---------------------------------------------------------------------
 
 class ParseError(HadlError):
-    """CSV cell could not be parsed; message names the row and column."""
+    """A CSV cell, or a config or registry line (malformed, or a key listed
+    twice), could not be parsed; the message names the file and where."""
 
 
 class MissingValueError(HadlError):

@@ -21,7 +21,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import CorruptCheckpointError, HadlError, OddLengthError, ShapeMismatchError
+from .errors import (CorruptCheckpointError, HadlError, OddLengthError, ShapeMismatchError,
+                     UnfoldedHeadError)
 from .transforms import dct2_raw, dct2_scaled, haar_batch, haar_pairs
 
 HEAD_LOW_RANK = "low_rank"
@@ -174,7 +175,12 @@ def dct_matrix(model: HadlModel) -> np.ndarray | None:
 
 def fold_dct(model: HadlModel, F: np.ndarray | None) -> HadlModel:
     """The same predictor for `haar_rows` inputs: F = dct_matrix(model) folded
-    into the first head factor (P or W) and the DCT stage switched off."""
+    into the first head factor (P or W), the DCT stage switched off. The one
+    check that F is the model's (UnfoldedHeadError), so no head folds twice."""
+    shape = None if F is None else np.shape(F)
+    if shape != ((model.d_in,) * 2 if model.use_dct else None):  # a folded head's stage is off
+        raise UnfoldedHeadError(f"fold_dct got F of shape {shape}, not dct_matrix(model)'s: the"
+                                f" head's DCT stage is {'on' if model.use_dct else 'off'}")
     if F is None:
         return model
     first = HEAD_FACTORS[model.head][0]

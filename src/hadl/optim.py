@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DivergedError, EmptyDataError, InvalidConfigError, UnfoldedHeadError
+from .errors import DivergedError, EmptyDataError, InvalidConfigError
 from .metrics import write_json_bundle, write_table
 from .model import (
     HEAD_DENSE,
@@ -265,12 +265,11 @@ def _gather_blocks(model: HadlModel, batch, order, size: int):
         yield S_buf[: len(idx)].reshape(rows, -1), Y_buf[: len(idx)].reshape(rows, -1), out[:rows]
 
 
-def evaluate(folded: HadlModel, batch) -> float:
-    """MAE of the folded head's forecasts (see `fold_dct`) for every window
-    of a WindowBatch, summed block by block in origin order (see EVAL_ROWS)
-    without a full-set array. The MSE needs no forecast: see `window_mse`."""
-    if folded.use_dct:  # the rows are Haar rows: it would be another predictor's MAE
-        raise UnfoldedHeadError("the head's DCT stage is on: pass fold_dct(model, F)")
+def evaluate(model: HadlModel, batch, F: np.ndarray | None) -> float:
+    """MAE of the model's forecasts, its head folded with F (see `fold_dct`),
+    for every window of a WindowBatch, summed block by block in origin order
+    (see EVAL_ROWS) with no full-set array. The MSE needs none: `window_mse`."""
+    folded = fold_dct(model, F)
     absolute = 0.0
     size = max(1, EVAL_ROWS // batch.values.shape[0])
     for rows, target, out in _gather_blocks(folded, batch, range(len(batch)), size):
@@ -517,8 +516,6 @@ def _quadratic_form(folded: HadlModel, stats: BatchStats):
     Near an exact fit that error can take ||E||^2 below 0, so it is clamped
     there.
     """
-    if folded.use_dct:  # G and C are of Haar rows: it would be another predictor's form
-        raise UnfoldedHeadError("the head's DCT stage is on: pass fold_dct(model, F)")
     R = np.empty_like(stats.cross)
     head_into(replace(folded, bias=None), stats.gram, R)  # G @ M
     R -= stats.cross
@@ -535,18 +532,18 @@ def _quadratic_form(folded: HadlModel, stats: BatchStats):
     return R, column_sum, squared / (stats.rows * folded.horizon)
 
 
-def window_mse(folded: HadlModel, stats: BatchStats) -> float:
-    """MSE (no L1 term) of the folded head's forecasts (see `fold_dct`) for
-    the windows whose `window_stats` are `stats`, with no forecast: it agrees
-    with the forecasts' MSE to about 1e-12 relative (see `_quadratic_form`)."""
-    return _quadratic_form(folded, stats)[2]
+def window_mse(model: HadlModel, stats: BatchStats, F: np.ndarray | None) -> float:
+    """MSE (no L1 term) of the model's forecasts, its head folded with F (see
+    `fold_dct`), for the windows whose `window_stats` are `stats`, with no
+    forecast: it agrees with theirs to about 1e-12 relative (`_quadratic_form`)."""
+    return _quadratic_form(fold_dct(model, F), stats)[2]
 
 
-def dense_equivalent_grad_norm(folded: HadlModel, stats: BatchStats,
+def dense_equivalent_grad_norm(model: HadlModel, stats: BatchStats,
                                F: np.ndarray | None) -> float:
     """Frobenius norm of the residual gradient w.r.t. W = P@Q (or W itself)
-    over the windows whose `window_stats` are `stats`, for the head folded
-    with F = dct_matrix(model).
+    over the windows whose `window_stats` are `stats`, for the model's head
+    folded with F = dct_matrix(model) (see `fold_dct`).
 
     Computed without the L1 term; at a true minimum of the data term this
     vanishes even though the factored gradients only vanish individually.
@@ -554,8 +551,8 @@ def dense_equivalent_grad_norm(folded: HadlModel, stats: BatchStats,
     summed gradient S.T @ (S @ M + bias - Y) = G @ M + (S.T @ 1) bias - C
     comes from the statistics, with no pass over the windows.
     """
-    residual, _, _ = _quadratic_form(folded, stats)
-    return 2.0 / (stats.rows * folded.horizon) * float(np.linalg.norm(_dct_basis(F, residual)))
+    residual, _, _ = _quadratic_form(fold_dct(model, F), stats)
+    return 2.0 / (stats.rows * model.horizon) * float(np.linalg.norm(_dct_basis(F, residual)))
 
 
 def _gradients_from_stats(
@@ -654,7 +651,8 @@ def train(
     (`_gather_blocks`), so no window set is ever copied whole. Many
     channels: the batch's statistics, summed from `LagTables` built on the
     first epoch. F = dct_matrix(model) is the caller's, so a job builds it
-    once. `final_grad_norm` is left NaN (see TrainTrace).
+    once; an F not the model's fails on entry (`fold_dct`), before any table
+    or step. `final_grad_norm` is left NaN (see TrainTrace).
 
     Validation MSE (without the L1 term) comes after every epoch from the
     quadratic form of the validation windows' `window_stats`, computed on
@@ -665,6 +663,7 @@ def train(
     or validation MSE raises DivergedError at once, since the initial
     weights would otherwise be returned as the result.
     """
+    fold_dct(model, F)  # raises here unless F is the model's
     n_train = len(train_windows)
     if n_train == 0 or len(val_windows) == 0:
         raise EmptyDataError("training and validation window sets must be non-empty")
@@ -713,7 +712,7 @@ def train(
             trace.train_loss.append(loss_sum / row_count)
             if val_stats is None:
                 val_stats = window_stats(model, val_windows)
-            val_mse = window_mse(fold_dct(replace_params(model, params), F), val_stats)
+            val_mse = window_mse(replace_params(model, params), val_stats, F)
         trace.val_mse.append(val_mse)
         if not (math.isfinite(trace.train_loss[-1]) and math.isfinite(val_mse)):
             raise DivergedError(

@@ -33,8 +33,9 @@ from hadl.cli import (
     run_single,
 )
 from hadl.data import load_csv, split, synth, windows
-from hadl.errors import CorruptCheckpointError, HadlError, MissingZeroEtaError, UnknownAxisError
-from hadl.model import (HEAD_LOW_RANK, dct_matrix, effective_weight, fold_dct, init_model,
+from hadl.errors import (CorruptCheckpointError, HadlError, MissingZeroEtaError, ParseError,
+                         UnknownAxisError)
+from hadl.model import (HEAD_LOW_RANK, dct_matrix, effective_weight, init_model,
                         load_checkpoint, save_checkpoint)
 from hadl.optim import dense_equivalent_grad_norm, steps_from_stats, window_stats
 
@@ -104,6 +105,29 @@ class TestConfig:
         cfg_file.write_text("stride = 2\n")  # windows are always stride 1
         assert main(["params", "--config", str(cfg_file)]) == 1
         assert "unknown config key 'stride'" in capsys.readouterr().err
+
+    def test_comments_start_at_a_line_or_after_whitespace(self, tmp_path):
+        # `runs#2` was cut to `runs`; a '#' after a space still opens a comment
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("  # indented\nlookback = 512  # paper\noutdir = runs#2\n")
+        assert read_config_file(cfg_file) == {"lookback": 512, "outdir": "runs#2"}
+        outdir = tmp_path / "runs#2"
+        cfg_file.write_text("dataset = sine_mix\nlookback = 16\nhorizons = 8\nrank = 2\n"
+                            f"max_epochs = 1\npatience = 1\noutdir = {outdir}  # comment\n")
+        assert main(["train", "--config", str(cfg_file)]) == 0
+        assert (outdir / "sine_mix" / "haar-dct-lowrank_r2-bias" / "8" / "eval.csv").is_file()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg", "runs#2"]
+
+    def test_repeated_key_rejected(self, tmp_path, capsys):
+        # the last value was kept: this trained L=512
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("lookback = 96\n# note\nlookback = 512\n")
+        message = f"{cfg_file}: line 3: 'lookback' is listed twice, first on line 1"
+        with pytest.raises(ParseError) as caught:
+            read_config_file(cfg_file)
+        assert str(caught.value) == message
+        assert main(["params", "--config", str(cfg_file)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_flag_overrides_file(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
@@ -302,8 +326,7 @@ class TestTrainCommand:
                     w_train, _, _ = prepare_windows(replace(config, seed=seed), horizon, data)
                     written = json.loads((run_dir / f"trace_seed{seed}.json").read_text())
                     F = dct_matrix(best)
-                    want = dense_equivalent_grad_norm(fold_dct(best, F),
-                                                      window_stats(best, w_train), F)
+                    want = dense_equivalent_grad_norm(best, window_stats(best, w_train), F)
                     assert written["final_grad_norm"] == want
 
 
@@ -875,6 +898,24 @@ def test_a_cell_without_windows_fails_before_any_job(tmp_path, capsys, argv, mes
     assert not any(line.startswith("job ") for line in out.splitlines())
     assert err.splitlines() == [f"error: {message}"]
     assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("command", [["train", "--horizons", "8,16", "--rank", "4"],
+                                     ["robustness", "--horizons", "8", "--eta-list", "0,0.7"],
+                                     ["ablate", "dct", "--horizons", "8"]])
+@pytest.mark.parametrize("outdir", ["afile/sub", "afile"])
+def test_unwritable_outdir_fails_before_any_job(tmp_path, capsys, command, outdir):
+    # printed every job line, then `[Errno 20] Not a directory: 'afile/sub'`
+    # (root ignores mode bits, so a file in the path stands for them)
+    (tmp_path / "afile").touch()
+    rc = main([*command, "--dataset", "sine_mix", "--lookback", "48", "--max-epochs", "2",
+               "--patience", "2", "--robust-max-epochs", "2", "--robust-patience", "2",
+               "--outdir", str(tmp_path / outdir)])
+    out, err = capsys.readouterr()
+    assert rc == 1 and out == ""
+    assert err.splitlines() == [f"error: outdir {str(tmp_path / outdir)!r}: {tmp_path / 'afile'}"
+                                " is not a writable directory"]
+    assert [p.name for p in tmp_path.iterdir()] == ["afile"]
 
 
 def exit_at_horizon_12(job, horizon, data, train_outputs=False):

@@ -639,6 +639,20 @@ def test_load_registry(tmp_path):
         assert parsed["custom"]["channels"] == 12
 
 
+def test_registry_comments_and_repeated_names(tmp_path):
+    reg = tmp_path / "datasets.txt"
+    # `7  # note` was read as the channel count
+    reg.write_text("ETTh1 = data/ETTh1.csv, etth, 7  # note\nx = data/a#b.csv, ratio, 2\n")
+    assert load_registry(reg) == {
+        "ETTh1": {"path": "data/ETTh1.csv", "convention": "etth", "channels": 7},
+        "x": {"path": "data/a#b.csv", "convention": "ratio", "channels": 2}}
+    # the second entry was used
+    reg.write_text("ETTh1 = a.csv, etth, 7\n\nETTh1 = b.csv, etth, 7\n")
+    with pytest.raises(ParseError, match=r"datasets.txt: line 3: 'ETTh1' is listed twice,"
+                                         r" first on line 1$"):
+        load_registry(reg)
+
+
 def test_registry_bad_line(tmp_path):
     reg = tmp_path / "datasets.txt"
     reg.write_text("ETTh1 data/ETTh1.csv\n")

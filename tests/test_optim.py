@@ -37,8 +37,8 @@ from hadl.optim import (
     window_stats,
     write_trace_csv,
 )
-from oracles import (InvalidStepError, forecast_mse, gradcheck, gradients, loss, models_equal,
-                     reference_train, textbook_adam)
+from oracles import (InvalidStepError, forecast_mse, gradcheck, gradients, loss, mae,
+                     models_equal, reference_train, textbook_adam)
 
 
 def realizable_windows(lookback=64, horizon=16, channels=3, length=480, seed=0):
@@ -284,7 +284,7 @@ class TestTrain:
         model = init_model(64, 16, 2, seed=5)
         F = dct_matrix(model)
         best, _ = train(model, w_train, w_val, cfg, F)
-        assert dense_equivalent_grad_norm(fold_dct(best, F), window_stats(best, w_train), F) < 1e-3
+        assert dense_equivalent_grad_norm(best, window_stats(best, w_train), F) < 1e-3
 
     def test_l1_shrinks_weights_monotonically(self):
         w_train, w_val, _ = realizable_windows()
@@ -313,7 +313,7 @@ class TestTrain:
         cfg = TrainConfig(learning_rate=1e-300, l1_lambda=0.0, max_epochs=2, patience=2, seed=0)
         for seed in range(4):
             w_train, w_val, _ = realizable_windows(lookback, horizon, channels, seed=seed)
-            assert forecast_mse(model, w_val) == 0.0 and evaluate(model, w_val) == 0.0
+            assert forecast_mse(model, w_val) == 0.0 and evaluate(model, w_val, None) == 0.0
             _, trace = train(model, w_train, w_val, cfg, dct_matrix(model))
             assert all(0.0 <= mse < 1e-12 for mse in trace.val_mse), trace.val_mse
 
@@ -444,12 +444,12 @@ def reference_grad_norm(model, batch):
     return float(np.linalg.norm((2.0 / count) * (total if F is None else F.T @ total)))
 
 
-def mae_pass(folded, batch, F):
-    return evaluate(folded, batch)
+def mae_pass(model, batch, F):
+    return evaluate(model, batch, F)
 
 
-def grad_norm_pass(folded, batch, F):
-    return dense_equivalent_grad_norm(folded, window_stats(folded, batch), F)
+def grad_norm_pass(model, batch, F):
+    return dense_equivalent_grad_norm(model, window_stats(model, batch), F)
 
 
 def random_batch(channels, n, lookback=64, horizon=16, seed=0):
@@ -491,33 +491,24 @@ class TestBlockedPasses:
         if with_bias:
             model.bias[:] = np.random.default_rng(8).normal(size=16)
         F = dct_matrix(model)
-        folded = fold_dct(model, F)
         for seed, (channels, n) in enumerate(BLOCK_CASES):
             batch = random_batch(channels, n, seed=seed)
             stats = window_stats(model, batch)
-            assert evaluate(folded, batch) == reference_mae(model, batch)
-            assert window_mse(folded, stats) == pytest.approx(
+            assert evaluate(model, batch, F) == reference_mae(model, batch)
+            assert window_mse(model, stats, F) == pytest.approx(
                 forecast_mse(model, batch), rel=1e-12, abs=0.0)
-            assert dense_equivalent_grad_norm(folded, stats, F) == pytest.approx(
+            assert dense_equivalent_grad_norm(model, stats, F) == pytest.approx(
                 reference_grad_norm(model, batch), rel=1e-12, abs=0.0)
-        # unfolded, each pass took another predictor's error (1.00012 against
-        # 0.96177 in one case)
-        for call in (lambda: window_mse(model, stats), lambda: evaluate(model, batch),
-                     lambda: dense_equivalent_grad_norm(model, stats, F)):
-            if use_dct:
-                with pytest.raises(UnfoldedHeadError, match="fold_dct"):
-                    call()
-            else:
-                call()  # with the DCT off the model is its own fold
 
     @staticmethod
-    def traced_peak(pass_, folded, batch, F=None) -> int:
-        """tracemalloc peak, in bytes, of one pass `pass_(folded, batch, F)`
-        over a batch, for a head folded with F (see `fold_dct`)."""
+    def traced_peak(pass_, model, batch) -> int:
+        """tracemalloc peak, in bytes, of one pass `pass_(model, batch, F)`
+        over a batch, F = dct_matrix(model) built before it as a job does."""
+        F = dct_matrix(model)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            pass_(folded, batch, F)
+            pass_(model, batch, F)
             return tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
@@ -527,9 +518,7 @@ class TestBlockedPasses:
         H=720 (2161 windows of 7 channels), in units of one block's copied
         targets or forecast: an (eval_windows(7) * 7) x 720 array."""
         batch = random_batch(7, 2161, 512, 720, seed=9)
-        model = init_model(512, 720, 50, seed=0)
-        F = dct_matrix(model)
-        peak = self.traced_peak(pass_, fold_dct(model, F), batch, F)
+        peak = self.traced_peak(pass_, init_model(512, 720, 50, seed=0), batch)
         return peak / (eval_windows(7) * 7 * 720 * 8)
 
     def test_evaluate_memory_at_etth1_shape(self):
@@ -547,7 +536,64 @@ class TestBlockedPasses:
         model = init_model(lookback, horizon, 8, seed=0)
         batch = random_batch(channels, 32, lookback, horizon, seed=10)
         bound = 4 * max(EVAL_ROWS, channels) * (model.d_in + 2 * horizon) * 8
-        assert self.traced_peak(mae_pass, fold_dct(model, dct_matrix(model)), batch) < bound
+        assert self.traced_peak(mae_pass, model, batch) < bound
+
+
+class TestOneFoldCheck:
+    """`fold_dct` is the one check that an F belongs to a model, and every
+    function that applies a head folds through it: an F that is not
+    dct_matrix(model) made each of them report another predictor's error."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(use_haar=st.booleans(), use_dct=st.booleans(),
+           head=st.sampled_from([HEAD_LOW_RANK, HEAD_DENSE]), with_bias=st.booleans(),
+           seed=st.integers(0, 2**16))
+    def test_only_the_models_F_folds(self, use_haar, use_dct, head, with_bias, seed):
+        model = init_model(16, 4, 2, seed=seed, use_haar=use_haar, use_dct=use_dct, head=head,
+                           with_bias=with_bias)
+        if with_bias:
+            model.bias[:] = np.random.default_rng(seed).normal(size=4)
+        batch = random_batch(3, 20, 16, 4, seed=seed)
+        stats, F = window_stats(model, batch), dct_matrix(model)
+        folded = fold_dct(model, F)
+        assert window_mse(model, stats, F) == pytest.approx(
+            forecast_mse(model, batch), rel=1e-12, abs=0.0)
+        assert evaluate(model, batch, F) == pytest.approx(
+            mae(forward(model, batch.inputs), batch.targets), rel=1e-12, abs=0.0)
+        # the F of the twin with the other Haar setting is L x L or L/2 x L/2;
+        # the DCT-on twin's has the right shape for a DCT-off model
+        other_haar = dct_matrix(replace(model, use_haar=not use_haar, use_dct=True))
+        if use_dct:  # no F, a second fold, the wrong shape
+            wrong = [(model, None), (folded, F), (model, other_haar), (model, F[:, :-1])]
+        else:
+            wrong = [(model, dct_matrix(replace(model, use_dct=True))), (model, other_haar)]
+        for m, G in wrong:
+            for call in (lambda: fold_dct(m, G), lambda: window_mse(m, stats, G),
+                         lambda: dense_equivalent_grad_norm(m, stats, G),
+                         lambda: evaluate(m, batch, G)):
+                with pytest.raises(UnfoldedHeadError, match="fold_dct got F"):
+                    call()
+
+    @pytest.mark.parametrize("channels", [3, 40])
+    def test_train_checks_F_before_any_table_or_step(self, channels, monkeypatch):
+        # a DCT-off model trained with its DCT-on twin's F returned weights
+        # whose validation MSEs were another predictor's
+        assert steps_from_stats(channels, 16, 8, 2, HEAD_LOW_RANK) == (channels == 40)
+        w_train, w_val, _ = realizable_windows(32, 8, channels)
+        calls = []
+        for name in ("LagTables", "adam_step"):
+            original = getattr(hadl.optim, name)
+            monkeypatch.setattr(hadl.optim, name,
+                                lambda *a, f=original, n=name: calls.append(n) or f(*a))
+        cfg = TrainConfig(max_epochs=1, patience=1, seed=0)
+        on = init_model(32, 8, 2, seed=0)
+        F = dct_matrix(on)
+        for model, G in ((on, None), (replace(on, use_dct=False), F), (fold_dct(on, F), F)):
+            with pytest.raises(UnfoldedHeadError):
+                train(model, w_train, w_val, cfg, G)
+        assert calls == []
+        train(on, w_train, w_val, cfg, F)
+        assert "adam_step" in calls and ("LagTables" in calls) == (channels == 40)
 
 
 def test_trace_csv_columns(tmp_path):

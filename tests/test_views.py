@@ -21,7 +21,6 @@ from hadl.model import (
     HEAD_DENSE,
     HEAD_LOW_RANK,
     dct_matrix,
-    fold_dct,
     forward,
     head_apply,
     init_model,
@@ -102,13 +101,13 @@ class TestFoldedBlockedPasses:
 
         diff = want_pred - Y
         F = dct_matrix(model)
-        folded, stats = fold_dct(model, F), window_stats(model, batch)
-        assert_close(window_mse(folded, stats), np.mean(diff * diff))
-        assert_close(evaluate(folded, batch), np.mean(np.abs(diff)))
+        stats = window_stats(model, batch)
+        assert_close(window_mse(model, stats, F), np.mean(diff * diff))
+        assert_close(evaluate(model, batch, F), np.mean(np.abs(diff)))
 
         G = (2.0 / Y.size) * diff.reshape(-1, model.horizon)
         want_norm = np.linalg.norm(A.reshape(-1, model.d_in).T @ G)
-        assert_close(dense_equivalent_grad_norm(folded, stats, F), want_norm)
+        assert_close(dense_equivalent_grad_norm(model, stats, F), want_norm)
 
     @settings(max_examples=30, deadline=None)
     @given(cases())
@@ -214,7 +213,7 @@ class TestWindowStats:
         batch = WindowBatch(np.zeros((1, 40)), 16, 8)
         config = TrainConfig(max_epochs=1, patience=1)
         passes = (window_stats, window_rows, LagTables,
-                  lambda model, batch: evaluate(fold_dct(model, dct_matrix(model)), batch),
+                  lambda model, batch: evaluate(model, batch, dct_matrix(model)),
                   lambda model, batch: train(model, batch, batch, config, dct_matrix(model)))
         for lookback, horizon in ((8, 8), (16, 4)):
             for run in passes:
@@ -240,7 +239,7 @@ class TestValidationFromStats:
                            use_dct=use_dct, head=head, with_bias=with_bias)
         if with_bias:
             model.bias[:] = rng.normal(size=horizon)
-        mse = window_mse(fold_dct(model, dct_matrix(model)), window_stats(model, batch))
+        mse = window_mse(model, window_stats(model, batch), dct_matrix(model))
         assert mse == pytest.approx(forecast_mse(model, batch), rel=1e-12, abs=0.0)
 
 
