@@ -47,7 +47,6 @@ from .optim import (
     train,
 )
 from .transforms import (
-    dct2_raw,
     dct2_scaled,
     haar_batch,
 )

@@ -98,7 +98,7 @@ class ExperimentConfig(TrainConfig):
             if bad:
                 raise InvalidConfigError(f"{key}: noise intensity must be >= 0, got {bad[0]}")
         # a repeat trains the same job twice: checkpoints overwrite, rows double
-        for key in ("horizons", "seeds", "rank_list", "lookback_list"):
+        for key in ("horizons", "seeds", "eta_list", "rank_list", "lookback_list"):
             listed = getattr(self, key)
             repeated = [v for i, v in enumerate(listed) if v in listed[:i]]
             if repeated:
@@ -368,7 +368,7 @@ def cmd_robustness(config: ExperimentConfig, workers: int = 1) -> hadl_metrics.R
     eta list must contain 0.0 for the NRR baseline. workers > 1 trains the
     etas in parallel processes.
     """
-    etas = tuple(sorted(set(config.eta_list)))
+    etas = tuple(sorted(config.eta_list))
     if 0.0 not in etas:
         raise MissingZeroEtaError("eta_list must contain 0.0")
     horizon = config.horizons[0]

@@ -27,8 +27,9 @@ class ShapeMismatchError(HadlError):
 # -- model --------------------------------------------------------------------
 
 class CorruptCheckpointError(HadlError):
-    """Checkpoint arrays are missing, misnamed, misshapen, not float64 or
-    not finite for the lookback, horizon and head its meta declares."""
+    """Checkpoint meta fields have the wrong JSON type, or its arrays are
+    missing, misnamed, misshapen, not float64 or not finite for the
+    lookback, horizon and head its meta declares."""
 
 
 class UnfoldedHeadError(HadlError):

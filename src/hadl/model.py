@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import (CorruptCheckpointError, HadlError, OddLengthError, ShapeMismatchError,
                      UnfoldedHeadError)
-from .transforms import dct2_raw, dct2_scaled, haar_batch, haar_pairs
+from .transforms import dct2_scaled, haar_batch, haar_pairs
 
 HEAD_LOW_RANK = "low_rank"
 HEAD_DENSE = "dense"
@@ -155,22 +155,11 @@ def window_rows(model: HadlModel, batch) -> np.ndarray:
     return batch.view(s, step * (model.d_in - 1) + 1, step)
 
 
-def dct_stage(model: HadlModel, A) -> np.ndarray:
-    """The scaled DCT stage alone on Haar rows (..., d_in); identity with it
-    off. With Haar off the DCT runs on the full length-L row but keeps the
-    same 2/L factor, so the constant is identical across ablation variants."""
-    if not model.use_dct:
-        return A
-    if model.use_haar:
-        return dct2_scaled(A, model.lookback)
-    return (2.0 / model.lookback) * dct2_raw(A)
-
-
 def dct_matrix(model: HadlModel) -> np.ndarray | None:
     """The d_in x d_in matrix F of the DCT stage (its image of the identity),
     so transform_inputs(X) = haar_rows(X) @ F up to rounding; None with the
     DCT stage off."""
-    return dct_stage(model, np.eye(model.d_in)) if model.use_dct else None
+    return dct2_scaled(np.eye(model.d_in), model.lookback) if model.use_dct else None
 
 
 def fold_dct(model: HadlModel, F: np.ndarray | None) -> HadlModel:
@@ -193,7 +182,8 @@ def transform_inputs(model: HadlModel, X) -> np.ndarray:
     Input shape (..., L), output (..., d_in). Predictions never materialize
     these features (see `fold_dct`); this is their reference.
     """
-    return dct_stage(model, haar_rows(model, X))
+    rows = haar_rows(model, X)
+    return dct2_scaled(rows, model.lookback) if model.use_dct else rows
 
 
 def head_into(model: HadlModel, A: np.ndarray, out: np.ndarray) -> np.ndarray | None:
@@ -271,29 +261,27 @@ def replace_params(model: HadlModel, params: dict[str, np.ndarray]) -> HadlModel
 
 
 # Checkpoint layout: a single .npz archive. Key "meta" holds a JSON string
-# with lookback, horizon, use_haar, use_dct, head, seed and which arrays are
+# with the CHECKPOINT_META fields and "arrays", the list of array keys
 # present; keys "P", "Q", "W", "bias" hold the float64 parameter matrices in
 # row-major order. float64 survives the round trip bit-exactly.
+CHECKPOINT_META = {"lookback": int, "horizon": int, "use_haar": bool, "use_dct": bool,
+                   "head": str, "seed": int}
+
 
 def save_checkpoint(model: HadlModel, path) -> None:
     params = model_params(model)
-    meta = {
-        "lookback": model.lookback,
-        "horizon": model.horizon,
-        "use_haar": model.use_haar,
-        "use_dct": model.use_dct,
-        "head": model.head,
-        "seed": model.seed,
-        "arrays": sorted(params),
-    }
+    meta = {key: getattr(model, key) for key in CHECKPOINT_META}
+    meta["arrays"] = sorted(params)
     arrays = {k: np.ascontiguousarray(v) for k, v in params.items()}
     np.savez(path, meta=json.dumps(meta, sort_keys=True), **arrays)
 
 
 def load_checkpoint(path) -> HadlModel:
-    """The model saved at `path`. Raises CorruptCheckpointError unless the
-    archive holds exactly the arrays its meta lists, named for the head kind
-    and shaped for its lookback, horizon and rank, as finite float64."""
+    """The model saved at `path`. Raises CorruptCheckpointError unless each
+    meta field has its JSON type (CHECKPOINT_META; `arrays` a list of
+    strings) and the archive holds exactly the arrays its meta lists, named
+    for the head kind and shaped for its lookback, horizon and rank, as
+    finite float64."""
     # an open handle of our own: np.load leaks the one it opens for a bad zip
     with open(path, "rb") as handle:
         try:
@@ -305,17 +293,19 @@ def load_checkpoint(path) -> HadlModel:
         with archive:
             try:
                 meta = json.loads(str(archive["meta"]))
-                names = [str(name) for name in meta["arrays"]]
-                model = HadlModel(
-                    lookback=int(meta["lookback"]),
-                    horizon=int(meta["horizon"]),
-                    use_haar=bool(meta["use_haar"]),
-                    use_dct=bool(meta["use_dct"]),
-                    head=str(meta["head"]),
-                    seed=int(meta["seed"]),
-                )
+                fields = {key: meta[key] for key in CHECKPOINT_META}
+                names = meta["arrays"]
             except (KeyError, TypeError, ValueError) as exc:
                 raise CorruptCheckpointError(f"{path}: unreadable meta: {exc!r}") from exc
+            # exact types: bool("false") is True, int(16.9) is 16, and a JSON true is no seed
+            for key, kind in CHECKPOINT_META.items():
+                if type(fields[key]) is not kind:
+                    raise CorruptCheckpointError(
+                        f"{path}: meta {key!r} is {fields[key]!r}, not {kind.__name__}")
+            if type(names) is not list or any(type(name) is not str for name in names):
+                raise CorruptCheckpointError(
+                    f"{path}: meta 'arrays' is {names!r}, not a list of strings")
+            model = HadlModel(**fields)
             absent = [name for name in names if name not in archive.files]
             if absent:
                 raise CorruptCheckpointError(

@@ -243,10 +243,8 @@ def _gather_blocks(model: HadlModel, batch, order, size: int):
     (rows, H) targets and a (rows, H) scratch array for the forecast, copied
     from the views of a WindowBatch into arrays allocated once per call
     (fancy indexing would allocate every block afresh, and `np.take` copies
-    the whole strided Haar view first). A `range` order copies each block
-    with one slice assignment per array, any other order window by window.
-    The caller may overwrite the targets and the scratch; the next block
-    refills them."""
+    the whole strided Haar view first), window by window. The caller may
+    overwrite the targets and the scratch; the next block refills them."""
     S, Y = window_rows(model, batch), batch.targets
     n, channels = len(order), S.shape[1]
     S_buf = np.empty((min(size, n),) + S.shape[1:])
@@ -254,13 +252,9 @@ def _gather_blocks(model: HadlModel, batch, order, size: int):
     out = np.empty((min(size, n) * channels, model.horizon))
     for start in range(0, n, size):
         idx = order[start : start + size]
-        if isinstance(idx, range):
-            S_buf[: len(idx)] = S[idx.start : idx.stop : idx.step]
-            Y_buf[: len(idx)] = Y[idx.start : idx.stop : idx.step]
-        else:
-            for j, w in enumerate(idx):
-                S_buf[j] = S[w]
-                Y_buf[j] = Y[w]
+        for j, w in enumerate(idx):
+            S_buf[j] = S[w]
+            Y_buf[j] = Y[w]
         rows = len(idx) * channels
         yield S_buf[: len(idx)].reshape(rows, -1), Y_buf[: len(idx)].reshape(rows, -1), out[:rows]
 

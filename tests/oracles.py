@@ -4,7 +4,7 @@ check. Nothing in the package calls them.
 
 The Haar inverse and the orthonormal DCT verify the energy properties that
 justify the pipeline; the double-loop DCT is independent of the matrix
-product `hadl.transforms.dct2_raw` uses; `gradients` and `gradcheck` check
+product `hadl.transforms.dct2_scaled` uses; `gradients` and `gradcheck` check
 the trainer's closed-form gradients against central differences of `loss`;
 `forecast_mse` is the MSE of materialized forecasts, which the package takes
 from window statistics instead; `reference_step`, `textbook_adam` and
@@ -19,12 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hadl.errors import EmptyInputError, HadlError, ShapeMismatchError
+from hadl.errors import (EmptyInputError, HadlError, OddLengthError, ShapeMismatchError,
+                         TooShortError)
 from hadl.model import (HEAD_LOW_RANK, HadlModel, dct_matrix, fold_dct, forward, haar_rows,
                         model_params, replace_params, window_rows)
 from hadl.optim import (BETA1, BETA2, EPSILON, _gradients_from_rows, adam_step, init_adam,
                         l1_penalty)
-from hadl.transforms import SQRT2, _check_even_length, dct2_raw
+from hadl.transforms import SQRT2, dct2_scaled
 
 
 class InvalidStepError(HadlError):
@@ -54,7 +55,11 @@ def haar_forward(x) -> HaarPair:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise ShapeMismatchError(f"expected a 1-d vector, got shape {x.shape}")
-    _check_even_length(x.shape[0])
+    n = x.shape[0]
+    if n < 2:
+        raise TooShortError(f"need at least 2 samples, got {n}")
+    if n % 2 != 0:
+        raise OddLengthError(f"length must be even, got {n}")
     even, odd = x[0::2], x[1::2]
     return HaarPair(approx=(even + odd) / SQRT2, detail=(odd - even) / SQRT2)
 
@@ -81,7 +86,9 @@ def dct2_orthonormal(x) -> np.ndarray:
     justifies predicting straight from the spectrum.
     """
     x = np.asarray(x, dtype=np.float64)
-    y = dct2_raw(x) * math.sqrt(2.0 / x.shape[-1])
+    n = x.shape[-1]
+    # the raw DCT-II is dct2_scaled(x, n) * n/2; times sqrt(2/n) that is sqrt(n/2)
+    y = dct2_scaled(x, n) * math.sqrt(n / 2.0)
     y[..., 0] /= SQRT2
     return y
 

@@ -19,7 +19,7 @@ from hadl.metrics import mav
 from hadl.model import (HEAD_DENSE, HEAD_LOW_RANK, dct_matrix, init_model, kilo_display,
                         param_count)
 from hadl.optim import TrainConfig, train
-from hadl.transforms import dct2_raw
+from hadl.transforms import dct2_scaled
 from oracles import (dct2_bruteforce, dct2_orthonormal, floor_kilo_display, gradcheck,
                      haar_forward, haar_inverse, improvement, signal_energy)
 
@@ -42,8 +42,8 @@ def test_criterion_1_transform_oracles():
     for n in range(1, 65):
         for _ in range(2):
             x = rng.normal(size=n)
-            oracle = dct2_bruteforce(x)
-            ours = dct2_raw(x)
+            oracle = dct2_bruteforce(x) / n  # 2/lookback with lookback = 2n, as on Haar rows
+            ours = dct2_scaled(x, 2 * n)
             rel = np.abs(ours - oracle) / np.maximum(np.abs(oracle), 1e-12)
             assert np.max(rel) < 1e-9
             vectors_checked += 1

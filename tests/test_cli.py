@@ -368,9 +368,8 @@ class TestGradNormOnlyWhereWritten:
 
 
 def dct_builds_per_job(monkeypatch) -> list:
-    """Calls of `hadl.model.dct2_scaled` (one per `dct_matrix` build with the
-    Haar stage on) in each serial `run_single`; the list grows by one count
-    per job, in job order."""
+    """Calls of `hadl.model.dct2_scaled` (one per `dct_matrix` build) in each
+    serial `run_single`; the list grows by one count per job, in job order."""
     builds, per_job = count_calls(monkeypatch, hadl.model, "dct2_scaled"), []
     run_single = hadl.cli.run_single
 
@@ -406,6 +405,13 @@ class TestFullSetPasses:
         assert dct_builds == [1] * 4
         jobs = [line for line in capsys.readouterr().out.splitlines() if line.startswith("job ")]
         assert len(jobs) == 4 and all(" test_mae=" in line for line in jobs)
+
+    def test_haar_off_job_builds_its_dct_once(self, tmp_path, monkeypatch):
+        # the Haar-off DCT went through a second DCT function, which built F uncounted
+        dct_builds = dct_builds_per_job(monkeypatch)
+        cmd_train(synth_config(tmp_path, horizons=(8,), use_haar=False, max_epochs=2,
+                               patience=2))
+        assert dct_builds == [1]
 
     @pytest.mark.parametrize("channels", [40, 3])
     def test_robustness_and_ablate_forecast_nothing(self, tmp_path, monkeypatch, channels,
@@ -550,6 +556,16 @@ class TestRobustnessCommand:
             del bundle["config"], bundle["config_fingerprint"]
         assert a == b
 
+    def test_repeated_eta_fails_before_any_job(self, tmp_path, capsys):
+        # exited 0 with two rows, the first eta -0.0
+        rc = main(["robustness", "--dataset", "sine_mix", "--lookback", "16", "--horizons", "4",
+                   "--rank", "2", "--eta-list=-0,0.7,0.7", "--robust-max-epochs", "1",
+                   "--robust-patience", "1", "--outdir", str(tmp_path / "runs")])
+        out, err = capsys.readouterr()
+        assert rc == 1 and out == ""
+        assert err.splitlines() == ["error: eta_list: 0.7 is listed twice"]
+        assert not (tmp_path / "runs").exists()
+
     def test_zero_eta_required(self, tmp_path):
         config = synth_config(tmp_path, eta_list=(0.3, 0.7))
         with pytest.raises(MissingZeroEtaError):
@@ -642,8 +658,15 @@ class TestExportWeights:
         assert rc == 0
         assert np.array_equal(np.loadtxt(tmp_path / "w.csv", delimiter=","), model.W)
 
+    # each loaded: "false" and "no" as True, 64.9 as 64, true as seed 1, and "PQ"
+    # as the names P and Q, without the bias the archive holds
+    BAD_META = {"use_dct_text": ("use_dct", "false"), "use_haar_text": ("use_haar", "no"),
+                "lookback_float": ("lookback", 64.9), "seed_bool": ("seed", True),
+                "arrays_text": ("arrays", "PQ")}
+
     @pytest.mark.parametrize("case", ["q_columns", "meta_horizon", "nan_in_p", "missing_array",
-                                      "float32_p", "head_names", "not_npz", "npy", "truncated"])
+                                      "float32_p", "head_names", "not_npz", "npy", "truncated",
+                                      *BAD_META])
     def test_corrupt_checkpoint_rejected(self, tmp_path, capsys, case):
         model = init_model(64, 16, 4, seed=0)
         meta = {"lookback": 64, "horizon": 16, "use_haar": True, "use_dct": True,
@@ -661,6 +684,8 @@ class TestExportWeights:
             arrays["P"] = arrays["P"].astype(np.float32)
         elif case == "head_names":  # low-rank arrays under a dense head
             meta["head"] = "dense"
+        elif case in self.BAD_META:
+            meta.update([self.BAD_META[case]])
         ckpt = tmp_path / "m.npz"
         if case == "not_npz":  # was a ValueError traceback about pickled data
             ckpt.write_text("lookback,horizon\n64,16\n")
@@ -715,6 +740,8 @@ def test_params_command_output(capsys):
     (["--learning-rate", "inf"], "learning_rate"),
     (["--l1-lambda", "inf"], "l1_lambda"),
     (["--eta-list", "0,inf"], "eta_list"),  # train exited 0; robustness trained eta=0 first
+    # robustness trained eta -0.0 once but kept both in robustness.json's config
+    (["--eta-list=-0,0"], "eta_list"),
 ])
 def test_bad_config_value_is_one_error_line(tmp_path, capsys, flags, key):
     rc = main(["train", "--dataset", "sine_mix", "--lookback", "32", "--horizons", "8",

@@ -100,9 +100,9 @@ class TestForward:
         assert transform_inputs(m_all, X).shape == (1, 1, 4)
         assert transform_inputs(m_nohaar, X).shape == (1, 1, 8)
         # without haar the DCT keeps the same 2/L constant on the full row
-        from hadl.transforms import dct2_raw, haar_batch
+        from hadl.transforms import dct2_scaled, haar_batch
 
-        assert_allclose(transform_inputs(m_nohaar, X), 0.25 * dct2_raw(X), atol=0)
+        assert_allclose(transform_inputs(m_nohaar, X), dct2_scaled(X, 8), atol=0)
         assert_allclose(transform_inputs(m_nodct, X), haar_batch(X), atol=0)
 
 

@@ -26,6 +26,7 @@ from hadl.optim import (
     EVAL_ROWS,
     AdamState,
     TrainConfig,
+    _gather_blocks,
     adam_step,
     dense_equivalent_grad_norm,
     evaluate,
@@ -499,6 +500,20 @@ class TestBlockedPasses:
                 forecast_mse(model, batch), rel=1e-12, abs=0.0)
             assert dense_equivalent_grad_norm(model, stats, F) == pytest.approx(
                 reference_grad_norm(model, batch), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("use_haar", [True, False])
+    def test_range_and_array_orders_gather_alike(self, use_haar):
+        model = init_model(64, 16, 2, seed=7, use_haar=use_haar)
+        batch = random_batch(3, 11, seed=3)
+        S = window_rows(model, batch)
+        for order in (range(11), range(2, 11, 3)):
+            blocks = zip(range(0, len(order), 4), _gather_blocks(model, batch, order, 4),
+                         _gather_blocks(model, batch, np.array(order), 4), strict=True)
+            for start, (rows, target, _), (rows_a, target_a, _) in blocks:
+                idx = list(order[start : start + 4])
+                assert np.array_equal(rows, rows_a) and np.array_equal(target, target_a)
+                assert np.array_equal(rows, S[idx].reshape(-1, model.d_in))
+                assert np.array_equal(target, batch.targets[idx].reshape(-1, 16))
 
     @staticmethod
     def traced_peak(pass_, model, batch) -> int:

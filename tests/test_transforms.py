@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from hadl.errors import OddLengthError, ShapeMismatchError, TooShortError
-from hadl.transforms import dct2_raw, dct2_scaled, haar_batch
+from hadl.transforms import dct2_scaled, haar_batch
 from oracles import (HaarPair, dct2_bruteforce, dct2_orthonormal, haar_forward, haar_inverse,
                      signal_energy)
 
@@ -85,30 +85,33 @@ class TestHaarBatch:
 
 
 class TestDct2Raw:
+    """`dct2_scaled` on raw windows, the Haar stage off: rows of length N =
+    lookback, scaled by 2/N."""
+
     def test_constant_input(self):
         n, c = 10, 2.5
-        out = dct2_raw(np.full(n, c))
-        assert out[0] == pytest.approx(n * c, rel=1e-12)
+        out = dct2_scaled(np.full(n, c), n)
+        assert out[0] == pytest.approx(2.0 * c, rel=1e-12)
         assert_allclose(out[1:], np.zeros(n - 1), atol=1e-10)
 
     def test_unit_impulse_closed_form(self):
         n = 8
         x = np.zeros(n)
         x[0] = 1.0
-        expected = np.cos(np.pi * np.arange(n) / (2 * n))
-        assert_allclose(dct2_raw(x), expected, rtol=1e-12)
+        expected = (2.0 / n) * np.cos(np.pi * np.arange(n) / (2 * n))
+        assert_allclose(dct2_scaled(x, n), expected, rtol=1e-12)
 
     def test_matches_bruteforce_length8(self):
         rng = np.random.default_rng(5)
         x = rng.normal(size=8)
-        assert_allclose(dct2_raw(x), dct2_bruteforce(x), rtol=1e-9)
+        assert_allclose(dct2_scaled(x, 8), (2.0 / 8) * dct2_bruteforce(x), rtol=1e-9)
 
     def test_matches_bruteforce_all_lengths(self):
         rng = np.random.default_rng(6)
         for n in range(1, 65):
             x = rng.normal(size=n)
-            oracle = dct2_bruteforce(x)
-            ours = dct2_raw(x)
+            oracle = (2.0 / n) * dct2_bruteforce(x)
+            ours = dct2_scaled(x, n)
             denom = np.maximum(np.abs(oracle), 1e-12)
             assert np.max(np.abs(ours - oracle) / denom) < 1e-9
 
@@ -116,17 +119,17 @@ class TestDct2Raw:
         rng = np.random.default_rng(7)
         x, y = rng.normal(size=16), rng.normal(size=16)
         a, b = 2.5, -0.75
-        combined = dct2_raw(a * x + b * y)
-        assert_allclose(combined, a * dct2_raw(x) + b * dct2_raw(y), rtol=1e-9)
+        combined = dct2_scaled(a * x + b * y, 16)
+        assert_allclose(combined, a * dct2_scaled(x, 16) + b * dct2_scaled(y, 16), rtol=1e-9)
 
     def test_scale_homogeneity(self):
         rng = np.random.default_rng(8)
         x = rng.normal(size=12)
-        assert_allclose(dct2_raw(3.0 * x), 3.0 * dct2_raw(x), rtol=1e-12)
+        assert_allclose(dct2_scaled(3.0 * x, 12), 3.0 * dct2_scaled(x, 12), rtol=1e-12)
 
     def test_empty_rejected(self):
         with pytest.raises(ShapeMismatchError):
-            dct2_raw(np.zeros(0))
+            dct2_scaled(np.zeros(0), 0)
 
 
 class TestDct2Scaled:
@@ -149,6 +152,16 @@ class TestDct2Scaled:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ShapeMismatchError):
             dct2_scaled(np.zeros((1, 1, 16)), lookback=512)
+
+    @pytest.mark.parametrize("lookback, lengths", [(16, (1, 7, 9, 15, 17, 32)), (7, (2, 3, 4))])
+    def test_only_half_or_full_lookback_accepted(self, lookback, lengths):
+        # Haar rows are lookback/2 long, raw windows lookback; an odd lookback has no half
+        for n in lengths:
+            with pytest.raises(ShapeMismatchError):
+                dct2_scaled(np.zeros((2, n)), lookback)
+        assert dct2_scaled(np.ones(lookback), lookback)[0] == pytest.approx(2.0, rel=1e-12)
+        if lookback % 2 == 0:
+            assert dct2_scaled(np.ones(lookback // 2), lookback)[0] == pytest.approx(1.0, rel=1e-12)
 
     def test_length_preserving_and_linear(self):
         rng = np.random.default_rng(10)
