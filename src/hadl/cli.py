@@ -27,8 +27,7 @@ import numpy as np
 from . import data as hadl_data
 from . import metrics as hadl_metrics
 from . import optim as hadl_optim
-from .errors import (HadlError, InvalidConfigError, MissingZeroEtaError, UnknownAxisError,
-                     WorkerDiedError)
+from .errors import HadlError, InvalidConfigError, WorkerDiedError
 from .model import (
     HEAD_DENSE,
     HEAD_LOW_RANK,
@@ -76,6 +75,9 @@ class ExperimentConfig(TrainConfig):
 
     def __post_init__(self):
         super().__post_init__()
+        # -0 is the zero eta: one experiment, one set of bytes (x + 0.0 turns -0.0 into 0.0)
+        object.__setattr__(self, "noise_eta", self.noise_eta + 0.0)
+        object.__setattr__(self, "eta_list", tuple(eta + 0.0 for eta in self.eta_list))
         check_budget(self.robust_max_epochs, self.robust_patience, "robust_")
         if not self.horizons or min(self.horizons) < 1:
             raise InvalidConfigError(
@@ -139,7 +141,7 @@ def read_config_file(path) -> dict:
     values: dict = {}
     for key, (line_no, value) in hadl_data.read_key_values(path).items():
         if key not in _KEY_TYPES:
-            raise HadlError(f"{path}: line {line_no}: unknown config key {key!r}")
+            raise InvalidConfigError(f"{path}: line {line_no}: unknown config key {key!r}")
         values[key] = _parse_value(key, value)
     return values
 
@@ -182,8 +184,8 @@ def load_dataset(config: ExperimentConfig) -> tuple[hadl_data.Dataset, str]:
     entry = hadl_data.load_registry(config.registry).get(name, {}) if config.registry else {}
     convention = config.convention or entry.get("convention") or hadl_data.convention_for(name)
     if name in hadl_data.SYNTH_KINDS:
-        params = {"length": config.synth_length, "channels": config.synth_channels}
-        dataset = hadl_data.synth(name, params, seed=mix_seed(config.seed, "dataset"))
+        dataset = hadl_data.synth(name, config.synth_length, config.synth_channels,
+                                  seed=mix_seed(config.seed, "dataset"))
     else:
         path = config.data_path or entry.get("path") or os.path.join("data", f"{name}.csv")
         if not os.path.exists(path):
@@ -370,7 +372,7 @@ def cmd_robustness(config: ExperimentConfig, workers: int = 1) -> hadl_metrics.R
     """
     etas = tuple(sorted(config.eta_list))
     if 0.0 not in etas:
-        raise MissingZeroEtaError("eta_list must contain 0.0")
+        raise InvalidConfigError("eta_list must contain 0.0")
     horizon = config.horizons[0]
     base = replace(config, seed=config.seed_list()[0], max_epochs=config.robust_max_epochs,
                    patience=config.robust_patience)
@@ -414,7 +416,7 @@ def _ablate_grid(config: ExperimentConfig, axis: str) -> list[tuple[str, Experim
         "lookback": [(str(lb), {"lookback": lb}) for lb in config.lookback_list],
     }
     if axis not in variants:
-        raise UnknownAxisError(f"unknown ablation axis {axis!r}; choose from {ABLATION_AXES}")
+        raise InvalidConfigError(f"unknown ablation axis {axis!r}; choose from {ABLATION_AXES}")
     base = replace(config, rank=config.ablate_rank, seed=config.seed_list()[0])
     return [(label, replace(base, **keys)) for label, keys in variants[axis]]
 

@@ -22,17 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConstantChannelError,
-    EmptyFileError,
-    HadlError,
-    MissingValueError,
-    ParseError,
-    SegmentTooShortError,
-    ShapeMismatchError,
-    UnknownConventionError,
-    UnknownKindError,
-)
+from .errors import (ConstantChannelError, HadlError, InvalidConfigError, ParseError,
+                     SegmentTooShortError, ShapeMismatchError)
 
 
 @dataclass(frozen=True)
@@ -199,7 +190,7 @@ def _parse_csv(path) -> tuple[tuple[str, ...], np.ndarray]:
         try:
             header = next(csv.reader(handle))
         except StopIteration:
-            raise EmptyFileError(f"{path}: file is empty") from None
+            raise ParseError(f"{path}: file is empty") from None
         if len(header) < 2:
             raise ParseError(f"{path}: need a timestamp column plus data columns")
         channels = tuple(h.strip() for h in header[1:])
@@ -282,7 +273,7 @@ def _parse_cells(path) -> np.ndarray:
             for col_idx, cell in enumerate(row[1:]):
                 cell = cell.strip()
                 if cell == "":
-                    raise MissingValueError(
+                    raise ParseError(
                         f"{path}: empty cell at row {row_idx}, column {channels[col_idx]!r}"
                     )
                 try:
@@ -293,14 +284,14 @@ def _parse_cells(path) -> np.ndarray:
                         f" column {channels[col_idx]!r}"
                     ) from None
                 if not math.isfinite(value):
-                    raise MissingValueError(
+                    raise ParseError(
                         f"{path}: non-finite cell at row {row_idx}, column {channels[col_idx]!r}"
                     )
                 columns[col_idx].append(value)
             n_rows += 1
 
     if n_rows == 0:
-        raise EmptyFileError(f"{path}: no data rows")
+        raise ParseError(f"{path}: no data rows")
     return np.asarray(columns, dtype=np.float64)
 
 
@@ -315,7 +306,7 @@ def _split_edges(convention: str, timesteps: int) -> tuple[int, int, int]:
         va = int(0.1 * timesteps)
         te = timesteps - tr - va
     else:
-        raise UnknownConventionError(f"unknown split convention {convention!r}")
+        raise InvalidConfigError(f"unknown split convention {convention!r}")
     if tr + va + te > timesteps:
         raise ShapeMismatchError(
             f"series has {timesteps} steps, convention {convention!r} needs {tr + va + te}"
@@ -406,7 +397,7 @@ def inject_noise(segment: Segment, eta: float, seed: int) -> Segment:
     diverged run.
     """
     if eta < 0.0:
-        raise HadlError(f"eta must be >= 0, got {eta}")
+        raise InvalidConfigError(f"eta must be >= 0, got {eta}")
     if eta == 0.0:
         return Segment(segment.name, segment.values.copy())
     noise = np.random.default_rng(seed).standard_normal(segment.values.shape)
@@ -419,9 +410,8 @@ def inject_noise(segment: Segment, eta: float, seed: int) -> Segment:
     return Segment(segment.name, noise)
 
 
-def synth(kind: str, params: dict | None = None, seed: int = 0) -> Dataset:
-    """Deterministic desk-scale test signals; `params` may set `length` and
-    `channels`.
+def synth(kind: str, length: int = 480, channels: int = 3, seed: int = 0) -> Dataset:
+    """Deterministic desk-scale test signals: `channels` series of `length` steps.
 
     kinds:
       sine_mix       one unit sinusoid of period SYNTH_PERIOD per channel,
@@ -433,21 +423,15 @@ def synth(kind: str, params: dict | None = None, seed: int = 0) -> Dataset:
                      tests.
       random_walk    cumulative sum of seeded standard-normal steps.
     """
-    params = dict(params or {})
-    rng = np.random.default_rng(seed)
-    length = int(params.pop("length", 480))
-    n_channels = int(params.pop("channels", 3))
     if kind not in SYNTH_KINDS:
-        raise UnknownKindError(f"unknown synthetic kind {kind!r}")
-    if params:
-        raise UnknownKindError(f"unknown {kind} parameters: {sorted(params)}")
-
+        raise InvalidConfigError(f"unknown synthetic kind {kind!r}")
+    rng = np.random.default_rng(seed)
     if kind == "random_walk":
-        values = np.cumsum(rng.normal(0.0, 1.0, size=(n_channels, length)), axis=1)
+        values = np.cumsum(rng.normal(0.0, 1.0, size=(channels, length)), axis=1)
     else:
         t = np.arange(length, dtype=np.float64)
-        values = np.zeros((n_channels, length), dtype=np.float64)
-        for c in range(n_channels):
+        values = np.zeros((channels, length), dtype=np.float64)
+        for c in range(channels):
             amp = rng.uniform(0.5, 1.5) if kind == "low_rank_target" else 1.0
             phase = rng.uniform(0.0, 1.0)
             # t % SYNTH_PERIOD keeps x[t] == x[t + SYNTH_PERIOD] bit-exact
@@ -456,9 +440,7 @@ def synth(kind: str, params: dict | None = None, seed: int = 0) -> Dataset:
     train_end, val_end, _ = _split_edges("ratio", length)
     return Dataset(
         name=kind,
-        series=SeriesTensor(
-            values=values, channels=tuple(f"ch{i}" for i in range(n_channels))
-        ),
+        series=SeriesTensor(values=values, channels=tuple(f"ch{i}" for i in range(channels))),
         granularity="synthetic",
         split_bounds=(train_end, val_end),
     )

@@ -2,7 +2,8 @@
 
 Everything derives from HadlError so callers (notably the CLI) can catch one
 base class; each error also subclasses ValueError because every failure here
-is ultimately a bad argument or bad input file.
+is ultimately a bad argument or bad input file. A class stands for one
+contract a caller could act on, not for one raise site.
 """
 
 
@@ -10,21 +11,32 @@ class HadlError(ValueError):
     """Base class for all errors raised by this package."""
 
 
-# -- transforms ---------------------------------------------------------------
-
-class OddLengthError(HadlError):
-    """Signal length must be even for the pairwise Haar filters."""
-
-
-class TooShortError(HadlError):
-    """Signal shorter than the two-tap filter support."""
-
-
 class ShapeMismatchError(HadlError):
-    """Array shapes are inconsistent with the declared lookback/horizon."""
+    """Array shapes are inconsistent with each other or with the declared
+    lookback/horizon: a signal too short or of odd length for the Haar pairs,
+    or an F that is not dct_matrix(model) in `fold_dct`."""
 
 
-# -- model --------------------------------------------------------------------
+class InvalidConfigError(HadlError):
+    """A config value cannot be parsed, is out of range or names nothing
+    known (a key, split convention, synthetic kind, head kind or ablation
+    axis), or a robustness sweep lacks the zero eta; names the key or value."""
+
+
+class ParseError(HadlError):
+    """A file's text is not what it should be: not UTF-8, a CSV that is not a
+    table of finite numbers (a malformed, empty or non-finite cell, no data
+    rows, other than the expected channels), or a malformed config or
+    registry line or a key listed twice; names the file and where."""
+
+
+class SegmentTooShortError(HadlError):
+    """Segment or window set too short: no window fits lookback + horizon."""
+
+
+class ConstantChannelError(HadlError):
+    """A channel has zero variance on the training segment; cannot z-score."""
+
 
 class CorruptCheckpointError(HadlError):
     """Checkpoint meta fields have the wrong JSON type, or its arrays are
@@ -32,57 +44,13 @@ class CorruptCheckpointError(HadlError):
     lookback, horizon and head its meta declares."""
 
 
-class UnfoldedHeadError(HadlError):
-    """`fold_dct`, through which every head is applied, got an F that is not
-    dct_matrix(model): None with the DCT on, any with it off, not d_in x d_in."""
-
-
-# -- optim --------------------------------------------------------------------
-
-class EmptyDataError(HadlError):
-    """Training or validation window set is empty."""
-
-
 class DivergedError(HadlError):
     """Training produced a non-finite train loss or validation MSE."""
 
 
-class InvalidConfigError(HadlError):
-    """A config value cannot be parsed or is out of range; names the key."""
+class WorkerDiedError(HadlError):
+    """A pool worker ended abruptly, say killed for memory, mid-grid."""
 
-
-# -- data ---------------------------------------------------------------------
-
-class ParseError(HadlError):
-    """A CSV cell, or a config or registry line (malformed, or a key listed
-    twice), could not be parsed; the message names the file and where."""
-
-
-class MissingValueError(HadlError):
-    """CSV contains an empty or non-finite cell."""
-
-
-class EmptyFileError(HadlError):
-    """CSV has no data rows."""
-
-
-class UnknownConventionError(HadlError):
-    """Split convention name is not one of the supported ones."""
-
-
-class ConstantChannelError(HadlError):
-    """A channel has zero variance on the training segment; cannot z-score."""
-
-
-class SegmentTooShortError(HadlError):
-    """Segment shorter than lookback + horizon; no window fits."""
-
-
-class UnknownKindError(HadlError):
-    """Unsupported synthetic dataset kind."""
-
-
-# -- metrics ------------------------------------------------------------------
 
 class ZeroBaselineError(HadlError):
     """Noise-free MSE is zero or negative; the NRR ratio is undefined."""
@@ -90,17 +58,3 @@ class ZeroBaselineError(HadlError):
 
 class EmptyInputError(HadlError):
     """Metric input is empty."""
-
-
-# -- cli ----------------------------------------------------------------------
-
-class MissingZeroEtaError(HadlError):
-    """Robustness sweep needs the noise-free baseline (eta = 0.0)."""
-
-
-class UnknownAxisError(HadlError):
-    """Unsupported ablation axis."""
-
-
-class WorkerDiedError(HadlError):
-    """A pool worker ended abruptly, say killed for memory, mid-grid."""

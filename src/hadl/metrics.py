@@ -14,7 +14,7 @@ from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
-from .errors import EmptyInputError, ShapeMismatchError, ZeroBaselineError
+from .errors import EmptyInputError, InvalidConfigError, ShapeMismatchError, ZeroBaselineError
 
 
 def mse(pred, target) -> float:
@@ -82,7 +82,7 @@ def robustness_report(eta_list, mse_per_eta) -> RobustnessReport:
     if len(etas) != len(mses):
         raise ShapeMismatchError("eta_list and mse_per_eta lengths differ")
     if not etas or etas[0] != 0.0:
-        raise ZeroBaselineError("eta_list must start with the noise-free setting 0.0")
+        raise InvalidConfigError("eta_list must start with the noise-free setting 0.0")
     ratios = tuple(nrr(m, mses[0]) for e, m in zip(etas, mses) if e > 0.0)
     return RobustnessReport(
         eta_list=etas,

@@ -21,8 +21,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import (CorruptCheckpointError, HadlError, OddLengthError, ShapeMismatchError,
-                     UnfoldedHeadError)
+from .errors import CorruptCheckpointError, HadlError, InvalidConfigError, ShapeMismatchError
 from .transforms import dct2_scaled, haar_batch, haar_pairs
 
 HEAD_LOW_RANK = "low_rank"
@@ -83,9 +82,9 @@ def param_shapes(lookback: int, horizon: int, rank: int, with_bias: bool, use_ha
             f"lookback and horizon must be positive, got {lookback}, {horizon}"
         )
     if use_haar and lookback % 2 != 0:
-        raise OddLengthError(f"lookback must be even with the Haar stage on, got {lookback}")
+        raise ShapeMismatchError(f"lookback must be even with the Haar stage on, got {lookback}")
     if head not in HEAD_FACTORS:
-        raise ShapeMismatchError(f"unknown head kind {head!r}")
+        raise InvalidConfigError(f"unknown head kind {head!r}")
     if head == HEAD_LOW_RANK and rank < 1:
         raise ShapeMismatchError(f"rank must be >= 1, got {rank}")
     d_in = lookback // 2 if use_haar else lookback
@@ -165,11 +164,11 @@ def dct_matrix(model: HadlModel) -> np.ndarray | None:
 def fold_dct(model: HadlModel, F: np.ndarray | None) -> HadlModel:
     """The same predictor for `haar_rows` inputs: F = dct_matrix(model) folded
     into the first head factor (P or W), the DCT stage switched off. The one
-    check that F is the model's (UnfoldedHeadError), so no head folds twice."""
+    check that F is the model's (ShapeMismatchError), so no head folds twice."""
     shape = None if F is None else np.shape(F)
     if shape != ((model.d_in,) * 2 if model.use_dct else None):  # a folded head's stage is off
-        raise UnfoldedHeadError(f"fold_dct got F of shape {shape}, not dct_matrix(model)'s: the"
-                                f" head's DCT stage is {'on' if model.use_dct else 'off'}")
+        raise ShapeMismatchError(f"fold_dct got F of shape {shape}, not dct_matrix(model)'s: the"
+                                 f" head's DCT stage is {'on' if model.use_dct else 'off'}")
     if F is None:
         return model
     first = HEAD_FACTORS[model.head][0]

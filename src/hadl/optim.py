@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DivergedError, EmptyDataError, InvalidConfigError
+from .errors import DivergedError, InvalidConfigError, SegmentTooShortError
 from .metrics import write_json_bundle, write_table
 from .model import (
     HEAD_DENSE,
@@ -660,7 +660,7 @@ def train(
     fold_dct(model, F)  # raises here unless F is the model's
     n_train = len(train_windows)
     if n_train == 0 or len(val_windows) == 0:
-        raise EmptyDataError("training and validation window sets must be non-empty")
+        raise SegmentTooShortError("training and validation window sets must be non-empty")
 
     from_stats = steps_from_stats(train_windows.values.shape[0], model.d_in, model.horizon,
                                   model.rank, model.head)

@@ -11,7 +11,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import OddLengthError, ShapeMismatchError, TooShortError
+from .errors import ShapeMismatchError
 
 SQRT2 = math.sqrt(2.0)
 
@@ -25,9 +25,9 @@ def haar_batch(X) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     n = X.shape[-1]
     if n < 2:
-        raise TooShortError(f"need at least 2 samples, got {n}")
+        raise ShapeMismatchError(f"need at least 2 samples, got {n}")
     if n % 2 != 0:
-        raise OddLengthError(f"length must be even, got {n}")
+        raise ShapeMismatchError(f"length must be even, got {n}")
     return (X[..., 0::2] + X[..., 1::2]) / SQRT2
 
 

@@ -19,8 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hadl.errors import (EmptyInputError, HadlError, OddLengthError, ShapeMismatchError,
-                         TooShortError)
+from hadl.errors import EmptyInputError, HadlError, ShapeMismatchError
 from hadl.model import (HEAD_LOW_RANK, HadlModel, dct_matrix, fold_dct, forward, haar_rows,
                         model_params, replace_params, window_rows)
 from hadl.optim import (BETA1, BETA2, EPSILON, _gradients_from_rows, adam_step, init_adam,
@@ -57,9 +56,9 @@ def haar_forward(x) -> HaarPair:
         raise ShapeMismatchError(f"expected a 1-d vector, got shape {x.shape}")
     n = x.shape[0]
     if n < 2:
-        raise TooShortError(f"need at least 2 samples, got {n}")
+        raise ShapeMismatchError(f"need at least 2 samples, got {n}")
     if n % 2 != 0:
-        raise OddLengthError(f"length must be even, got {n}")
+        raise ShapeMismatchError(f"length must be even, got {n}")
     even, odd = x[0::2], x[1::2]
     return HaarPair(approx=(even + odd) / SQRT2, detail=(odd - even) / SQRT2)
 

@@ -141,7 +141,7 @@ def test_criterion_4_metric_goldens():
 
 def test_criterion_5_realizable_task_convergence():
     start = time.monotonic()
-    ds = synth("low_rank_target", {"length": 480, "channels": 3}, seed=0)
+    ds = synth("low_rank_target", length=480, channels=3, seed=0)
     train_seg, val_seg, _ = split(ds, "ratio", lookback=64)
     _, train_seg, val_seg = fit_transform(train_seg, val_seg)
     w_train = windows(train_seg, 64, 16)

@@ -33,8 +33,7 @@ from hadl.cli import (
     run_single,
 )
 from hadl.data import load_csv, split, synth, windows
-from hadl.errors import (CorruptCheckpointError, HadlError, MissingZeroEtaError, ParseError,
-                         UnknownAxisError)
+from hadl.errors import CorruptCheckpointError, InvalidConfigError, ParseError
 from hadl.model import (HEAD_LOW_RANK, dct_matrix, effective_weight, init_model,
                         load_checkpoint, save_checkpoint)
 from hadl.optim import dense_equivalent_grad_norm, steps_from_stats, window_stats
@@ -100,7 +99,7 @@ class TestConfig:
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text("no_such_key = 1\n")
-        with pytest.raises(HadlError):
+        with pytest.raises(InvalidConfigError, match="line 1: unknown config key 'no_such_key'"):
             read_config_file(cfg_file)
         cfg_file.write_text("stride = 2\n")  # windows are always stride 1
         assert main(["params", "--config", str(cfg_file)]) == 1
@@ -474,7 +473,7 @@ class TestOneStandardizedSeries:
         config = ExperimentConfig(dataset="random_walk", synth_length=6000, synth_channels=4)
         cells = [(replace(config, lookback=lookback), horizon)
                  for lookback in (32, 64) for horizon in (8, 16)]
-        dataset = synth("random_walk", {"length": 6000, "channels": 4}, seed=0)
+        dataset = synth("random_walk", length=6000, channels=4, seed=0)
         tracemalloc.start()
         try:
             data = (hadl.data.standardize(dataset, "ratio"), "ratio")
@@ -568,7 +567,7 @@ class TestRobustnessCommand:
 
     def test_zero_eta_required(self, tmp_path):
         config = synth_config(tmp_path, eta_list=(0.3, 0.7))
-        with pytest.raises(MissingZeroEtaError):
+        with pytest.raises(InvalidConfigError, match="eta_list must contain 0.0"):
             cmd_robustness(config)
 
 
@@ -625,7 +624,7 @@ class TestAblateCommand:
         assert "with_haar" in text and "without_haar" in text
 
     def test_unknown_axis(self, tmp_path):
-        with pytest.raises(UnknownAxisError):
+        with pytest.raises(InvalidConfigError, match="unknown ablation axis 'bogus'"):
             cmd_ablate(synth_config(tmp_path), "bogus", params_only=True)
 
 
@@ -742,6 +741,9 @@ def test_params_command_output(capsys):
     (["--eta-list", "0,inf"], "eta_list"),  # train exited 0; robustness trained eta=0 first
     # robustness trained eta -0.0 once but kept both in robustness.json's config
     (["--eta-list=-0,0"], "eta_list"),
+    # names that select nothing: a split convention, a head kind
+    (["--convention", "bogus"], "convention"),
+    (["--head", "bogus"], "head"),
 ])
 def test_bad_config_value_is_one_error_line(tmp_path, capsys, flags, key):
     rc = main(["train", "--dataset", "sine_mix", "--lookback", "32", "--horizons", "8",
@@ -752,6 +754,28 @@ def test_bad_config_value_is_one_error_line(tmp_path, capsys, flags, key):
     assert out == ""  # no job trained
     assert len(err) == 1 and err[0].startswith("error: ") and key in err[0], err
     assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("command, flag, values", [
+    ("robustness", "--eta-list", ("-0,0.7", "0,0.7")),
+    ("train", "--noise-eta", ("-0", "0")),
+])
+def test_negative_zero_eta_is_the_zero_eta(tmp_path, capsys, command, flag, values):
+    # -0 printed eta=-0.0 and wrote -0.0 into each JSON config, so one
+    # experiment wrote other bytes; the outdir is the same, as the fingerprint hashes it
+    runs, outputs = tmp_path / "runs", []
+    for value in values:
+        rc = main([command, "--dataset", "sine_mix", "--lookback", "16", "--horizons", "4",
+                   "--rank", "2", f"{flag}={value}", "--max-epochs", "1", "--patience", "1",
+                   "--robust-max-epochs", "1", "--robust-patience", "1", "--outdir", str(runs)])
+        files = {str(p.relative_to(runs)): p.read_bytes()
+                 for p in sorted(runs.rglob("*")) if p.is_file()}
+        outputs.append((rc, capsys.readouterr(), files))
+        shutil.rmtree(runs)
+    assert outputs[0] == outputs[1]
+    rc, (out, err), files = outputs[0]
+    assert rc == 0 and err == "" and "eta=0.0" in out
+    assert any(name.endswith(("robustness.json", "eval.json")) for name in files)
 
 
 @pytest.mark.parametrize("command", ["train", "robustness"])

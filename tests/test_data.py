@@ -32,13 +32,10 @@ from hadl.data import (
 )
 from hadl.errors import (
     ConstantChannelError,
-    EmptyFileError,
     HadlError,
-    MissingValueError,
+    InvalidConfigError,
     ParseError,
     SegmentTooShortError,
-    UnknownConventionError,
-    UnknownKindError,
 )
 
 
@@ -73,22 +70,22 @@ class TestLoadCsv:
 
     def test_empty_cell_rejected(self, tmp_path):
         path = write_csv(tmp_path / "gap.csv", "date,a,b\nt0,1,\n")
-        with pytest.raises(MissingValueError, match="row 1"):
+        with pytest.raises(ParseError, match="empty cell at row 1"):
             load_csv(path, "ratio")
 
     def test_nan_cell_rejected(self, tmp_path):
         path = write_csv(tmp_path / "nan.csv", "date,a\nt0,nan\n")
-        with pytest.raises(MissingValueError):
+        with pytest.raises(ParseError, match="non-finite cell at row 1"):
             load_csv(path, "ratio")
 
     def test_empty_file(self, tmp_path):
         path = write_csv(tmp_path / "empty.csv", "")
-        with pytest.raises(EmptyFileError):
+        with pytest.raises(ParseError, match="file is empty"):
             load_csv(path, "ratio")
 
     def test_header_only(self, tmp_path):
         path = write_csv(tmp_path / "header.csv", "date,a,b\n")
-        with pytest.raises(EmptyFileError):
+        with pytest.raises(ParseError, match="no data rows"):
             load_csv(path, "ratio")
 
     def test_ragged_row(self, tmp_path):
@@ -121,24 +118,25 @@ def load_values(path):
 
 
 # load_csv must agree with the per-cell reference parser on each of these,
-# whichever of its two parsers ends up reading the file
+# whichever of its two parsers ends up reading the file: the values, or a
+# ParseError whose message has the given words
 EDGE_CSVS = {
-    "extra_field": ("date,a,b\nt0,1,2\nt1,3,4,5\n", ParseError),
-    "trailing_comma": ("date,a,b\nt0,1,2\nt1,3,4,\n", ParseError),
-    "missing_field": ("date,a,b\nt0,1,2\nt1,3\n", ParseError),
-    "whitespace_line": ("date,a,b\nt0,1,2\n  \t\nt1,3,4\n", ParseError),
+    "extra_field": ("date,a,b\nt0,1,2\nt1,3,4,5\n", "row 2 has 4 fields"),
+    "trailing_comma": ("date,a,b\nt0,1,2\nt1,3,4,\n", "row 2 has 4 fields"),
+    "missing_field": ("date,a,b\nt0,1,2\nt1,3\n", "row 2 has 2 fields"),
+    "whitespace_line": ("date,a,b\nt0,1,2\n  \t\nt1,3,4\n", "row 2 has 1 fields"),
     "quoted_cell": ('date,a,b\nt0,"1.5"," 2 "\n', [[1.5], [2.0]]),
-    "space_before_quote": ('date,a,b\nt0,"1.5", "2"\n', ParseError),
+    "space_before_quote": ('date,a,b\nt0,"1.5", "2"\n', "non-numeric cell"),
     "quoted_timestamp_comma": ('date,a,b\n"2016-07-01, 00:00",1,2\n', [[1.0], [2.0]]),
     "bom": ("\ufeffdate,a,b\nt0,1,2\n", [[1.0], [2.0]]),
     "underscore": ("date,a,b\nt0,1_5,2\n", [[15.0], [2.0]]),
-    "nan": ("date,a,b\nt0,1,2\nt1,nan,4\n", MissingValueError),
-    "inf": ("date,a,b\nt0,1,-inf\n", MissingValueError),
-    "overflow": ("date,a,b\nt0,1e400,2\n", MissingValueError),
-    "inline_hash": ("date,a,b\nt0,2 # c,2\n", ParseError),
-    "header_only": ("date,a,b\n", EmptyFileError),
+    "nan": ("date,a,b\nt0,1,2\nt1,nan,4\n", "non-finite cell at row 2"),
+    "inf": ("date,a,b\nt0,1,-inf\n", "non-finite cell at row 1"),
+    "overflow": ("date,a,b\nt0,1e400,2\n", "non-finite cell at row 1"),
+    "inline_hash": ("date,a,b\nt0,2 # c,2\n", "non-numeric cell"),
+    "header_only": ("date,a,b\n", "no data rows"),
     "one_row": ("date,a,b\nt0,1,2", [[1.0], [2.0]]),
-    "every_row_one_extra": ("date,a,b\nt0,1,2,3\nt1,4,5,6\n", ParseError),
+    "every_row_one_extra": ("date,a,b\nt0,1,2,3\nt1,4,5,6\n", "row 1 has 4 fields"),
 }
 
 
@@ -151,7 +149,7 @@ def test_load_csv_agrees_with_parse_cells(tmp_path, name):
         assert np.array_equal(reference, expected)
         assert np.array_equal(fast.view(np.int64), reference.view(np.int64))
     else:
-        assert reference[0] is expected
+        assert reference[0] is ParseError and expected in reference[1]
         assert isinstance(fast, tuple) and fast == reference
 
 
@@ -436,7 +434,7 @@ class TestSplit:
         assert (train.values.shape[1], val.values.shape[1], test.values.shape[1]) == (70, 10, 20)
 
     def test_unknown_convention(self):
-        with pytest.raises(UnknownConventionError):
+        with pytest.raises(InvalidConfigError, match="unknown split convention 'foo'"):
             split(fake_dataset(), "foo")
 
     def test_lookback_extends_val_and_test_backwards(self):
@@ -556,7 +554,7 @@ class TestInjectNoise:
         assert np.array_equal(values, before)
 
     def test_negative_eta_rejected(self):
-        with pytest.raises(HadlError, match="-0.1"):
+        with pytest.raises(InvalidConfigError, match="eta must be >= 0, got -0.1"):
             inject_noise(Segment("s", np.zeros((1, 4))), -0.1, seed=0)
 
     @settings(max_examples=80, deadline=None)
@@ -586,35 +584,35 @@ class TestInjectNoise:
 
 class TestSynth:
     def test_sine_mix_bounded_and_periodic(self):
-        ds = synth("sine_mix", {"length": 96, "channels": 2}, seed=7)
+        ds = synth("sine_mix", length=96, channels=2, seed=7)
         values = ds.series.values
         assert values.shape == (2, 96)
         assert np.all(np.abs(values) <= 1.0 + 1e-12)
         assert np.array_equal(values[:, : 96 - 24], values[:, 24:])
 
     def test_same_seed_identical(self):
-        a = synth("sine_mix", {"length": 50, "channels": 3}, seed=9)
-        b = synth("sine_mix", {"length": 50, "channels": 3}, seed=9)
+        a = synth("sine_mix", length=50, channels=3, seed=9)
+        b = synth("sine_mix", length=50, channels=3, seed=9)
         assert np.array_equal(a.series.values, b.series.values)
 
     def test_random_walk_shape(self):
-        ds = synth("random_walk", {"length": 64, "channels": 4}, seed=1)
+        ds = synth("random_walk", length=64, channels=4, seed=1)
         assert ds.series.values.shape == (4, 64)
 
     def test_unknown_kind(self):
-        with pytest.raises(UnknownKindError):
-            synth("sawtooth", {}, seed=0)
+        with pytest.raises(InvalidConfigError, match="unknown synthetic kind 'sawtooth'"):
+            synth("sawtooth", seed=0)
 
     def test_unknown_param_rejected(self):
-        with pytest.raises(UnknownKindError):
-            synth("random_walk", {"periods": [3]}, seed=0)
+        with pytest.raises(TypeError, match="periods"):
+            synth("random_walk", periods=[3], seed=0)
 
     def test_low_rank_target_is_realizable(self):
         # least-squares oracle: transformed windows predict targets exactly,
         # and the exact solution has (numerical) rank 2
         from hadl.model import init_model, transform_inputs
 
-        ds = synth("low_rank_target", {"length": 480, "channels": 3}, seed=0)
+        ds = synth("low_rank_target", length=480, channels=3, seed=0)
         train_seg, val_seg, _ = split(ds, "ratio", lookback=64)
         _, train_seg, val_seg = fit_transform(train_seg, val_seg)
         batch = windows(train_seg, 64, 16)

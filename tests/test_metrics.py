@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from hadl.errors import EmptyInputError, ShapeMismatchError, ZeroBaselineError
+from hadl.errors import EmptyInputError, InvalidConfigError, ShapeMismatchError, ZeroBaselineError
 from hadl.metrics import (
     EVAL_CSV_COLUMNS,
     EvalReport,
@@ -153,7 +153,7 @@ class TestRobustnessReport:
         assert report.mav == pytest.approx(0.1)
 
     def test_requires_zero_first(self):
-        with pytest.raises(ZeroBaselineError):
+        with pytest.raises(InvalidConfigError, match="must start with the noise-free setting"):
             robustness_report([0.3, 0.7], [0.4, 0.5])
 
     def test_degenerate_sweep_has_no_mav(self):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from hadl.errors import OddLengthError, ShapeMismatchError
+from hadl.errors import InvalidConfigError, ShapeMismatchError
 from hadl.model import (
     HEAD_DENSE,
     HEAD_LOW_RANK,
@@ -190,19 +190,24 @@ class TestParamCount:
     def test_rank_one_no_bias(self):
         assert param_count(512, 96, 1, with_bias=False, use_haar=True).total == 352
 
-    @pytest.mark.parametrize("args, error", [
-        ((512, 96, -3, True, True), ShapeMismatchError),  # was -1440 parameters
-        ((512, 96, 0, True, True), ShapeMismatchError),
-        ((33, 96, 50, True, True), OddLengthError),
-        ((0, 96, 50, True, False), ShapeMismatchError),
-        ((512, 0, 50, True, True), ShapeMismatchError),
-        ((512, 96, 50, True, True, "conv"), ShapeMismatchError),
-    ])
-    def test_rejects_what_init_model_rejects(self, args, error):
-        with pytest.raises(error):
+    REJECTED = [
+        # was -1440 parameters
+        ((512, 96, -3, True, True), ShapeMismatchError, "rank must be >= 1"),
+        ((512, 96, 0, True, True), ShapeMismatchError, "rank must be >= 1"),
+        ((33, 96, 50, True, True), ShapeMismatchError, "lookback must be even"),
+        ((0, 96, 50, True, False), ShapeMismatchError, "must be positive"),
+        ((512, 0, 50, True, True), ShapeMismatchError, "must be positive"),
+        ((512, 96, 50, True, True, "conv"), InvalidConfigError, "unknown head kind"),
+    ]
+
+    # each case is named by its row and the class it expects
+    @pytest.mark.parametrize("args, error, match", REJECTED,
+                             ids=[f"args{i}-{e.__name__}" for i, (_, e, _) in enumerate(REJECTED)])
+    def test_rejects_what_init_model_rejects(self, args, error, match):
+        with pytest.raises(error, match=match):
             param_count(*args)
         lookback, horizon, rank, with_bias, use_haar, *head = args
-        with pytest.raises(error):
+        with pytest.raises(error, match=match):
             init_model(lookback, horizon, rank, seed=0, use_haar=use_haar, with_bias=with_bias,
                        head=head[0] if head else HEAD_LOW_RANK)
 

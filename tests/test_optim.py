@@ -9,8 +9,7 @@ from numpy.testing import assert_allclose
 
 import hadl.optim
 from hadl.data import WindowBatch, fit_transform, split, synth, windows
-from hadl.errors import (DivergedError, EmptyDataError, InvalidConfigError, ShapeMismatchError,
-                         UnfoldedHeadError)
+from hadl.errors import DivergedError, InvalidConfigError, SegmentTooShortError, ShapeMismatchError
 from hadl.model import (
     HEAD_DENSE,
     HEAD_LOW_RANK,
@@ -44,7 +43,7 @@ from oracles import (InvalidStepError, forecast_mse, gradcheck, gradients, loss,
 
 def realizable_windows(lookback=64, horizon=16, channels=3, length=480, seed=0):
     """Windows of the planted realizable task; a rank-2 head fits it exactly."""
-    ds = synth("low_rank_target", {"length": length, "channels": channels}, seed=seed)
+    ds = synth("low_rank_target", length=length, channels=channels, seed=seed)
     train_seg, val_seg, test_seg = split(ds, "ratio", lookback=lookback)
     _, train_seg, val_seg, test_seg = fit_transform(train_seg, val_seg, test_seg)
     return (
@@ -325,7 +324,7 @@ class TestTrain:
         empty = replace(w_train, values=w_train.values[:, : span - 1])
         assert len(empty) == 0
         model = init_model(64, 16, 2, seed=0)
-        with pytest.raises(EmptyDataError):
+        with pytest.raises(SegmentTooShortError, match="window sets must be non-empty"):
             train(model, empty, w_val, TrainConfig(seed=0), dct_matrix(model))
 
     def test_early_stopping_restores_best_snapshot(self):
@@ -586,7 +585,7 @@ class TestOneFoldCheck:
             for call in (lambda: fold_dct(m, G), lambda: window_mse(m, stats, G),
                          lambda: dense_equivalent_grad_norm(m, stats, G),
                          lambda: evaluate(m, batch, G)):
-                with pytest.raises(UnfoldedHeadError, match="fold_dct got F"):
+                with pytest.raises(ShapeMismatchError, match="fold_dct got F"):
                     call()
 
     @pytest.mark.parametrize("channels", [3, 40])
@@ -604,7 +603,7 @@ class TestOneFoldCheck:
         on = init_model(32, 8, 2, seed=0)
         F = dct_matrix(on)
         for model, G in ((on, None), (replace(on, use_dct=False), F), (fold_dct(on, F), F)):
-            with pytest.raises(UnfoldedHeadError):
+            with pytest.raises(ShapeMismatchError, match="fold_dct got F"):
                 train(model, w_train, w_val, cfg, G)
         assert calls == []
         train(on, w_train, w_val, cfg, F)
