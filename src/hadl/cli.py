@@ -32,8 +32,7 @@ from .model import (
     HEAD_DENSE,
     HEAD_LOW_RANK,
     dct_matrix,
-    effective_weight,
-    forward,  # noqa: F401  (hadl.cli.forward: a benchmark tracing target)
+    forward,
     init_model,
     kilo_display,
     load_checkpoint,
@@ -318,6 +317,11 @@ def _progress(cell, result):
     return result
 
 
+def _one_seed(config: ExperimentConfig, command: str) -> None:
+    if len(config.seeds) > 1:  # only train sweeps seeds; the rest would be dropped
+        raise InvalidConfigError(f"seeds: {command} trains one seed, got {list(config.seeds)}")
+
+
 def _run_dir(config: ExperimentConfig, variant: str, horizon: int) -> str:
     path = os.path.join(config.outdir, config.dataset, variant, str(horizon))
     os.makedirs(path, exist_ok=True)
@@ -373,6 +377,9 @@ def cmd_robustness(config: ExperimentConfig, workers: int = 1) -> hadl_metrics.R
     etas = tuple(sorted(config.eta_list))
     if 0.0 not in etas:
         raise InvalidConfigError("eta_list must contain 0.0")
+    _one_seed(config, "robustness")
+    if config.noise_eta != 0.0:  # each job's eta is one of eta_list's
+        raise InvalidConfigError(f"noise_eta must be 0 for robustness, got {config.noise_eta}")
     horizon = config.horizons[0]
     base = replace(config, seed=config.seed_list()[0], max_epochs=config.robust_max_epochs,
                    patience=config.robust_patience)
@@ -417,6 +424,7 @@ def _ablate_grid(config: ExperimentConfig, axis: str) -> list[tuple[str, Experim
     }
     if axis not in variants:
         raise InvalidConfigError(f"unknown ablation axis {axis!r}; choose from {ABLATION_AXES}")
+    _one_seed(config, "ablate")
     base = replace(config, rank=config.ablate_rank, seed=config.seed_list()[0])
     return [(label, replace(base, **keys)) for label, keys in variants[axis]]
 
@@ -464,13 +472,16 @@ def cmd_params(config: ExperimentConfig) -> None:
 
 
 def cmd_export_weights(checkpoint_path: str, out_path: str) -> None:
-    """Dump a checkpoint's d_in x H head map (`effective_weight`: P@Q, or W
-    for a dense head) as a plain CSV matrix (one row per input feature)."""
+    """Dump a checkpoint's whole forecaster as a plain CSV matrix: the L x H
+    map of its Haar, DCT and head stages (the forecasts of the unit
+    windows), then one bias row (zeros without a bias), so that [x, 1] @
+    table is `forward` of a window x."""
     model = load_checkpoint(checkpoint_path)
-    weight = effective_weight(model)
+    table = np.vstack([forward(replace(model, bias=None), np.eye(model.lookback)),
+                       np.zeros(model.horizon) if model.bias is None else model.bias])
     with open(out_path, "w", newline="", encoding="utf-8") as handle:
-        csv.writer(handle).writerows(weight.tolist())
-    print(f"wrote {weight.shape[0]}x{weight.shape[1]} weight matrix to {out_path}")
+        csv.writer(handle).writerows(table.tolist())
+    print(f"wrote {table.shape[0]}x{table.shape[1]} forecaster table to {out_path}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -507,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_params = sub.add_parser("params", help="print parameter counts")
     add_config_args(p_params)
 
-    p_export = sub.add_parser("export-weights", help="dump effective weight matrix as CSV")
+    p_export = sub.add_parser("export-weights", help="dump the forecaster as a CSV table")
     p_export.add_argument("checkpoint")
     p_export.add_argument("out")
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields, replace
+from functools import cache
 from typing import NamedTuple
 
 import numpy as np
@@ -156,23 +157,24 @@ def _add_l1(model: HadlModel, grads: dict[str, np.ndarray], data_loss: float,
 
 def _gradients_from_rows(
     model: HadlModel,
-    S: np.ndarray,
-    Y: np.ndarray,
+    block: tuple[np.ndarray, np.ndarray, np.ndarray],
     l1_lambda: float,
     F: np.ndarray | None,
-    pred: np.ndarray,
-) -> tuple[dict[str, np.ndarray], float]:
-    """Gradients and loss for Haar rows S (..., d_in) (see `haar_rows`),
-    with F = dct_matrix(model) passed in so a training loop builds it once.
+) -> tuple[dict[str, np.ndarray], float, int]:
+    """Gradients, loss and row count for a block (S, Y, pred) of Haar rows
+    S (..., d_in) (see `haar_rows`), targets Y and a caller-owned array pred
+    shaped like Y, with F = dct_matrix(model) passed in so a training loop
+    builds it once.
 
     The forecast comes from `head_into` on the folded head, as in `forward`,
     so a target produced by `forward` gives an exactly zero residual term
-    here. `pred`, a caller-owned array shaped like Y, receives the forecast,
-    then the residual E; Y is only read. The loss is one dot product of E,
-    and the 2 / Y.size of the output gradient scales the d_in x r, r x H (or
-    d_in x H) and H-sized results, not E: after the residual, the rows are
-    only read, by that dot product, the products and the bias's column sum.
+    here. pred receives the forecast, then the residual E; Y is only read.
+    The loss is one dot product of E, and the 2 / Y.size of the output
+    gradient scales the d_in x r, r x H (or d_in x H) and H-sized results,
+    not E: after the residual, the rows are only read, by that dot product,
+    the products and the bias's column sum.
     """
+    S, Y, pred = block
     Z = head_into(fold_dct(model, F), S, pred)
     E = np.subtract(pred, Y, out=pred).reshape(-1, model.horizon)
     data_loss = float(np.vdot(E, E)) / Y.size
@@ -188,7 +190,7 @@ def _gradients_from_rows(
     if model.bias is not None:
         grads["bias"] = np.multiply(E.sum(axis=0), scale)
 
-    return grads, _add_l1(model, grads, data_loss, l1_lambda)
+    return grads, _add_l1(model, grads, data_loss, l1_lambda), len(E)
 
 
 @dataclass
@@ -554,7 +556,7 @@ def _gradients_from_stats(
     stats: BatchStats,
     l1_lambda: float,
     F: np.ndarray | None,
-) -> tuple[dict[str, np.ndarray], float]:
+) -> tuple[dict[str, np.ndarray], float, int]:
     """`_gradients_from_rows` for the rows S and targets Y whose statistics
     are `stats`, from the quadratic form they determine (`_quadratic_form`):
     every gradient follows from R and the forecast's column sum, so the step
@@ -574,7 +576,7 @@ def _gradients_from_stats(
         grads["W"] = _dct_basis(F, R)
     if model.bias is not None:
         grads["bias"] = scale * (column_sum - stats.target_sum)
-    return grads, _add_l1(model, grads, data_loss, l1_lambda)
+    return grads, _add_l1(model, grads, data_loss, l1_lambda), stats.rows
 
 
 # Costs in units of one multiply-add of a rows-step product, fitted to the
@@ -638,92 +640,71 @@ def train(
 ) -> tuple[HadlModel, TrainTrace]:
     """Mini-batch ADAM with seeded shuffling and best-snapshot early stopping.
 
-    Each step takes its loss and gradients from one of two equivalent
-    sources, chosen by `steps_from_stats` from the shapes alone. Few
-    channels: the mini-batch's Haar rows and targets, gathered from views of
-    the training segment into arrays allocated once per epoch
-    (`_gather_blocks`), so no window set is ever copied whole. Many
-    channels: the batch's statistics, summed from `LagTables` built on the
-    first epoch. F = dct_matrix(model) is the caller's, so a job builds it
-    once; an F not the model's fails on entry (`fold_dct`), before any table
-    or step. `final_grad_norm` is left NaN (see TrainTrace).
+    `steps_from_stats` picks, from the shapes alone, where every step takes
+    its loss and gradients. Few channels: the mini-batch's Haar rows and
+    targets, gathered from views of the training segment into arrays
+    allocated once per epoch (`_gather_blocks`), so no window set is ever
+    copied whole. Many channels: the batch's statistics, summed from
+    `LagTables` built on the first epoch. F = dct_matrix(model) is the
+    caller's, so a job builds it once; an F not the model's fails on entry
+    (`fold_dct`), before any table or step. `final_grad_norm` is left NaN
+    (see TrainTrace).
 
     Validation MSE (without the L1 term) comes after every epoch from the
     quadratic form of the validation windows' `window_stats`, computed on
     the first epoch, so no epoch passes over the validation windows (it
     agrees with the forecasts' MSE to about 1e-12 relative; see `window_mse`).
-    Training stops after `patience` epochs without strict improvement and
-    the parameters of the best epoch are returned. A non-finite train loss
-    or validation MSE raises DivergedError at once, since the initial
-    weights would otherwise be returned as the result.
+    Training stops after `patience` epochs without strict improvement on
+    the trace's best epoch, and that epoch's parameters are returned: they
+    are kept by reference, as `adam_step` writes none of its inputs. A
+    non-finite train loss or validation MSE raises DivergedError at once,
+    since the initial weights would otherwise be returned as the result.
     """
     fold_dct(model, F)  # raises here unless F is the model's
-    n_train = len(train_windows)
+    n_train, size = len(train_windows), config.batch_size
     if n_train == 0 or len(val_windows) == 0:
         raise SegmentTooShortError("training and validation window sets must be non-empty")
 
-    from_stats = steps_from_stats(train_windows.values.shape[0], model.d_in, model.horizon,
-                                  model.rank, model.head)
-    tables = val_stats = None
+    # the step source, once: a gradient function and the epoch's batches of it
+    if steps_from_stats(train_windows.values.shape[0], model.d_in, model.horizon, model.rank,
+                        model.head):
+        gradients, tables = _gradients_from_stats, cache(lambda: LagTables(model, train_windows))
+        batches = lambda order: map(tables().stats,
+                                    (order[a : a + size] for a in range(0, n_train, size)))
+    else:  # looked up here, where the benchmark's tracer wraps it
+        gradients = _gradients_from_rows
+        batches = lambda order: _gather_blocks(model, train_windows, order, size)
+    val_stats = cache(lambda: window_stats(model, val_windows))
 
-    params = {k: v.copy() for k, v in model_params(model).items()}
+    params = best_params = model_params(model)
     state = init_adam(params)
     rng = np.random.default_rng(config.seed)
     trace = TrainTrace()
-
-    best_params = {k: v.copy() for k, v in params.items()}
-    best_val = float("inf")
-    epochs_without_improvement = 0
-
     for epoch in range(config.max_epochs):
         # overflow and invalid values of a diverging run become the
         # DivergedError below instead of warnings
         with np.errstate(over="ignore", invalid="ignore"):
-            loss_sum = 0.0
-            row_count = 0
-            order = rng.permutation(n_train)
-            if from_stats:
-                if tables is None:
-                    tables = LagTables(model, train_windows)
-                for start in range(0, n_train, config.batch_size):
-                    stats = tables.stats(order[start : start + config.batch_size])
-                    grads, batch_loss = _gradients_from_stats(
-                        replace_params(model, params), stats, config.l1_lambda, F)
-                    params, state = adam_step(state, params, grads, config)
-                    loss_sum += batch_loss * stats.rows
-                    row_count += stats.rows
-            else:
-                for rows, target, out in _gather_blocks(model, train_windows, order,
-                                                        config.batch_size):
-                    grads, batch_loss = _gradients_from_rows(
-                        replace_params(model, params), rows, target, config.l1_lambda, F, out
-                    )
-                    params, state = adam_step(state, params, grads, config)
-                    loss_sum += batch_loss * len(rows)
-                    row_count += len(rows)
-                # the epoch's step arrays go before the next epoch makes its own
-                del rows, target, out
+            loss_sum, row_count = 0.0, 0
+            for block in batches(rng.permutation(n_train)):
+                grads, batch_loss, rows = gradients(replace_params(model, params), block,
+                                                    config.l1_lambda, F)
+                params, state = adam_step(state, params, grads, config)
+                loss_sum += batch_loss * rows
+                row_count += rows
+            del block  # the epoch's step arrays go before the next epoch makes its own
             trace.train_loss.append(loss_sum / row_count)
-            if val_stats is None:
-                val_stats = window_stats(model, val_windows)
-            val_mse = window_mse(replace_params(model, params), val_stats, F)
+            val_mse = window_mse(replace_params(model, params), val_stats(), F)
         trace.val_mse.append(val_mse)
         if not (math.isfinite(trace.train_loss[-1]) and math.isfinite(val_mse)):
             raise DivergedError(
                 f"training diverged at epoch {epoch}: train loss {trace.train_loss[-1]!r},"
                 f" val MSE {val_mse!r}"
             )
-
-        if val_mse < best_val:
-            best_val = val_mse
-            best_params = {k: v.copy() for k, v in params.items()}
-            trace.best_epoch = epoch
-            epochs_without_improvement = 0
-        else:
-            epochs_without_improvement += 1
-            if epochs_without_improvement >= config.patience:
-                trace.stopped_early = True
-                break
+        if trace.best_epoch < 0 or val_mse < trace.val_mse[trace.best_epoch]:
+            trace.best_epoch, best_params = epoch, params
+        elif epoch - trace.best_epoch >= config.patience:
+            trace.stopped_early = True
+            break
 
     return replace_params(model, best_params), trace
 

@@ -186,8 +186,8 @@ def gradients(model: HadlModel, X_batch, Y_batch, l1_lambda: float) -> dict[str,
             f"target length {Y_batch.shape[-1]} != horizon {model.horizon}"
         )
     S = haar_rows(model, X_batch)
-    grads, _ = _gradients_from_rows(model, S, Y_batch, l1_lambda, dct_matrix(model),
-                                    np.empty_like(Y_batch))
+    grads, _, _ = _gradients_from_rows(model, (S, Y_batch, np.empty_like(Y_batch)), l1_lambda,
+                                       dct_matrix(model))
     return grads
 
 

@@ -22,7 +22,6 @@ from hadl.cli import (
     ExperimentConfig,
     _ablate_grid,
     cmd_ablate,
-    cmd_export_weights,
     cmd_robustness,
     cmd_train,
     load_dataset,
@@ -34,7 +33,7 @@ from hadl.cli import (
 )
 from hadl.data import load_csv, split, synth, windows
 from hadl.errors import CorruptCheckpointError, InvalidConfigError, ParseError
-from hadl.model import (HEAD_LOW_RANK, dct_matrix, effective_weight, init_model,
+from hadl.model import (HEAD_LOW_RANK, dct_matrix, effective_weight, forward, init_model,
                         load_checkpoint, save_checkpoint)
 from hadl.optim import dense_equivalent_grad_norm, steps_from_stats, window_stats
 
@@ -629,33 +628,52 @@ class TestAblateCommand:
 
 
 class TestExportWeights:
+    """The export is the whole forecaster: the L x H map of the Haar, DCT and
+    head stages, then the bias row, so that [x, 1] @ table is forward(x)."""
+
+    @staticmethod
+    def export(tmp_path, model) -> np.ndarray:
+        ckpt, out = tmp_path / "m.npz", tmp_path / "w.csv"
+        save_checkpoint(model, ckpt)
+        assert main(["export-weights", str(ckpt), str(out)]) == 0
+        return np.loadtxt(out, delimiter=",", ndmin=2)
+
     def test_zero_weight_export(self, tmp_path):
         model = init_model(8, 3, 2, seed=0)
         model.P[:] = 0.0
-        ckpt = tmp_path / "m.npz"
-        save_checkpoint(model, ckpt)
-        out = tmp_path / "w.csv"
-        cmd_export_weights(str(ckpt), str(out))
-        matrix = np.loadtxt(out, delimiter=",")
-        assert matrix.shape == (4, 3)
-        assert_allclose(matrix, np.zeros((4, 3)), atol=0)
+        model.bias[:] = [0.5, -1.0, 2.0]
+        table = self.export(tmp_path, model)
+        assert table.shape == (9, 3)
+        assert_allclose(table[:8], np.zeros((8, 3)), atol=0)
+        assert np.array_equal(table[8], model.bias)
 
     def test_round_trip_matches_effective_weight(self, tmp_path):
-        model = init_model(16, 5, 3, seed=4)
-        ckpt = tmp_path / "m.npz"
-        save_checkpoint(model, ckpt)
-        out = tmp_path / "w.csv"
-        cmd_export_weights(str(ckpt), str(out))
-        matrix = np.loadtxt(out, delimiter=",")
-        assert_allclose(matrix, effective_weight(model), atol=1e-12)
+        # with both transforms off, the map is the head's own
+        model = init_model(16, 5, 3, seed=4, use_haar=False, use_dct=False)
+        model.bias[:] = np.random.default_rng(1).normal(size=5)
+        table = self.export(tmp_path, model)
+        assert_allclose(table[:16], effective_weight(model), rtol=1e-12)
+        assert np.array_equal(table[16], model.bias)
 
     def test_dense_checkpoint_round_trips_w(self, tmp_path):
-        model = init_model(8, 3, 2, seed=0, head="dense")
-        ckpt = tmp_path / "m.npz"
-        save_checkpoint(model, ckpt)
-        rc = main(["export-weights", str(ckpt), str(tmp_path / "w.csv")])
-        assert rc == 0
-        assert np.array_equal(np.loadtxt(tmp_path / "w.csv", delimiter=","), model.W)
+        model = init_model(8, 3, 2, seed=0, head="dense", use_haar=False, use_dct=False,
+                           with_bias=False)
+        table = self.export(tmp_path, model)
+        assert np.array_equal(table, np.vstack([model.W, np.zeros(3)]))
+
+    @pytest.mark.parametrize("variant", [{}, {"head": "dense"}, {"use_haar": False},
+                                         {"use_dct": False}, {"with_bias": False}])
+    def test_table_applied_to_a_window_is_its_forecast(self, tmp_path, variant):
+        rng = np.random.default_rng(2)
+        model = init_model(16, 5, 3, seed=4, **variant)
+        if model.bias is not None:
+            model.bias[:] = rng.normal(size=5)
+        table = self.export(tmp_path, model)
+        assert table.shape == (17, 5)
+        x = rng.normal(size=(7, 3, 16))
+        want = forward(model, x)
+        got = np.concatenate([x, np.ones((7, 3, 1))], axis=-1) @ table
+        assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
     # each loaded: "false" and "no" as True, 64.9 as 64, true as seed 1, and "PQ"
     # as the names P and Q, without the bias the archive holds
@@ -746,14 +764,38 @@ def test_params_command_output(capsys):
     (["--head", "bogus"], "head"),
 ])
 def test_bad_config_value_is_one_error_line(tmp_path, capsys, flags, key):
-    rc = main(["train", "--dataset", "sine_mix", "--lookback", "32", "--horizons", "8",
-               *flags, "--outdir", str(tmp_path / "runs")])
+    assert_one_error_line(tmp_path, capsys, key, ["train", "--dataset", "sine_mix", "--lookback",
+                                                  "32", "--horizons", "8", *flags])
+
+
+def assert_one_error_line(tmp_path, capsys, key, argv):
+    """`argv` exits 1 with one `error:` line naming `key`, trains no job and
+    creates no outdir."""
+    rc = main([*argv, "--outdir", str(tmp_path / "runs")])
     out, err = capsys.readouterr()
     err = err.splitlines()
     assert rc == 1
     assert out == ""  # no job trained
     assert len(err) == 1 and err[0].startswith("error: ") and key in err[0], err
     assert not (tmp_path / "runs").exists()
+
+
+ROBUST = ["robustness", "--eta-list", "0,0.7", "--robust-max-epochs", "1",
+          "--robust-patience", "1"]
+
+
+# each trained one seed or one eta list and exited 0, so the settings it
+# dropped read as run
+@pytest.mark.parametrize("command, key", [
+    ([*ROBUST, "--seeds", "1,2,3"], "seeds"),
+    (["ablate", "dct", "--seeds", "1,2"], "seeds"),
+    (["ablate", "dct", "--params-only", "--seeds", "1,2"], "seeds"),
+    ([*ROBUST, "--noise-eta", "0.5"], "noise_eta"),
+])
+def test_setting_a_command_drops_is_one_error_line(tmp_path, capsys, command, key):
+    assert_one_error_line(tmp_path, capsys, key, [*command, "--dataset", "sine_mix", "--lookback",
+                                                  "16", "--horizons", "4", "--rank", "2",
+                                                  "--max-epochs", "1", "--patience", "1"])
 
 
 @pytest.mark.parametrize("command, flag, values", [

@@ -4,7 +4,7 @@ Each draw of the first writes a small CSV, runs `hadl train` through
 `hadl.cli.main` for one or two epochs, and recomputes what the run wrote from
 the checkpoint alone: the test MSE and MAE from the CSV with explicit
 products of the oracle Haar and DCT matrices, the `eval.csv` row from
-`eval.json`, and the `export-weights` matrix from `effective_weight`. The
+`eval.json`, and the `export-weights` table from those matrices. The
 second checks the test errors of every command's jobs against the returned
 model's forecasts. The channel count falls on both sides of
 `steps_from_stats`, so both step sources run. A draw whose model cannot
@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 import hadl.cli
 from hadl.cli import ExperimentConfig, load_dataset, main, prepare_windows, run_single
-from hadl.model import HEAD_DENSE, HEAD_LOW_RANK, effective_weight, forward, load_checkpoint
+from hadl.model import HEAD_DENSE, HEAD_LOW_RANK, forward, load_checkpoint
 from hadl.optim import steps_from_stats
 from oracles import dct2_bruteforce, forecast_mse, haar_forward
 
@@ -53,6 +53,18 @@ def head_map(model) -> np.ndarray:
     return model.P @ model.Q if model.head == HEAD_LOW_RANK else model.W
 
 
+def oracle_stages(model) -> tuple[np.ndarray, np.ndarray]:
+    """The L x d_in matrix of the model's Haar and DCT stages, from the
+    oracles, and its bias (zeros without one)."""
+    L = model.lookback
+    T = np.eye(L)
+    if model.use_haar:
+        T = T @ linear_stage(lambda x: haar_forward(x).approx, L)
+    if model.use_dct:
+        T = (2.0 / L) * T @ linear_stage(dct2_bruteforce, T.shape[1])
+    return T, model.bias if model.with_bias else np.zeros(model.horizon)
+
+
 def oracle_test_errors(path: Path, model) -> tuple[float, float]:
     """Test MSE and MAE of `model` on the CSV at `path`: ratio split, z-scored
     with the training steps' statistics, every window of the test steps with
@@ -63,13 +75,8 @@ def oracle_test_errors(path: Path, model) -> tuple[float, float]:
     test = (values[:, test_start - model.lookback:] - train.mean(axis=1)[:, None]) \
         / train.std(axis=1)[:, None]
     L, H = model.lookback, model.horizon
-    T = np.eye(L)
-    if model.use_haar:
-        T = T @ linear_stage(lambda x: haar_forward(x).approx, L)
-    if model.use_dct:
-        T = (2.0 / L) * T @ linear_stage(dct2_bruteforce, T.shape[1])
+    T, bias = oracle_stages(model)
     weight = head_map(model)
-    bias = model.bias if model.with_bias else np.zeros(H)
     errors = np.array([test[:, b:b + L] @ T @ weight + bias - test[:, b + L:b + L + H]
                        for b in range(test.shape[1] - L - H + 1)])
     return float(np.mean(errors ** 2)), float(np.mean(np.abs(errors)))
@@ -150,8 +157,11 @@ def test_train_matches_an_independent_recomputation(tmp_path_factory, lookback, 
     code, _, err = run(["export-weights", run_dir / f"checkpoint_seed{seed}.npz", tmp / "w.csv"])
     assert code == 0, err
     exported = np.loadtxt(tmp / "w.csv", delimiter=",", ndmin=2)
-    assert np.array_equal(exported, head_map(model))
-    assert np.array_equal(exported, effective_weight(model))
+    T, bias = oracle_stages(model)
+    want = T @ head_map(model)
+    assert exported.shape == (lookback + 1, horizon)
+    assert np.abs(exported[:-1] - want).max() <= 1e-9 * np.abs(want).max()
+    assert np.array_equal(exported[-1], bias)
 
 
 @settings(max_examples=60, deadline=None)

@@ -206,10 +206,17 @@ class TestAdam:
             grads = {k: rng.normal(size=v.shape) * 10.0 ** rng.integers(-8, 4, size=v.shape)
                         * rng.integers(0, 2, size=v.shape) for k, v in params.items()}
             before = {k: v.copy() for k, v in grads.items()}
+            given_params, kept = params, {k: v.copy() for k, v in params.items()}
             params, state = adam_step(state, params, grads, cfg)
             want, moments = textbook_adam(want, grads, moments, step, cfg)
             assert state.step == step
+            # `train` keeps its best parameters by reference: no input is written
+            # or handed back
+            inputs = [*given_params.values(), *grads.values(), *state.m.values(),
+                      *state.v.values()]
             for name in params:
+                assert np.array_equal(given_params[name], kept[name])
+                assert not any(params[name] is array for array in inputs)
                 assert np.array_equal(params[name], want[name])
                 assert np.array_equal(state.m[name], moments[0][name])
                 assert np.array_equal(state.v[name], moments[1][name])

@@ -278,11 +278,12 @@ class TestLagTables:
             model.bias[:] = rng.normal(size=5)
         origins = rng.permutation(len(batch))[:37]
         F = dct_matrix(model)
-        grads, loss = _gradients_from_stats(model, LagTables(model, batch).stats(origins),
-                                            1e-4, F)
+        grads, loss, rows = _gradients_from_stats(model, LagTables(model, batch).stats(origins),
+                                                  1e-4, F)
         S = np.array(window_rows(model, batch)[origins]).reshape(-1, model.d_in)
         Y = np.array(batch.targets[origins]).reshape(-1, model.horizon)
         want, want_loss = reference_step(model, S, Y, 1e-4, F)
+        assert rows == len(S)
         assert grads.keys() == want.keys()
         for name in want:
             assert_close(grads[name], want[name])
