@@ -3,9 +3,9 @@
 Subcommands: train, robustness, ablate, params, export-weights. Every run is
 fully described by an ExperimentConfig, assembled from defaults, an optional
 flat `key = value` config file, and per-key CLI overrides (highest priority).
-A short hash of the resolved config is embedded in every output file header,
-and no output contains timestamps, so re-running a command with the same
-config and seed reproduces every file byte for byte.
+A short hash of the resolved config, outdir left out, heads every output
+file, and no output contains timestamps, so re-running a command with the
+same config and seed reproduces every file byte for byte.
 
 Output layout: <outdir>/<dataset>/<variant>/<horizon>/ with checkpoint,
 trace and report files; robustness and ablation tables sit one level up.
@@ -51,7 +51,6 @@ class ExperimentConfig(TrainConfig):
 
     dataset: str = "sine_mix"
     data_path: str = ""
-    registry: str = ""
     convention: str = ""
     lookback: int = 512
     horizons: tuple[int, ...] = (96, 192, 336, 720)
@@ -65,7 +64,6 @@ class ExperimentConfig(TrainConfig):
     eta_list: tuple[float, ...] = (0.0, 0.3, 0.7, 1.3, 1.7, 2.3)
     robust_max_epochs: int = 50
     robust_patience: int = 10
-    ablate_rank: int = 40
     rank_list: tuple[int, ...] = (15, 35, 55, 75)
     lookback_list: tuple[int, ...] = (48, 96, 192, 336, 512, 720)
     outdir: str = "runs"
@@ -106,7 +104,8 @@ class ExperimentConfig(TrainConfig):
                 raise InvalidConfigError(f"{key}: {repeated[0]} is listed twice")
 
     def fingerprint(self) -> str:
-        blob = json.dumps(asdict(self), sort_keys=True)
+        """The experiment's hash: every key but `outdir`, where it is written."""
+        blob = json.dumps({k: v for k, v in asdict(self).items() if k != "outdir"}, sort_keys=True)
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:12]
 
     def seed_list(self) -> tuple[int, ...]:
@@ -176,21 +175,19 @@ def variant_name(config: ExperimentConfig) -> str:
 
 def load_dataset(config: ExperimentConfig) -> tuple[hadl_data.Dataset, str]:
     """The command's dataset, standardized in place (`hadl_data.standardize`),
-    and its split convention, reading the registry at most once. Convention:
-    explicit config wins, then the registry entry, then the known-name
-    default (ratio for anything unrecognized)."""
+    and its split convention: `convention`, else the known-name default
+    (ratio for anything unrecognized). A CSV is read from `data_path`, else
+    from data/<dataset>.csv."""
     name = config.dataset
-    entry = hadl_data.load_registry(config.registry).get(name, {}) if config.registry else {}
-    convention = config.convention or entry.get("convention") or hadl_data.convention_for(name)
+    convention = config.convention or hadl_data.convention_for(name)
     if name in hadl_data.SYNTH_KINDS:
         dataset = hadl_data.synth(name, config.synth_length, config.synth_channels,
                                   seed=mix_seed(config.seed, "dataset"))
     else:
-        path = config.data_path or entry.get("path") or os.path.join("data", f"{name}.csv")
+        path = config.data_path or os.path.join("data", f"{name}.csv")
         if not os.path.exists(path):
-            raise HadlError(f"dataset file not found: {path} (set data_path or registry)")
-        dataset = hadl_data.load_csv(path, convention, name=name,
-                                     expected_channels=entry.get("channels"))
+            raise HadlError(f"dataset file not found: {path} (set data_path)")
+        dataset = hadl_data.load_csv(path, convention, name=name)
     return hadl_data.standardize(dataset, convention), convention
 
 
@@ -367,12 +364,14 @@ def cmd_train(config: ExperimentConfig, workers: int = 1) -> list[hadl_metrics.E
     return [report for _, _, report in results]
 
 
-def cmd_robustness(config: ExperimentConfig, workers: int = 1) -> hadl_metrics.RobustnessReport:
-    """Noise sweep at the first configured horizon; evaluation always clean.
+def cmd_robustness(config: ExperimentConfig,
+                   workers: int = 1) -> list[hadl_metrics.RobustnessReport]:
+    """Noise sweep at each configured horizon; evaluation always clean.
 
-    Each eta trains its own model (robust_max_epochs/robust_patience); the
-    eta list must contain 0.0 for the NRR baseline. workers > 1 trains the
-    etas in parallel processes.
+    Each (horizon, eta) cell trains its own model (robust_max_epochs/
+    robust_patience); the eta list must contain 0.0 for the NRR baseline.
+    workers > 1 trains the cells in parallel processes. Returns one report
+    per horizon, in horizon order.
     """
     etas = tuple(sorted(config.eta_list))
     if 0.0 not in etas:
@@ -380,34 +379,33 @@ def cmd_robustness(config: ExperimentConfig, workers: int = 1) -> hadl_metrics.R
     _one_seed(config, "robustness")
     if config.noise_eta != 0.0:  # each job's eta is one of eta_list's
         raise InvalidConfigError(f"noise_eta must be 0 for robustness, got {config.noise_eta}")
-    horizon = config.horizons[0]
     base = replace(config, seed=config.seed_list()[0], max_epochs=config.robust_max_epochs,
                    patience=config.robust_patience)
-    cells = [(replace(base, noise_eta=eta), horizon) for eta in etas]
-    results = run_grid(config, cells, workers, train_outputs=False)
+    cells = [(replace(base, noise_eta=eta), horizon)
+             for horizon in config.horizons for eta in etas]
+    mses = [r.mse for _, _, r in run_grid(config, cells, workers, train_outputs=False)]
+    reports = [hadl_metrics.robustness_report(etas, mses[i:i + len(etas)])
+               for i in range(0, len(mses), len(etas))]
     fingerprint = config.fingerprint()
     variant = variant_name(config)
-    report = hadl_metrics.robustness_report(etas, [r.mse for _, _, r in results])
 
-    for prev, nxt in zip(report.nrr_per_eta, report.nrr_per_eta[1:]):
-        if nxt < prev - 0.02:
-            print(
-                f"warning: NRR decreased from {prev:.4f} to {nxt:.4f} with more noise;"
-                " unusual but not an error",
-                file=sys.stderr,
-            )
-    if report.mav is None:
-        print("robustness: no noisy etas, MAV undefined")
-    else:
-        print(f"robustness: MAV={report.mav:.6f} over etas {list(report.eta_list[1:])}")
+    for horizon, report in zip(config.horizons, reports):
+        for prev, nxt in zip(report.nrr_per_eta, report.nrr_per_eta[1:]):
+            if nxt < prev - 0.02:
+                print(f"warning: H={horizon}: NRR decreased from {prev:.4f} to {nxt:.4f} with"
+                      " more noise; unusual but not an error", file=sys.stderr)
+        if report.mav is None:
+            print(f"robustness: H={horizon} no noisy etas, MAV undefined")
+        else:
+            print(f"robustness: H={horizon} MAV={report.mav:.6f} over etas {list(etas[1:])}")
 
-    run_dir = _run_dir(config, variant, horizon)
-    hadl_metrics.write_robustness_csv(
-        report, os.path.join(run_dir, "robustness.csv"), fingerprint
-    )
-    bundle = {**_json_header(config, horizon, variant), **asdict(report)}
-    hadl_metrics.write_json_bundle(bundle, os.path.join(run_dir, "robustness.json"))
-    return report
+        run_dir = _run_dir(config, variant, horizon)
+        hadl_metrics.write_robustness_csv(
+            report, os.path.join(run_dir, "robustness.csv"), fingerprint
+        )
+        bundle = {**_json_header(config, horizon, variant), **asdict(report)}
+        hadl_metrics.write_json_bundle(bundle, os.path.join(run_dir, "robustness.json"))
+    return reports
 
 
 ABLATION_AXES = ("haar", "head", "dct", "rank", "lookback")
@@ -425,7 +423,7 @@ def _ablate_grid(config: ExperimentConfig, axis: str) -> list[tuple[str, Experim
     if axis not in variants:
         raise InvalidConfigError(f"unknown ablation axis {axis!r}; choose from {ABLATION_AXES}")
     _one_seed(config, "ablate")
-    base = replace(config, rank=config.ablate_rank, seed=config.seed_list()[0])
+    base = replace(config, seed=config.seed_list()[0])
     return [(label, replace(base, **keys)) for label, keys in variants[axis]]
 
 

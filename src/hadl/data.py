@@ -128,11 +128,11 @@ def open_text(path):
             raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
-def read_key_values(path, form: str = "key = value") -> dict[str, tuple[int, str]]:
+def read_key_values(path) -> dict[str, tuple[int, str]]:
     """key -> (line number, value), both stripped, of a flat `key = value`
     file (see `open_text`). A '#' at a line's start or after whitespace opens
-    a comment (`runs#2` keeps its '#'). A line without '=' (`form` is the one
-    expected) or a key listed twice raises a ParseError."""
+    a comment (`runs#2` keeps its '#'). A line without '=' or a key listed
+    twice raises a ParseError."""
     entries: dict[str, tuple[int, str]] = {}
     with open_text(path) as handle:
         for line_no, line in enumerate(handle, start=1):
@@ -142,7 +142,7 @@ def read_key_values(path, form: str = "key = value") -> dict[str, tuple[int, str
             key, equals, value = line.partition("=")
             key = key.strip()
             if not equals:
-                raise ParseError(f"{path}: line {line_no}: expected `{form}`")
+                raise ParseError(f"{path}: line {line_no}: expected `key = value`")
             if key in entries:
                 raise ParseError(f"{path}: line {line_no}: {key!r} is listed twice,"
                                  f" first on line {entries[key][0]}")
@@ -150,14 +150,14 @@ def read_key_values(path, form: str = "key = value") -> dict[str, tuple[int, str
     return entries
 
 
-def load_csv(path, convention: str, name: str | None = None,
-             expected_channels: int | None = None) -> Dataset:
+def load_csv(path, convention: str, name: str | None = None) -> Dataset:
     """Load a header-and-timestamp CSV into a Dataset split by `convention`.
 
     The first column is treated as an opaque timestamp and dropped; all other
     columns must be finite decimal numbers. Row order and column order are
     preserved. Errors name the offending cell, or the convention the series
-    is too short for.
+    is too short for. A known name (`KNOWN_DATASETS`) must have its channel
+    count.
 
     numpy's C reader parses the rows; a file it rejects, or whose result
     fails a guard, goes through `_parse_cells`, which names the bad cell or
@@ -168,11 +168,9 @@ def load_csv(path, convention: str, name: str | None = None,
     if name is None:
         name = str(path).rsplit("/", 1)[-1].rsplit(".", 1)[0]
     info = KNOWN_DATASETS.get(name.lower())
-    if expected_channels is None and info is not None:
-        expected_channels = info["channels"]
-    if expected_channels is not None and values.shape[0] != expected_channels:
+    if info is not None and values.shape[0] != info["channels"]:
         raise ParseError(
-            f"{path}: expected {expected_channels} channels for {name}, found {values.shape[0]}"
+            f"{path}: expected {info['channels']} channels for {name}, found {values.shape[0]}"
         )
     granularity = info["granularity"] if info else "unknown"
     train_end, val_end, _ = _split_edges(convention, values.shape[1])
@@ -444,19 +442,3 @@ def synth(kind: str, length: int = 480, channels: int = 3, seed: int = 0) -> Dat
         granularity="synthetic",
         split_bounds=(train_end, val_end),
     )
-
-
-def load_registry(path) -> dict[str, dict]:
-    """Dataset name -> path, convention and channels, from a registry file of
-    `name = path, convention, channels` lines read by `read_key_values`."""
-    registry: dict[str, dict] = {}
-    for name, (line_no, rest) in read_key_values(path, "name = path, convention, channels").items():
-        parts = [p.strip() for p in rest.split(",")]
-        if len(parts) != 3:
-            raise ParseError(f"{path}: line {line_no}: expected 3 comma-separated fields")
-        try:
-            registry[name] = {"path": parts[0], "convention": parts[1], "channels": int(parts[2])}
-        except ValueError:
-            raise ParseError(f"{path}: line {line_no}: channel count {parts[2]!r}"
-                             " is not an integer") from None
-    return registry

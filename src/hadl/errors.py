@@ -26,8 +26,8 @@ class InvalidConfigError(HadlError):
 class ParseError(HadlError):
     """A file's text is not what it should be: not UTF-8, a CSV that is not a
     table of finite numbers (a malformed, empty or non-finite cell, no data
-    rows, other than the expected channels), or a malformed config or
-    registry line or a key listed twice; names the file and where."""
+    rows, other than the expected channels), or a malformed config line or
+    a key listed twice; names the file and where."""
 
 
 class SegmentTooShortError(HadlError):

@@ -181,7 +181,7 @@ def test_criterion_7_robustness_trend(tmp_path):
         eta_list=(0.0, 0.3, 0.7, 1.3, 1.7, 2.3), robust_max_epochs=50,
         robust_patience=10, outdir=str(tmp_path / "runs"), seed=0,
     )
-    report = cmd_robustness(config)
+    [report] = cmd_robustness(config)
     nrr_at_03 = report.nrr_per_eta[0]
     assert 0.99 <= nrr_at_03 <= 1.01, f"NRR(0.3) = {nrr_at_03:.4f} outside [0.99, 1.01]"
     assert report.mav <= 0.03, f"MAV {report.mav:.4f} > 0.03"

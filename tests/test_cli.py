@@ -91,7 +91,7 @@ class TestConfig:
             elif isinstance(value, bool):
                 value = str(value).lower()
             lines.append(f"{f.name} = {value}\n")
-        assert len(lines) == 28
+        assert len(lines) == 26
         cfg_file.write_text("".join(lines), encoding="utf-8")
         assert ExperimentConfig(**read_config_file(cfg_file)) == default
 
@@ -100,9 +100,13 @@ class TestConfig:
         cfg_file.write_text("no_such_key = 1\n")
         with pytest.raises(InvalidConfigError, match="line 1: unknown config key 'no_such_key'"):
             read_config_file(cfg_file)
-        cfg_file.write_text("stride = 2\n")  # windows are always stride 1
-        assert main(["params", "--config", str(cfg_file)]) == 1
-        assert "unknown config key 'stride'" in capsys.readouterr().err
+        # windows are always stride 1; a CSV's path and split convention
+        # are the data_path and convention keys
+        for key, value in (("stride", "2"), ("registry", "x")):
+            cfg_file.write_text(f"{key} = {value}\n")
+            assert main(["params", "--config", str(cfg_file)]) == 1
+            assert capsys.readouterr().err.splitlines() == [
+                f"error: {cfg_file}: line 1: unknown config key {key!r}"]
 
     def test_comments_start_at_a_line_or_after_whitespace(self, tmp_path):
         # `runs#2` was cut to `runs`; a '#' after a space still opens a comment
@@ -126,6 +130,9 @@ class TestConfig:
         assert str(caught.value) == message
         assert main(["params", "--config", str(cfg_file)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+        cfg_file.write_text("# note\nlookback 512\n")  # a line without '='
+        assert main(["params", "--config", str(cfg_file)]) == 1
+        assert capsys.readouterr().err == f"error: {cfg_file}: line 2: expected `key = value`\n"
 
     def test_flag_overrides_file(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
@@ -141,6 +148,8 @@ class TestConfig:
         b = ExperimentConfig(seed=2)
         assert a.fingerprint() != b.fingerprint()
         assert a.fingerprint() == ExperimentConfig(seed=1).fingerprint()
+        # where an experiment is written is not part of it
+        assert a.fingerprint() == ExperimentConfig(seed=1, outdir="elsewhere").fingerprint()
 
     def test_mix_seed_stable(self):
         assert mix_seed(1, "init", 64) == mix_seed(1, "init", 64)
@@ -201,6 +210,27 @@ class TestTrainCommand:
             after = {p.name: p.read_bytes() for p in csv_files}
             assert before == after
 
+    def test_two_outdirs_write_the_same_bytes(self, tmp_path, capsys):
+        # the fingerprint hashed the outdir, so every CSV header differed
+        written = []
+        for outdir in (tmp_path / "a", tmp_path / "b" / "c"):
+            assert main(["train", "--dataset", "sine_mix", "--lookback", "16", "--horizons",
+                         "4,8", "--rank", "2", "--seeds", "1,2", "--max-epochs", "2",
+                         "--patience", "2", "--outdir", str(outdir)]) == 0
+            written.append({str(p.relative_to(outdir)): p
+                            for p in sorted(outdir.rglob("*")) if p.is_file()})
+        a, b = written
+        assert sorted(a) == sorted(b) and len(a) == 2 * (2 * 3 + 2)
+        for name in a:
+            if name.endswith(".json"):
+                a_json, b_json = json.loads(a[name].read_text()), json.loads(b[name].read_text())
+                if "config" in a_json:  # eval.json
+                    assert (a_json["config"].pop("outdir"), b_json["config"].pop("outdir")) == (
+                        str(tmp_path / "a"), str(tmp_path / "b" / "c"))
+                assert a_json == b_json
+            else:
+                assert a[name].read_bytes() == b[name].read_bytes(), name
+
     def test_multi_seed_writes_one_row_each(self, tmp_path):
         config = synth_config(tmp_path, seeds=(1, 2))
         reports = cmd_train(config)
@@ -218,18 +248,21 @@ class TestTrainCommand:
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
 
-    def test_registry_supplies_path_and_convention(self, tmp_path):
-        csv_path = tmp_path / "mini.csv"
+    def test_config_file_supplies_path_and_convention(self, tmp_path, capsys):
+        csv_path = tmp_path / "series.csv"
         rows = ["date,a,b"] + [f"t{i},{np.sin(i / 3.0)},{np.cos(i / 5.0)}" for i in range(200)]
         csv_path.write_text("\n".join(rows) + "\n")
-        registry = tmp_path / "datasets.txt"
-        registry.write_text(f"mini = {csv_path}, ratio, 2\n")
-        config = synth_config(
-            tmp_path, dataset="mini", registry=str(registry), lookback=16,
-            horizons=(4,), rank=2, max_epochs=3, patience=3,
-        )
-        reports = cmd_train(config)
-        assert reports[0].dataset == "mini"
+        cfg_file, runs = tmp_path / "mini.cfg", tmp_path / "runs"
+        argv = ["train", "--config", str(cfg_file), "--lookback", "16", "--horizons", "4",
+                "--rank", "2", "--max-epochs", "3", "--patience", "3", "--outdir", str(runs)]
+        cfg_file.write_text(f"dataset = mini\ndata_path = {csv_path}\nconvention = ratio\n")
+        assert main(argv) == 0
+        assert capsys.readouterr().out.startswith("job dataset=mini ")
+        assert (runs / "mini" / "haar-dct-lowrank_r2-bias" / "4" / "eval.csv").is_file()
+        cfg_file.write_text(cfg_file.read_text().replace("ratio", "etth"))
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: series has 200 steps, convention 'etth' needs 14400\n")
 
     def test_diverged_run_exits_nonzero(self, tmp_path, capsys):
         with np.errstate(all="ignore"):
@@ -292,19 +325,13 @@ class TestTrainCommand:
             parallel_files = sorted((root / "parallel").rglob("*.csv"))
             assert [p.name for p in serial_files] == [p.name for p in parallel_files]
             for a, b in zip(serial_files, parallel_files):
-                # traces and eval rows identical; only the outdir in the embedded
-                # config fingerprint may differ
-                a_lines = [l for l in a.read_text().splitlines() if not l.startswith("#")]
-                b_lines = [l for l in b.read_text().splitlines() if not l.startswith("#")]
-                assert a_lines == b_lines
+                assert a.read_bytes() == b.read_bytes()
             # trace_seed*.json, final_grad_norm included, computed in the workers
             serial_json = sorted((root / "serial").rglob("trace_seed*.json"))
             parallel_json = sorted((root / "parallel").rglob("trace_seed*.json"))
             assert len(serial_json) == 2
             for a, b in zip(serial_json, parallel_json):
-                a_trace, b_trace = json.loads(a.read_text()), json.loads(b.read_text())
-                del a_trace["config_fingerprint"], b_trace["config_fingerprint"]
-                assert a_trace == b_trace
+                assert a.read_bytes() == b.read_bytes()
 
     def test_trace_grad_norm_is_the_returned_models(self, tmp_path):
         # 3 channels step from rows and 40 from statistics; both take the
@@ -360,8 +387,7 @@ class TestGradNormOnlyWhereWritten:
 
     def test_ablate_computes_none(self, tmp_path, monkeypatch):
         calls = count_grad_norms(monkeypatch)
-        cmd_ablate(synth_config(tmp_path, horizons=(8,), ablate_rank=2, max_epochs=2,
-                                patience=2), "head")
+        cmd_ablate(synth_config(tmp_path, horizons=(8,), rank=2, max_epochs=2, patience=2), "head")
         assert calls == []
 
 
@@ -422,9 +448,9 @@ class TestFullSetPasses:
         stats = count_calls(monkeypatch, hadl.optim, "window_stats")
         dct_builds = dct_builds_per_job(monkeypatch)
         config = synth_config(tmp_path, horizons=(8,), eta_list=(0.0, 0.7), robust_max_epochs=2,
-                              robust_patience=2, ablate_rank=2, max_epochs=2, patience=2,
+                              robust_patience=2, rank=2, max_epochs=2, patience=2,
                               synth_channels=channels)
-        report = cmd_robustness(config)
+        [report] = cmd_robustness(config)
         cmd_ablate(config, "head")
         cmd_ablate(config, "dct")
         assert all(np.isfinite(report.mse_per_eta))
@@ -454,7 +480,7 @@ class TestOneStandardizedSeries:
         monkeypatch.setattr(hadl.cli, "load_dataset", load)
         monkeypatch.setattr(hadl.cli, "prepare_windows", prepare)
         config = synth_config(tmp_path, eta_list=(0.0, 0.7), robust_max_epochs=1,
-                              robust_patience=1, lookback_list=(32, 48), ablate_rank=2,
+                              robust_patience=1, lookback_list=(32, 48), rank=2,
                               max_epochs=1, patience=1)
         cmd_robustness(config)
         cmd_ablate(config, "lookback")
@@ -515,7 +541,7 @@ class TestRobustnessCommand:
             tmp_path, dataset="low_rank_target", eta_list=(0.0,),
             robust_max_epochs=5, robust_patience=5,
         )
-        report = cmd_robustness(config)
+        [report] = cmd_robustness(config)
         assert report.mav is None
         out = capsys.readouterr().out
         assert "MAV undefined" in out
@@ -530,7 +556,7 @@ class TestRobustnessCommand:
             tmp_path, dataset="low_rank_target", eta_list=(0.0, 0.3, 0.7),
             robust_max_epochs=10, robust_patience=10,
         )
-        report = cmd_robustness(config)
+        [report] = cmd_robustness(config)
         assert len(report.nrr_per_eta) == 2
         assert report.mav is not None
         assert all(r > 0 for r in report.nrr_per_eta)
@@ -547,12 +573,34 @@ class TestRobustnessCommand:
                        workers=2)
         run_dir = Path("low_rank_target") / "haar-dct-lowrank_r4-bias" / "16"
         serial, parallel = tmp_path / "serial" / run_dir, tmp_path / "parallel" / run_dir
-        assert table_rows(serial / "robustness.csv") == table_rows(parallel / "robustness.csv")
+        a, b = ((d / "robustness.csv").read_bytes() for d in (serial, parallel))
+        assert a == b
         a, b = (json.loads((d / "robustness.json").read_text()) for d in (serial, parallel))
         for bundle in (a, b):
-            # the embedded config differs in outdir, and so does its fingerprint
-            del bundle["config"], bundle["config_fingerprint"]
+            del bundle["config"]["outdir"]  # the embedded config differs only there
         assert a == b
+
+    def test_every_horizon_is_swept(self, tmp_path, capsys):
+        # trained and wrote H=4 only, and exited 0
+        argv = ["robustness", "--dataset", "sine_mix", "--lookback", "16", "--rank", "2",
+                "--eta-list", "0,0.7", "--robust-max-epochs", "1", "--robust-patience", "1"]
+        assert main([*argv, "--horizons", "4,8", "--outdir", str(tmp_path / "both")]) == 0
+        out = capsys.readouterr().out.splitlines()
+        jobs = [line.split()[4:7:2] for line in out if line.startswith("job ")]
+        assert jobs == [["H=4", "eta=0.0"], ["H=4", "eta=0.7"], ["H=8", "eta=0.0"],
+                        ["H=8", "eta=0.7"]]
+        mavs = [line.split()[1:3] for line in out if line.startswith("robustness: ")]
+        assert [h for h, _ in mavs] == ["H=4", "H=8"] and all(m[:4] == "MAV=" for _, m in mavs)
+        # each horizon's files are those of a sweep at that horizon alone
+        assert main([*argv, "--horizons", "8", "--outdir", str(tmp_path / "one")]) == 0
+        run_dir = Path("sine_mix") / "haar-dct-lowrank_r2-bias"
+        assert (tmp_path / "both" / run_dir / "4" / "robustness.csv").is_file()
+        both, one = tmp_path / "both" / run_dir / "8", tmp_path / "one" / run_dir / "8"
+        assert table_rows(both / "robustness.csv") == table_rows(one / "robustness.csv")
+        a, b = (json.loads((d / "robustness.json").read_text()) for d in (both, one))
+        for bundle in (a, b):
+            del bundle["config"], bundle["config_fingerprint"]  # the horizons differ
+        assert a == b and a["horizon"] == 8
 
     def test_repeated_eta_fails_before_any_job(self, tmp_path, capsys):
         # exited 0 with two rows, the first eta -0.0
@@ -587,7 +635,7 @@ class TestAblateCommand:
 
     def test_head_axis_no_bias_params(self, tmp_path):
         config = synth_config(
-            tmp_path, lookback=512, horizons=(192,), with_bias=False, ablate_rank=40,
+            tmp_path, lookback=512, horizons=(192,), with_bias=False, rank=40,
         )
         out_path = cmd_ablate(config, "head", params_only=True)
         with open(out_path, newline="") as handle:
@@ -597,7 +645,7 @@ class TestAblateCommand:
 
     def test_lookback_axis_trains_one_row_per_length(self, tmp_path):
         config = synth_config(
-            tmp_path, lookback_list=(32, 48), horizons=(8,), ablate_rank=2,
+            tmp_path, lookback_list=(32, 48), horizons=(8,), rank=2,
             max_epochs=3, patience=3,
         )
         out_path = cmd_ablate(config, "lookback")
@@ -609,7 +657,7 @@ class TestAblateCommand:
 
     @pytest.mark.parametrize("axis", ["head", "dct"])
     def test_axis_trains_the_swapped_variant(self, tmp_path, axis):
-        config = synth_config(tmp_path, horizons=(8,), ablate_rank=2, max_epochs=2, patience=2)
+        config = synth_config(tmp_path, horizons=(8,), rank=2, max_epochs=2, patience=2)
         header, *body = table_rows(cmd_ablate(config, axis))
         data = load_dataset(config)
         expected = [repr(run_single(job, 8, data)[2].mse) for _, job in _ablate_grid(config, axis)]
@@ -617,10 +665,19 @@ class TestAblateCommand:
         assert expected[0] != expected[1]
 
     def test_haar_axis_grid(self, tmp_path):
-        config = synth_config(tmp_path, horizons=(8,), ablate_rank=2, max_epochs=2, patience=2)
+        config = synth_config(tmp_path, horizons=(8,), rank=2, max_epochs=2, patience=2)
         out_path = cmd_ablate(config, "haar")
         text = Path(out_path).read_text()
         assert "with_haar" in text and "without_haar" in text
+
+    def test_params_only_counts_at_rank(self, tmp_path):
+        # `--rank 2` was dropped: each row counted rank 40's 484 parameters
+        out = tmp_path / "runs"
+        assert main(["ablate", "dct", "--dataset", "sine_mix", "--lookback", "16", "--horizons",
+                     "4", "--rank", "2", "--params-only", "--outdir", str(out)]) == 0
+        header, *body = table_rows(out / "sine_mix" / "ablate_dct.csv")
+        # Haar halves L=16 to 8: P is 8x2, Q 2x4, and the bias 4
+        assert [r[header.index("params")] for r in body] == ["28", "28"]
 
     def test_unknown_axis(self, tmp_path):
         with pytest.raises(InvalidConfigError, match="unknown ablation axis 'bogus'"):
@@ -804,7 +861,7 @@ def test_setting_a_command_drops_is_one_error_line(tmp_path, capsys, command, ke
 ])
 def test_negative_zero_eta_is_the_zero_eta(tmp_path, capsys, command, flag, values):
     # -0 printed eta=-0.0 and wrote -0.0 into each JSON config, so one
-    # experiment wrote other bytes; the outdir is the same, as the fingerprint hashes it
+    # experiment wrote other bytes
     runs, outputs = tmp_path / "runs", []
     for value in values:
         rc = main([command, "--dataset", "sine_mix", "--lookback", "16", "--horizons", "4",
@@ -980,7 +1037,7 @@ def test_model_shape_checked_before_the_pool(tmp_path, capsys, monkeypatch, comm
     (["train", "--synth-length", "600", "--lookback", "48", "--horizons", "8,70", "--rank", "4"],
      "sine_mix/val: 108 steps cannot fit lookback 48 + horizon 70"),
     (["ablate", "lookback", "--synth-length", "300", "--lookback-list", "16,240",
-      "--horizons", "8", "--ablate-rank", "4"],
+      "--horizons", "8", "--rank", "4"],
      "sine_mix/train: 210 steps cannot fit lookback 240 + horizon 8"),
 ], ids=["train_horizon", "ablate_lookback"])
 def test_a_cell_without_windows_fails_before_any_job(tmp_path, capsys, argv, message):
@@ -1067,12 +1124,10 @@ NOT_UTF8 = b"date,a\n0,1\xe9\n1,2\n"  # was a UnicodeDecodeError traceback
     (b"date,a\n", "--data-path", "no data rows"),
     (NOT_UTF8, "--data-path", "one.csv: not UTF-8 text"),
     (NOT_UTF8, "--config", "one.csv: not UTF-8 text"),
-    (NOT_UTF8, "--registry", "one.csv: not UTF-8 text"),
     # channel b varies only after the 7-step train segment of the ratio split
     (b"date,a,b\n" + b"".join(b"%d,%d,%d\n" % (t, t, max(t - 5, 1)) for t in range(10)),
      "--data-path", "error: channel 1 is constant on the training segment"),
-], ids=["one_row", "header_only", "not_utf8", "not_utf8_config", "not_utf8_registry",
-        "constant_on_train"])
+], ids=["one_row", "header_only", "not_utf8", "not_utf8_config", "constant_on_train"])
 def test_unusable_csv_is_one_error_line(tmp_path, text, flag, message):
     csv_path = tmp_path / "one.csv"
     csv_path.write_bytes(text)

@@ -25,7 +25,6 @@ from hadl.data import (
     fit_transform,
     inject_noise,
     load_csv,
-    load_registry,
     split,
     synth,
     windows,
@@ -98,11 +97,6 @@ class TestLoadCsv:
         with pytest.raises(ParseError, match="expected 7 channels"):
             load_csv(path, "etth")
         assert KNOWN_DATASETS["etth1"]["channels"] == 7
-
-    def test_explicit_channel_expectation(self, tmp_path):
-        path = write_csv(tmp_path / "three.csv", "date,a,b,c\nt0,1,2,3\n")
-        ds = load_csv(path, "ratio", expected_channels=3)
-        assert ds.series.values.shape == (3, 1)
 
 
 def parse_outcome(parse, path):
@@ -404,13 +398,11 @@ class TestIngestCache:
 
     def test_known_name_checked_on_a_hit(self, tmp_path):
         path = write_csv(tmp_path / "ETTh1.csv", self.CSV)
-        load_csv(path, "ratio", expected_channels=2)
+        load_csv(path, "ratio", name="two")  # no known name: the parse writes the cache
         with parse_fails():
             with pytest.raises(ParseError, match="expected 7 channels for ETTh1, found 2"):
                 load_csv(path, "etth")
-            with pytest.raises(ParseError, match="expected 3 channels for ETTh1, found 2"):
-                load_csv(path, "ratio", expected_channels=3)
-            assert load_csv(path, "ratio", expected_channels=2).series.values.shape == (2, 3)
+            assert load_csv(path, "ratio", name="two").series.values.shape == (2, 3)
 
 
 class TestSplit:
@@ -625,42 +617,3 @@ class TestSynth:
         singular = np.linalg.svd(W, compute_uv=False)
         assert np.sum(singular > 1e-8 * singular[0]) <= 2
 
-
-def test_load_registry(tmp_path):
-    reg = tmp_path / "datasets.txt"
-    # a byte-order mark was read as part of the first name
-    for head in ("# comment\n", "\ufeff"):
-        reg.write_text(head + "ETTh1 = data/ETTh1.csv, etth, 7\ncustom = /tmp/x.csv, ratio, 12\n",
-                       encoding="utf-8")
-        parsed = load_registry(reg)
-        assert parsed["ETTh1"] == {"path": "data/ETTh1.csv", "convention": "etth", "channels": 7}
-        assert parsed["custom"]["channels"] == 12
-
-
-def test_registry_comments_and_repeated_names(tmp_path):
-    reg = tmp_path / "datasets.txt"
-    # `7  # note` was read as the channel count
-    reg.write_text("ETTh1 = data/ETTh1.csv, etth, 7  # note\nx = data/a#b.csv, ratio, 2\n")
-    assert load_registry(reg) == {
-        "ETTh1": {"path": "data/ETTh1.csv", "convention": "etth", "channels": 7},
-        "x": {"path": "data/a#b.csv", "convention": "ratio", "channels": 2}}
-    # the second entry was used
-    reg.write_text("ETTh1 = a.csv, etth, 7\n\nETTh1 = b.csv, etth, 7\n")
-    with pytest.raises(ParseError, match=r"datasets.txt: line 3: 'ETTh1' is listed twice,"
-                                         r" first on line 1$"):
-        load_registry(reg)
-
-
-def test_registry_bad_line(tmp_path):
-    reg = tmp_path / "datasets.txt"
-    reg.write_text("ETTh1 data/ETTh1.csv\n")
-    with pytest.raises(ParseError):
-        load_registry(reg)
-
-
-def test_registry_channel_count_not_an_integer(tmp_path):
-    # was a ValueError traceback from int()
-    reg = tmp_path / "datasets.txt"
-    reg.write_text("# comment\nx = data/x.csv, ratio, two\n")
-    with pytest.raises(ParseError, match=r"datasets.txt: line 2: channel count 'two'"):
-        load_registry(reg)
