@@ -18,6 +18,7 @@ import csv
 import hashlib
 import json
 import os
+import re
 import sys
 import typing
 from dataclasses import asdict, dataclass, fields, replace
@@ -27,7 +28,7 @@ import numpy as np
 from . import data as hadl_data
 from . import metrics as hadl_metrics
 from . import optim as hadl_optim
-from .errors import HadlError, InvalidConfigError, WorkerDiedError
+from .errors import HadlError, InvalidConfigError, ParseError, WorkerDiedError
 from .model import (
     HEAD_DENSE,
     HEAD_LOW_RANK,
@@ -135,21 +136,38 @@ def _parse_value(name: str, text: str):
 
 
 def read_config_file(path) -> dict:
-    """Flat `key = value` lines, read by `hadl_data.read_key_values`."""
+    """Flat `key = value` lines (see `hadl_data.open_text`), each parsed by
+    its key's type, in one pass: the first bad line raises. A '#' at a line's
+    start or after whitespace opens a comment (`runs#2` keeps its '#'). A line
+    without '=' or a key listed twice is a ParseError; an unknown key or a
+    value that does not parse is an InvalidConfigError."""
     values: dict = {}
-    for key, (line_no, value) in hadl_data.read_key_values(path).items():
-        if key not in _KEY_TYPES:
-            raise InvalidConfigError(f"{path}: line {line_no}: unknown config key {key!r}")
-        values[key] = _parse_value(key, value)
+    first_line: dict[str, int] = {}
+    with hadl_data.open_text(path) as handle:
+        for line_no, line in enumerate(handle, start=1):
+            line = re.sub(r"(^|\s)#.*", "", line, count=1).strip()
+            if not line:
+                continue
+            key, equals, value = line.partition("=")
+            key = key.strip()
+            if not equals:
+                raise ParseError(f"{path}: line {line_no}: expected `key = value`")
+            if key in first_line:
+                raise ParseError(f"{path}: line {line_no}: {key!r} is listed twice,"
+                                 f" first on line {first_line[key]}")
+            if key not in _KEY_TYPES:
+                raise InvalidConfigError(f"{path}: line {line_no}: unknown config key {key!r}")
+            first_line[key] = line_no
+            values[key] = _parse_value(key, value)
     return values
 
 
 def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     values: dict = {}
-    if getattr(args, "config", None):
+    if args.config:
         values.update(read_config_file(args.config))
     for f in fields(ExperimentConfig):
-        raw = getattr(args, f.name, None)
+        raw = getattr(args, f.name)
         if raw is not None:
             values[f.name] = _parse_value(f.name, raw)
     return ExperimentConfig(**values)
@@ -186,7 +204,7 @@ def load_dataset(config: ExperimentConfig) -> tuple[hadl_data.Dataset, str]:
     else:
         path = config.data_path or os.path.join("data", f"{name}.csv")
         if not os.path.exists(path):
-            raise HadlError(f"dataset file not found: {path} (set data_path)")
+            raise InvalidConfigError(f"dataset file not found: {path} (set data_path)")
         dataset = hadl_data.load_csv(path, convention, name=name)
     return hadl_data.standardize(dataset, convention), convention
 
@@ -483,59 +501,43 @@ def cmd_export_weights(checkpoint_path: str, out_path: str) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="hadl",
-        description=__doc__,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
+    """The `hadl` parser. A subcommand takes its arguments from parent parsers,
+    its own first, and binds the `run(args)` that `main` calls."""
+    keys = argparse.ArgumentParser(add_help=False)
+    keys.add_argument("--config", help="flat `key = value` config file")
+    for f in fields(ExperimentConfig):
+        keys.add_argument("--" + f.name.replace("_", "-"), dest=f.name, metavar="V",
+                          help=f"override config key {f.name} (default {f.default!r})")
+    workers = argparse.ArgumentParser(add_help=False)
+    workers.add_argument("--workers", type=int, default=1,
+                         help="run the grid's jobs in N parallel processes")
+    axis = argparse.ArgumentParser(add_help=False)
+    axis.add_argument("axis", choices=ABLATION_AXES)
+    axis.add_argument("--params-only", action="store_true",
+                      help="skip training; emit parameter counts only")
+    parser = argparse.ArgumentParser(prog="hadl", description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_config_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", help="flat `key = value` config file")
-        for f in fields(ExperimentConfig):
-            flag = "--" + f.name.replace("_", "-")
-            p.add_argument(flag, dest=f.name, metavar="V",
-                           help=f"override config key {f.name} (default {f.default!r})")
-
-    p_train = sub.add_parser("train", help="train and evaluate per horizon")
-    p_train.add_argument("--workers", type=int, default=1,
-                         help="run the (horizon, seed) grid in N parallel processes")
-    add_config_args(p_train)
-
-    p_rob = sub.add_parser("robustness", help="noise sweep with NRR/MAV report")
-    p_rob.add_argument("--workers", type=int, default=1,
-                       help="train the noise intensities in N parallel processes")
-    add_config_args(p_rob)
-
-    p_abl = sub.add_parser("ablate", help="variant-grid table for one axis")
-    p_abl.add_argument("axis", choices=ABLATION_AXES)
-    p_abl.add_argument("--params-only", action="store_true",
-                       help="skip training; emit parameter counts only")
-    add_config_args(p_abl)
-
-    p_params = sub.add_parser("params", help="print parameter counts")
-    add_config_args(p_params)
-
+    sub.add_parser("train", parents=[workers, keys], help="train and evaluate per horizon"
+                   ).set_defaults(run=lambda a: cmd_train(resolve_config(a), a.workers))
+    sub.add_parser("robustness", parents=[workers, keys], help="noise sweep with NRR/MAV report"
+                   ).set_defaults(run=lambda a: cmd_robustness(resolve_config(a), a.workers))
+    sub.add_parser("ablate", parents=[axis, keys], help="variant-grid table for one axis"
+                   ).set_defaults(run=lambda a: cmd_ablate(resolve_config(a), a.axis,
+                                                           a.params_only))
+    sub.add_parser("params", parents=[keys], help="print parameter counts"
+                   ).set_defaults(run=lambda a: cmd_params(resolve_config(a)))
     p_export = sub.add_parser("export-weights", help="dump the forecaster as a CSV table")
     p_export.add_argument("checkpoint")
     p_export.add_argument("out")
-
+    p_export.set_defaults(run=lambda a: cmd_export_weights(a.checkpoint, a.out))
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "train":
-            cmd_train(resolve_config(args), workers=args.workers)
-        elif args.command == "robustness":
-            cmd_robustness(resolve_config(args), workers=args.workers)
-        elif args.command == "ablate":
-            cmd_ablate(resolve_config(args), args.axis, params_only=args.params_only)
-        elif args.command == "params":
-            cmd_params(resolve_config(args))
-        elif args.command == "export-weights":
-            cmd_export_weights(args.checkpoint, args.out)
+        args.run(args)
     except (HadlError, OSError, MemoryError) as exc:
         oom = "out of memory: " if isinstance(exc, MemoryError) else ""
         print(f"error: {oom}{exc}", file=sys.stderr)

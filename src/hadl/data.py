@@ -15,15 +15,14 @@ import hashlib
 import json
 import math
 import os
-import re
 import stat
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ConstantChannelError, HadlError, InvalidConfigError, ParseError,
-                     SegmentTooShortError, ShapeMismatchError)
+from .errors import (ConstantChannelError, InvalidConfigError, ParseError, SegmentTooShortError,
+                     ShapeMismatchError)
 
 
 @dataclass(frozen=True)
@@ -126,28 +125,6 @@ def open_text(path):
             yield handle
         except UnicodeDecodeError as exc:
             raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
-
-
-def read_key_values(path) -> dict[str, tuple[int, str]]:
-    """key -> (line number, value), both stripped, of a flat `key = value`
-    file (see `open_text`). A '#' at a line's start or after whitespace opens
-    a comment (`runs#2` keeps its '#'). A line without '=' or a key listed
-    twice raises a ParseError."""
-    entries: dict[str, tuple[int, str]] = {}
-    with open_text(path) as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = re.sub(r"(^|\s)#.*", "", line, count=1).strip()
-            if not line:
-                continue
-            key, equals, value = line.partition("=")
-            key = key.strip()
-            if not equals:
-                raise ParseError(f"{path}: line {line_no}: expected `key = value`")
-            if key in entries:
-                raise ParseError(f"{path}: line {line_no}: {key!r} is listed twice,"
-                                 f" first on line {entries[key][0]}")
-            entries[key] = line_no, value.strip()
-    return entries
 
 
 def load_csv(path, convention: str, name: str | None = None) -> Dataset:
@@ -391,7 +368,7 @@ def inject_noise(segment: Segment, eta: float, seed: int) -> Segment:
 
     Pure: the input segment (and anything sharing its memory) is untouched.
     eta = 0 returns a bit-identical copy. An eta whose noisy values overflow
-    float64 is a HadlError naming it, not an overflow warning and a
+    float64 is an InvalidConfigError naming it, not an overflow warning and a
     diverged run.
     """
     if eta < 0.0:
@@ -404,7 +381,7 @@ def inject_noise(segment: Segment, eta: float, seed: int) -> Segment:
             noise *= eta  # the bits of values + eta * noise, in one array
             noise += segment.values
     except FloatingPointError:
-        raise HadlError(f"noise intensity eta={eta!r} overflows float64") from None
+        raise InvalidConfigError(f"noise intensity eta={eta!r} overflows float64") from None
     return Segment(segment.name, noise)
 
 

@@ -57,10 +57,6 @@ class HadlModel:
     def rank(self) -> int | None:
         return None if self.P is None else int(self.P.shape[1])
 
-    @property
-    def with_bias(self) -> bool:
-        return self.bias is not None
-
 
 @dataclass(frozen=True)
 class ParamCount:

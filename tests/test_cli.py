@@ -134,6 +134,17 @@ class TestConfig:
         assert main(["params", "--config", str(cfg_file)]) == 1
         assert capsys.readouterr().err == f"error: {cfg_file}: line 2: expected `key = value`\n"
 
+    def test_first_bad_line_decides(self, tmp_path, capsys):
+        # the repeated key on line 3 was reported, ahead of line 1's unknown key
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("no_such_key = 1\nlookback = 96\nlookback = 512\n")
+        message = f"{cfg_file}: line 1: unknown config key 'no_such_key'"
+        with pytest.raises(InvalidConfigError) as caught:
+            read_config_file(cfg_file)
+        assert str(caught.value) == message
+        assert main(["params", "--config", str(cfg_file)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_flag_overrides_file(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text("lookback = 64\nseed = 3\n")
@@ -247,6 +258,12 @@ class TestTrainCommand:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
+
+    def test_missing_dataset_is_an_invalid_config(self, tmp_path):
+        path = tmp_path / "absent.csv"
+        with pytest.raises(InvalidConfigError) as caught:
+            load_dataset(ExperimentConfig(dataset="ETTh1", data_path=str(path)))
+        assert str(caught.value) == f"dataset file not found: {path} (set data_path)"
 
     def test_config_file_supplies_path_and_convention(self, tmp_path, capsys):
         csv_path = tmp_path / "series.csv"
@@ -1187,6 +1204,32 @@ def test_unwritable_ingest_cache_changes_nothing(tmp_path, capsys, monkeypatch):
     assert unwritable[0] == 0 and unwritable[2] == ""
     assert list((tmp_path / "__hadlcache__").iterdir()) == []
     assert cache_run(tmp_path, capsys) == unwritable
+
+
+@pytest.mark.parametrize("command", ["train", "robustness", "ablate", "params"])
+def test_config_commands_take_every_key(command):
+    argv = [command, "dct"] if command == "ablate" else [command]
+    argv += ["--config", "run.cfg"]
+    for key in hadl.cli._KEY_TYPES:
+        argv += ["--" + key.replace("_", "-"), f"{key}-value"]
+    args = hadl.cli.build_parser().parse_args(argv)
+    assert args.config == "run.cfg"
+    assert all(getattr(args, key) == f"{key}-value" for key in hadl.cli._KEY_TYPES)
+    if command in ("train", "robustness"):
+        assert hadl.cli.build_parser().parse_args([command, "--workers", "2"]).workers == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["ablate", "dct", "--workers", "2"],
+    ["params", "--workers", "2"],
+    ["export-weights", "a.npz", "b.csv", "--rank", "4"],
+    ["export-weights", "a.npz", "b.csv", "--config", "run.cfg"],
+])
+def test_a_flag_the_command_lacks_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as caught:
+        main(argv)
+    assert caught.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_module_entry_point_help():

@@ -549,6 +549,12 @@ class TestInjectNoise:
         with pytest.raises(InvalidConfigError, match="eta must be >= 0, got -0.1"):
             inject_noise(Segment("s", np.zeros((1, 4))), -0.1, seed=0)
 
+    def test_overflowing_eta_is_an_invalid_config(self):
+        # an out-of-range config value, like a negative eta
+        with pytest.raises(InvalidConfigError) as caught:
+            inject_noise(Segment("s", np.zeros((2, 200))), 1e308, seed=0)
+        assert str(caught.value) == "noise intensity eta=1e+308 overflows float64"
+
     @settings(max_examples=80, deadline=None)
     @given(
         values=arrays(np.float64, st.tuples(st.integers(1, 3), st.integers(1, 40)),

@@ -62,7 +62,7 @@ def oracle_stages(model) -> tuple[np.ndarray, np.ndarray]:
         T = T @ linear_stage(lambda x: haar_forward(x).approx, L)
     if model.use_dct:
         T = (2.0 / L) * T @ linear_stage(dct2_bruteforce, T.shape[1])
-    return T, model.bias if model.with_bias else np.zeros(model.horizon)
+    return T, model.bias if model.bias is not None else np.zeros(model.horizon)
 
 
 def oracle_test_errors(path: Path, model) -> tuple[float, float]:
