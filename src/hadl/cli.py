@@ -117,8 +117,11 @@ class ExperimentConfig(TrainConfig):
 _KEY_TYPES = typing.get_type_hints(ExperimentConfig)
 
 
-def _parse_value(name: str, text: str):
-    kind, text = _KEY_TYPES[name], text.strip()
+def _parse_value(name: str, text: str, kind=None):
+    """`text` parsed as config key `name`'s type, or as `kind` for a flag
+    that is no key; a value that does not parse is an InvalidConfigError."""
+    label = f"config key {name}" if kind is None else name
+    kind, text = kind or _KEY_TYPES[name], text.strip()
     try:
         if typing.get_origin(kind) is tuple:
             elem = typing.get_args(kind)[0]
@@ -132,7 +135,16 @@ def _parse_value(name: str, text: str):
             raise ValueError(f"expected a boolean, got {text!r}")
         return kind(text)
     except ValueError as exc:
-        raise InvalidConfigError(f"config key {name}: {exc}") from exc
+        raise InvalidConfigError(f"{label}: {exc}") from exc
+
+
+class _IntFlag(argparse.Action):
+    """Stores an integer flag that is no config key, parsed by `_parse_value`
+    (argparse's `type=int` would print a usage block and exit 2), so a bad
+    value fails in one line, as a bad config value does."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, _parse_value(self.dest, values, int))
 
 
 def read_config_file(path) -> dict:
@@ -235,6 +247,7 @@ def run_single(job: ExperimentConfig, horizon: int, data, train_outputs: bool = 
     `window_stats`, with no forecast. train_outputs adds what only `train`
     writes: the test MAE, from one forecast pass over the test windows
     (`evaluate`), and trace.final_grad_norm, from the training windows'
+    statistics: those `train` summed on its last epoch, else their
     `window_stats`. Without it the MAE is None and the norm stays NaN.
     """
     w_train, w_val, w_test = prepare_windows(job, horizon, data)
@@ -243,12 +256,13 @@ def run_single(job: ExperimentConfig, horizon: int, data, train_outputs: bool = 
                        use_haar=job.use_haar, use_dct=job.use_dct, head=job.head,
                        with_bias=job.with_bias)
     F = dct_matrix(model)
-    best, trace = train(model, w_train, w_val, job, F)
+    best, trace, train_stats = train(model, w_train, w_val, job, F)
     test_mae = None
     if train_outputs:
         # looked up on hadl.optim, where the benchmark's tracer wraps it
         trace.final_grad_norm = hadl_optim.dense_equivalent_grad_norm(
-            best, hadl_optim.window_stats(best, w_train), F)
+            best, hadl_optim.window_stats(best, w_train) if train_stats is None else train_stats,
+            F)
         test_mae = evaluate(best, w_test, F)
     report = hadl_metrics.EvalReport(
         dataset=data[0].name,
@@ -509,7 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
         keys.add_argument("--" + f.name.replace("_", "-"), dest=f.name, metavar="V",
                           help=f"override config key {f.name} (default {f.default!r})")
     workers = argparse.ArgumentParser(add_help=False)
-    workers.add_argument("--workers", type=int, default=1,
+    workers.add_argument("--workers", action=_IntFlag, default=1,
                          help="run the grid's jobs in N parallel processes")
     axis = argparse.ArgumentParser(add_help=False)
     axis.add_argument("axis", choices=ABLATION_AXES)
@@ -535,8 +549,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)  # `_IntFlag` raises InvalidConfigError
         args.run(args)
     except (HadlError, OSError, MemoryError) as exc:
         oom = "out of memory: " if isinstance(exc, MemoryError) else ""

@@ -129,16 +129,22 @@ def haar_rows(model: HadlModel, X) -> np.ndarray:
     return haar_batch(X) if model.use_haar else X
 
 
-def haar_series(model: HadlModel, batch):
-    """(s, step, last) for a WindowBatch of the model's lookback and horizon:
-    feature i of the window at origin b is s[c, b + step*i], where s =
-    haar_pairs(values) and step = 2 (s = values and step = 1 with the Haar
-    stage off), and `last` is one past the last sample of s any feature reads."""
+def check_windows(model: HadlModel, batch) -> None:
+    """Raise ShapeMismatchError unless a WindowBatch's windows have the
+    model's lookback and horizon."""
     if (batch.lookback, batch.horizon) != (model.lookback, model.horizon):
         raise ShapeMismatchError(
             f"windows have lookback/horizon {batch.lookback}/{batch.horizon},"
             f" model has {model.lookback}/{model.horizon}"
         )
+
+
+def haar_series(model: HadlModel, batch):
+    """(s, step, last) for a WindowBatch of the model's lookback and horizon:
+    feature i of the window at origin b is s[c, b + step*i], where s =
+    haar_pairs(values) and step = 2 (s = values and step = 1 with the Haar
+    stage off), and `last` is one past the last sample of s any feature reads."""
+    check_windows(model, batch)
     s, step = (haar_pairs(batch.values), 2) if model.use_haar else (batch.values, 1)
     return s, step, step * (model.d_in - 1) + len(batch)
 

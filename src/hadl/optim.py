@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields, replace
 from functools import cache
+from operator import add
 from typing import NamedTuple
 
 import numpy as np
@@ -22,6 +23,7 @@ from .model import (
     HEAD_DENSE,
     HEAD_LOW_RANK,
     HadlModel,
+    check_windows,
     effective_weight,
     fold_dct,
     haar_series,
@@ -32,6 +34,7 @@ from .model import (
     transform_inputs,  # noqa: F401  (hadl.optim.transform_inputs: a benchmark tracing target)
     window_rows,
 )
+from .transforms import haar_halves
 
 # Rows per block of the test MAE pass (`evaluate`): it takes max(1, EVAL_ROWS
 # // channels) whole windows at a time, so its Haar-row, target and forecast
@@ -52,6 +55,10 @@ from .model import (
 # beyond. End to end (benchmark/run.py, seed 11), wide_train peaked at 135 MB
 # RSS with 64-window blocks, 62 MB from 256 to 2048 rows and 85 MB at 8192;
 # etth1_train stayed at 90.6 MB up to 2048 rows and rose to 160 MB at 8192.
+# The sweep gathered every block. From EVAL_ROWS // 2 + 1 channels up a
+# block is one window, which is read in place instead (`_window_views`): at
+# wide_train's test shape (245 windows of 321 channels, H = 96) a pass took
+# 94 ms against 145 ms gathered, with one BLAS thread.
 EVAL_ROWS = 512
 
 # ADAM's moment decay rates and denominator guard: Kingma & Ba's (ICLR 2015)
@@ -261,17 +268,39 @@ def _gather_blocks(model: HadlModel, batch, order, size: int):
         yield S_buf[: len(idx)].reshape(rows, -1), Y_buf[: len(idx)].reshape(rows, -1), out[:rows]
 
 
+def _window_views(model: HadlModel, batch):
+    """Every window of a WindowBatch in origin order, each a block of its own
+    read in place: views of its (channels, d_in) Haar rows and (channels, H)
+    targets, and a (channels, H) scratch array for the forecast. The rows
+    are a slice of the values' `haar_halves`, built instead of the
+    interleaved `haar_series`: window w reads halves[w % 2][:, w//2 : w//2 +
+    d_in], bit-equal to its `window_rows` (with the Haar stage off, the one
+    "half" is the values themselves, at step 1). The caller may overwrite only the scratch: the targets
+    are views of the series itself."""
+    check_windows(model, batch)
+    x, d, L, H = batch.values, model.d_in, model.lookback, model.horizon
+    halves, step = (haar_halves(x), 2) if model.use_haar else ((x,), 1)
+    out = np.empty((x.shape[0], H))
+    for w in range(len(batch)):
+        start = w // step
+        yield halves[w % step][:, start : start + d], x[:, w + L : w + L + H], out
+
+
 def evaluate(model: HadlModel, batch, F: np.ndarray | None) -> float:
     """MAE of the model's forecasts, its head folded with F (see `fold_dct`),
     for every window of a WindowBatch, summed block by block in origin order
-    (see EVAL_ROWS) with no full-set array. The MSE needs none: `window_mse`."""
+    (see EVAL_ROWS) with no full-set array. A block of one window reads its
+    rows and targets in place (`_window_views`); larger blocks are gathered
+    (`_gather_blocks`). The MSE needs no pass: `window_mse`."""
     folded = fold_dct(model, F)
     absolute = 0.0
     size = max(1, EVAL_ROWS // batch.values.shape[0])
-    for rows, target, out in _gather_blocks(folded, batch, range(len(batch)), size):
+    blocks = (_window_views(folded, batch) if size == 1
+              else _gather_blocks(folded, batch, range(len(batch)), size))
+    for rows, target, out in blocks:
         head_into(folded, rows, out)
         diff = np.subtract(out, target, out=out)
-        absolute += float(np.sum(np.abs(diff, out=target)))
+        absolute += float(np.sum(np.abs(diff, out=diff)))
     return absolute / (len(batch) * batch.values.shape[0] * folded.horizon)
 
 
@@ -305,11 +334,18 @@ def _channel_sums(s: np.ndarray, x: np.ndarray, lookback: int, last: int):
             np.einsum("ct,ct->t", targets, targets))
 
 
-# Channels per block of `window_stats`: its FFTs and GEMMs hold a few
-# series-length arrays for this many channels at a time. wide_train's peak
+# Channels per block of the FFTs of `window_stats`: each block's spectra
+# hold a few series-length arrays for this many channels. wide_train's peak
 # RSS is set while the validation statistics are computed beside the
 # training `LagTables`: 63.2 MB with blocks of 16 and 72.8 MB with every
 # channel in one block, against 63.8 MB for the lag-by-lag products before.
+# The shift products take every channel at once, one GEMM per shift and
+# product on channels x (d_in - 1) operands: at wide_train's train shape
+# (321 channels, 583 windows) they took 6.2 to 7.1 ms per call against 13.5
+# to 23.2 ms in blocks of 16 (min of 5, two runs, one BLAS thread), and
+# raised hadl's own peak RSS by about 1.5 MB, numpy's contiguous copies of
+# their strided operands. At 16 channels or fewer there is one block, so
+# the two orders give the same bits.
 STATS_BLOCK = 16
 
 
@@ -342,15 +378,16 @@ def window_stats(model: HadlModel, batch) -> BatchStats:
     columns determine every other entry. Each of those is a channel-summed
     cross-correlation of a length-n head segment against a whole series,
     computed by FFT at a 5-smooth length no shorter than the series
-    (`_fft_length`), so no circular wrap reaches a lag it reads; the
-    updates are GEMMs. Both run over
-    blocks of STATS_BLOCK channels. That costs O(channels * timesteps *
+    (`_fft_length`), so no circular wrap reaches a lag it reads, over
+    blocks of STATS_BLOCK channels; the updates are GEMMs over every
+    channel at once. That costs O(channels * timesteps *
     log(timesteps)) for the correlations and O(channels * step * d_in *
     (d_in + H)) for the updates, where blocked row products cost O(rows *
     d_in * (d_in + H)). With one BLAS thread, the faster of two runs took,
     at ETTh1's train shape (7 channels, L = 512), 6.8 ms at H = 96 and 5.3
     ms at H = 720, where lag-by-lag products took 60 and 106 ms; at
-    wide_train's (321 channels, H = 96), 31 ms against 227 ms. It agrees
+    wide_train's (321 channels, H = 96), 31 ms against 227 ms, and 27.5 ms
+    (median of 7) with the shift products over every channel. It agrees
     with the lag-by-lag sums to 2e-15 relative: each recurrence carries the
     rounding of at most d_in additions along a diagonal.
     """
@@ -362,8 +399,6 @@ def window_stats(model: HadlModel, batch) -> BatchStats:
     # channel-summed spectra of the correlations: G's first row, C's first
     # row, then C's first `cols` columns
     spectra = np.zeros((2 + cols, size // 2 + 1), dtype=complex)
-    gram_moves = np.zeros((d - 1, d - 1))
-    cross_moves = np.zeros((d - 1, max(H - step, 0)))
     for c in range(0, x.shape[0], STATS_BLOCK):
         sb, xb = s[c : c + STATS_BLOCK, :last], x[c : c + STATS_BLOCK]
         series = np.fft.rfft(sb, size)
@@ -373,14 +408,16 @@ def window_stats(model: HadlModel, batch) -> BatchStats:
         for h in range(cols):
             spectra[2 + h] += (np.fft.rfft(xb[:, L + h : L + h + n], size).conj()
                                * series).sum(axis=0)
-        for k in range(step):
-            # features 0..d-2 and targets 0..H-step-1 of the samples that
-            # enter (n + k) and leave (k) a window at each shift
-            enter = sb[:, n + k : n + k + step * (d - 1) : step]
-            leave = sb[:, k : k + step * (d - 1) : step]
-            gram_moves += enter.T @ enter - leave.T @ leave
-            cross_moves += (enter.T @ xb[:, n + L + k : n + L + H - step + k]
-                            - leave.T @ xb[:, L + k : L + H - step + k])
+    gram_moves = np.zeros((d - 1, d - 1))
+    cross_moves = np.zeros((d - 1, max(H - step, 0)))
+    for k in range(step):
+        # features 0..d-2 and targets 0..H-step-1 of the samples that enter
+        # (n + k) and leave (k) a window at each shift, over every channel
+        enter = s[:, n + k : n + k + step * (d - 1) : step]
+        leave = s[:, k : k + step * (d - 1) : step]
+        gram_moves += enter.T @ enter - leave.T @ leave
+        cross_moves += (enter.T @ x[:, n + L + k : n + L + H - step + k]
+                        - leave.T @ x[:, L + k : L + H - step + k])
     lags = np.fft.irfft(spectra, size)
     features = slice(0, step * (d - 1) + 1, step)  # the lags of features 0..d-1
     gram = np.empty((d, d))
@@ -637,7 +674,7 @@ def train(
     val_windows,
     config: TrainConfig,
     F: np.ndarray | None,
-) -> tuple[HadlModel, TrainTrace]:
+) -> tuple[HadlModel, TrainTrace, BatchStats | None]:
     """Mini-batch ADAM with seeded shuffling and best-snapshot early stopping.
 
     `steps_from_stats` picks, from the shapes alone, where every step takes
@@ -649,6 +686,13 @@ def train(
     caller's, so a job builds it once; an F not the model's fails on entry
     (`fold_dct`), before any table or step. `final_grad_norm` is left NaN
     (see TrainTrace).
+
+    Returns (best model, trace, statistics). Each epoch's batches partition
+    the training windows, so on the statistics path the last epoch's batch
+    statistics, summed in its order, are the training windows'
+    `window_stats` to rounding (1e-12 relative in the tests): a caller
+    takes the grad norm from them without another pass. They are None on
+    the rows path and when no epoch ran.
 
     Validation MSE (without the L1 term) comes after every epoch from the
     quadratic form of the validation windows' `window_stats`, computed on
@@ -666,8 +710,9 @@ def train(
         raise SegmentTooShortError("training and validation window sets must be non-empty")
 
     # the step source, once: a gradient function and the epoch's batches of it
-    if steps_from_stats(train_windows.values.shape[0], model.d_in, model.horizon, model.rank,
-                        model.head):
+    from_stats = steps_from_stats(train_windows.values.shape[0], model.d_in, model.horizon,
+                                  model.rank, model.head)
+    if from_stats:
         gradients, tables = _gradients_from_stats, cache(lambda: LagTables(model, train_windows))
         batches = lambda order: map(tables().stats,
                                     (order[a : a + size] for a in range(0, n_train, size)))
@@ -679,18 +724,20 @@ def train(
     params = best_params = model_params(model)
     state = init_adam(params)
     rng = np.random.default_rng(config.seed)
-    trace = TrainTrace()
+    trace, summed = TrainTrace(), None
     for epoch in range(config.max_epochs):
         # overflow and invalid values of a diverging run become the
         # DivergedError below instead of warnings
         with np.errstate(over="ignore", invalid="ignore"):
-            loss_sum, row_count = 0.0, 0
+            loss_sum, row_count, summed = 0.0, 0, None
             for block in batches(rng.permutation(n_train)):
                 grads, batch_loss, rows = gradients(replace_params(model, params), block,
                                                     config.l1_lambda, F)
                 params, state = adam_step(state, params, grads, config)
                 loss_sum += batch_loss * rows
                 row_count += rows
+                if from_stats:
+                    summed = block if summed is None else BatchStats(*map(add, summed, block))
             del block  # the epoch's step arrays go before the next epoch makes its own
             trace.train_loss.append(loss_sum / row_count)
             val_mse = window_mse(replace_params(model, params), val_stats(), F)
@@ -706,7 +753,7 @@ def train(
             trace.stopped_early = True
             break
 
-    return replace_params(model, best_params), trace
+    return replace_params(model, best_params), trace, summed
 
 
 def write_trace_csv(trace: TrainTrace, path, fingerprint: str = "") -> None:

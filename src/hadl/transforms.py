@@ -43,6 +43,21 @@ def haar_pairs(x) -> np.ndarray:
     return (x[..., :-1] + x[..., 1:]) / SQRT2
 
 
+def haar_halves(x) -> tuple[np.ndarray, np.ndarray]:
+    """`haar_pairs(x)` split by parity, built straight from x: halves[p] =
+    haar_pairs(x)[..., p::2] bit for bit. The Haar approximation of the
+    length-L window starting at t is then the contiguous slice halves[t %
+    2][..., t//2 : t//2 + L/2]. Each half is divided in place, so the two
+    together never hold more than one `haar_pairs` series."""
+    x = np.asarray(x, dtype=np.float64)
+    halves = []
+    for p in (0, 1):
+        half = x[..., p:-1:2] + x[..., p + 1 :: 2]
+        half /= SQRT2
+        halves.append(half)
+    return halves[0], halves[1]
+
+
 @lru_cache(maxsize=16)
 def _cosines(n: int) -> np.ndarray:
     # M[k, m] = cos(pi * (m + 1/2) * k / n); y = M @ x

@@ -151,7 +151,7 @@ def test_criterion_5_realizable_task_convergence():
         batch_size=64, seed=1,
     )
     model = init_model(64, 16, 2, seed=5)
-    _, trace = train(model, w_train, w_val, config, dct_matrix(model))
+    _, trace, _ = train(model, w_train, w_val, config, dct_matrix(model))
     assert min(trace.val_mse) < 1e-4
     assert len(trace.val_mse) <= 200
     assert time.monotonic() - start < 30.0

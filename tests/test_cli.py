@@ -442,7 +442,9 @@ class TestFullSetPasses:
         cmd_train(synth_config(tmp_path, horizons=(8, 16), seeds=(1, 2), max_epochs=3,
                                patience=3, synth_channels=channels))
         assert len(evaluations) == 4 and evaluations_in_train == []
-        assert len(stats) == 4 * 3  # validation, the grad norm and the test MSE
+        # validation, the test MSE and, on the rows path, the grad norm: the
+        # statistics path sums the training windows' statistics as it steps
+        assert len(stats) == 4 * (2 if channels == 40 else 3)
         assert dct_builds == [1] * 4
         jobs = [line for line in capsys.readouterr().out.splitlines() if line.startswith("job ")]
         assert len(jobs) == 4 and all(" test_mae=" in line for line in jobs)
@@ -904,6 +906,20 @@ def test_workers_below_one_fail_before_any_job(tmp_path, capsys, command, worker
     assert rc == 1
     assert out == ""
     assert err.splitlines() == [f"error: workers must be >= 1, got {workers}"]
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "robustness"])
+@pytest.mark.parametrize("workers", ["abc", "1.5"])
+def test_workers_that_do_not_parse_fail_in_one_line(tmp_path, capsys, command, workers):
+    # argparse's type=int printed its usage block and exited 2
+    rc = main([command, "--workers", workers, "--dataset", "sine_mix", "--lookback", "32",
+               "--horizons", "8", "--outdir", str(tmp_path / "runs")])
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert out == ""
+    assert err.splitlines() == [
+        f"error: workers: invalid literal for int() with base 10: {workers!r}"]
     assert not (tmp_path / "runs").exists()
 
 

@@ -26,6 +26,7 @@ from hadl.data import (
     inject_noise,
     load_csv,
     split,
+    standardize,
     synth,
     windows,
 )
@@ -474,6 +475,26 @@ class TestScaler:
         scaler_b, *_ = fit_transform(train, val_b)
         assert np.array_equal(scaler_a.mean, scaler_b.mean)
         assert np.array_equal(scaler_a.std, scaler_b.std)
+
+
+class TestStandardize:
+    """`standardize` z-scores the whole series on the statistics of the
+    convention's train segment alone."""
+
+    @pytest.mark.parametrize("convention, timesteps", [("etth", 14500), ("ratio", 500)])
+    def test_train_segment_alone_sets_the_scale(self, convention, timesteps):
+        datasets = [fake_dataset(channels=3, timesteps=timesteps, seed=5) for _ in range(2)]
+        train_end = split(datasets[0], convention)[0].values.shape[1]
+        for dataset in datasets:
+            dataset.series.values[:] = 7.0 + 3.0 * dataset.series.values
+        later = datasets[1].series.values[:, train_end:]
+        later[:] = 100.0 + 5.0 * later  # values past the train segment, changed
+        trains = [split(standardize(dataset, convention), convention)[0].values
+                  for dataset in datasets]
+        assert trains[0].shape[1] == train_end
+        assert np.array_equal(trains[0], trains[1])
+        assert_allclose(trains[0].mean(axis=1), np.zeros(3), rtol=0, atol=1e-12)
+        assert_allclose(trains[0].std(axis=1), np.ones(3), rtol=1e-12, atol=0)
 
 
 class TestWindows:

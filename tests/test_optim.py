@@ -245,7 +245,7 @@ class TestTrain:
         cfg = TrainConfig(learning_rate=0.01, l1_lambda=0.0, max_epochs=200,
                           patience=200, batch_size=64, seed=1)
         model = init_model(64, 16, 2, seed=5)
-        best, trace = train(model, w_train, w_val, cfg, dct_matrix(model))
+        best, trace, _ = train(model, w_train, w_val, cfg, dct_matrix(model))
         assert min(trace.val_mse) < 1e-4
         assert trace.best_epoch == int(np.argmin(trace.val_mse))
 
@@ -254,7 +254,7 @@ class TestTrain:
         cfg = TrainConfig(learning_rate=0.01, l1_lambda=0.0, max_epochs=30,
                           patience=1, batch_size=64, seed=1)
         model = init_model(64, 16, 2, seed=5)
-        _, trace = train(model, w_train, w_train, cfg, dct_matrix(model))
+        _, trace, _ = train(model, w_train, w_train, cfg, dct_matrix(model))
         assert not trace.stopped_early
         assert len(trace.val_mse) == 30
 
@@ -262,7 +262,7 @@ class TestTrain:
         w_train, w_val, _ = realizable_windows()
         cfg = TrainConfig(max_epochs=0, patience=1, seed=0)
         model = init_model(64, 16, 2, seed=5)
-        best, trace = train(model, w_train, w_val, cfg, dct_matrix(model))
+        best, trace, _ = train(model, w_train, w_val, cfg, dct_matrix(model))
         assert models_equal(best, model)
         assert trace.train_loss == [] and trace.val_mse == []
         assert trace.best_epoch == -1
@@ -278,8 +278,8 @@ class TestTrain:
         w_train, w_val, _ = realizable_windows()
         cfg = TrainConfig(learning_rate=0.01, max_epochs=20, patience=20, seed=3)
         model = init_model(64, 16, 2, seed=5)
-        best_a, trace_a = train(model, w_train, w_val, cfg, dct_matrix(model))
-        best_b, trace_b = train(model, w_train, w_val, cfg, dct_matrix(model))
+        best_a, trace_a, _ = train(model, w_train, w_val, cfg, dct_matrix(model))
+        best_b, trace_b, _ = train(model, w_train, w_val, cfg, dct_matrix(model))
         assert models_equal(best_a, best_b)
         assert trace_a.train_loss == trace_b.train_loss
         assert trace_a.val_mse == trace_b.val_mse
@@ -290,7 +290,7 @@ class TestTrain:
                           patience=600, batch_size=64, seed=1)
         model = init_model(64, 16, 2, seed=5)
         F = dct_matrix(model)
-        best, _ = train(model, w_train, w_val, cfg, F)
+        best, _, _ = train(model, w_train, w_val, cfg, F)
         assert dense_equivalent_grad_norm(best, window_stats(best, w_train), F) < 1e-3
 
     def test_l1_shrinks_weights_monotonically(self):
@@ -300,7 +300,7 @@ class TestTrain:
         for lam in (0.0, 1e-4, 1e-3):
             cfg = TrainConfig(learning_rate=0.01, l1_lambda=lam, max_epochs=150,
                               patience=150, batch_size=64, seed=1)
-            best, _ = train(model, w_train, w_val, cfg, dct_matrix(model))
+            best, _, _ = train(model, w_train, w_val, cfg, dct_matrix(model))
             norms.append(l1_penalty(model_params(best)))
         assert norms[0] >= norms[1] >= norms[2]
 
@@ -321,8 +321,22 @@ class TestTrain:
         for seed in range(4):
             w_train, w_val, _ = realizable_windows(lookback, horizon, channels, seed=seed)
             assert forecast_mse(model, w_val) == 0.0 and evaluate(model, w_val, None) == 0.0
-            _, trace = train(model, w_train, w_val, cfg, dct_matrix(model))
+            _, trace, _ = train(model, w_train, w_val, cfg, dct_matrix(model))
             assert all(0.0 <= mse < 1e-12 for mse in trace.val_mse), trace.val_mse
+
+    @pytest.mark.parametrize("patience", [1, 2])
+    def test_stops_patience_epochs_after_the_best(self, monkeypatch, patience):
+        # a scripted validation sequence: the best at epoch 2, then a tie
+        # (no strict improvement) and rises; stopping one epoch late kept
+        # every other test passing
+        scripted = iter([3.0, 2.5, 2.0, 2.0, 2.1, 2.2, 2.3, 2.4, 2.5, 2.6])
+        monkeypatch.setattr(hadl.optim, "window_mse", lambda *args: next(scripted))
+        w_train, w_val, _ = realizable_windows()
+        cfg = TrainConfig(max_epochs=10, patience=patience, seed=0)
+        model = init_model(64, 16, 2, seed=5)
+        _, trace, _ = train(model, w_train, w_val, cfg, dct_matrix(model))
+        assert trace.best_epoch == 2 and trace.stopped_early
+        assert len(trace.val_mse) == trace.best_epoch + 1 + patience
 
     def test_empty_windows_rejected(self):
         w_train, w_val, _ = realizable_windows()
@@ -341,7 +355,7 @@ class TestTrain:
         cfg = TrainConfig(learning_rate=0.2, l1_lambda=0.0, max_epochs=40,
                           patience=5, batch_size=64, seed=2)
         model = init_model(64, 16, 2, seed=6)
-        best, trace = train(model, w_train, w_val, cfg, dct_matrix(model))
+        best, trace, _ = train(model, w_train, w_val, cfg, dct_matrix(model))
         from hadl.model import head_apply, transform_inputs
 
         A_val = transform_inputs(best, w_val.inputs).reshape(-1, best.d_in)
@@ -369,7 +383,7 @@ class TestBufferedSteps:
         cfg = TrainConfig(learning_rate=0.05, l1_lambda=1e-4, max_epochs=8, patience=3,
                           batch_size=batch_size, seed=4)
         model = init_model(64, 16, 2, seed=5, **model_kwargs)
-        best, trace = train(model, w_train, w_val, cfg, dct_matrix(model))
+        best, trace, _ = train(model, w_train, w_val, cfg, dct_matrix(model))
         ref_best, ref_train_loss, ref_val_mse = reference_train(model, w_train, w_val, cfg)
         assert trace.train_loss == ref_train_loss
         assert_allclose(trace.val_mse, ref_val_mse, rtol=1e-12, atol=0.0)
@@ -397,7 +411,7 @@ class TestStatisticsSteps:
         monkeypatch.setattr(hadl.optim, "_gradients_from_rows", no_row_steps)
         cfg = TrainConfig(learning_rate=0.05, l1_lambda=1e-4, max_epochs=3, patience=3,
                           batch_size=48, seed=4)  # 201 windows: a final batch of 9
-        best, trace = train(model, w_train, w_val, cfg, dct_matrix(model))
+        best, trace, _ = train(model, w_train, w_val, cfg, dct_matrix(model))
         monkeypatch.undo()
         ref_best, ref_train_loss, ref_val_mse = reference_train(model, w_train, w_val, cfg)
         assert trace.best_epoch == int(np.argmin(ref_val_mse))
@@ -406,6 +420,36 @@ class TestStatisticsSteps:
         for name, want in model_params(ref_best).items():
             got = model_params(best)[name]
             assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("channels", [19, 40])
+    @pytest.mark.parametrize("use_haar", [True, False])
+    @pytest.mark.parametrize("head", [HEAD_LOW_RANK, HEAD_DENSE])
+    def test_returns_the_training_windows_statistics(self, channels, use_haar, head):
+        # the last epoch's batches, summed, stand in for the grad norm's
+        # window_stats pass over the training windows
+        lookback = 64 if use_haar else 32
+        values = 0.5 + np.random.default_rng(channels).normal(size=(channels, 300))
+        w_train = WindowBatch(values[:, :230], lookback, 16)
+        w_val = WindowBatch(values[:, 150:], lookback, 16)
+        model = init_model(lookback, 16, 4, seed=2, use_haar=use_haar, head=head)
+        assert steps_from_stats(channels, model.d_in, 16, model.rank, head)
+        cfg = TrainConfig(max_epochs=2, patience=2, batch_size=40, seed=1)
+        best, _, summed = train(model, w_train, w_val, cfg, dct_matrix(model))
+        want = window_stats(best, w_train)
+        assert summed.rows == want.rows == len(w_train) * channels
+        for got, expected in zip(summed[:5], want[:5]):
+            assert np.max(np.abs(np.subtract(got, expected))) <= 1e-12 * np.max(np.abs(expected))
+
+    def test_returns_no_statistics_from_rows_or_no_epoch(self):
+        w_train, w_val, _ = realizable_windows()
+        model = init_model(64, 16, 2, seed=5)
+        assert not steps_from_stats(3, model.d_in, 16, model.rank, model.head)
+        for epochs in (0, 1):
+            cfg = TrainConfig(max_epochs=epochs, patience=1, seed=0)
+            assert train(model, w_train, w_val, cfg, dct_matrix(model))[2] is None
+        on_stats = WindowBatch(np.random.default_rng(0).normal(size=(40, 200)), 64, 16)
+        cfg = TrainConfig(max_epochs=0, patience=1, seed=0)
+        assert train(model, on_stats, on_stats, cfg, dct_matrix(model))[2] is None
 
     def test_benchmark_shapes_fall_on_opposite_sides(self):
         # L = 512, r = 50: ETTh1 steps from rows, electricity and traffic from statistics
@@ -559,6 +603,20 @@ class TestBlockedPasses:
         bound = 4 * max(EVAL_ROWS, channels) * (model.d_in + 2 * horizon) * 8
         assert self.traced_peak(mae_pass, model, batch) < bound
 
+    @pytest.mark.parametrize("use_haar", [True, False])
+    def test_evaluate_memory_on_a_long_many_channel_segment(self, use_haar):
+        # one-window blocks read the Haar series in place: the pass holds one
+        # series, split by parity, and one block's forecast and A @ P. The
+        # interleaved series and its temporary peaked at two series
+        channels, lookback, horizon = 400, 128, 48
+        model = init_model(lookback, horizon, 8, seed=0, use_haar=use_haar)
+        batch = random_batch(channels, 2000, lookback, horizon, seed=12)
+        assert eval_windows(channels) == 1
+        series = channels * (batch.values.shape[1] - 1) * 8 if use_haar else 0
+        block = channels * (model.d_in + 2 * horizon) * 8
+        assert series > 10 * block or not use_haar
+        assert self.traced_peak(mae_pass, model, batch) <= series + block
+
 
 class TestOneFoldCheck:
     """`fold_dct` is the one check that an F belongs to a model, and every
@@ -621,7 +679,7 @@ def test_trace_csv_columns(tmp_path):
     w_train, w_val, _ = realizable_windows()
     cfg = TrainConfig(learning_rate=0.01, max_epochs=3, patience=3, seed=0)
     model = init_model(64, 16, 2, seed=0)
-    _, trace = train(model, w_train, w_val, cfg, dct_matrix(model))
+    _, trace, _ = train(model, w_train, w_val, cfg, dct_matrix(model))
     path = tmp_path / "trace.csv"
     write_trace_csv(trace, path)
     lines = path.read_text().strip().splitlines()

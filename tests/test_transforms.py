@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from hadl.errors import ShapeMismatchError
-from hadl.transforms import dct2_scaled, haar_batch
+from hadl.transforms import dct2_scaled, haar_batch, haar_halves, haar_pairs
 from oracles import (HaarPair, dct2_bruteforce, dct2_orthonormal, haar_forward, haar_inverse,
                      signal_energy)
 
@@ -82,6 +82,14 @@ class TestHaarBatch:
     def test_odd_length_propagates(self):
         with pytest.raises(ShapeMismatchError, match="length must be even"):
             haar_batch(np.zeros((1, 1, 5)))
+
+
+@pytest.mark.parametrize("length", range(2, 10))
+def test_haar_halves_are_the_pairs_split_by_parity(length):
+    x = np.random.default_rng(length).normal(size=(3, length))
+    pairs = haar_pairs(x)
+    for p, half in enumerate(haar_halves(x)):
+        assert half.flags.c_contiguous and np.array_equal(half, pairs[:, p::2])
 
 
 class TestDct2Raw:

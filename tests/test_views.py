@@ -33,6 +33,7 @@ from hadl.optim import (
     LagTables,
     TrainConfig,
     _gradients_from_stats,
+    _window_views,
     dense_equivalent_grad_norm,
     evaluate,
     train,
@@ -87,6 +88,19 @@ class TestViews:
         want = haar_batch(copies) if model.use_haar else copies
         assert rows.shape == want.shape and np.array_equal(rows, want)
         assert np.shares_memory(rows, batch.values) == (not model.use_haar)
+
+    @settings(max_examples=60, deadline=None)
+    @given(cases())
+    def test_one_window_views_are_bit_identical_to_the_rows(self, case):
+        # the rows and targets `evaluate` reads in place, window by window
+        batch, model = case
+        rows, targets = window_rows(model, batch), batch.targets
+        views = list(_window_views(model, batch))
+        assert len(views) == len(batch)
+        for w, (view, target, _) in enumerate(views):
+            assert np.array_equal(view, rows[w]) and np.array_equal(target, targets[w])
+            assert np.shares_memory(target, batch.values)
+            assert np.shares_memory(view, batch.values) == (not model.use_haar)
 
 
 class TestFoldedBlockedPasses:
@@ -211,9 +225,11 @@ class TestWindowStats:
         # broadcast error. window_mse and dense_equivalent_grad_norm take
         # statistics, so window_stats makes the check for them
         batch = WindowBatch(np.zeros((1, 40)), 16, 8)
+        wide = WindowBatch(np.zeros((EVAL_ROWS, 40)), 16, 8)  # one-window blocks, read in place
         config = TrainConfig(max_epochs=1, patience=1)
         passes = (window_stats, window_rows, LagTables,
                   lambda model, batch: evaluate(model, batch, dct_matrix(model)),
+                  lambda model, batch: evaluate(model, wide, dct_matrix(model)),
                   lambda model, batch: train(model, batch, batch, config, dct_matrix(model)))
         for lookback, horizon in ((8, 8), (16, 4)):
             for run in passes:
