@@ -32,7 +32,6 @@ from .errors import HadlError, InvalidConfigError, ParseError, WorkerDiedError
 from .model import (
     HEAD_DENSE,
     HEAD_LOW_RANK,
-    dct_matrix,
     forward,
     init_model,
     kilo_display,
@@ -242,28 +241,25 @@ def run_single(job: ExperimentConfig, horizon: int, data, train_outputs: bool = 
 
     Returns (best_model, trace, EvalReport). The model init seed does not
     depend on noise_eta, so a robustness sweep perturbs only the training data.
-    F = dct_matrix(model) is built once; `train` and each pass over the best
-    model fold it in (`fold_dct`). The test MSE comes from the test windows'
-    `window_stats`, with no forecast. train_outputs adds what only `train`
-    writes: the test MAE, from one forecast pass over the test windows
-    (`evaluate`), and trace.final_grad_norm, from the training windows'
-    statistics: those `train` summed on its last epoch, else their
-    `window_stats`. Without it the MAE is None and the norm stays NaN.
+    The test MSE comes from the test windows' `window_stats`, with no
+    forecast. train_outputs adds what only `train` writes: the test MAE,
+    from one forecast pass over the test windows (`evaluate`), and
+    trace.final_grad_norm, from the training windows' statistics: those
+    `train` summed on its last epoch, else their `window_stats`. Without it
+    the MAE is None and the norm stays NaN.
     """
     w_train, w_val, w_test = prepare_windows(job, horizon, data)
     model = init_model(job.lookback, horizon, job.rank,
                        seed=mix_seed(job.seed, "init", job.lookback, horizon),
                        use_haar=job.use_haar, use_dct=job.use_dct, head=job.head,
                        with_bias=job.with_bias)
-    F = dct_matrix(model)
-    best, trace, train_stats = train(model, w_train, w_val, job, F)
+    best, trace, train_stats = train(model, w_train, w_val, job)
     test_mae = None
     if train_outputs:
         # looked up on hadl.optim, where the benchmark's tracer wraps it
         trace.final_grad_norm = hadl_optim.dense_equivalent_grad_norm(
-            best, hadl_optim.window_stats(best, w_train) if train_stats is None else train_stats,
-            F)
-        test_mae = evaluate(best, w_test, F)
+            best, hadl_optim.window_stats(best, w_train) if train_stats is None else train_stats)
+        test_mae = evaluate(best, w_test)
     report = hadl_metrics.EvalReport(
         dataset=data[0].name,
         horizon=horizon,
@@ -274,7 +270,7 @@ def run_single(job: ExperimentConfig, horizon: int, data, train_outputs: bool = 
         rank=best.rank,
         seed=job.seed,
         noise_eta=job.noise_eta,
-        mse=window_mse(best, hadl_optim.window_stats(best, w_test), F),
+        mse=window_mse(best, hadl_optim.window_stats(best, w_test)),
         mae=test_mae,
     )
     return best, trace, report
@@ -455,6 +451,8 @@ def _ablate_grid(config: ExperimentConfig, axis: str) -> list[tuple[str, Experim
     if axis not in variants:
         raise InvalidConfigError(f"unknown ablation axis {axis!r}; choose from {ABLATION_AXES}")
     _one_seed(config, "ablate")
+    if axis == "rank" and config.head != HEAD_LOW_RANK:  # every cell would train one dense head
+        raise InvalidConfigError(f"head: ablate rank varies a low_rank head, got {config.head!r}")
     base = replace(config, seed=config.seed_list()[0])
     return [(label, replace(base, **keys)) for label, keys in variants[axis]]
 

@@ -13,8 +13,7 @@ class HadlError(ValueError):
 
 class ShapeMismatchError(HadlError):
     """Array shapes are inconsistent with each other or with the declared
-    lookback/horizon: a signal too short or of odd length for the Haar pairs,
-    or an F that is not dct_matrix(model) in `fold_dct`."""
+    lookback/horizon: a signal too short or of odd length for the Haar pairs."""
 
 
 class InvalidConfigError(HadlError):

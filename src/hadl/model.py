@@ -18,6 +18,7 @@ import json
 import math
 import zipfile
 from dataclasses import dataclass, field, replace
+from functools import cache
 
 import numpy as np
 
@@ -159,22 +160,26 @@ def window_rows(model: HadlModel, batch) -> np.ndarray:
 def dct_matrix(model: HadlModel) -> np.ndarray | None:
     """The d_in x d_in matrix F of the DCT stage (its image of the identity),
     so transform_inputs(X) = haar_rows(X) @ F up to rounding; None with the
-    DCT stage off."""
-    return dct2_scaled(np.eye(model.d_in), model.lookback) if model.use_dct else None
+    DCT stage off. One read-only array per (d_in, lookback), built on first
+    use in a process, so no caller builds or passes F."""
+    return _dct_of_shape(model.d_in, model.lookback) if model.use_dct else None
 
 
-def fold_dct(model: HadlModel, F: np.ndarray | None) -> HadlModel:
-    """The same predictor for `haar_rows` inputs: F = dct_matrix(model) folded
-    into the first head factor (P or W), the DCT stage switched off. The one
-    check that F is the model's (ShapeMismatchError), so no head folds twice."""
-    shape = None if F is None else np.shape(F)
-    if shape != ((model.d_in,) * 2 if model.use_dct else None):  # a folded head's stage is off
-        raise ShapeMismatchError(f"fold_dct got F of shape {shape}, not dct_matrix(model)'s: the"
-                                 f" head's DCT stage is {'on' if model.use_dct else 'off'}")
-    if F is None:
+@cache
+def _dct_of_shape(d_in: int, lookback: int) -> np.ndarray:
+    F = dct2_scaled(np.eye(d_in), lookback)
+    F.setflags(write=False)
+    return F
+
+
+def fold_dct(model: HadlModel) -> HadlModel:
+    """The same predictor for `haar_rows` inputs: `dct_matrix(model)` folded
+    into the first head factor (P or W), the DCT stage switched off. A model
+    whose DCT stage is off, a folded head included, is returned as it is."""
+    if not model.use_dct:
         return model
     first = HEAD_FACTORS[model.head][0]
-    return replace(model, use_dct=False, **{first: F @ getattr(model, first)})
+    return replace(model, use_dct=False, **{first: dct_matrix(model) @ getattr(model, first)})
 
 
 def transform_inputs(model: HadlModel, X) -> np.ndarray:
@@ -217,7 +222,7 @@ def head_apply(model: HadlModel, A) -> np.ndarray:
 
 def forward(model: HadlModel, X) -> np.ndarray:
     """Full pipeline: transforms then head. (batch, channels, L) -> (..., H)."""
-    return head_apply(fold_dct(model, dct_matrix(model)), haar_rows(model, X))
+    return head_apply(fold_dct(model), haar_rows(model, X))
 
 
 def effective_weight(model: HadlModel) -> np.ndarray:

@@ -7,7 +7,6 @@ last axis.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -58,16 +57,6 @@ def haar_halves(x) -> tuple[np.ndarray, np.ndarray]:
     return halves[0], halves[1]
 
 
-@lru_cache(maxsize=16)
-def _cosines(n: int) -> np.ndarray:
-    # M[k, m] = cos(pi * (m + 1/2) * k / n); y = M @ x
-    k = np.arange(n, dtype=np.float64)[:, None]
-    m = np.arange(n, dtype=np.float64)[None, :]
-    mat = np.cos(np.pi * (m + 0.5) * k / n)
-    mat.setflags(write=False)
-    return mat
-
-
 def dct2_scaled(A, lookback: int) -> np.ndarray:
     """DCT-II scaled by 2/lookback, applied along the last axis:
 
@@ -84,4 +73,7 @@ def dct2_scaled(A, lookback: int) -> np.ndarray:
         raise ShapeMismatchError(
             f"last axis has length {n}, expected lookback/2 or lookback (lookback {lookback})"
         )
-    return (2.0 / lookback) * (A @ _cosines(n).T)
+    # M[k, m] = cos(pi * (m + 1/2) * k / n); y = M @ x
+    k = np.arange(n, dtype=np.float64)[:, None]
+    m = np.arange(n, dtype=np.float64)[None, :]
+    return (2.0 / lookback) * (A @ np.cos(np.pi * (m + 0.5) * k / n).T)

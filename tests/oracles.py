@@ -186,8 +186,7 @@ def gradients(model: HadlModel, X_batch, Y_batch, l1_lambda: float) -> dict[str,
             f"target length {Y_batch.shape[-1]} != horizon {model.horizon}"
         )
     S = haar_rows(model, X_batch)
-    grads, _, _ = _gradients_from_rows(model, (S, Y_batch, np.empty_like(Y_batch)), l1_lambda,
-                                       dct_matrix(model))
+    grads, _, _ = _gradients_from_rows(model, (S, Y_batch, np.empty_like(Y_batch)), l1_lambda)
     return grads
 
 
@@ -249,11 +248,11 @@ def gradcheck(
     )
 
 
-def reference_step(model, S, Y, l1_lambda, F):
+def reference_step(model, S, Y, l1_lambda):
     """The training step's arithmetic with every array freshly allocated:
     the loss is the residual's dot product over its size, and 2 / size
     scales the parameter-shaped products, not the residual."""
-    folded = fold_dct(model, F)
+    folded, F = fold_dct(model), dct_matrix(model)
     if model.head == HEAD_LOW_RANK:
         Z = S @ folded.P
         pred = Z @ model.Q
@@ -302,7 +301,6 @@ def reference_train(model, train_windows, val_windows, config):
     n_train = len(train_windows)
     S_train = window_rows(model, train_windows)
     Y_train = train_windows.targets
-    F = dct_matrix(model)
     params = {k: v.copy() for k, v in model_params(model).items()}
     state = init_adam(params)
     rng = np.random.default_rng(config.seed)
@@ -316,7 +314,7 @@ def reference_train(model, train_windows, val_windows, config):
             S = S_train[idx].reshape(-1, model.d_in)
             Y = Y_train[idx].reshape(-1, model.horizon)
             grads, batch_loss = reference_step(replace_params(model, params), S, Y,
-                                               config.l1_lambda, F)
+                                               config.l1_lambda)
             params, state = adam_step(state, params, grads, config)
             loss_sum += batch_loss * S.shape[0]
             row_count += S.shape[0]

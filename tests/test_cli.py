@@ -33,7 +33,7 @@ from hadl.cli import (
 )
 from hadl.data import load_csv, split, synth, windows
 from hadl.errors import CorruptCheckpointError, InvalidConfigError, ParseError
-from hadl.model import (HEAD_LOW_RANK, dct_matrix, effective_weight, forward, init_model,
+from hadl.model import (HEAD_LOW_RANK, effective_weight, forward, init_model,
                         load_checkpoint, save_checkpoint)
 from hadl.optim import dense_equivalent_grad_norm, steps_from_stats, window_stats
 
@@ -367,8 +367,7 @@ class TestTrainCommand:
                     best = load_checkpoint(run_dir / f"checkpoint_seed{seed}.npz")
                     w_train, _, _ = prepare_windows(replace(config, seed=seed), horizon, data)
                     written = json.loads((run_dir / f"trace_seed{seed}.json").read_text())
-                    F = dct_matrix(best)
-                    want = dense_equivalent_grad_norm(best, window_stats(best, w_train), F)
+                    want = dense_equivalent_grad_norm(best, window_stats(best, w_train))
                     assert written["final_grad_norm"] == want
 
 
@@ -410,7 +409,9 @@ class TestGradNormOnlyWhereWritten:
 
 def dct_builds_per_job(monkeypatch) -> list:
     """Calls of `hadl.model.dct2_scaled` (one per `dct_matrix` build) in each
-    serial `run_single`; the list grows by one count per job, in job order."""
+    serial `run_single`, the memo of built matrices emptied first; the list
+    grows by one count per job, in job order."""
+    hadl.model._dct_of_shape.cache_clear()
     builds, per_job = count_calls(monkeypatch, hadl.model, "dct2_scaled"), []
     run_single = hadl.cli.run_single
 
@@ -426,10 +427,10 @@ def dct_builds_per_job(monkeypatch) -> list:
 
 class TestFullSetPasses:
     """Validation and test MSEs come from the windows' statistics, so only
-    `train` forecasts, once per job, for the test MAE it writes. Each job
-    builds its DCT matrix F once and each set of full-set statistics once;
-    `window_stats` is counted on hadl.optim, where `train` and `run_single`
-    both look it up."""
+    `train` forecasts, once per job, for the test MAE it writes. A process
+    builds the DCT matrix F once per shape, and each job builds each set of
+    full-set statistics once; `window_stats` is counted on hadl.optim, where
+    `train` and `run_single` both look it up."""
 
     @pytest.mark.parametrize("channels", [40, 3])
     def test_one_evaluate_per_job(self, tmp_path, monkeypatch, channels, capsys):
@@ -445,7 +446,7 @@ class TestFullSetPasses:
         # validation, the test MSE and, on the rows path, the grad norm: the
         # statistics path sums the training windows' statistics as it steps
         assert len(stats) == 4 * (2 if channels == 40 else 3)
-        assert dct_builds == [1] * 4
+        assert dct_builds == [1, 0, 0, 0]  # one shape
         jobs = [line for line in capsys.readouterr().out.splitlines() if line.startswith("job ")]
         assert len(jobs) == 4 and all(" test_mae=" in line for line in jobs)
 
@@ -474,8 +475,8 @@ class TestFullSetPasses:
         cmd_ablate(config, "dct")
         assert all(np.isfinite(report.mse_per_eta))
         assert len(stats) == 6 * 2  # validation and the test MSE
-        # two etas, low_rank and dense, then with_dct and without_dct
-        assert dct_builds == [1, 1, 1, 1, 1, 0]
+        # two etas, low_rank and dense, then with_dct and without_dct: one shape
+        assert dct_builds == [1, 0, 0, 0, 0, 0]
         jobs = [line for line in capsys.readouterr().out.splitlines() if line.startswith("job ")]
         assert len(jobs) == 6 and not any("test_mae" in line for line in jobs)
 
@@ -511,6 +512,31 @@ class TestOneStandardizedSeries:
                 noisy = job.noise_eta > 0.0  # its noise went into a new train segment
                 assert [np.shares_memory(b.values, series) for b in batches] == [
                     not noisy, True, True]
+
+    def test_noise_stays_in_the_train_segment(self, tmp_path, monkeypatch):
+        # a robustness cell with eta > 0 differs from the clean cell in its
+        # train segment only, and its model starts from the same draw
+        prepared, started = [], []
+        real_prepare, real_train = hadl.cli.prepare_windows, hadl.cli.train
+        monkeypatch.setattr(hadl.cli, "prepare_windows",
+                            lambda *a: prepared.append(real_prepare(*a)) or prepared[-1])
+        monkeypatch.setattr(hadl.cli, "train",  # (model, job) of each cell
+                            lambda *a: started.append((a[0], a[-1])) or real_train(*a))
+        config = synth_config(tmp_path, eta_list=(0.0, 0.7), robust_max_epochs=1,
+                              robust_patience=1, rank=2)
+        cmd_robustness(config)
+        dataset, convention = load_dataset(config)
+        segments = [seg.values for seg in split(dataset, convention, lookback=config.lookback)]
+        assert [job.noise_eta for _, job in started] == [0.0, 0.7]
+        for (w_train, w_val, w_test), (_, job) in zip(prepared, started):
+            assert (w_train.values.tobytes() == segments[0].tobytes()) == (job.noise_eta == 0.0)
+            assert w_val.values.tobytes() == segments[1].tobytes()
+            assert w_test.values.tobytes() == segments[2].tobytes()
+        (clean, _), (noisy, _) = started
+        for name, value in vars(clean).items():
+            other = getattr(noisy, name)
+            assert (value.tobytes() == other.tobytes() if isinstance(value, np.ndarray)
+                    else value == other), name
 
     def test_standardizing_and_windowing_allocate_at_most_one_series(self):
         # the copies each job made were about one series per job
@@ -867,6 +893,9 @@ ROBUST = ["robustness", "--eta-list", "0,0.7", "--robust-max-epochs", "1",
     (["ablate", "dct", "--seeds", "1,2"], "seeds"),
     (["ablate", "dct", "--params-only", "--seeds", "1,2"], "seeds"),
     ([*ROBUST, "--noise-eta", "0.5"], "noise_eta"),
+    # trained one dense model per rank and wrote rows of equal MSE and params
+    (["ablate", "rank", "--head", "dense", "--rank-list", "4,8"], "head"),
+    (["ablate", "rank", "--params-only", "--head", "dense", "--rank-list", "4,8"], "head"),
 ])
 def test_setting_a_command_drops_is_one_error_line(tmp_path, capsys, command, key):
     assert_one_error_line(tmp_path, capsys, key, [*command, "--dataset", "sine_mix", "--lookback",

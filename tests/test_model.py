@@ -271,7 +271,7 @@ def test_head_parameters_follow_the_head_kind(head, with_bias, use_haar, use_dct
     assert names == list(param_shapes(12, 5, 3, with_bias, use_haar, head))
 
     F = dct_matrix(m)
-    folded = fold_dct(m, F)
+    folded = fold_dct(m)
     if F is None:
         assert folded is m
     else:

@@ -37,6 +37,7 @@ from hadl.optim import (
     window_stats,
     write_trace_csv,
 )
+from hadl.transforms import dct2_scaled
 from oracles import (InvalidStepError, forecast_mse, gradcheck, gradients, loss, mae,
                      models_equal, reference_train, textbook_adam)
 
@@ -245,7 +246,7 @@ class TestTrain:
         cfg = TrainConfig(learning_rate=0.01, l1_lambda=0.0, max_epochs=200,
                           patience=200, batch_size=64, seed=1)
         model = init_model(64, 16, 2, seed=5)
-        best, trace, _ = train(model, w_train, w_val, cfg, dct_matrix(model))
+        best, trace, _ = train(model, w_train, w_val, cfg)
         assert min(trace.val_mse) < 1e-4
         assert trace.best_epoch == int(np.argmin(trace.val_mse))
 
@@ -254,7 +255,7 @@ class TestTrain:
         cfg = TrainConfig(learning_rate=0.01, l1_lambda=0.0, max_epochs=30,
                           patience=1, batch_size=64, seed=1)
         model = init_model(64, 16, 2, seed=5)
-        _, trace, _ = train(model, w_train, w_train, cfg, dct_matrix(model))
+        _, trace, _ = train(model, w_train, w_train, cfg)
         assert not trace.stopped_early
         assert len(trace.val_mse) == 30
 
@@ -262,7 +263,7 @@ class TestTrain:
         w_train, w_val, _ = realizable_windows()
         cfg = TrainConfig(max_epochs=0, patience=1, seed=0)
         model = init_model(64, 16, 2, seed=5)
-        best, trace, _ = train(model, w_train, w_val, cfg, dct_matrix(model))
+        best, trace, _ = train(model, w_train, w_val, cfg)
         assert models_equal(best, model)
         assert trace.train_loss == [] and trace.val_mse == []
         assert trace.best_epoch == -1
@@ -272,14 +273,14 @@ class TestTrain:
         cfg = TrainConfig(learning_rate=1e300, max_epochs=3, patience=3, seed=0)
         model = init_model(64, 16, 2, seed=5)
         with np.errstate(all="ignore"), pytest.raises(DivergedError, match="epoch 0"):
-            train(model, w_train, w_val, cfg, dct_matrix(model))
+            train(model, w_train, w_val, cfg)
 
     def test_bit_reproducible(self):
         w_train, w_val, _ = realizable_windows()
         cfg = TrainConfig(learning_rate=0.01, max_epochs=20, patience=20, seed=3)
         model = init_model(64, 16, 2, seed=5)
-        best_a, trace_a, _ = train(model, w_train, w_val, cfg, dct_matrix(model))
-        best_b, trace_b, _ = train(model, w_train, w_val, cfg, dct_matrix(model))
+        best_a, trace_a, _ = train(model, w_train, w_val, cfg)
+        best_b, trace_b, _ = train(model, w_train, w_val, cfg)
         assert models_equal(best_a, best_b)
         assert trace_a.train_loss == trace_b.train_loss
         assert trace_a.val_mse == trace_b.val_mse
@@ -289,9 +290,8 @@ class TestTrain:
         cfg = TrainConfig(learning_rate=0.01, l1_lambda=0.0, max_epochs=600,
                           patience=600, batch_size=64, seed=1)
         model = init_model(64, 16, 2, seed=5)
-        F = dct_matrix(model)
-        best, _, _ = train(model, w_train, w_val, cfg, F)
-        assert dense_equivalent_grad_norm(best, window_stats(best, w_train), F) < 1e-3
+        best, _, _ = train(model, w_train, w_val, cfg)
+        assert dense_equivalent_grad_norm(best, window_stats(best, w_train)) < 1e-3
 
     def test_l1_shrinks_weights_monotonically(self):
         w_train, w_val, _ = realizable_windows()
@@ -300,7 +300,7 @@ class TestTrain:
         for lam in (0.0, 1e-4, 1e-3):
             cfg = TrainConfig(learning_rate=0.01, l1_lambda=lam, max_epochs=150,
                               patience=150, batch_size=64, seed=1)
-            best, _, _ = train(model, w_train, w_val, cfg, dct_matrix(model))
+            best, _, _ = train(model, w_train, w_val, cfg)
             norms.append(l1_penalty(model_params(best)))
         assert norms[0] >= norms[1] >= norms[2]
 
@@ -320,8 +320,8 @@ class TestTrain:
         cfg = TrainConfig(learning_rate=1e-300, l1_lambda=0.0, max_epochs=2, patience=2, seed=0)
         for seed in range(4):
             w_train, w_val, _ = realizable_windows(lookback, horizon, channels, seed=seed)
-            assert forecast_mse(model, w_val) == 0.0 and evaluate(model, w_val, None) == 0.0
-            _, trace, _ = train(model, w_train, w_val, cfg, dct_matrix(model))
+            assert forecast_mse(model, w_val) == 0.0 and evaluate(model, w_val) == 0.0
+            _, trace, _ = train(model, w_train, w_val, cfg)
             assert all(0.0 <= mse < 1e-12 for mse in trace.val_mse), trace.val_mse
 
     @pytest.mark.parametrize("patience", [1, 2])
@@ -334,7 +334,7 @@ class TestTrain:
         w_train, w_val, _ = realizable_windows()
         cfg = TrainConfig(max_epochs=10, patience=patience, seed=0)
         model = init_model(64, 16, 2, seed=5)
-        _, trace, _ = train(model, w_train, w_val, cfg, dct_matrix(model))
+        _, trace, _ = train(model, w_train, w_val, cfg)
         assert trace.best_epoch == 2 and trace.stopped_early
         assert len(trace.val_mse) == trace.best_epoch + 1 + patience
 
@@ -346,7 +346,7 @@ class TestTrain:
         assert len(empty) == 0
         model = init_model(64, 16, 2, seed=0)
         with pytest.raises(SegmentTooShortError, match="window sets must be non-empty"):
-            train(model, empty, w_val, TrainConfig(seed=0), dct_matrix(model))
+            train(model, empty, w_val, TrainConfig(seed=0))
 
     def test_early_stopping_restores_best_snapshot(self):
         # force overfitting-style oscillation with a large lr: the returned
@@ -355,7 +355,7 @@ class TestTrain:
         cfg = TrainConfig(learning_rate=0.2, l1_lambda=0.0, max_epochs=40,
                           patience=5, batch_size=64, seed=2)
         model = init_model(64, 16, 2, seed=6)
-        best, trace, _ = train(model, w_train, w_val, cfg, dct_matrix(model))
+        best, trace, _ = train(model, w_train, w_val, cfg)
         from hadl.model import head_apply, transform_inputs
 
         A_val = transform_inputs(best, w_val.inputs).reshape(-1, best.d_in)
@@ -383,7 +383,7 @@ class TestBufferedSteps:
         cfg = TrainConfig(learning_rate=0.05, l1_lambda=1e-4, max_epochs=8, patience=3,
                           batch_size=batch_size, seed=4)
         model = init_model(64, 16, 2, seed=5, **model_kwargs)
-        best, trace, _ = train(model, w_train, w_val, cfg, dct_matrix(model))
+        best, trace, _ = train(model, w_train, w_val, cfg)
         ref_best, ref_train_loss, ref_val_mse = reference_train(model, w_train, w_val, cfg)
         assert trace.train_loss == ref_train_loss
         assert_allclose(trace.val_mse, ref_val_mse, rtol=1e-12, atol=0.0)
@@ -411,7 +411,7 @@ class TestStatisticsSteps:
         monkeypatch.setattr(hadl.optim, "_gradients_from_rows", no_row_steps)
         cfg = TrainConfig(learning_rate=0.05, l1_lambda=1e-4, max_epochs=3, patience=3,
                           batch_size=48, seed=4)  # 201 windows: a final batch of 9
-        best, trace, _ = train(model, w_train, w_val, cfg, dct_matrix(model))
+        best, trace, _ = train(model, w_train, w_val, cfg)
         monkeypatch.undo()
         ref_best, ref_train_loss, ref_val_mse = reference_train(model, w_train, w_val, cfg)
         assert trace.best_epoch == int(np.argmin(ref_val_mse))
@@ -434,7 +434,7 @@ class TestStatisticsSteps:
         model = init_model(lookback, 16, 4, seed=2, use_haar=use_haar, head=head)
         assert steps_from_stats(channels, model.d_in, 16, model.rank, head)
         cfg = TrainConfig(max_epochs=2, patience=2, batch_size=40, seed=1)
-        best, _, summed = train(model, w_train, w_val, cfg, dct_matrix(model))
+        best, _, summed = train(model, w_train, w_val, cfg)
         want = window_stats(best, w_train)
         assert summed.rows == want.rows == len(w_train) * channels
         for got, expected in zip(summed[:5], want[:5]):
@@ -446,10 +446,10 @@ class TestStatisticsSteps:
         assert not steps_from_stats(3, model.d_in, 16, model.rank, model.head)
         for epochs in (0, 1):
             cfg = TrainConfig(max_epochs=epochs, patience=1, seed=0)
-            assert train(model, w_train, w_val, cfg, dct_matrix(model))[2] is None
+            assert train(model, w_train, w_val, cfg)[2] is None
         on_stats = WindowBatch(np.random.default_rng(0).normal(size=(40, 200)), 64, 16)
         cfg = TrainConfig(max_epochs=0, patience=1, seed=0)
-        assert train(model, on_stats, on_stats, cfg, dct_matrix(model))[2] is None
+        assert train(model, on_stats, on_stats, cfg)[2] is None
 
     def test_benchmark_shapes_fall_on_opposite_sides(self):
         # L = 512, r = 50: ETTh1 steps from rows, electricity and traffic from statistics
@@ -470,7 +470,7 @@ def reference_residuals(model, batch):
     """(Haar rows, forecast minus target) of each block of `eval_windows`
     windows in origin order: `head_apply` on sliced, reshape-copied blocks,
     fresh arrays each."""
-    folded = fold_dct(model, dct_matrix(model))
+    folded = fold_dct(model)
     S, Y = window_rows(model, batch), batch.targets
     size = eval_windows(batch.values.shape[0])
     for start in range(0, len(batch), size):
@@ -495,12 +495,8 @@ def reference_grad_norm(model, batch):
     return float(np.linalg.norm((2.0 / count) * (total if F is None else F.T @ total)))
 
 
-def mae_pass(model, batch, F):
-    return evaluate(model, batch, F)
-
-
-def grad_norm_pass(model, batch, F):
-    return dense_equivalent_grad_norm(model, window_stats(model, batch), F)
+def grad_norm_pass(model, batch):
+    return dense_equivalent_grad_norm(model, window_stats(model, batch))
 
 
 def random_batch(channels, n, lookback=64, horizon=16, seed=0):
@@ -541,14 +537,13 @@ class TestBlockedPasses:
                            use_haar=use_haar, use_dct=use_dct)
         if with_bias:
             model.bias[:] = np.random.default_rng(8).normal(size=16)
-        F = dct_matrix(model)
         for seed, (channels, n) in enumerate(BLOCK_CASES):
             batch = random_batch(channels, n, seed=seed)
             stats = window_stats(model, batch)
-            assert evaluate(model, batch, F) == reference_mae(model, batch)
-            assert window_mse(model, stats, F) == pytest.approx(
+            assert evaluate(model, batch) == reference_mae(model, batch)
+            assert window_mse(model, stats) == pytest.approx(
                 forecast_mse(model, batch), rel=1e-12, abs=0.0)
-            assert dense_equivalent_grad_norm(model, stats, F) == pytest.approx(
+            assert dense_equivalent_grad_norm(model, stats) == pytest.approx(
                 reference_grad_norm(model, batch), rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("use_haar", [True, False])
@@ -567,13 +562,14 @@ class TestBlockedPasses:
 
     @staticmethod
     def traced_peak(pass_, model, batch) -> int:
-        """tracemalloc peak, in bytes, of one pass `pass_(model, batch, F)`
-        over a batch, F = dct_matrix(model) built before it as a job does."""
-        F = dct_matrix(model)
+        """tracemalloc peak, in bytes, of one pass `pass_(model, batch)` over
+        a batch, with dct_matrix(model) built before it, as a job's `train`
+        has built it before its test pass."""
+        dct_matrix(model)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            pass_(model, batch, F)
+            pass_(model, batch)
             return tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
@@ -587,7 +583,7 @@ class TestBlockedPasses:
         return peak / (eval_windows(7) * 7 * 720 * 8)
 
     def test_evaluate_memory_at_etth1_shape(self):
-        assert self.etth1_peak(mae_pass) < 4
+        assert self.etth1_peak(evaluate) < 4
 
     def test_grad_norm_memory_at_etth1_shape(self):
         # the blocked pass peaked at 3.82: it allocated a d_in x H product per
@@ -601,7 +597,7 @@ class TestBlockedPasses:
         model = init_model(lookback, horizon, 8, seed=0)
         batch = random_batch(channels, 32, lookback, horizon, seed=10)
         bound = 4 * max(EVAL_ROWS, channels) * (model.d_in + 2 * horizon) * 8
-        assert self.traced_peak(mae_pass, model, batch) < bound
+        assert self.traced_peak(evaluate, model, batch) < bound
 
     @pytest.mark.parametrize("use_haar", [True, False])
     def test_evaluate_memory_on_a_long_many_channel_segment(self, use_haar):
@@ -615,48 +611,53 @@ class TestBlockedPasses:
         series = channels * (batch.values.shape[1] - 1) * 8 if use_haar else 0
         block = channels * (model.d_in + 2 * horizon) * 8
         assert series > 10 * block or not use_haar
-        assert self.traced_peak(mae_pass, model, batch) <= series + block
+        assert self.traced_peak(evaluate, model, batch) <= series + block
 
 
-class TestOneFoldCheck:
-    """`fold_dct` is the one check that an F belongs to a model, and every
-    function that applies a head folds through it: an F that is not
-    dct_matrix(model) made each of them report another predictor's error."""
+class TestOneDctMatrix:
+    """`dct_matrix` owns F: one read-only array per (d_in, lookback), which
+    every function that applies a head folds in through `fold_dct`, so no
+    caller builds or passes it."""
+
+    def test_one_read_only_matrix_per_shape(self):
+        model = init_model(32, 8, 2, seed=0)
+        F = dct_matrix(model)
+        assert dct_matrix(init_model(32, 16, 4, seed=1, head=HEAD_DENSE)) is F
+        assert np.array_equal(F, dct2_scaled(np.eye(16), 32))
+        with pytest.raises(ValueError, match="read-only"):
+            F[0, 0] = 1.0
+        assert dct_matrix(replace(model, use_haar=False)).shape == (32, 32)
+        assert dct_matrix(replace(model, use_dct=False)) is None
 
     @settings(max_examples=30, deadline=None)
     @given(use_haar=st.booleans(), use_dct=st.booleans(),
            head=st.sampled_from([HEAD_LOW_RANK, HEAD_DENSE]), with_bias=st.booleans(),
            seed=st.integers(0, 2**16))
-    def test_only_the_models_F_folds(self, use_haar, use_dct, head, with_bias, seed):
+    def test_folded_head_is_the_same_predictor(self, use_haar, use_dct, head, with_bias, seed):
+        # a head folded twice, or a DCT-off model folded with a DCT-on twin's
+        # F, forecast as another predictor; now the model alone decides
         model = init_model(16, 4, 2, seed=seed, use_haar=use_haar, use_dct=use_dct, head=head,
                            with_bias=with_bias)
         if with_bias:
             model.bias[:] = np.random.default_rng(seed).normal(size=4)
         batch = random_batch(3, 20, 16, 4, seed=seed)
-        stats, F = window_stats(model, batch), dct_matrix(model)
-        folded = fold_dct(model, F)
-        assert window_mse(model, stats, F) == pytest.approx(
+        stats, folded = window_stats(model, batch), fold_dct(model)
+        assert fold_dct(folded) is folded and (use_dct or folded is model)
+        assert window_mse(folded, stats) == window_mse(model, stats) == pytest.approx(
             forecast_mse(model, batch), rel=1e-12, abs=0.0)
-        assert evaluate(model, batch, F) == pytest.approx(
+        assert evaluate(folded, batch) == evaluate(model, batch) == pytest.approx(
             mae(forward(model, batch.inputs), batch.targets), rel=1e-12, abs=0.0)
-        # the F of the twin with the other Haar setting is L x L or L/2 x L/2;
-        # the DCT-on twin's has the right shape for a DCT-off model
-        other_haar = dct_matrix(replace(model, use_haar=not use_haar, use_dct=True))
-        if use_dct:  # no F, a second fold, the wrong shape
-            wrong = [(model, None), (folded, F), (model, other_haar), (model, F[:, :-1])]
-        else:
-            wrong = [(model, dct_matrix(replace(model, use_dct=True))), (model, other_haar)]
-        for m, G in wrong:
-            for call in (lambda: fold_dct(m, G), lambda: window_mse(m, stats, G),
-                         lambda: dense_equivalent_grad_norm(m, stats, G),
-                         lambda: evaluate(m, batch, G)):
-                with pytest.raises(ShapeMismatchError, match="fold_dct got F"):
-                    call()
+        # the grad norm is w.r.t. each model's own first factor: the folded
+        # head's is F @ P, whose gradient F.T maps back to the DCT basis
+        norm = dense_equivalent_grad_norm(folded, stats)
+        assert norm == pytest.approx(reference_grad_norm(folded, batch), rel=1e-12, abs=0.0)
+        if not use_dct:
+            assert norm == dense_equivalent_grad_norm(model, stats)
 
     @pytest.mark.parametrize("channels", [3, 40])
-    def test_train_checks_F_before_any_table_or_step(self, channels, monkeypatch):
-        # a DCT-off model trained with its DCT-on twin's F returned weights
-        # whose validation MSEs were another predictor's
+    def test_tables_only_for_statistics_steps(self, channels, monkeypatch):
+        # `train` picks its step source from the shapes alone, for a model of
+        # either DCT setting and for a folded head
         assert steps_from_stats(channels, 16, 8, 2, HEAD_LOW_RANK) == (channels == 40)
         w_train, w_val, _ = realizable_windows(32, 8, channels)
         calls = []
@@ -666,20 +667,17 @@ class TestOneFoldCheck:
                                 lambda *a, f=original, n=name: calls.append(n) or f(*a))
         cfg = TrainConfig(max_epochs=1, patience=1, seed=0)
         on = init_model(32, 8, 2, seed=0)
-        F = dct_matrix(on)
-        for model, G in ((on, None), (replace(on, use_dct=False), F), (fold_dct(on, F), F)):
-            with pytest.raises(ShapeMismatchError, match="fold_dct got F"):
-                train(model, w_train, w_val, cfg, G)
-        assert calls == []
-        train(on, w_train, w_val, cfg, F)
-        assert "adam_step" in calls and ("LagTables" in calls) == (channels == 40)
+        for model in (on, replace(on, use_dct=False), fold_dct(on)):
+            calls.clear()
+            train(model, w_train, w_val, cfg)
+            assert "adam_step" in calls and ("LagTables" in calls) == (channels == 40)
 
 
 def test_trace_csv_columns(tmp_path):
     w_train, w_val, _ = realizable_windows()
     cfg = TrainConfig(learning_rate=0.01, max_epochs=3, patience=3, seed=0)
     model = init_model(64, 16, 2, seed=0)
-    _, trace, _ = train(model, w_train, w_val, cfg, dct_matrix(model))
+    _, trace, _ = train(model, w_train, w_val, cfg)
     path = tmp_path / "trace.csv"
     write_trace_csv(trace, path)
     lines = path.read_text().strip().splitlines()

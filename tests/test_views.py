@@ -20,7 +20,6 @@ from hadl.errors import ShapeMismatchError
 from hadl.model import (
     HEAD_DENSE,
     HEAD_LOW_RANK,
-    dct_matrix,
     forward,
     head_apply,
     init_model,
@@ -114,14 +113,13 @@ class TestFoldedBlockedPasses:
         assert_close(forward(model, X), want_pred)
 
         diff = want_pred - Y
-        F = dct_matrix(model)
         stats = window_stats(model, batch)
-        assert_close(window_mse(model, stats, F), np.mean(diff * diff))
-        assert_close(evaluate(model, batch, F), np.mean(np.abs(diff)))
+        assert_close(window_mse(model, stats), np.mean(diff * diff))
+        assert_close(evaluate(model, batch), np.mean(np.abs(diff)))
 
         G = (2.0 / Y.size) * diff.reshape(-1, model.horizon)
         want_norm = np.linalg.norm(A.reshape(-1, model.d_in).T @ G)
-        assert_close(dense_equivalent_grad_norm(model, stats, F), want_norm)
+        assert_close(dense_equivalent_grad_norm(model, stats), want_norm)
 
     @settings(max_examples=30, deadline=None)
     @given(cases())
@@ -152,8 +150,7 @@ def test_train_epoch_never_copies_the_window_set():
     try:
         train_w = windows(Segment("train", values[:, :1800]), lookback, horizon)
         val_w = windows(Segment("val", values[:, 1650:]), lookback, horizon)
-        train(model, train_w, val_w, TrainConfig(max_epochs=1, patience=1, seed=0),
-              dct_matrix(model))
+        train(model, train_w, val_w, TrainConfig(max_epochs=1, patience=1, seed=0))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -227,10 +224,9 @@ class TestWindowStats:
         batch = WindowBatch(np.zeros((1, 40)), 16, 8)
         wide = WindowBatch(np.zeros((EVAL_ROWS, 40)), 16, 8)  # one-window blocks, read in place
         config = TrainConfig(max_epochs=1, patience=1)
-        passes = (window_stats, window_rows, LagTables,
-                  lambda model, batch: evaluate(model, batch, dct_matrix(model)),
-                  lambda model, batch: evaluate(model, wide, dct_matrix(model)),
-                  lambda model, batch: train(model, batch, batch, config, dct_matrix(model)))
+        passes = (window_stats, window_rows, LagTables, evaluate,
+                  lambda model, batch: evaluate(model, wide),
+                  lambda model, batch: train(model, batch, batch, config))
         for lookback, horizon in ((8, 8), (16, 4)):
             for run in passes:
                 with pytest.raises(ShapeMismatchError):
@@ -255,7 +251,7 @@ class TestValidationFromStats:
                            use_dct=use_dct, head=head, with_bias=with_bias)
         if with_bias:
             model.bias[:] = rng.normal(size=horizon)
-        mse = window_mse(model, window_stats(model, batch), dct_matrix(model))
+        mse = window_mse(model, window_stats(model, batch))
         assert mse == pytest.approx(forecast_mse(model, batch), rel=1e-12, abs=0.0)
 
 
@@ -293,12 +289,11 @@ class TestLagTables:
         if with_bias:
             model.bias[:] = rng.normal(size=5)
         origins = rng.permutation(len(batch))[:37]
-        F = dct_matrix(model)
         grads, loss, rows = _gradients_from_stats(model, LagTables(model, batch).stats(origins),
-                                                  1e-4, F)
+                                                  1e-4)
         S = np.array(window_rows(model, batch)[origins]).reshape(-1, model.d_in)
         Y = np.array(batch.targets[origins]).reshape(-1, model.horizon)
-        want, want_loss = reference_step(model, S, Y, 1e-4, F)
+        want, want_loss = reference_step(model, S, Y, 1e-4)
         assert rows == len(S)
         assert grads.keys() == want.keys()
         for name in want:
