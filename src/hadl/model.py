@@ -7,9 +7,9 @@ head parameters are the only parameters.
 
 The scaled DCT-II is a fixed linear map F, so A @ P = S @ (F @ P) for Haar
 rows S and their DCT features A = S @ F. Predictions are computed that way
-(`fold_dct`): the DCT costs one d_in x d_in product per head instead of one
-per input row, and P (or W) stays in the DCT basis the L1 penalty and the
-checkpoints use.
+(`fold_dct`): the DCT costs two (d_in/2) x (d_in/2) products per head
+(`dct_product`) instead of one d_in x d_in product per input row, and P (or
+W) stays in the DCT basis the L1 penalty and the checkpoints use.
 """
 
 from __future__ import annotations
@@ -162,24 +162,56 @@ def dct_matrix(model: HadlModel) -> np.ndarray | None:
     so transform_inputs(X) = haar_rows(X) @ F up to rounding; None with the
     DCT stage off. One read-only array per (d_in, lookback), built on first
     use in a process, so no caller builds or passes F."""
-    return _dct_of_shape(model.d_in, model.lookback) if model.use_dct else None
+    return _dct_of_shape(model.d_in, model.lookback)[0] if model.use_dct else None
 
 
 @cache
-def _dct_of_shape(d_in: int, lookback: int) -> np.ndarray:
+def _dct_of_shape(d_in: int, lookback: int) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """F, and its first ceil(d_in/2) rows' even and odd columns as contiguous
+    copies (see `dct_product`)."""
     F = dct2_scaled(np.eye(d_in), lookback)
-    F.setflags(write=False)
-    return F
+    top = F[: (d_in + 1) // 2]
+    halves = (np.ascontiguousarray(top[:, 0::2]), np.ascontiguousarray(top[:, 1::2]))
+    for array in (F, *halves):
+        array.setflags(write=False)
+    return F, halves
+
+
+def dct_product(model: HadlModel, X: np.ndarray, transpose: bool = False) -> np.ndarray:
+    """F @ X, or F.T @ X with `transpose`, for F = dct_matrix(model) and X
+    (d_in, k), from the DCT-II's even/odd symmetry F[d_in-1-m, j] = (-1)^j
+    F[m, j]: with E and O the first h = ceil(d_in/2) rows of F's even and odd
+    columns, row m < h of F @ X is U[m] + V[m] and row d_in-1-m is U[m] -
+    V[m], where U = E @ X[0::2] and V = O @ X[1::2]; F.T @ X takes the sum
+    and difference of X's rows m and d_in-1-m first. So each is two (d_in/2)
+    x (d_in/2) products instead of one d_in x d_in product, within 2e-13
+    relative of it (max-abs, measured up to d_in 1024)."""
+    even, odd = _dct_of_shape(model.d_in, model.lookback)[1]
+    d, h = model.d_in, len(even)
+    out = np.empty(X.shape)
+    if transpose:
+        mirror = X[d - 1 : h - 1 : -1]  # rows d_in-1-m for m < d_in - h
+        plus, minus = X[:h].copy(), X[:h].copy()
+        plus[: d - h] += mirror
+        minus[: d - h] -= mirror
+        out[0::2] = even.T @ plus
+        out[1::2] = odd.T @ minus
+    else:
+        U, V = even @ X[0::2], odd @ X[1::2]
+        np.add(U, V, out=out[:h])
+        np.subtract(U[: d - h][::-1], V[: d - h][::-1], out=out[h:])
+    return out
 
 
 def fold_dct(model: HadlModel) -> HadlModel:
     """The same predictor for `haar_rows` inputs: `dct_matrix(model)` folded
-    into the first head factor (P or W), the DCT stage switched off. A model
-    whose DCT stage is off, a folded head included, is returned as it is."""
+    into the first head factor (P or W, by `dct_product`), the DCT stage
+    switched off. A model whose DCT stage is off, a folded head included, is
+    returned as it is."""
     if not model.use_dct:
         return model
     first = HEAD_FACTORS[model.head][0]
-    return replace(model, use_dct=False, **{first: dct_matrix(model) @ getattr(model, first)})
+    return replace(model, use_dct=False, **{first: dct_product(model, getattr(model, first))})
 
 
 def transform_inputs(model: HadlModel, X) -> np.ndarray:
@@ -192,20 +224,16 @@ def transform_inputs(model: HadlModel, X) -> np.ndarray:
     return dct2_scaled(rows, model.lookback) if model.use_dct else rows
 
 
-def head_into(model: HadlModel, A: np.ndarray, out: np.ndarray) -> np.ndarray | None:
+def head_into(model: HadlModel, A: np.ndarray, out: np.ndarray) -> None:
     """Write the shared head's forecast for rows A (..., d_in) into the
-    caller's `out` (..., H); return A @ P for a low-rank head (the Q gradient
-    reuses it), else None. Every forecast is computed here: `head_apply`, the
-    training step and the full-set passes of `hadl.optim` all call it."""
-    Z = None
+    caller's `out` (..., H). `head_apply`, the dense training step, the test
+    MAE pass and the quadratic forms of `hadl.optim` all call it."""
     if model.head == HEAD_LOW_RANK:
-        Z = A @ model.P
-        np.matmul(Z, model.Q, out=out)
+        np.matmul(A @ model.P, model.Q, out=out)
     else:
         np.matmul(A, model.W, out=out)
     if model.bias is not None:
         out += model.bias
-    return Z
 
 
 def head_apply(model: HadlModel, A) -> np.ndarray:

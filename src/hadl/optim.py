@@ -24,7 +24,7 @@ from .model import (
     HEAD_LOW_RANK,
     HadlModel,
     check_windows,
-    dct_matrix,
+    dct_product,
     effective_weight,
     fold_dct,
     haar_series,
@@ -147,9 +147,8 @@ def l1_penalty(params: dict[str, np.ndarray]) -> float:
 def _dct_basis(model: HadlModel, grad: np.ndarray) -> np.ndarray:
     """A gradient w.r.t. the folded first factor F @ P (or F @ W) taken back
     to the DCT-basis parameter, with F = dct_matrix(model): dL/dP = F.T @
-    dL/d(F @ P)."""
-    F = dct_matrix(model)
-    return grad if F is None else F.T @ grad
+    dL/d(F @ P), by `dct_product`'s halves."""
+    return dct_product(model, grad, transpose=True) if model.use_dct else grad
 
 
 def _add_l1(model: HadlModel, grads: dict[str, np.ndarray], data_loss: float,
@@ -165,37 +164,60 @@ def _add_l1(model: HadlModel, grads: dict[str, np.ndarray], data_loss: float,
     return data_loss
 
 
-def _gradients_from_rows(model: HadlModel, block: tuple[np.ndarray, np.ndarray, np.ndarray],
+def _gradients_from_rows(model: HadlModel, block: tuple[np.ndarray, np.ndarray],
                          l1_lambda: float) -> tuple[dict[str, np.ndarray], float, int]:
-    """Gradients, loss and row count for a block (S, Y, pred) of Haar rows
-    S (..., d_in) (see `haar_rows`), targets Y and a caller-owned array pred
-    shaped like Y.
+    """Gradients, loss and row count for a block (S, Y) of Haar rows S
+    (..., d_in) (see `haar_rows`) and targets Y (..., H), both only read.
 
-    The forecast comes from `head_into` on the folded head, as in `forward`,
-    so a target produced by `forward` gives an exactly zero residual term
-    here. pred receives the forecast, then the residual E; Y is only read.
-    The loss is one dot product of E, and the 2 / Y.size of the output
-    gradient scales the d_in x r, r x H (or d_in x H) and H-sized results,
-    not E: after the residual, the rows are only read, by that dot product,
-    the products and the bias's column sum.
+    A low-rank head steps in rank space, with no N x H forecast or residual
+    for its N rows. Let Z be S @ (F @ P), the folded head's rank-r features,
+    and Q' be Q; with a bias b, Z gains a column of ones and Q' the row b.
+    The residual E = Z @ Q' - Y is linear in Z, so the loss and Z.T @ E (the
+    Q gradient, then the bias gradient E.T @ 1) are `_quadratic_form` of
+    Z.T @ Z, Z.T @ Y and ||Y||^2, and the P gradient is F.T @ S.T @ (E @
+    Q.T), with E @ Q.T = Z @ (Q' @ Q.T) - Y @ Q.T. That is two N x H
+    products, Y @ Q.T and Z.T @ Y, where the residual form takes three, and
+    no elementwise pass over the forecast. The loss carries the quadratic
+    form's absolute error, about 1e-16 * (||Z @ Q'||^2 + ||Y||^2) / (N H),
+    and is clamped at 0; at an exact fit the gradients are rounding-level
+    values, not exact zeros.
+
+    A dense head keeps the residual form, since its Gram form would add an
+    N x d_in^2 product: the forecast of the folded head (`head_into`, as in
+    `forward`) less Y, whose dot product is the loss. Either way 2 / Y.size
+    scales the parameter-shaped results, and F's products take its even/odd
+    halves (`dct_product`).
     """
-    S, Y, pred = block
-    Z = head_into(fold_dct(model), S, pred)
-    E = np.subtract(pred, Y, out=pred).reshape(-1, model.horizon)
-    data_loss = float(np.vdot(E, E)) / Y.size
-    scale = 2.0 / Y.size
-    S2 = S.reshape(-1, model.d_in)
-
+    S, Y = block
+    S, Y = S.reshape(-1, model.d_in), Y.reshape(-1, model.horizon)
+    folded, bias, scale = fold_dct(model), model.bias, 2.0 / Y.size
     grads: dict[str, np.ndarray] = {}
     if model.head == HEAD_LOW_RANK:
-        grads["P"] = _dct_basis(model, np.multiply(S2.T @ (E @ model.Q.T), scale))
-        grads["Q"] = np.multiply(Z.reshape(-1, Z.shape[-1]).T @ E, scale)
+        Q, r = model.Q, model.rank
+        Z = np.empty((len(Y), r + (bias is not None)))
+        np.matmul(S, folded.P, out=Z[:, :r])
+        weight = Q
+        if bias is not None:
+            Z[:, r] = 1.0
+            weight = np.vstack([Q, bias])
+        R, data_loss = _quadratic_form((Z.T @ Z) @ weight, Z.T @ Y, weight,
+                                       float(np.vdot(Y, Y)), len(Y))
+        projected = Z @ (weight @ Q.T)  # E @ Q.T
+        projected -= Y @ Q.T
+        grads["P"] = _dct_basis(model, np.multiply(S.T @ projected, scale))
+        R *= scale
+        grads["Q"] = R[:r]
+        if bias is not None:
+            grads["bias"] = R[r]
     else:
-        grads["W"] = _dct_basis(model, np.multiply(S2.T @ E, scale))
-    if model.bias is not None:
-        grads["bias"] = np.multiply(E.sum(axis=0), scale)
-
-    return grads, _add_l1(model, grads, data_loss, l1_lambda), len(E)
+        E = np.empty_like(Y)
+        head_into(folded, S, E)
+        E -= Y
+        data_loss = float(np.vdot(E, E)) / Y.size
+        grads["W"] = _dct_basis(model, np.multiply(S.T @ E, scale))
+        if bias is not None:
+            grads["bias"] = np.multiply(E.sum(axis=0), scale)
+    return grads, _add_l1(model, grads, data_loss, l1_lambda), len(Y)
 
 
 @dataclass
@@ -246,60 +268,60 @@ def adam_step(
 
 
 def _gather_blocks(model: HadlModel, batch, order, size: int):
-    """The windows of `order`, `size` at a time: (rows, d_in) Haar rows,
-    (rows, H) targets and a (rows, H) scratch array for the forecast, copied
-    from the views of a WindowBatch into arrays allocated once per call
-    (fancy indexing would allocate every block afresh, and `np.take` copies
-    the whole strided Haar view first), window by window. The caller may
-    overwrite the targets and the scratch; the next block refills them."""
+    """The windows of `order`, `size` at a time: (rows, d_in) Haar rows and
+    (rows, H) targets, copied from the views of a WindowBatch into arrays
+    allocated once per call (fancy indexing would allocate every block
+    afresh, and `np.take` copies the whole strided Haar view first), window
+    by window. The next block refills them."""
     S, Y = window_rows(model, batch), batch.targets
-    n, channels = len(order), S.shape[1]
+    n = len(order)
     S_buf = np.empty((min(size, n),) + S.shape[1:])
     Y_buf = np.empty((min(size, n),) + Y.shape[1:])
-    out = np.empty((min(size, n) * channels, model.horizon))
     for start in range(0, n, size):
         idx = order[start : start + size]
         for j, w in enumerate(idx):
             S_buf[j] = S[w]
             Y_buf[j] = Y[w]
-        rows = len(idx) * channels
-        yield S_buf[: len(idx)].reshape(rows, -1), Y_buf[: len(idx)].reshape(rows, -1), out[:rows]
+        yield (S_buf[: len(idx)].reshape(-1, model.d_in),
+               Y_buf[: len(idx)].reshape(-1, model.horizon))
 
 
 def _window_views(model: HadlModel, batch):
     """Every window of a WindowBatch in origin order, each a block of its own
     read in place: views of its (channels, d_in) Haar rows and (channels, H)
-    targets, and a (channels, H) scratch array for the forecast. The rows
-    are a slice of the values' `haar_halves`, built instead of the
-    interleaved `haar_series`: window w reads halves[w % 2][:, w//2 : w//2 +
-    d_in], bit-equal to its `window_rows` (with the Haar stage off, the one
-    "half" is the values themselves, at step 1). The caller may overwrite only the scratch: the targets
-    are views of the series itself."""
+    targets. The rows are a slice of the values' `haar_halves`, built instead
+    of the interleaved `haar_series`: window w reads halves[w % 2][:, w//2 :
+    w//2 + d_in], bit-equal to its `window_rows` (with the Haar stage off,
+    the one "half" is the values themselves, at step 1). Both are views, so
+    the caller only reads them."""
     check_windows(model, batch)
     x, d, L, H = batch.values, model.d_in, model.lookback, model.horizon
     halves, step = (haar_halves(x), 2) if model.use_haar else ((x,), 1)
-    out = np.empty((x.shape[0], H))
     for w in range(len(batch)):
         start = w // step
-        yield halves[w % step][:, start : start + d], x[:, w + L : w + L + H], out
+        yield halves[w % step][:, start : start + d], x[:, w + L : w + L + H]
 
 
 def evaluate(model: HadlModel, batch) -> float:
     """MAE of the model's forecasts, its head folded (see `fold_dct`), for
     every window of a WindowBatch, summed block by block in origin order
-    (see EVAL_ROWS) with no full-set array. A block of one window reads its
-    rows and targets in place (`_window_views`); larger blocks are gathered
-    (`_gather_blocks`). The MSE needs no pass: `window_mse`."""
+    (see EVAL_ROWS) with no full-set array: each block's forecast goes into
+    one array of the pass. A block of one window reads its rows and targets
+    in place (`_window_views`); larger blocks are gathered (`_gather_blocks`).
+    The MSE needs no pass: `window_mse`."""
     folded = fold_dct(model)
     absolute = 0.0
-    size = max(1, EVAL_ROWS // batch.values.shape[0])
+    channels = batch.values.shape[0]
+    size = max(1, EVAL_ROWS // channels)
     blocks = (_window_views(folded, batch) if size == 1
               else _gather_blocks(folded, batch, range(len(batch)), size))
-    for rows, target, out in blocks:
+    forecast = np.empty((min(size, len(batch)) * channels, folded.horizon))
+    for rows, target in blocks:
+        out = forecast[: len(rows)]
         head_into(folded, rows, out)
         diff = np.subtract(out, target, out=out)
         absolute += float(np.sum(np.abs(diff, out=diff)))
-    return absolute / (len(batch) * batch.values.shape[0] * folded.horizon)
+    return absolute / (len(batch) * channels * folded.horizon)
 
 
 def _window_sums(p: np.ndarray, n: int, step: int) -> np.ndarray:
@@ -531,36 +553,49 @@ class LagTables:
                           float(self.target_energy[origins].sum()), len(origins) * self.channels)
 
 
-def _quadratic_form(folded: HadlModel, stats: BatchStats):
-    """(R, column_sum, mse) of the folded head's residual E = S @ M + 1 b.T
-    - Y on the rows S and targets Y whose statistics are `stats`, for the
-    head's d_in x H map M, its bias b and N rows: R = S.T @ E = G @ M +
-    (S.T @ 1) b.T - C, the forecast's column sum M.T @ (S.T @ 1) + N b (None
-    without a bias), and mse = ||E||^2 / (N H), where ||E||^2 = <M, R - C> +
-    b . (column sum - 2 Y.T @ 1) + ||Y||^2. It costs O(d_in^2 * H) whatever N
-    is.
+def _quadratic_form(product: np.ndarray, cross: np.ndarray, weight: np.ndarray,
+                    energy: float, rows: int) -> tuple[np.ndarray, float]:
+    """(R, mse) of the residual E = S @ M - Y of a linear map M = `weight`
+    (k x H) on N = `rows` rows S and targets Y, from `product` = G @ M for
+    G = S.T @ S, `cross` = C = S.T @ Y and `energy` = ||Y||^2: R = S.T @ E =
+    G @ M - C and mse = ||E||^2 / (N H), where ||E||^2 = <M, R - C> +
+    ||Y||^2. It takes over both arrays, `product` for R and `cross` for R -
+    C, so it allocates none of their size. A bias b is one more feature, a
+    column of ones in S whose row of M is b, so R's last row is then the
+    bias gradient's E.T @ 1. It costs O(k^2 * H) whatever N is.
 
-    ||E||^2 is a difference of terms as large as ||S @ M + 1 b.T||^2 and
-    ||Y||^2, so the mse's absolute error is about 1e-16 * (||S @ M + 1
-    b.T||^2 + ||Y||^2) / (N H): within 1e-12 * ||Y||^2 / N while the
-    forecast's energy stays within a few thousand times H of the targets'.
-    Near an exact fit that error can take ||E||^2 below 0, so it is clamped
-    there.
+    ||E||^2 is a difference of terms as large as ||S @ M||^2 and ||Y||^2, so
+    the mse's absolute error is about 1e-16 * (||S @ M||^2 + ||Y||^2) / (N
+    H): within 1e-12 * ||Y||^2 / N while the forecast's energy stays within
+    a few thousand times H of the targets'. Near an exact fit that error can
+    take ||E||^2 below 0, so it is clamped there.
     """
-    R = np.empty_like(stats.cross)
-    head_into(replace(folded, bias=None), stats.gram, R)  # G @ M
-    R -= stats.cross
-    if folded.bias is not None:
-        R += np.outer(stats.row_sum, folded.bias)
-    M = effective_weight(folded)
-    squared = float(np.vdot(M, R - stats.cross)) + stats.target_energy
-    column_sum = None
-    if folded.bias is not None:
-        column_sum = stats.row_sum @ M + stats.rows * folded.bias
-        squared += float(folded.bias @ (column_sum - 2.0 * stats.target_sum))
+    R = product
+    R -= cross
+    squared = float(np.vdot(weight, np.subtract(R, cross, out=cross))) + energy
     if squared < 0.0:  # rounding; a NaN passes through
         squared = 0.0
-    return R, column_sum, squared / (stats.rows * folded.horizon)
+    return R, squared / (rows * R.shape[1])
+
+
+def _head_form(folded: HadlModel, stats: BatchStats) -> tuple[np.ndarray, float]:
+    """`_quadratic_form` of a folded head, its d_in x H map M taken through
+    its factors, on the Haar rows whose statistics are `stats`. With a bias
+    b, the ones column adds a row to G @ M, (S.T @ 1).T @ M + N b, to C,
+    (Y.T @ 1).T, and to M, b; G's own new row and column are S.T @ 1 and
+    N."""
+    d, b = folded.d_in, folded.bias
+    product = np.empty((d + (b is not None), folded.horizon))
+    head_into(replace(folded, bias=None), stats.gram, product[:d])  # G @ M
+    weight = effective_weight(folded)
+    if b is None:
+        cross = stats.cross.copy()
+    else:  # ordered so that at most three arrays of R's size are alive
+        product[:d] += np.outer(stats.row_sum, b)
+        product[d] = stats.row_sum @ weight + stats.rows * b
+        weight = np.vstack([weight, b])
+        cross = np.vstack([stats.cross, stats.target_sum])
+    return _quadratic_form(product, cross, weight, stats.target_energy, stats.rows)
 
 
 def window_mse(model: HadlModel, stats: BatchStats) -> float:
@@ -573,7 +608,7 @@ def window_mse(model: HadlModel, stats: BatchStats) -> float:
     targets stay near the train mean: against the forecasts' MSE it was
     2.8e-14 with a test segment shifted by 0 train standard deviations,
     5.1e-11 at 100 and 7.6e-7 at 10^4."""
-    return _quadratic_form(fold_dct(model), stats)[2]
+    return _head_form(fold_dct(model), stats)[1]
 
 
 def dense_equivalent_grad_norm(model: HadlModel, stats: BatchStats) -> float:
@@ -587,31 +622,30 @@ def dense_equivalent_grad_norm(model: HadlModel, stats: BatchStats) -> float:
     summed gradient S.T @ (S @ M + bias - Y) = G @ M + (S.T @ 1) bias - C
     comes from the statistics, with no pass over the windows.
     """
-    residual, _, _ = _quadratic_form(fold_dct(model), stats)
+    residual = _head_form(fold_dct(model), stats)[0][: model.d_in]
     return 2.0 / (stats.rows * model.horizon) * float(np.linalg.norm(_dct_basis(model, residual)))
 
 
 def _gradients_from_stats(model: HadlModel, stats: BatchStats,
                           l1_lambda: float) -> tuple[dict[str, np.ndarray], float, int]:
     """`_gradients_from_rows` for the rows S and targets Y whose statistics
-    are `stats`, from the quadratic form they determine (`_quadratic_form`):
-    every gradient follows from R and the forecast's column sum, so the step
-    costs O(d_in^2 * H) whatever the row count is. The gradients match the
-    row products to rounding (1e-12 relative in the tests); the loss carries
-    the quadratic form's absolute error, divided by the rows and H.
+    are `stats`, from the quadratic form they determine (`_head_form`):
+    every gradient follows from R, so the step costs O(d_in^2 * H) whatever
+    the row count is. The gradients match the row products to rounding
+    (1e-12 relative in the tests); the loss carries the quadratic form's
+    absolute error, divided by the rows and H.
     """
-    folded = fold_dct(model)
-    R, column_sum, data_loss = _quadratic_form(folded, stats)
-    scale = 2.0 / (stats.rows * model.horizon)
-    R *= scale
+    folded, d = fold_dct(model), model.d_in
+    R, data_loss = _head_form(folded, stats)
+    R *= 2.0 / (stats.rows * model.horizon)
     grads: dict[str, np.ndarray] = {}
     if model.head == HEAD_LOW_RANK:
-        grads["P"] = _dct_basis(model, R @ model.Q.T)
-        grads["Q"] = folded.P.T @ R
+        grads["P"] = _dct_basis(model, R[:d] @ model.Q.T)
+        grads["Q"] = folded.P.T @ R[:d]
     else:
-        grads["W"] = _dct_basis(model, R)
+        grads["W"] = _dct_basis(model, R[:d])
     if model.bias is not None:
-        grads["bias"] = scale * (column_sum - stats.target_sum)
+        grads["bias"] = R[d]
     return grads, _add_l1(model, grads, data_loss, l1_lambda), stats.rows
 
 

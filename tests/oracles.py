@@ -186,7 +186,7 @@ def gradients(model: HadlModel, X_batch, Y_batch, l1_lambda: float) -> dict[str,
             f"target length {Y_batch.shape[-1]} != horizon {model.horizon}"
         )
     S = haar_rows(model, X_batch)
-    grads, _, _ = _gradients_from_rows(model, (S, Y_batch, np.empty_like(Y_batch)), l1_lambda)
+    grads, _, _ = _gradients_from_rows(model, (S, Y_batch), l1_lambda)
     return grads
 
 
@@ -295,9 +295,17 @@ def textbook_adam(params, grads, moments, step, config):
     return new_params, (new_m, new_v)
 
 
-def reference_train(model, train_windows, val_windows, config):
-    """`train` with fresh fancy-indexed batches and step arrays at every step:
-    (best model, train_loss, val_mse)."""
+def package_step(model, S, Y, l1_lambda):
+    """The package's own training step, `_gradients_from_rows`, in
+    `reference_step`'s signature."""
+    grads, total, _ = _gradients_from_rows(model, (S, Y), l1_lambda)
+    return grads, total
+
+
+def reference_train(model, train_windows, val_windows, config, step=reference_step):
+    """`train` with fresh fancy-indexed batches and step arrays at every step,
+    each taken by `step` (`reference_step` or `package_step`): (best model,
+    train_loss, val_mse)."""
     n_train = len(train_windows)
     S_train = window_rows(model, train_windows)
     Y_train = train_windows.targets
@@ -313,8 +321,7 @@ def reference_train(model, train_windows, val_windows, config):
             idx = order[start : start + config.batch_size]
             S = S_train[idx].reshape(-1, model.d_in)
             Y = Y_train[idx].reshape(-1, model.horizon)
-            grads, batch_loss = reference_step(replace_params(model, params), S, Y,
-                                               config.l1_lambda)
+            grads, batch_loss = step(replace_params(model, params), S, Y, config.l1_lambda)
             params, state = adam_step(state, params, grads, config)
             loss_sum += batch_loss * S.shape[0]
             row_count += S.shape[0]

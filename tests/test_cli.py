@@ -35,7 +35,8 @@ from hadl.data import load_csv, split, synth, windows
 from hadl.errors import CorruptCheckpointError, InvalidConfigError, ParseError
 from hadl.model import (HEAD_LOW_RANK, effective_weight, forward, init_model,
                         load_checkpoint, save_checkpoint)
-from hadl.optim import dense_equivalent_grad_norm, steps_from_stats, window_stats
+from hadl.optim import dense_equivalent_grad_norm, steps_from_stats, train, window_stats
+from oracles import models_equal
 
 
 def table_rows(path) -> list[list[str]]:
@@ -351,8 +352,11 @@ class TestTrainCommand:
                 assert a.read_bytes() == b.read_bytes()
 
     def test_trace_grad_norm_is_the_returned_models(self, tmp_path):
-        # 3 channels step from rows and 40 from statistics; both take the
-        # norm from `window_stats`, as this check does
+        # 3 channels step from rows, and `run_single` takes the norm from
+        # `window_stats`; 40 step from statistics, and it takes the norm from
+        # the statistics `train` summed on its last epoch, which a re-run of
+        # `train` returns again. Each is compared exactly with its own
+        # source, and the summed statistics with `window_stats` to rounding.
         for channels in (3, 40):
             root = tmp_path / str(channels)
             config = synth_config(root, horizons=(8, 16), seeds=(1, 2), max_epochs=3,
@@ -364,11 +368,21 @@ class TestTrainCommand:
                 assert from_stats == (channels == 40)
                 run_dir = root / "runs" / "sine_mix" / "haar-dct-lowrank_r4-bias" / str(horizon)
                 for seed in config.seeds:
+                    job = replace(config, seed=seed)
                     best = load_checkpoint(run_dir / f"checkpoint_seed{seed}.npz")
-                    w_train, _, _ = prepare_windows(replace(config, seed=seed), horizon, data)
+                    w_train, w_val, _ = prepare_windows(job, horizon, data)
                     written = json.loads((run_dir / f"trace_seed{seed}.json").read_text())
-                    want = dense_equivalent_grad_norm(best, window_stats(best, w_train))
-                    assert written["final_grad_norm"] == want
+                    norm = dense_equivalent_grad_norm(best, window_stats(best, w_train))
+                    if from_stats:
+                        model = init_model(job.lookback, horizon, job.rank,
+                                           seed=mix_seed(seed, "init", job.lookback, horizon))
+                        again, _, summed = train(model, w_train, w_val, job)
+                        assert models_equal(again, best)
+                        written_norm = written["final_grad_norm"]
+                        assert written_norm == dense_equivalent_grad_norm(best, summed)
+                        assert written_norm == pytest.approx(norm, rel=1e-12, abs=0)
+                    else:
+                        assert written["final_grad_norm"] == norm
 
 
 def count_calls(monkeypatch, module, name: str) -> list:
@@ -537,6 +551,24 @@ class TestOneStandardizedSeries:
             other = getattr(noisy, name)
             assert (value.tobytes() == other.tobytes() if isinstance(value, np.ndarray)
                     else value == other), name
+
+    def test_each_cell_draws_its_own_noise(self, tmp_path):
+        # cell (seed, eta) trains on the clean train segment plus eta times
+        # the standard normals of mix_seed(seed, "noise", eta), in
+        # `inject_noise`'s order; with eta left out of that seed, every eta
+        # of a sweep drew the same noise
+        config = synth_config(tmp_path, seed=3)
+        data = load_dataset(config)
+        clean = split(*data, lookback=config.lookback)[0].values
+        draws = []
+        for eta in (0.7, 2.3):
+            w_train, _, _ = prepare_windows(replace(config, noise_eta=eta), 16, data)
+            want = np.random.default_rng(mix_seed(3, "noise", eta)).standard_normal(clean.shape)
+            want *= eta
+            want += clean
+            assert w_train.values.tobytes() == want.tobytes()
+            draws.append((w_train.values - clean) / eta)
+        assert np.max(np.abs(draws[0] - draws[1])) > 1.0
 
     def test_standardizing_and_windowing_allocate_at_most_one_series(self):
         # the copies each job made were about one series per job
@@ -901,6 +933,53 @@ def test_setting_a_command_drops_is_one_error_line(tmp_path, capsys, command, ke
     assert_one_error_line(tmp_path, capsys, key, [*command, "--dataset", "sine_mix", "--lookback",
                                                   "16", "--horizons", "4", "--rank", "2",
                                                   "--max-epochs", "1", "--patience", "1"])
+
+
+# each exited 0 having trained without the flag's value: a list that only
+# another command sweeps, or the key the ablation axis sets in every cell
+@pytest.mark.parametrize("argv, message", [
+    (["train", "--eta-list", "0,0.5"], "--eta-list: only hadl robustness reads eta_list,"
+                                       " not hadl train"),
+    (["train", "--lookback-list", "8,16"], "--lookback-list: only hadl ablate lookback reads"
+                                           " lookback_list, not hadl train"),
+    ([*ROBUST, "--rank-list", "4,8"], "--rank-list: only hadl ablate rank reads rank_list,"
+                                      " not hadl robustness"),
+    (["ablate", "dct", "--rank-list", "4,8"], "--rank-list: only hadl ablate rank reads"
+                                              " rank_list, not hadl ablate dct"),
+    (["ablate", "haar", "--use-haar", "false"], "--use-haar: hadl ablate haar sets use_haar"
+                                                " in every cell"),
+    (["ablate", "rank", "--params-only", "--rank-list", "4,8"], "--rank: hadl ablate rank sets"
+                                                                " rank in every cell"),
+    (["params", "--eta-list", "0,0.5"], "--eta-list: only hadl robustness reads eta_list,"
+                                        " not hadl params"),
+], ids=["train", "train_lookbacks", "robustness", "ablate_lists", "ablate_axis",
+        "ablate_params_only", "params"])
+def test_a_flag_the_command_drops_fails_before_loading(tmp_path, capsys, monkeypatch, argv,
+                                                       message):
+    monkeypatch.setattr(hadl.cli, "load_dataset", must_not_run)
+    rc = main([*argv, "--dataset", "sine_mix", "--lookback", "16", "--horizons", "4", "--rank",
+               "2", "--max-epochs", "1", "--patience", "1", "--outdir", str(tmp_path / "runs")])
+    out, err = capsys.readouterr()
+    assert rc == 1 and out == ""
+    assert err.splitlines() == [f"error: {message}"]
+    assert not (tmp_path / "runs").exists()
+
+
+def test_a_config_file_may_set_what_a_command_drops(tmp_path, capsys):
+    # one file may serve several commands, so only flags are held to the rule
+    cfg = tmp_path / "shared.cfg"
+    cfg.write_text("eta_list = 0,0.5\nrank_list = 4,8\nuse_haar = false\n")
+    rc = main(["ablate", "haar", "--config", str(cfg), "--dataset", "sine_mix", "--lookback",
+               "16", "--horizons", "4", "--rank", "2", "--max-epochs", "1", "--patience", "1",
+               "--outdir", str(tmp_path / "runs")])
+    assert rc == 0, capsys.readouterr().err
+    rows = table_rows(tmp_path / "runs" / "sine_mix" / "ablate_haar.csv")
+    assert [row[1] for row in rows[1:]] == ["with_haar", "without_haar"]
+    # the finite-value check that a train flag no longer reaches
+    rc = main([*ROBUST, "--eta-list", "0,inf", "--dataset", "sine_mix", "--lookback", "16",
+               "--horizons", "4", "--outdir", str(tmp_path / "inf")])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == ["error: eta_list must be finite, got inf"]
 
 
 @pytest.mark.parametrize("command, flag, values", [

@@ -144,9 +144,8 @@ def test_head_apply_is_the_explicit_product(kwargs):
         want = want + m.bias
     assert np.array_equal(head_apply(m, A), want)
     out = np.full((10, 3), np.nan)
-    Z = head_into(m, A.reshape(10, m.d_in), out)
+    head_into(m, A.reshape(10, m.d_in), out)
     assert np.array_equal(out, want.reshape(10, 3))
-    assert Z is None if m.head == HEAD_DENSE else np.array_equal(Z, A.reshape(10, -1) @ m.P)
 
 
 class TestParamCount:
@@ -276,7 +275,9 @@ def test_head_parameters_follow_the_head_kind(head, with_bias, use_haar, use_dct
         assert folded is m
     else:
         first = names[0]
-        assert getattr(folded, first).tobytes() == (F @ getattr(m, first)).tobytes()
+        # F's even/odd halves (`dct_product`) round otherwise than F @ P
+        want = F @ getattr(m, first)
+        assert np.max(np.abs(getattr(folded, first) - want)) <= 1e-12 * np.max(np.abs(want))
         assert folded.use_dct is False
         for f in fields(HadlModel):
             if f.name not in (first, "use_dct"):

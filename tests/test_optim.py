@@ -16,6 +16,7 @@ from hadl.model import (
     dct_matrix,
     fold_dct,
     forward,
+    haar_rows,
     head_apply,
     init_model,
     model_params,
@@ -39,7 +40,8 @@ from hadl.optim import (
 )
 from hadl.transforms import dct2_scaled
 from oracles import (InvalidStepError, forecast_mse, gradcheck, gradients, loss, mae,
-                     models_equal, reference_train, textbook_adam)
+                     models_equal, package_step, reference_step, reference_train,
+                     textbook_adam)
 
 
 def realizable_windows(lookback=64, horizon=16, channels=3, length=480, seed=0):
@@ -85,14 +87,35 @@ class TestLoss:
         assert l1_penalty(params) == pytest.approx(np.abs(m.P).sum() + np.abs(m.Q).sum())
 
 
+def exact_fit_bounds(model, X, Y) -> dict[str, float]:
+    """Bounds on the rounding a low-rank step's gradients carry at an exact
+    fit, where their terms cancel: a float64 epsilon of each gradient's
+    largest term (F.T @ S.T @ Y @ Q.T, Z.T @ Y and Y.T @ 1, times 2 /
+    Y.size) for every addition along its longest sum (rows + d_in)."""
+    S = haar_rows(model, X).reshape(-1, model.d_in)
+    Y = Y.reshape(-1, model.horizon)
+    Z, scale = S @ fold_dct(model).P, 2.0 / Y.size
+    terms = {"P": dct_matrix(model).T @ S.T @ Y @ model.Q.T, "Q": Z.T @ Y,
+             "bias": Y.sum(axis=0)}
+    count = len(S) + model.d_in
+    return {name: count * np.finfo(float).eps * scale * float(np.max(np.abs(term)))
+            for name, term in terms.items()}
+
+
 class TestGradients:
     def test_zero_at_minimum(self):
+        # the rank-space step's gradients are sums of terms that cancel at
+        # the fit, so they are rounding-level values, not exact zeros
         m = init_model(12, 3, 2, seed=1)
         X = np.random.default_rng(2).normal(size=(4, 2, 12))
         Y = forward(m, X)
         grads = gradients(m, X, Y, l1_lambda=0.0)
-        for g in grads.values():
-            assert_allclose(g, np.zeros_like(g), atol=0)
+        bounds = exact_fit_bounds(m, X, Y)
+        for name, g in grads.items():
+            assert np.max(np.abs(g)) <= bounds[name], name
+        # the loss is a clamped quadratic form: rounding above 0, never below
+        data_loss = hadl.optim._gradients_from_rows(m, (haar_rows(m, X), Y), 0.0)[1]
+        assert 0.0 <= data_loss <= 1e-12 * float(np.sum(Y * Y)) / (4 * 2)
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(3)
@@ -108,9 +131,10 @@ class TestGradients:
         Y = forward(m, X)
         lam = 0.25
         grads = gradients(m, X, Y, l1_lambda=lam)
-        assert_allclose(grads["P"], lam * np.sign(m.P), atol=0)
-        assert_allclose(grads["Q"], lam * np.sign(m.Q), atol=0)
-        assert_allclose(grads["bias"], np.zeros_like(m.bias), atol=0)
+        bounds = exact_fit_bounds(m, X, Y)
+        assert np.max(np.abs(grads["P"] - lam * np.sign(m.P))) <= bounds["P"]
+        assert np.max(np.abs(grads["Q"] - lam * np.sign(m.Q))) <= bounds["Q"]
+        assert np.max(np.abs(grads["bias"])) <= bounds["bias"]
 
     def test_sign_at_zero_is_zero(self):
         m = init_model(4, 1, 1, seed=0)
@@ -364,31 +388,82 @@ class TestTrain:
         assert float(np.mean(refit * refit)) == pytest.approx(min(trace.val_mse), rel=1e-12)
 
 
-class TestBufferedSteps:
-    """`train` reuses one epoch's step arrays; every bit of the steps must
-    match fresh ones. The validation MSE comes from window statistics, not
-    from the rows `reference_train` evaluates, so it matches to rounding."""
+VARIANTS = [dict(head=head, use_haar=use_haar, use_dct=use_dct, with_bias=with_bias)
+            for head in (HEAD_LOW_RANK, HEAD_DENSE) for use_haar in (True, False)
+            for use_dct in (True, False) for with_bias in (True, False)]
 
-    @pytest.mark.parametrize("model_kwargs, batch_size", [
+
+class TestRowsStep:
+    """The rows step's arithmetic (rank space for a low-rank head, F's
+    halves) against the textbook residual step, `reference_step`."""
+
+    @pytest.mark.parametrize("variant", VARIANTS,
+                             ids=["-".join(map(str, v.values())) for v in VARIANTS])
+    @pytest.mark.parametrize("three_d", [False, True])
+    def test_matches_the_reference_step(self, variant, three_d):
+        rng = np.random.default_rng(2)
+        lookback = 16 if variant["use_haar"] else 13  # d_in 8, or 13: F's halves differ in size
+        batch = WindowBatch(0.5 + rng.normal(size=(6, 140)), lookback, 5)
+        model = init_model(lookback, 5, 3, seed=4, **variant)
+        if model.bias is not None:
+            model.bias[:] = rng.normal(size=5)
+        origins = rng.permutation(len(batch))[:37]
+        S = np.array(window_rows(model, batch)[origins])
+        Y = np.array(batch.targets[origins])
+        block = (S, Y) if three_d else (S.reshape(-1, model.d_in), Y.reshape(-1, 5))
+        grads, loss, rows = hadl.optim._gradients_from_rows(model, block, 1e-4)
+        want, want_loss = reference_step(model, S.reshape(-1, model.d_in), Y.reshape(-1, 5), 1e-4)
+        assert rows == 37 * 6 and grads.keys() == want.keys()
+        for name in want:
+            assert np.max(np.abs(grads[name] - want[name])) <= 1e-12 * np.max(np.abs(want[name]))
+        assert abs(loss - want_loss) <= 1e-12 * float(np.sum(Y * Y)) / rows
+
+
+class TestBufferedSteps:
+    """`train` reuses one epoch's gather arrays: every bit of its steps must
+    match the package's own step on fresh arrays, and the training that of
+    the textbook step to rounding. The validation MSE comes from window
+    statistics, not from the rows `reference_train` evaluates, so it
+    matches to rounding."""
+
+    CASES = [
         ({}, 48),  # 257 windows: five full batches and a final one of 17
         ({}, 1000),  # one batch larger than the window set
         ({"head": HEAD_DENSE}, 48),
         ({"with_bias": False}, 48),
         ({"use_haar": False}, 48),
         ({"use_dct": False}, 64),
-    ])
-    def test_matches_fresh_arrays_per_step(self, model_kwargs, batch_size):
+    ]
+
+    @staticmethod
+    def run(model_kwargs, batch_size, step):
         w_train, w_val, _ = realizable_windows()
         assert len(w_train) % batch_size != 0
         cfg = TrainConfig(learning_rate=0.05, l1_lambda=1e-4, max_epochs=8, patience=3,
                           batch_size=batch_size, seed=4)
         model = init_model(64, 16, 2, seed=5, **model_kwargs)
-        best, trace, _ = train(model, w_train, w_val, cfg)
-        ref_best, ref_train_loss, ref_val_mse = reference_train(model, w_train, w_val, cfg)
+        return train(model, w_train, w_val, cfg), reference_train(model, w_train, w_val, cfg,
+                                                                  step)
+
+    @pytest.mark.parametrize("model_kwargs, batch_size", CASES)
+    def test_matches_fresh_arrays_per_step(self, model_kwargs, batch_size):
+        (best, trace, _), (ref_best, ref_train_loss, ref_val_mse) = self.run(
+            model_kwargs, batch_size, package_step)
         assert trace.train_loss == ref_train_loss
         assert_allclose(trace.val_mse, ref_val_mse, rtol=1e-12, atol=0.0)
         assert trace.best_epoch == int(np.argmin(ref_val_mse))
         assert models_equal(best, ref_best)
+
+    @pytest.mark.parametrize("model_kwargs, batch_size", CASES)
+    def test_matches_the_textbook_steps(self, model_kwargs, batch_size):
+        (best, trace, _), (ref_best, ref_train_loss, ref_val_mse) = self.run(
+            model_kwargs, batch_size, reference_step)
+        assert trace.best_epoch == int(np.argmin(ref_val_mse))
+        assert_allclose(trace.train_loss, ref_train_loss, rtol=1e-9, atol=0.0)
+        assert_allclose(trace.val_mse, ref_val_mse, rtol=1e-9, atol=0.0)
+        for name, want in model_params(ref_best).items():
+            got = model_params(best)[name]
+            assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
 
 
 class TestStatisticsSteps:
@@ -554,7 +629,7 @@ class TestBlockedPasses:
         for order in (range(11), range(2, 11, 3)):
             blocks = zip(range(0, len(order), 4), _gather_blocks(model, batch, order, 4),
                          _gather_blocks(model, batch, np.array(order), 4), strict=True)
-            for start, (rows, target, _), (rows_a, target_a, _) in blocks:
+            for start, (rows, target), (rows_a, target_a) in blocks:
                 idx = list(order[start : start + 4])
                 assert np.array_equal(rows, rows_a) and np.array_equal(target, target_a)
                 assert np.array_equal(rows, S[idx].reshape(-1, model.d_in))
@@ -628,6 +703,21 @@ class TestOneDctMatrix:
             F[0, 0] = 1.0
         assert dct_matrix(replace(model, use_haar=False)).shape == (32, 32)
         assert dct_matrix(replace(model, use_dct=False)) is None
+
+    @pytest.mark.parametrize("lookback, use_haar", [(2, True), (64, True), (1024, True),
+                                                   (1, False), (2, False), (7, False),
+                                                   (33, False), (511, False)])
+    def test_halves_match_the_matrix(self, lookback, use_haar):
+        # `fold_dct` and `_dct_basis` take F's even/odd halves, odd d_in included
+        rng = np.random.default_rng(lookback)
+        for head in (HEAD_LOW_RANK, HEAD_DENSE):
+            model = init_model(lookback, 6, 3, seed=lookback, use_haar=use_haar, head=head)
+            F, first = dct_matrix(model), "P" if head == HEAD_LOW_RANK else "W"
+            grad = rng.normal(size=getattr(model, first).shape)
+            for got, want in ((getattr(fold_dct(model), first), F @ getattr(model, first)),
+                              (hadl.optim._dct_basis(model, grad), F.T @ grad)):
+                assert got.shape == want.shape
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     @settings(max_examples=30, deadline=None)
     @given(use_haar=st.booleans(), use_dct=st.booleans(),

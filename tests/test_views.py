@@ -96,7 +96,7 @@ class TestViews:
         rows, targets = window_rows(model, batch), batch.targets
         views = list(_window_views(model, batch))
         assert len(views) == len(batch)
-        for w, (view, target, _) in enumerate(views):
+        for w, (view, target) in enumerate(views):
             assert np.array_equal(view, rows[w]) and np.array_equal(target, targets[w])
             assert np.shares_memory(target, batch.values)
             assert np.shares_memory(view, batch.values) == (not model.use_haar)
