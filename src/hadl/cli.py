@@ -173,28 +173,32 @@ def read_config_file(path) -> dict:
     return values
 
 
-# The list keys that one command alone sweeps: a flag that sets one for
-# another command, which would drop it, is refused (`resolve_config`).
+# The list keys that one command alone sweeps, and the key each ablation
+# axis sets in every cell: a flag that sets one where the command would drop
+# it is refused (`resolve_config`).
 SWEEPS = {"eta_list": "robustness", "rank_list": "ablate rank",
           "lookback_list": "ablate lookback"}
-
-
-def flag_keys(args: argparse.Namespace) -> list[str]:
-    """The config keys that the command line sets, in declaration order."""
-    return [f.name for f in fields(ExperimentConfig) if getattr(args, f.name) is not None]
+AXIS_KEYS = {"haar": "use_haar", "head": "head", "dct": "use_dct", "rank": "rank",
+             "lookback": "lookback"}
+ABLATION_AXES = tuple(AXIS_KEYS)
 
 
 def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
-    """The config file's values, then the flags'. A flag that sets a list
-    another command sweeps (SWEEPS) is an InvalidConfigError, raised before
-    any value is parsed; a config file may set it, since one file may serve
-    several commands."""
-    command = " ".join(filter(None, (args.command, getattr(args, "axis", None))))
-    keys = flag_keys(args)
+    """The config file's values, then the flags'. A flag that the command
+    would drop, a list another command sweeps (SWEEPS) or the key an
+    ablation axis sets in every cell (AXIS_KEYS), is an InvalidConfigError,
+    raised before any value is parsed; a config file may set it, since one
+    file may serve several commands."""
+    axis = getattr(args, "axis", None)
+    command = " ".join(filter(None, (args.command, axis)))
+    keys = [f.name for f in fields(ExperimentConfig) if getattr(args, f.name) is not None]
     for key in keys:
+        flag = "--" + key.replace("_", "-")
         if SWEEPS.get(key, command) != command:
-            raise InvalidConfigError(f"--{key.replace('_', '-')}: only hadl {SWEEPS[key]}"
-                                     f" reads {key}, not hadl {command}")
+            raise InvalidConfigError(f"{flag}: only hadl {SWEEPS[key]} reads {key},"
+                                     f" not hadl {command}")
+        if key == AXIS_KEYS.get(axis):
+            raise InvalidConfigError(f"{flag}: hadl {command} sets {key} in every cell")
     values: dict = {}
     if args.config:
         values.update(read_config_file(args.config))
@@ -455,18 +459,8 @@ def cmd_robustness(config: ExperimentConfig,
     return reports
 
 
-# the key each ablation axis sets in every cell
-AXIS_KEYS = {"haar": "use_haar", "head": "head", "dct": "use_dct", "rank": "rank",
-             "lookback": "lookback"}
-ABLATION_AXES = tuple(AXIS_KEYS)
-
-
-def _ablate_grid(config: ExperimentConfig, axis: str,
-                 flags=()) -> list[tuple[str, ExperimentConfig]]:
-    """The (label, job config) grid an ablation axis expands to. `flags`
-    are the keys the command line set: one that the axis sets in every cell
-    would be dropped, so it is an InvalidConfigError (a config file may set
-    it)."""
+def _ablate_grid(config: ExperimentConfig, axis: str) -> list[tuple[str, ExperimentConfig]]:
+    """The (label, job config) grid an ablation axis expands to."""
     variants = {
         "haar": [("with_haar", {"use_haar": True}), ("without_haar", {"use_haar": False})],
         "head": [("low_rank", {"head": HEAD_LOW_RANK}), ("dense", {"head": HEAD_DENSE})],
@@ -479,23 +473,17 @@ def _ablate_grid(config: ExperimentConfig, axis: str,
     _one_seed(config, "ablate")
     if axis == "rank" and config.head != HEAD_LOW_RANK:  # every cell would train one dense head
         raise InvalidConfigError(f"head: ablate rank varies a low_rank head, got {config.head!r}")
-    key = AXIS_KEYS[axis]
-    if key in flags:
-        raise InvalidConfigError(f"--{key.replace('_', '-')}: hadl ablate {axis} sets {key}"
-                                 " in every cell")
     base = replace(config, seed=config.seed_list()[0])
     return [(label, replace(base, **keys)) for label, keys in variants[axis]]
 
 
-def cmd_ablate(config: ExperimentConfig, axis: str, params_only: bool = False,
-               flags=()) -> str:
+def cmd_ablate(config: ExperimentConfig, axis: str, params_only: bool = False) -> str:
     """Run a variant grid and write an MSE + parameter-count table.
 
     With params_only the table skips training and fills only the parameter
-    columns (useful to inspect model sizes without data). `flags` are the
-    keys the command line set (see `_ablate_grid`).
+    columns (useful to inspect model sizes without data).
     """
-    grid = _ablate_grid(config, axis, flags)
+    grid = _ablate_grid(config, axis)
     labels = [label for label, _ in grid for _ in config.horizons]
     cells = [(job, horizon) for _, job in grid for horizon in config.horizons]
     totals = param_totals(cells)
@@ -568,7 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
                    ).set_defaults(run=lambda a: cmd_robustness(resolve_config(a), a.workers))
     sub.add_parser("ablate", parents=[axis, keys], help="variant-grid table for one axis"
                    ).set_defaults(run=lambda a: cmd_ablate(resolve_config(a), a.axis,
-                                                           a.params_only, flag_keys(a)))
+                                                           a.params_only))
     sub.add_parser("params", parents=[keys], help="print parameter counts"
                    ).set_defaults(run=lambda a: cmd_params(resolve_config(a)))
     p_export = sub.add_parser("export-weights", help="dump the forecaster as a CSV table")

@@ -19,6 +19,7 @@ import hadl.data
 import hadl.model
 import hadl.optim
 from hadl.cli import (
+    SWEEPS,
     ExperimentConfig,
     _ablate_grid,
     cmd_ablate,
@@ -890,7 +891,7 @@ def test_params_command_output(capsys):
     (["--noise-eta", "inf"], "noise_eta"),
     (["--learning-rate", "inf"], "learning_rate"),
     (["--l1-lambda", "inf"], "l1_lambda"),
-    (["--eta-list", "0,inf"], "eta_list"),  # train exited 0; robustness trained eta=0 first
+    (["--eta-list", "0,inf"], "eta_list"),  # robustness trained eta=0 first
     # robustness trained eta -0.0 once but kept both in robustness.json's config
     (["--eta-list=-0,0"], "eta_list"),
     # names that select nothing: a split convention, a head kind
@@ -898,13 +899,19 @@ def test_params_command_output(capsys):
     (["--head", "bogus"], "head"),
 ])
 def test_bad_config_value_is_one_error_line(tmp_path, capsys, flags, key):
-    assert_one_error_line(tmp_path, capsys, key, ["train", "--dataset", "sine_mix", "--lookback",
-                                                  "32", "--horizons", "8", *flags])
+    # a list that one command sweeps is checked under that command, which
+    # reads it: any other refuses the flag itself, in a line that starts with
+    # it, before parsing the value. The lookback ablation sets the lookback.
+    command = SWEEPS.get(key, "train").split()
+    shape = [] if command == ["ablate", "lookback"] else ["--lookback", "32"]
+    line = assert_one_error_line(tmp_path, capsys, key, [*command, "--dataset", "sine_mix",
+                                                         *shape, "--horizons", "8", *flags])
+    assert not line.startswith("error: --"), line
 
 
 def assert_one_error_line(tmp_path, capsys, key, argv):
     """`argv` exits 1 with one `error:` line naming `key`, trains no job and
-    creates no outdir."""
+    creates no outdir; the line is returned."""
     rc = main([*argv, "--outdir", str(tmp_path / "runs")])
     out, err = capsys.readouterr()
     err = err.splitlines()
@@ -912,6 +919,7 @@ def assert_one_error_line(tmp_path, capsys, key, argv):
     assert out == ""  # no job trained
     assert len(err) == 1 and err[0].startswith("error: ") and key in err[0], err
     assert not (tmp_path / "runs").exists()
+    return err[0]
 
 
 ROBUST = ["robustness", "--eta-list", "0,0.7", "--robust-max-epochs", "1",
@@ -931,8 +939,8 @@ ROBUST = ["robustness", "--eta-list", "0,0.7", "--robust-max-epochs", "1",
 ])
 def test_setting_a_command_drops_is_one_error_line(tmp_path, capsys, command, key):
     assert_one_error_line(tmp_path, capsys, key, [*command, "--dataset", "sine_mix", "--lookback",
-                                                  "16", "--horizons", "4", "--rank", "2",
-                                                  "--max-epochs", "1", "--patience", "1"])
+                                                  "16", "--horizons", "4", "--max-epochs", "1",
+                                                  "--patience", "1"])
 
 
 # each exited 0 having trained without the flag's value: a list that only
@@ -975,11 +983,6 @@ def test_a_config_file_may_set_what_a_command_drops(tmp_path, capsys):
     assert rc == 0, capsys.readouterr().err
     rows = table_rows(tmp_path / "runs" / "sine_mix" / "ablate_haar.csv")
     assert [row[1] for row in rows[1:]] == ["with_haar", "without_haar"]
-    # the finite-value check that a train flag no longer reaches
-    rc = main([*ROBUST, "--eta-list", "0,inf", "--dataset", "sine_mix", "--lookback", "16",
-               "--horizons", "4", "--outdir", str(tmp_path / "inf")])
-    assert rc == 1
-    assert capsys.readouterr().err.splitlines() == ["error: eta_list must be finite, got inf"]
 
 
 @pytest.mark.parametrize("command, flag, values", [
