@@ -173,11 +173,17 @@ def read_config_file(path) -> dict:
     return values
 
 
-# The list keys that one command alone sweeps, and the key each ablation
-# axis sets in every cell: a flag that sets one where the command would drop
-# it is refused (`resolve_config`).
-SWEEPS = {"eta_list": "robustness", "rank_list": "ablate rank",
-          "lookback_list": "ablate lookback"}
+# The keys that only some commands read, by the commands that do (`hadl
+# <command> <axis>` or a prefix of it); the keys that a command which trains
+# nothing (`params`, `ablate --params-only`) drops, its training and data
+# keys; and the key each ablation axis sets in every cell. A flag that sets
+# one where the command would drop it is refused (`resolve_config`).
+READERS = {"eta_list": ("robustness",), "robust_max_epochs": ("robustness",),
+           "robust_patience": ("robustness",), "rank_list": ("ablate rank",),
+           "lookback_list": ("ablate lookback",), "max_epochs": ("train", "ablate"),
+           "patience": ("train", "ablate")}
+UNTRAINED_DROPS = (*(f.name for f in fields(TrainConfig)), "seeds", "noise_eta", "data_path",
+                   "convention", "synth_length", "synth_channels")
 AXIS_KEYS = {"haar": "use_haar", "head": "head", "dct": "use_dct", "rank": "rank",
              "lookback": "lookback"}
 ABLATION_AXES = tuple(AXIS_KEYS)
@@ -185,18 +191,26 @@ ABLATION_AXES = tuple(AXIS_KEYS)
 
 def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     """The config file's values, then the flags'. A flag that the command
-    would drop, a list another command sweeps (SWEEPS) or the key an
-    ablation axis sets in every cell (AXIS_KEYS), is an InvalidConfigError,
-    raised before any value is parsed; a config file may set it, since one
-    file may serve several commands."""
+    would drop is an InvalidConfigError: a key other commands read
+    (READERS), a training or data key where nothing trains
+    (UNTRAINED_DROPS), or the key an ablation axis sets in every cell
+    (AXIS_KEYS), each raised before any value is parsed, and `--rank` for a
+    dense head, once the values are. A config file may set any key, since
+    one file may serve several commands."""
     axis = getattr(args, "axis", None)
     command = " ".join(filter(None, (args.command, axis)))
+    untrained = args.command == "params" or getattr(args, "params_only", False)
     keys = [f.name for f in fields(ExperimentConfig) if getattr(args, f.name) is not None]
     for key in keys:
         flag = "--" + key.replace("_", "-")
-        if SWEEPS.get(key, command) != command:
-            raise InvalidConfigError(f"{flag}: only hadl {SWEEPS[key]} reads {key},"
-                                     f" not hadl {command}")
+        readers = READERS.get(key, (command,))
+        if not any(f"{command} ".startswith(f"{reader} ") for reader in readers):
+            names = " and ".join(f"hadl {reader}" for reader in readers)
+            verb = "reads" if len(readers) == 1 else "read"
+            raise InvalidConfigError(f"{flag}: only {names} {verb} {key}, not hadl {command}")
+        if untrained and key in UNTRAINED_DROPS:
+            where = f"{command} --params-only" if axis else command
+            raise InvalidConfigError(f"{flag}: hadl {where} trains no model and loads no data")
         if key == AXIS_KEYS.get(axis):
             raise InvalidConfigError(f"{flag}: hadl {command} sets {key} in every cell")
     values: dict = {}
@@ -204,6 +218,9 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
         values.update(read_config_file(args.config))
     for key in keys:
         values[key] = _parse_value(key, getattr(args, key))
+    if "rank" in keys and values.get("head") == HEAD_DENSE and axis != "head":
+        raise InvalidConfigError(f"--rank: a {HEAD_DENSE} head has no rank,"
+                                 f" so hadl {command} would drop it")
     return ExperimentConfig(**values)
 
 

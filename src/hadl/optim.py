@@ -269,21 +269,13 @@ def adam_step(
 
 def _gather_blocks(model: HadlModel, batch, order, size: int):
     """The windows of `order`, `size` at a time: (rows, d_in) Haar rows and
-    (rows, H) targets, copied from the views of a WindowBatch into arrays
-    allocated once per call (fancy indexing would allocate every block
-    afresh, and `np.take` copies the whole strided Haar view first), window
-    by window. The next block refills them."""
+    (rows, H) targets, each block one fancy-indexed copy of the views of a
+    WindowBatch (`np.take` would copy the whole strided Haar view first).
+    Every block is fresh, so a caller drops one before it takes the next."""
     S, Y = window_rows(model, batch), batch.targets
-    n = len(order)
-    S_buf = np.empty((min(size, n),) + S.shape[1:])
-    Y_buf = np.empty((min(size, n),) + Y.shape[1:])
-    for start in range(0, n, size):
+    for start in range(0, len(order), size):
         idx = order[start : start + size]
-        for j, w in enumerate(idx):
-            S_buf[j] = S[w]
-            Y_buf[j] = Y[w]
-        yield (S_buf[: len(idx)].reshape(-1, model.d_in),
-               Y_buf[: len(idx)].reshape(-1, model.horizon))
+        yield S[idx].reshape(-1, model.d_in), Y[idx].reshape(-1, model.horizon)
 
 
 def _window_views(model: HadlModel, batch):
@@ -307,8 +299,8 @@ def evaluate(model: HadlModel, batch) -> float:
     every window of a WindowBatch, summed block by block in origin order
     (see EVAL_ROWS) with no full-set array: each block's forecast goes into
     one array of the pass. A block of one window reads its rows and targets
-    in place (`_window_views`); larger blocks are gathered (`_gather_blocks`).
-    The MSE needs no pass: `window_mse`."""
+    in place (`_window_views`); larger blocks are gathered (`_gather_blocks`),
+    each released before the next. The MSE needs no pass: `window_mse`."""
     folded = fold_dct(model)
     absolute = 0.0
     channels = batch.values.shape[0]
@@ -321,6 +313,7 @@ def evaluate(model: HadlModel, batch) -> float:
         head_into(folded, rows, out)
         diff = np.subtract(out, target, out=out)
         absolute += float(np.sum(np.abs(diff, out=diff)))
+        del rows, target  # before the next block is gathered
     return absolute / (len(batch) * channels * folded.horizon)
 
 
@@ -480,11 +473,14 @@ def _lag_table(u: np.ndarray, v: np.ndarray, offset: int, step: int, count: int,
     return table
 
 
-# Row blocks in which `LagTables.stats` sums a batch's upper band of G: each
-# block also adds the entries below the diagonal within it, so more blocks
-# add fewer entries in more calls. At wide_train's shape (d_in 256, H 96, 64
-# windows a batch, one BLAS thread) a whole `stats` call took a median of
-# 6.1 ms with 1 block, 5.5 with 2, 4.9 with 3 or 4 and 5.2 with 6 or 8.
+# Row blocks in which `LagTables.stats` sums a batch's upper band of G, one
+# block over the whole batch before the next: each block also adds the
+# entries below the diagonal within it, so more blocks add fewer entries in
+# more calls. At wide_train's shape (d_in 256, H 96, 64 windows a batch, one
+# BLAS thread) the median of 15 `stats` calls, over four runs, was 3.8-4.3
+# ms with 1 block, 3.2-3.5 with 2, 3.1-3.5 with 3 or 4, 3.1-3.3 with 6 and
+# 3.2-3.4 with 8; adding every block per window instead took 3.7-4.2 ms
+# with 4.
 UPPER_BLOCKS = 4
 
 
@@ -530,22 +526,23 @@ class LagTables:
         """`BatchStats` of the windows at `origins`, summed in their order.
 
         Only G's upper band is summed: in UPPER_BLOCKS blocks of rows, each
-        from its first row's diagonal on, into arrays of their own (adding
-        into slices of one d_in x d_in array ran at half the speed). The
-        band's entries get the additions of a whole-matrix sum, in its order.
+        from its first row's diagonal on and over the whole batch before the
+        next, into an array of its own (adding into slices of one d_in x d_in
+        array ran at half the speed). The band's entries get the additions of
+        a whole-matrix sum, in its order.
         """
         d = self.gram.shape[1]
         size = -(-d // UPPER_BLOCKS)
-        blocks = [(a, np.zeros((min(size, d - a), d - a))) for a in range(0, d, size)]
+        gram = np.zeros((d, d))
+        for a in range(0, d, size):
+            rows = self.gram[:, a : a + size, a:]
+            block = np.zeros(rows.shape[1:])
+            for b in origins:
+                block += rows[b]
+            gram[a : a + size, a:] = block
         cross = np.zeros(self.cross.shape[1:])
         for b in origins:
-            window = self.gram[b]
-            for a, block in blocks:
-                block += window[a : a + len(block), a:]
             cross += self.cross[b]
-        gram = np.zeros((d, d))
-        for a, block in blocks:
-            gram[a : a + len(block), a:] = block
         gram = np.triu(gram)
         gram += np.triu(gram, 1).T
         return BatchStats(gram, cross, self.row_sum[origins].sum(axis=0),
@@ -707,11 +704,10 @@ def train(model: HadlModel, train_windows, val_windows,
 
     `steps_from_stats` picks, from the shapes alone, where every step takes
     its loss and gradients. Few channels: the mini-batch's Haar rows and
-    targets, gathered from views of the training segment into arrays
-    allocated once per epoch (`_gather_blocks`), so no window set is ever
-    copied whole. Many channels: the batch's statistics, summed from
-    `LagTables` built on the first epoch. `final_grad_norm` is left NaN
-    (see TrainTrace).
+    targets, gathered from views of the training segment (`_gather_blocks`),
+    one block alive at a time, so no window set is ever copied whole. Many
+    channels: the batch's statistics, summed from `LagTables` built on the
+    first epoch. `final_grad_norm` is left NaN (see TrainTrace).
 
     Returns (best model, trace, statistics). Each epoch's batches partition
     the training windows, so on the statistics path the last epoch's batch
@@ -763,7 +759,7 @@ def train(model: HadlModel, train_windows, val_windows,
                 row_count += rows
                 if from_stats:
                     summed = block if summed is None else BatchStats(*map(add, summed, block))
-            del block  # the epoch's step arrays go before the next epoch makes its own
+                del block  # before the next block is gathered
             trace.train_loss.append(loss_sum / row_count)
             val_mse = window_mse(replace_params(model, params), val_stats())
         trace.val_mse.append(val_mse)

@@ -1,0 +1,141 @@
+"""Byte identity of hadl's outputs between two source trees (or two
+environments of one tree).
+
+    python tests/identity.py run SRC WORKDIR
+    python tests/identity.py compare WORKDIR_A WORKDIR_B
+
+`run` runs every argv of ARGVS, in order, as `python -m hadl.cli ...` with
+PYTHONPATH=SRC and the working directory WORKDIR, which must not exist yet.
+Every argv writes under the same relative outdir (`runs`), so the `outdir`
+entry of each JSON config matches between trees too. The environment is
+passed on as it is, so set the BLAS thread variables before the run. Each
+command's exit code, stdout and stderr go to log/NN.txt, and
+WORKDIR/manifest.txt gets one `sha256  path` line per file under runs/ and
+log/. The whole set takes about 6 s serially, with one BLAS thread.
+
+`compare` reads two such manifests and names every file that differs or is
+in one of them only, with the first differing line of a differing file. It
+exits 1 if any file differs.
+
+The argvs take every subcommand (`export-weights` and `--params-only`
+included), the rows and the statistics steps (40 channels), the Haar and
+DCT stages on and off, both heads, bias on and off, an odd lookback with
+Haar off, a 0-epoch run, a `--workers 2` pool (refused, and logged so, on
+a machine with one CPU), robustness at two horizons and two etas, and
+every ablation axis.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+BUDGET = ["--max-epochs", "2", "--patience", "2"]
+SMALL = ["--dataset", "sine_mix", "--lookback", "16", "--horizons", "4,8"]
+TRAINS = [*SMALL, *BUDGET]
+# 40 channels at L = 32, H = 8, r = 4 take the statistics steps (`steps_from_stats`)
+WIDE = ["--dataset", "random_walk", "--synth-channels", "40", "--synth-length", "600",
+        "--lookback", "32", "--horizons", "8", *BUDGET]
+# an ETTh1-shaped CSV (7 channels, the etth split's 14400 rows) that `run`
+# writes, read once from the text and then from the ingest cache
+CSV = ["--dataset", "ETTh1", "--data-path", "ETTh1.csv", "--lookback", "16", "--rank", "2"]
+CHECKPOINT = "runs/sine_mix/{}/4/checkpoint_seed0.npz"
+
+ARGVS = [
+    ["train", *TRAINS, "--rank", "2", "--seeds", "0,1"],
+    ["train", *TRAINS, "--rank", "2", "--use-dct", "false", "--with-bias", "false"],
+    ["train", "--dataset", "sine_mix", "--lookback", "15", "--horizons", "4,8", *BUDGET,
+     "--rank", "3", "--use-haar", "false"],
+    ["train", *TRAINS, "--head", "dense"],
+    ["train", *TRAINS, "--head", "dense", "--use-haar", "false", "--use-dct", "false",
+     "--with-bias", "false"],
+    ["train", *SMALL, "--rank", "2", "--max-epochs", "0", "--patience", "1", "--seed", "3"],
+    ["train", *TRAINS, "--rank", "2", "--seeds", "4,5", "--workers", "2"],
+    ["train", *WIDE, "--rank", "4"],
+    ["train", *WIDE, "--head", "dense", "--use-dct", "false"],
+    ["robustness", *SMALL, "--rank", "2", "--eta-list", "0,0.5", "--robust-max-epochs", "2",
+     "--robust-patience", "2"],
+    ["train", *CSV, "--horizons", "4", "--max-epochs", "1", "--patience", "1"],
+    ["robustness", *CSV, "--horizons", "8", "--eta-list", "0,0.5", "--robust-max-epochs", "1",
+     "--robust-patience", "1"],
+    ["ablate", "haar", *TRAINS, "--rank", "2"],
+    ["ablate", "head", *TRAINS, "--rank", "2"],
+    ["ablate", "dct", *TRAINS, "--rank", "2"],
+    ["ablate", "rank", *TRAINS, "--rank-list", "2,4"],
+    ["ablate", "lookback", "--dataset", "sine_mix", "--lookback-list", "16,24", "--horizons",
+     "4", "--rank", "2", *BUDGET],
+    ["ablate", "head", "--params-only", "--horizons", "96,720", "--rank", "40", "--with-bias",
+     "false"],
+    ["params", "--lookback", "512", "--horizons", "96,720", "--rank", "50"],
+    ["export-weights", CHECKPOINT.format("haar-dct-lowrank_r2-bias"), "runs/lowrank.csv"],
+    ["export-weights", CHECKPOINT.format("haar-dct-dense-bias"), "runs/dense.csv"],
+]
+
+
+def run(src: str, workdir: str) -> None:
+    root = Path(workdir)
+    (root / "log").mkdir(parents=True)
+    with open(root / "ETTh1.csv", "w", encoding="utf-8") as handle:
+        handle.write("date," + ",".join(f"c{c}" for c in range(7)) + "\n")
+        for t in range(14400):
+            values = (math.sin(0.26 * t + c) + 0.1 * math.cos(0.0437 * t * (c + 1))
+                      for c in range(7))
+            handle.write(f"{t}," + ",".join(f"{v:.6f}" for v in values) + "\n")
+    env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
+    for i, argv in enumerate(ARGVS):
+        if argv[0] in ("train", "robustness", "ablate"):
+            argv = [*argv, "--outdir", "runs"]
+        proc = subprocess.run([sys.executable, "-m", "hadl.cli", *argv], cwd=root, env=env,
+                              capture_output=True, text=True)
+        (root / "log" / f"{i:02d}.txt").write_text(
+            f"{' '.join(argv)}\nexit {proc.returncode}\n--- stdout\n{proc.stdout}"
+            f"--- stderr\n{proc.stderr}")
+    lines = [f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.relative_to(root)}"
+             for top in ("log", "runs") for path in sorted((root / top).rglob("*"))
+             if path.is_file()]
+    (root / "manifest.txt").write_text("\n".join(lines) + "\n")
+
+
+def _manifest(workdir: Path) -> dict[str, str]:
+    lines = (workdir / "manifest.txt").read_text().splitlines()
+    return {path: digest for digest, path in (line.split("  ", 1) for line in lines)}
+
+
+def _first_difference(a: Path, b: Path) -> str:
+    try:
+        lines_a, lines_b = a.read_text().splitlines(), b.read_text().splitlines()
+    except UnicodeDecodeError:
+        return "binary"
+    for number, (line_a, line_b) in enumerate(zip(lines_a, lines_b), start=1):
+        if line_a != line_b:
+            return f"line {number}: {line_a!r} against {line_b!r}"
+    return f"{len(lines_a)} lines against {len(lines_b)}"
+
+
+def compare(workdir_a: str, workdir_b: str) -> int:
+    a, b = Path(workdir_a), Path(workdir_b)
+    left, right = _manifest(a), _manifest(b)
+    differing = 0
+    for path in sorted(left.keys() | right.keys()):
+        if path not in right or path not in left:
+            print(f"only in {a if path in left else b}: {path}")
+        elif left[path] != right[path]:
+            print(f"differs: {path}: {_first_difference(a / path, b / path)}")
+        else:
+            continue
+        differing += 1
+    print(f"{differing} of {len(left.keys() | right.keys())} files differ")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 4 or sys.argv[1] not in ("run", "compare"):
+        sys.exit(__doc__)
+    if sys.argv[1] == "run":
+        run(sys.argv[2], sys.argv[3])
+    else:
+        sys.exit(compare(sys.argv[2], sys.argv[3]))

@@ -19,7 +19,7 @@ import hadl.data
 import hadl.model
 import hadl.optim
 from hadl.cli import (
-    SWEEPS,
+    READERS,
     ExperimentConfig,
     _ablate_grid,
     cmd_ablate,
@@ -899,10 +899,10 @@ def test_params_command_output(capsys):
     (["--head", "bogus"], "head"),
 ])
 def test_bad_config_value_is_one_error_line(tmp_path, capsys, flags, key):
-    # a list that one command sweeps is checked under that command, which
-    # reads it: any other refuses the flag itself, in a line that starts with
-    # it, before parsing the value. The lookback ablation sets the lookback.
-    command = SWEEPS.get(key, "train").split()
+    # a key that only some commands read is checked under the first of them:
+    # any other refuses the flag itself, in a line that starts with it,
+    # before parsing the value. The lookback ablation sets the lookback.
+    command = READERS.get(key, ("train",))[0].split()
     shape = [] if command == ["ablate", "lookback"] else ["--lookback", "32"]
     line = assert_one_error_line(tmp_path, capsys, key, [*command, "--dataset", "sine_mix",
                                                          *shape, "--horizons", "8", *flags])
@@ -922,29 +922,36 @@ def assert_one_error_line(tmp_path, capsys, key, argv):
     return err[0]
 
 
-ROBUST = ["robustness", "--eta-list", "0,0.7", "--robust-max-epochs", "1",
-          "--robust-patience", "1"]
+def budget(command: str, epochs: int) -> list[str]:
+    """The epoch-budget flags that `command` reads, at `epochs` epochs with
+    patience `epochs`."""
+    prefix = "--robust-" if command == "robustness" else "--"
+    return [f"{prefix}max-epochs", str(epochs), f"{prefix}patience", str(epochs)]
+
+
+ROBUST = ["robustness", "--eta-list", "0,0.7", *budget("robustness", 1)]
 
 
 # each trained one seed or one eta list and exited 0, so the settings it
 # dropped read as run
 @pytest.mark.parametrize("command, key", [
     ([*ROBUST, "--seeds", "1,2,3"], "seeds"),
-    (["ablate", "dct", "--seeds", "1,2"], "seeds"),
+    (["ablate", "dct", "--seeds", "1,2", *budget("ablate", 1)], "seeds"),
     (["ablate", "dct", "--params-only", "--seeds", "1,2"], "seeds"),
     ([*ROBUST, "--noise-eta", "0.5"], "noise_eta"),
     # trained one dense model per rank and wrote rows of equal MSE and params
-    (["ablate", "rank", "--head", "dense", "--rank-list", "4,8"], "head"),
+    (["ablate", "rank", "--head", "dense", "--rank-list", "4,8", *budget("ablate", 1)], "head"),
     (["ablate", "rank", "--params-only", "--head", "dense", "--rank-list", "4,8"], "head"),
 ])
 def test_setting_a_command_drops_is_one_error_line(tmp_path, capsys, command, key):
     assert_one_error_line(tmp_path, capsys, key, [*command, "--dataset", "sine_mix", "--lookback",
-                                                  "16", "--horizons", "4", "--max-epochs", "1",
-                                                  "--patience", "1"])
+                                                  "16", "--horizons", "4"])
 
 
-# each exited 0 having trained without the flag's value: a list that only
-# another command sweeps, or the key the ablation axis sets in every cell
+# each exited 0 having trained without the flag's value, or failed on a
+# value the command never reads: a key that only other commands read, a
+# training or data key where nothing trains, the key the ablation axis sets
+# in every cell, or a rank for a dense head
 @pytest.mark.parametrize("argv, message", [
     (["train", "--eta-list", "0,0.5"], "--eta-list: only hadl robustness reads eta_list,"
                                        " not hadl train"),
@@ -960,13 +967,29 @@ def test_setting_a_command_drops_is_one_error_line(tmp_path, capsys, command, ke
                                                                 " rank in every cell"),
     (["params", "--eta-list", "0,0.5"], "--eta-list: only hadl robustness reads eta_list,"
                                         " not hadl params"),
+    # trained at the robustness budget, 50 epochs with patience 10, and wrote
+    # max_epochs 3 into robustness.json's config
+    (["robustness", "--eta-list", "0,0.5", "--max-epochs", "3", "--patience", "3"],
+     "--max-epochs: only hadl train and hadl ablate read max_epochs, not hadl robustness"),
+    # each failed on a budget rule of a pair that the command never reads
+    (["train", "--robust-max-epochs", "7"], "--robust-max-epochs: only hadl robustness reads"
+                                            " robust_max_epochs, not hadl train"),
+    (["params", "--max-epochs", "9"], "--max-epochs: only hadl train and hadl ablate read"
+                                      " max_epochs, not hadl params"),
+    (["ablate", "dct", "--params-only", "--learning-rate", "5"],
+     "--learning-rate: hadl ablate dct --params-only trains no model and loads no data"),
+    (["train", "--head", "dense"], "--rank: a dense head has no rank, so hadl train would"
+                                   " drop it"),
+    (["ablate", "haar", "--head", "dense"], "--rank: a dense head has no rank, so hadl"
+                                            " ablate haar would drop it"),
 ], ids=["train", "train_lookbacks", "robustness", "ablate_lists", "ablate_axis",
-        "ablate_params_only", "params"])
+        "ablate_params_only", "params", "robustness_budget", "train_robust_budget",
+        "params_budget", "params_only_training_key", "train_dense_rank", "ablate_dense_rank"])
 def test_a_flag_the_command_drops_fails_before_loading(tmp_path, capsys, monkeypatch, argv,
                                                        message):
     monkeypatch.setattr(hadl.cli, "load_dataset", must_not_run)
     rc = main([*argv, "--dataset", "sine_mix", "--lookback", "16", "--horizons", "4", "--rank",
-               "2", "--max-epochs", "1", "--patience", "1", "--outdir", str(tmp_path / "runs")])
+               "2", "--outdir", str(tmp_path / "runs")])
     out, err = capsys.readouterr()
     assert rc == 1 and out == ""
     assert err.splitlines() == [f"error: {message}"]
@@ -976,13 +999,22 @@ def test_a_flag_the_command_drops_fails_before_loading(tmp_path, capsys, monkeyp
 def test_a_config_file_may_set_what_a_command_drops(tmp_path, capsys):
     # one file may serve several commands, so only flags are held to the rule
     cfg = tmp_path / "shared.cfg"
-    cfg.write_text("eta_list = 0,0.5\nrank_list = 4,8\nuse_haar = false\n")
+    cfg.write_text("eta_list = 0,0.5\nrank_list = 4,8\nuse_haar = false\nrobust_patience = 5\n")
     rc = main(["ablate", "haar", "--config", str(cfg), "--dataset", "sine_mix", "--lookback",
                "16", "--horizons", "4", "--rank", "2", "--max-epochs", "1", "--patience", "1",
                "--outdir", str(tmp_path / "runs")])
     assert rc == 0, capsys.readouterr().err
     rows = table_rows(tmp_path / "runs" / "sine_mix" / "ablate_haar.csv")
     assert [row[1] for row in rows[1:]] == ["with_haar", "without_haar"]
+
+
+def test_params_only_head_axis_reads_the_rank(tmp_path, capsys):
+    # the low-rank cell's count reads --rank, so the dense-head rule spares this axis
+    rc = main(["ablate", "head", "--params-only", "--horizons", "96,720", "--rank", "40",
+               "--with-bias", "false", "--outdir", str(tmp_path / "runs")])
+    assert rc == 0, capsys.readouterr().err
+    rows = table_rows(tmp_path / "runs" / "sine_mix" / "ablate_head.csv")
+    assert [row[5] for row in rows[1:]] == ["14080", "39040", "24576", "184320"]
 
 
 @pytest.mark.parametrize("command, flag, values", [
@@ -995,8 +1027,7 @@ def test_negative_zero_eta_is_the_zero_eta(tmp_path, capsys, command, flag, valu
     runs, outputs = tmp_path / "runs", []
     for value in values:
         rc = main([command, "--dataset", "sine_mix", "--lookback", "16", "--horizons", "4",
-                   "--rank", "2", f"{flag}={value}", "--max-epochs", "1", "--patience", "1",
-                   "--robust-max-epochs", "1", "--robust-patience", "1", "--outdir", str(runs)])
+                   "--rank", "2", f"{flag}={value}", *budget(command, 1), "--outdir", str(runs)])
         files = {str(p.relative_to(runs)): p.read_bytes()
                  for p in sorted(runs.rglob("*")) if p.is_file()}
         outputs.append((rc, capsys.readouterr(), files))
@@ -1083,8 +1114,7 @@ def test_pool_has_at_most_one_worker_per_cell(tmp_path, capsys, monkeypatch, com
     monkeypatch.setattr(hadl.cli.os, "sched_getaffinity", lambda pid: set(range(64)),
                         raising=False)
     rc = main([command, "--workers", "64", "--dataset", "sine_mix", "--lookback", "32",
-               *cells, "--max-epochs", "1", "--patience", "1", "--robust-max-epochs", "1",
-               "--robust-patience", "1", "--outdir", str(tmp_path / "runs")])
+               *cells, *budget(command, 1), "--outdir", str(tmp_path / "runs")])
     assert rc == 0, capsys.readouterr().err
     assert RecordingPool.sizes == [2]
 
@@ -1127,10 +1157,11 @@ IMPOSSIBLE = [  # (argv, the config key the error names)
     # each trained its valid cell and printed its job line first
     (["ablate", "lookback", "--lookback-list", "32,33", *TRAINABLE], "lookback"),
     (["ablate", "rank", "--rank-list", "2,0", "--lookback", "32", *TRAINABLE], "rank"),
-    # the two commands that train nothing checked no training key: each exited 0
-    (["params", "--patience", "0"], "patience"),
-    (["params", "--learning-rate", "-1"], "learning_rate"),
-    (["ablate", "rank", "--params-only", "--patience", "0"], "patience"),
+    # the two commands that train nothing checked no training key: each exited
+    # 0; now each refuses the flag, which names the key
+    (["params", "--patience", "0"], "--patience:"),
+    (["params", "--learning-rate", "-1"], "--learning-rate:"),
+    (["ablate", "rank", "--params-only", "--patience", "0"], "--patience:"),
     # loaded the dataset, then failed naming patience
     (["robustness", "--robust-patience", "0"], "robust_patience"),
 ]
@@ -1202,8 +1233,7 @@ def test_unwritable_outdir_fails_before_any_job(tmp_path, capsys, command, outdi
     # printed every job line, then `[Errno 20] Not a directory: 'afile/sub'`
     # (root ignores mode bits, so a file in the path stands for them)
     (tmp_path / "afile").touch()
-    rc = main([*command, "--dataset", "sine_mix", "--lookback", "48", "--max-epochs", "2",
-               "--patience", "2", "--robust-max-epochs", "2", "--robust-patience", "2",
+    rc = main([*command, "--dataset", "sine_mix", "--lookback", "48", *budget(command[0], 2),
                "--outdir", str(tmp_path / outdir)])
     out, err = capsys.readouterr()
     assert rc == 1 and out == ""

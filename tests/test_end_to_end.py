@@ -128,7 +128,8 @@ def test_train_matches_an_independent_recomputation(tmp_path_factory, lookback, 
     write_series(data, channels, seed)
     code, out, err = run([
         "train", "--dataset", "tiny", "--data-path", data, "--lookback", lookback,
-        "--horizons", horizon, "--rank", rank, "--head", head, "--use-haar", use_haar,
+        "--horizons", horizon, *(["--rank", rank] if head == HEAD_LOW_RANK else []),
+        "--head", head, "--use-haar", use_haar,
         "--use-dct", use_dct, "--with-bias", with_bias, "--noise-eta", repr(eta),
         "--max-epochs", epochs, "--patience", 1, "--learning-rate", 0.01, "--seed", seed,
         "--outdir", outdir])

@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -420,11 +421,11 @@ class TestRowsStep:
 
 
 class TestBufferedSteps:
-    """`train` reuses one epoch's gather arrays: every bit of its steps must
-    match the package's own step on fresh arrays, and the training that of
-    the textbook step to rounding. The validation MSE comes from window
-    statistics, not from the rows `reference_train` evaluates, so it
-    matches to rounding."""
+    """`train` gathers each step's block from views of the window set: every
+    bit of its steps must match the package's own step on fresh arrays, and
+    the training that of the textbook step to rounding. The validation MSE
+    comes from window statistics, not from the rows `reference_train`
+    evaluates, so it matches to rounding."""
 
     CASES = [
         ({}, 48),  # 257 windows: five full batches and a final one of 17
@@ -595,8 +596,8 @@ BLOCK_CASES = [
 
 
 class TestBlockedPasses:
-    """`evaluate`, the MAE pass, gathers each block into arrays allocated
-    once per pass; every bit must match fresh per-block arrays. The MSE and
+    """`evaluate`, the MAE pass, gathers each block from views of the window
+    set; every bit must match sliced per-block arrays. The MSE and
     the grad norm come from window statistics instead, so they match the
     forecasts to rounding."""
 
@@ -687,6 +688,47 @@ class TestBlockedPasses:
         block = channels * (model.d_in + 2 * horizon) * 8
         assert series > 10 * block or not use_haar
         assert self.traced_peak(evaluate, model, batch) <= series + block
+
+
+class TestOneBlockAtATime:
+    """Each gathered block is a fresh copy, so `train` and `evaluate` must
+    drop one before the next is gathered: a loop that keeps its block holds
+    two blocks' copies at every gather."""
+
+    @staticmethod
+    def watch(monkeypatch) -> list[int]:
+        """Wrap `_gather_blocks` so that a weak reference watches the memory
+        of every array it yields. Returns the list that gets, at each gather
+        and at the end, how many of those arrays are still alive."""
+        alive, refs = [], []
+        gather = hadl.optim._gather_blocks
+
+        def watched(*args):
+            source = gather(*args)
+            while True:
+                alive.append(sum(ref() is not None for ref in refs))
+                block = list(next(source, ()))
+                if not block:
+                    return
+                refs.extend(weakref.ref(a if a.base is None else a.base) for a in block)
+                yield block.pop(0), block.pop()  # the frame keeps no reference
+
+        monkeypatch.setattr(hadl.optim, "_gather_blocks", watched)
+        return alive
+
+    def test_train_epoch(self, monkeypatch):
+        alive = self.watch(monkeypatch)
+        w_train, w_val, _ = realizable_windows()
+        model = init_model(64, 16, 2, seed=5)
+        assert not steps_from_stats(3, model.d_in, 16, model.rank, model.head)
+        train(model, w_train, w_val, TrainConfig(max_epochs=2, patience=2, batch_size=48))
+        assert len(alive) == 2 * (-(-len(w_train) // 48) + 1) and max(alive) == 0
+
+    def test_evaluate_pass(self, monkeypatch):
+        alive = self.watch(monkeypatch)
+        batch = random_batch(3, 2 * eval_windows(3) + 1, seed=1)
+        evaluate(init_model(64, 16, 2, seed=5), batch)
+        assert alive == [0, 0, 0, 0]
 
 
 class TestOneDctMatrix:
