@@ -108,9 +108,6 @@ class ExperimentConfig(TrainConfig):
         blob = json.dumps({k: v for k, v in asdict(self).items() if k != "outdir"}, sort_keys=True)
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:12]
 
-    def seed_list(self) -> tuple[int, ...]:
-        return self.seeds if self.seeds else (self.seed,)
-
 
 # every config key's type, from the annotations; also the known-key set
 _KEY_TYPES = typing.get_type_hints(ExperimentConfig)
@@ -173,54 +170,67 @@ def read_config_file(path) -> dict:
     return values
 
 
-# The keys that only some commands read, by the commands that do (`hadl
-# <command> <axis>` or a prefix of it); the keys that a command which trains
-# nothing (`params`, `ablate --params-only`) drops, its training and data
-# keys; and the key each ablation axis sets in every cell. A flag that sets
-# one where the command would drop it is refused (`resolve_config`).
-READERS = {"eta_list": ("robustness",), "robust_max_epochs": ("robustness",),
-           "robust_patience": ("robustness",), "rank_list": ("ablate rank",),
-           "lookback_list": ("ablate lookback",), "max_epochs": ("train", "ablate"),
-           "patience": ("train", "ablate")}
-UNTRAINED_DROPS = (*(f.name for f in fields(TrainConfig)), "seeds", "noise_eta", "data_path",
-                   "convention", "synth_length", "synth_channels")
+# The config keys each command form reads, from key groups: the model shape
+# that `params` prints, then what a trained model adds (the DCT stage, the
+# data, the training keys, the outdir), one of the two epoch budgets, and an
+# ablation axis's list. An axis's own key is not in its forms' sets, since
+# the axis sets it in every cell. `resolve_config` is the one reader.
 AXIS_KEYS = {"haar": "use_haar", "head": "head", "dct": "use_dct", "rank": "rank",
              "lookback": "lookback"}
 ABLATION_AXES = tuple(AXIS_KEYS)
+_SHAPE = ("lookback", "horizons", "rank", "use_haar", "head", "with_bias")
+_TRAINED = (*_SHAPE, "use_dct", "dataset", "data_path", "convention", "synth_length",
+            "synth_channels", "learning_rate", "l1_lambda", "batch_size", "seed", "outdir")
+_BUDGET = ("max_epochs", "patience")
+_AXIS_LISTS = {"rank": ("rank_list",), "lookback": ("lookback_list",)}
+COMMAND_KEYS = {
+    "train": {*_TRAINED, *_BUDGET, "seeds", "noise_eta"},
+    "robustness": {*_TRAINED, "eta_list", "robust_max_epochs", "robust_patience"},
+    **{f"ablate {axis}{suffix}": {*keys, *_AXIS_LISTS.get(axis, ())} - {key}
+       for axis, key in AXIS_KEYS.items()
+       for suffix, keys in (("", (*_TRAINED, *_BUDGET, "noise_eta")),
+                            (" --params-only", (*_SHAPE, "dataset", "outdir")))},
+    "params": set(_SHAPE),
+}
+
+
+def _readers(key: str) -> str:
+    """The command forms that read `key`, the axes of `ablate`'s forms
+    folded into one (`hadl ablate haar|head --params-only`)."""
+    axes: dict[tuple[str, str], list[str]] = {}
+    for form, keys in COMMAND_KEYS.items():
+        if key in keys:
+            command, _, rest = form.partition(" ")
+            axis, _, suffix = rest.partition(" ")
+            axes.setdefault((command, suffix), []).append(axis)
+    names = (filter(None, ("hadl", command, "|".join(folded), suffix))
+             for (command, suffix), folded in axes.items())
+    return ", ".join(" ".join(name) for name in names)
 
 
 def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
-    """The config file's values, then the flags'. A flag that the command
-    would drop is an InvalidConfigError: a key other commands read
-    (READERS), a training or data key where nothing trains
-    (UNTRAINED_DROPS), or the key an ablation axis sets in every cell
-    (AXIS_KEYS), each raised before any value is parsed, and `--rank` for a
-    dense head, once the values are. A config file may set any key, since
-    one file may serve several commands."""
-    axis = getattr(args, "axis", None)
-    command = " ".join(filter(None, (args.command, axis)))
-    untrained = args.command == "params" or getattr(args, "params_only", False)
+    """The config file's values, then the flags', of the keys that the
+    command form reads (COMMAND_KEYS). A flag for any other key is an
+    InvalidConfigError, raised before any value is parsed. A config file may
+    set any key, since one file may serve several commands: each line is
+    parsed, but a key the form does not read is not applied. `--rank` for a
+    dense head fails once the values are parsed."""
+    form = " ".join(filter(None, (args.command, getattr(args, "axis", None))))
+    if getattr(args, "params_only", False):
+        form += " --params-only"
+    reads = COMMAND_KEYS[form]
     keys = [f.name for f in fields(ExperimentConfig) if getattr(args, f.name) is not None]
     for key in keys:
-        flag = "--" + key.replace("_", "-")
-        readers = READERS.get(key, (command,))
-        if not any(f"{command} ".startswith(f"{reader} ") for reader in readers):
-            names = " and ".join(f"hadl {reader}" for reader in readers)
-            verb = "reads" if len(readers) == 1 else "read"
-            raise InvalidConfigError(f"{flag}: only {names} {verb} {key}, not hadl {command}")
-        if untrained and key in UNTRAINED_DROPS:
-            where = f"{command} --params-only" if axis else command
-            raise InvalidConfigError(f"{flag}: hadl {where} trains no model and loads no data")
-        if key == AXIS_KEYS.get(axis):
-            raise InvalidConfigError(f"{flag}: hadl {command} sets {key} in every cell")
-    values: dict = {}
-    if args.config:
-        values.update(read_config_file(args.config))
+        if key not in reads:
+            raise InvalidConfigError(f"--{key.replace('_', '-')}: hadl {form} does not read"
+                                     f" {key}; it is read by {_readers(key)}")
+    values = read_config_file(args.config) if args.config else {}
+    values = {key: value for key, value in values.items() if key in reads}
     for key in keys:
         values[key] = _parse_value(key, getattr(args, key))
-    if "rank" in keys and values.get("head") == HEAD_DENSE and axis != "head":
+    if "rank" in keys and values.get("head") == HEAD_DENSE:
         raise InvalidConfigError(f"--rank: a {HEAD_DENSE} head has no rank,"
-                                 f" so hadl {command} would drop it")
+                                 f" so hadl {form} would drop it")
     return ExperimentConfig(**values)
 
 
@@ -382,11 +392,6 @@ def _progress(cell, result):
     return result
 
 
-def _one_seed(config: ExperimentConfig, command: str) -> None:
-    if len(config.seeds) > 1:  # only train sweeps seeds; the rest would be dropped
-        raise InvalidConfigError(f"seeds: {command} trains one seed, got {list(config.seeds)}")
-
-
 def _run_dir(config: ExperimentConfig, variant: str, horizon: int) -> str:
     path = os.path.join(config.outdir, config.dataset, variant, str(horizon))
     os.makedirs(path, exist_ok=True)
@@ -405,7 +410,7 @@ def cmd_train(config: ExperimentConfig, workers: int = 1) -> list[hadl_metrics.E
     workers > 1 runs the (horizon, seed) grid in parallel processes; job
     outputs are independent of scheduling, so results match a serial run.
     """
-    seeds = config.seed_list()
+    seeds = config.seeds or (config.seed,)
     cells = [(replace(config, seed=seed), horizon)
              for horizon in config.horizons for seed in seeds]
     results = run_grid(config, cells, workers, train_outputs=True)  # the norms and MAEs
@@ -444,11 +449,7 @@ def cmd_robustness(config: ExperimentConfig,
     etas = tuple(sorted(config.eta_list))
     if 0.0 not in etas:
         raise InvalidConfigError("eta_list must contain 0.0")
-    _one_seed(config, "robustness")
-    if config.noise_eta != 0.0:  # each job's eta is one of eta_list's
-        raise InvalidConfigError(f"noise_eta must be 0 for robustness, got {config.noise_eta}")
-    base = replace(config, seed=config.seed_list()[0], max_epochs=config.robust_max_epochs,
-                   patience=config.robust_patience)
+    base = replace(config, max_epochs=config.robust_max_epochs, patience=config.robust_patience)
     cells = [(replace(base, noise_eta=eta), horizon)
              for horizon in config.horizons for eta in etas]
     mses = [r.mse for _, _, r in run_grid(config, cells, workers, train_outputs=False)]
@@ -487,11 +488,9 @@ def _ablate_grid(config: ExperimentConfig, axis: str) -> list[tuple[str, Experim
     }
     if axis not in variants:
         raise InvalidConfigError(f"unknown ablation axis {axis!r}; choose from {ABLATION_AXES}")
-    _one_seed(config, "ablate")
     if axis == "rank" and config.head != HEAD_LOW_RANK:  # every cell would train one dense head
         raise InvalidConfigError(f"head: ablate rank varies a low_rank head, got {config.head!r}")
-    base = replace(config, seed=config.seed_list()[0])
-    return [(label, replace(base, **keys)) for label, keys in variants[axis]]
+    return [(label, replace(config, **keys)) for label, keys in variants[axis]]
 
 
 def cmd_ablate(config: ExperimentConfig, axis: str, params_only: bool = False) -> str:

@@ -14,20 +14,27 @@ WORKDIR/manifest.txt gets one `sha256  path` line per file under runs/ and
 log/. The whole set takes about 6 s serially, with one BLAS thread.
 
 `compare` reads two such manifests and names every file that differs or is
-in one of them only, with the first differing line of a differing file. It
-exits 1 if any file differs.
+in one of them only. For a differing CSV or JSON file it gives the first
+differing value, where it sits and the relative difference of two numbers;
+for any other file, the first differing line. It exits 1 if any file
+differs.
 
 The argvs take every subcommand (`export-weights` and `--params-only`
 included), the rows and the statistics steps (40 channels), the Haar and
 DCT stages on and off, both heads, bias on and off, an odd lookback with
 Haar off, a 0-epoch run, a `--workers 2` pool (refused, and logged so, on
 a machine with one CPU), robustness at two horizons and two etas, and
-every ablation axis.
+every ablation axis. The last two repeat the last argvs to write their
+files, POOL and ROBUSTNESS, with a `--config` file that sets only keys the
+command does not read (CONFIGS), so they rewrite those files with the same
+bytes.
 """
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import json
 import math
 import os
 import subprocess
@@ -44,6 +51,12 @@ WIDE = ["--dataset", "random_walk", "--synth-channels", "40", "--synth-length", 
 # writes, read once from the text and then from the ingest cache
 CSV = ["--dataset", "ETTh1", "--data-path", "ETTh1.csv", "--lookback", "16", "--rank", "2"]
 CHECKPOINT = "runs/sine_mix/{}/4/checkpoint_seed0.npz"
+# config files that `run` writes, each setting keys that its command does not read
+CONFIGS = {"train_unread.cfg": "robust_max_epochs = 7\neta_list = 0.5\nrank_list = 3\n",
+           "robustness_unread.cfg": "max_epochs = 3\npatience = 1\nseeds = 3\n"}
+POOL = ["train", *TRAINS, "--rank", "2", "--seeds", "4,5", "--workers", "2"]
+ROBUSTNESS = ["robustness", *SMALL, "--rank", "2", "--eta-list", "0,0.5",
+              "--robust-max-epochs", "2", "--robust-patience", "2"]
 
 ARGVS = [
     ["train", *TRAINS, "--rank", "2", "--seeds", "0,1"],
@@ -54,11 +67,10 @@ ARGVS = [
     ["train", *TRAINS, "--head", "dense", "--use-haar", "false", "--use-dct", "false",
      "--with-bias", "false"],
     ["train", *SMALL, "--rank", "2", "--max-epochs", "0", "--patience", "1", "--seed", "3"],
-    ["train", *TRAINS, "--rank", "2", "--seeds", "4,5", "--workers", "2"],
+    POOL,
     ["train", *WIDE, "--rank", "4"],
     ["train", *WIDE, "--head", "dense", "--use-dct", "false"],
-    ["robustness", *SMALL, "--rank", "2", "--eta-list", "0,0.5", "--robust-max-epochs", "2",
-     "--robust-patience", "2"],
+    ROBUSTNESS,
     ["train", *CSV, "--horizons", "4", "--max-epochs", "1", "--patience", "1"],
     ["robustness", *CSV, "--horizons", "8", "--eta-list", "0,0.5", "--robust-max-epochs", "1",
      "--robust-patience", "1"],
@@ -73,6 +85,8 @@ ARGVS = [
     ["params", "--lookback", "512", "--horizons", "96,720", "--rank", "50"],
     ["export-weights", CHECKPOINT.format("haar-dct-lowrank_r2-bias"), "runs/lowrank.csv"],
     ["export-weights", CHECKPOINT.format("haar-dct-dense-bias"), "runs/dense.csv"],
+    [*POOL, "--config", "train_unread.cfg"],
+    [*ROBUSTNESS, "--config", "robustness_unread.cfg"],
 ]
 
 
@@ -85,6 +99,8 @@ def run(src: str, workdir: str) -> None:
             values = (math.sin(0.26 * t + c) + 0.1 * math.cos(0.0437 * t * (c + 1))
                       for c in range(7))
             handle.write(f"{t}," + ",".join(f"{v:.6f}" for v in values) + "\n")
+    for name, text in CONFIGS.items():
+        (root / name).write_text(text)
     env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
     for i, argv in enumerate(ARGVS):
         if argv[0] in ("train", "robustness", "ablate"):
@@ -105,11 +121,48 @@ def _manifest(workdir: Path) -> dict[str, str]:
     return {path: digest for digest, path in (line.split("  ", 1) for line in lines)}
 
 
+def _values(path: Path, text: str) -> list[tuple[str, object]]:
+    """A CSV or JSON file's values in file order, each with where it sits."""
+    if path.suffix == ".csv":
+        return [(f"row {r} column {c}", cell) for r, row in enumerate(csv.reader(
+            text.splitlines()), start=1) for c, cell in enumerate(row, start=1)]
+    found = []
+
+    def walk(where: str, node) -> None:
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, value in items:
+            if isinstance(value, (dict, list)):
+                walk(f"{where}{key}.", value)
+            else:
+                found.append((f"{where}{key}", value))
+
+    walk("", json.loads(text))
+    return found
+
+
+def _relative(value_a, value_b) -> str:
+    try:
+        a, b = float(value_a), float(value_b)
+    except (TypeError, ValueError):
+        return ""
+    scale = max(abs(a), abs(b))
+    return f", relative difference {abs(a - b) / scale if scale else 0.0:.3g}"
+
+
 def _first_difference(a: Path, b: Path) -> str:
     try:
-        lines_a, lines_b = a.read_text().splitlines(), b.read_text().splitlines()
+        text_a, text_b = a.read_text(), b.read_text()
     except UnicodeDecodeError:
         return "binary"
+    if a.suffix in (".csv", ".json"):
+        values_a, values_b = _values(a, text_a), _values(b, text_b)
+        for (where_a, value_a), (where_b, value_b) in zip(values_a, values_b):
+            if (where_a, value_a) != (where_b, value_b):
+                if where_a != where_b:
+                    return f"{where_a} against {where_b}"
+                return f"{where_a}: {value_a!r} against {value_b!r}{_relative(value_a, value_b)}"
+        return f"{len(values_a)} values against {len(values_b)}"
+    lines_a, lines_b = text_a.splitlines(), text_b.splitlines()
     for number, (line_a, line_b) in enumerate(zip(lines_a, lines_b), start=1):
         if line_a != line_b:
             return f"line {number}: {line_a!r} against {line_b!r}"

@@ -19,7 +19,7 @@ import hadl.data
 import hadl.model
 import hadl.optim
 from hadl.cli import (
-    READERS,
+    COMMAND_KEYS,
     ExperimentConfig,
     _ablate_grid,
     cmd_ablate,
@@ -902,7 +902,7 @@ def test_bad_config_value_is_one_error_line(tmp_path, capsys, flags, key):
     # a key that only some commands read is checked under the first of them:
     # any other refuses the flag itself, in a line that starts with it,
     # before parsing the value. The lookback ablation sets the lookback.
-    command = READERS.get(key, ("train",))[0].split()
+    command = next(form for form, keys in COMMAND_KEYS.items() if key in keys).split()
     shape = [] if command == ["ablate", "lookback"] else ["--lookback", "32"]
     line = assert_one_error_line(tmp_path, capsys, key, [*command, "--dataset", "sine_mix",
                                                          *shape, "--horizons", "8", *flags])
@@ -950,50 +950,148 @@ def test_setting_a_command_drops_is_one_error_line(tmp_path, capsys, command, ke
 
 # each exited 0 having trained without the flag's value, or failed on a
 # value the command never reads: a key that only other commands read, a
-# training or data key where nothing trains, the key the ablation axis sets
-# in every cell, or a rank for a dense head
+# training, data or output key where nothing trains, the DCT stage where
+# nothing counts it, the key the ablation axis sets in every cell, or a
+# rank for a dense head
 @pytest.mark.parametrize("argv, message", [
-    (["train", "--eta-list", "0,0.5"], "--eta-list: only hadl robustness reads eta_list,"
-                                       " not hadl train"),
-    (["train", "--lookback-list", "8,16"], "--lookback-list: only hadl ablate lookback reads"
-                                           " lookback_list, not hadl train"),
-    ([*ROBUST, "--rank-list", "4,8"], "--rank-list: only hadl ablate rank reads rank_list,"
-                                      " not hadl robustness"),
-    (["ablate", "dct", "--rank-list", "4,8"], "--rank-list: only hadl ablate rank reads"
-                                              " rank_list, not hadl ablate dct"),
-    (["ablate", "haar", "--use-haar", "false"], "--use-haar: hadl ablate haar sets use_haar"
-                                                " in every cell"),
-    (["ablate", "rank", "--params-only", "--rank-list", "4,8"], "--rank: hadl ablate rank sets"
-                                                                " rank in every cell"),
-    (["params", "--eta-list", "0,0.5"], "--eta-list: only hadl robustness reads eta_list,"
-                                        " not hadl params"),
+    (["train", "--eta-list", "0,0.5"], "--eta-list: hadl train does not read eta_list; it is read"
+                                       " by hadl robustness"),
+    (["train", "--lookback-list", "8,16"], "--lookback-list: hadl train does not read"
+                                           " lookback_list; it is read by hadl ablate lookback,"
+                                           " hadl ablate lookback --params-only"),
+    ([*ROBUST, "--rank-list", "4,8"], "--rank-list: hadl robustness does not read rank_list; it"
+                                      " is read by hadl ablate rank, hadl ablate rank"
+                                      " --params-only"),
+    (["ablate", "dct", "--rank-list", "4,8"], "--rank-list: hadl ablate dct does not read"
+                                              " rank_list; it is read by hadl ablate rank, hadl"
+                                              " ablate rank --params-only"),
+    (["ablate", "haar", "--use-haar", "false"], "--use-haar: hadl ablate haar does not read"
+                                                " use_haar; it is read by hadl train, hadl"
+                                                " robustness, hadl ablate head|dct|rank|lookback,"
+                                                " hadl ablate head|dct|rank|lookback"
+                                                " --params-only, hadl params"),
+    (["ablate", "rank", "--params-only", "--rank-list", "4,8"],
+     "--rank: hadl ablate rank --params-only does not read rank; it is read by hadl train, hadl"
+     " robustness, hadl ablate haar|head|dct|lookback, hadl ablate haar|head|dct|lookback"
+     " --params-only, hadl params"),
+    (["params", "--eta-list", "0,0.5"], "--eta-list: hadl params does not read eta_list; it is"
+                                        " read by hadl robustness"),
     # trained at the robustness budget, 50 epochs with patience 10, and wrote
     # max_epochs 3 into robustness.json's config
     (["robustness", "--eta-list", "0,0.5", "--max-epochs", "3", "--patience", "3"],
-     "--max-epochs: only hadl train and hadl ablate read max_epochs, not hadl robustness"),
+     "--max-epochs: hadl robustness does not read max_epochs; it is read by hadl train, hadl"
+     " ablate haar|head|dct|rank|lookback"),
     # each failed on a budget rule of a pair that the command never reads
-    (["train", "--robust-max-epochs", "7"], "--robust-max-epochs: only hadl robustness reads"
-                                            " robust_max_epochs, not hadl train"),
-    (["params", "--max-epochs", "9"], "--max-epochs: only hadl train and hadl ablate read"
-                                      " max_epochs, not hadl params"),
+    (["train", "--robust-max-epochs", "7"], "--robust-max-epochs: hadl train does not read"
+                                            " robust_max_epochs; it is read by hadl robustness"),
+    (["params", "--max-epochs", "9"], "--max-epochs: hadl params does not read max_epochs; it is"
+                                      " read by hadl train, hadl ablate"
+                                      " haar|head|dct|rank|lookback"),
     (["ablate", "dct", "--params-only", "--learning-rate", "5"],
-     "--learning-rate: hadl ablate dct --params-only trains no model and loads no data"),
+     "--learning-rate: hadl ablate dct --params-only does not read learning_rate; it is read by"
+     " hadl train, hadl robustness, hadl ablate haar|head|dct|rank|lookback"),
     (["train", "--head", "dense"], "--rank: a dense head has no rank, so hadl train would"
                                    " drop it"),
     (["ablate", "haar", "--head", "dense"], "--rank: a dense head has no rank, so hadl"
                                             " ablate haar would drop it"),
+    # each exited 0 and printed or wrote what it did without the flag
+    (["params", "--use-dct", "false"], "--use-dct: hadl params does not read use_dct; it is read"
+                                       " by hadl train, hadl robustness, hadl ablate"
+                                       " haar|head|rank|lookback"),
+    (["params", "--outdir", "nowhere"], "--outdir: hadl params does not read outdir; it is read"
+                                        " by hadl train, hadl robustness, hadl ablate"
+                                        " haar|head|dct|rank|lookback, hadl ablate"
+                                        " haar|head|dct|rank|lookback --params-only"),
+    (["params", "--dataset", "foo"], "--dataset: hadl params does not read dataset; it is read"
+                                     " by hadl train, hadl robustness, hadl ablate"
+                                     " haar|head|dct|rank|lookback, hadl ablate"
+                                     " haar|head|dct|rank|lookback --params-only"),
+    (["ablate", "haar", "--params-only", "--use-dct", "false"],
+     "--use-dct: hadl ablate haar --params-only does not read use_dct; it is read by hadl train,"
+     " hadl robustness, hadl ablate haar|head|rank|lookback"),
 ], ids=["train", "train_lookbacks", "robustness", "ablate_lists", "ablate_axis",
         "ablate_params_only", "params", "robustness_budget", "train_robust_budget",
-        "params_budget", "params_only_training_key", "train_dense_rank", "ablate_dense_rank"])
+        "params_budget", "params_only_training_key", "train_dense_rank", "ablate_dense_rank",
+        "params_dct", "params_outdir", "params_dataset", "params_only_dct"])
 def test_a_flag_the_command_drops_fails_before_loading(tmp_path, capsys, monkeypatch, argv,
                                                        message):
+    monkeypatch.chdir(tmp_path)  # the default outdir, runs/, would land here
     monkeypatch.setattr(hadl.cli, "load_dataset", must_not_run)
-    rc = main([*argv, "--dataset", "sine_mix", "--lookback", "16", "--horizons", "4", "--rank",
-               "2", "--outdir", str(tmp_path / "runs")])
+    rc = main([*argv, "--lookback", "16", "--horizons", "4", "--rank", "2"])
     out, err = capsys.readouterr()
     assert rc == 1 and out == ""
     assert err.splitlines() == [f"error: {message}"]
-    assert not (tmp_path / "runs").exists()
+    assert list(tmp_path.iterdir()) == []
+
+
+def _flag_text(value) -> str:
+    return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+
+
+DEFAULTS = {f.name: _flag_text(f.default) for f in fields(ExperimentConfig)}
+
+
+@pytest.mark.parametrize("form, key", [
+    (form, key) for form, keys in COMMAND_KEYS.items() for key in DEFAULTS if key not in keys])
+def test_a_flag_outside_the_forms_keys_fails_in_one_line(tmp_path, capsys, monkeypatch, form,
+                                                         key):
+    # at its default value, so that only the rule can fail it
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(hadl.cli, "load_dataset", must_not_run)
+    flag = "--" + key.replace("_", "-")
+    rc = main([*form.split(), f"{flag}={DEFAULTS[key]}"])
+    out, err = capsys.readouterr()
+    assert rc == 1 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: {flag}: hadl {form} does not read {key}; it is read by hadl ")
+    assert list(tmp_path.iterdir()) == []
+
+
+# per command form, a valid config-file line that the form does not read and
+# that would change an output byte if it were applied; those marked failed at
+# the parent, the rest wrote another fingerprint or trained another seed
+UNREAD_LINES = {
+    "train": "robust_max_epochs = 7",  # failed: robust_patience (10) > 7
+    "robustness": "seeds = 3",
+    "ablate haar": "use_haar = false",
+    "ablate head": "head = dense",
+    "ablate dct": "use_dct = false",
+    "ablate rank": "rank = 3",
+    "ablate lookback": "lookback = 8",
+    "ablate haar --params-only": "learning_rate = 0.5",
+    "ablate head --params-only": "use_dct = false",
+    "ablate dct --params-only": "max_epochs = 3",  # failed: patience (20) > 3
+    "ablate rank --params-only": "rank = 3",
+    "ablate lookback --params-only": "lookback = 8",
+    "params": "robust_max_epochs = 7",  # failed
+}
+# the flags of the unread-line runs, each passed where the form reads it
+SMALL_RUN = {"dataset": "sine_mix", "synth_length": "240", "lookback": "16", "horizons": "4",
+             "rank": "2", "max_epochs": "1", "patience": "1", "eta_list": "0,0.5",
+             "robust_max_epochs": "1", "robust_patience": "1", "rank_list": "2,3",
+             "lookback_list": "16,24"}
+
+
+@pytest.mark.parametrize("form", COMMAND_KEYS)
+def test_a_config_line_the_form_does_not_read_changes_no_byte(tmp_path, capsys, monkeypatch,
+                                                               form):
+    line = UNREAD_LINES[form]
+    assert line.split(" = ")[0] not in COMMAND_KEYS[form]
+    (tmp_path / "unread.cfg").write_text(line + "\n")
+    argv = [*form.split(), *(f"--{key.replace('_', '-')}={value}"
+                             for key, value in SMALL_RUN.items() if key in COMMAND_KEYS[form])]
+    outputs = []
+    for config in ([], ["--config", str(tmp_path / "unread.cfg")]):
+        workdir = tmp_path / str(len(outputs))  # the default outdir, runs/, lands here
+        workdir.mkdir()
+        monkeypatch.chdir(workdir)
+        rc = main([*argv, *config])
+        out, err = capsys.readouterr()
+        assert rc == 0, err
+        outputs.append((out, {path.relative_to(workdir): path.read_bytes()
+                              for path in sorted(workdir.rglob("*")) if path.is_file()}))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][1] or form == "params"
 
 
 def test_a_config_file_may_set_what_a_command_drops(tmp_path, capsys):
@@ -1169,8 +1267,9 @@ IMPOSSIBLE = [  # (argv, the config key the error names)
 
 @pytest.mark.parametrize("argv, key", IMPOSSIBLE,
                          ids=[f"argv{i}" for i in range(len(IMPOSSIBLE))])
-def test_impossible_model_is_one_error_line(tmp_path, capsys, argv, key):
-    rc = main(argv + ["--horizons", "96", "--outdir", str(tmp_path / "runs")])
+def test_impossible_model_is_one_error_line(tmp_path, capsys, monkeypatch, argv, key):
+    monkeypatch.chdir(tmp_path)  # the default outdir, runs/, would land here
+    rc = main(argv + ["--horizons", "96"])
     out, err = capsys.readouterr()
     assert rc == 1
     assert out == ""
