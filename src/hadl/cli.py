@@ -7,8 +7,9 @@ A short hash of the resolved config, outdir left out, heads every output
 file, and no output contains timestamps, so re-running a command with the
 same config and seed reproduces every file byte for byte.
 
+Every command runs each cell of the product of its lists (`grid_cells`).
 Output layout: <outdir>/<dataset>/<variant>/<horizon>/ with checkpoint,
-trace and report files; robustness and ablation tables sit one level up.
+trace and report files; ablation tables sit one level up.
 """
 
 from __future__ import annotations
@@ -16,10 +17,12 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import itertools
 import json
 import os
 import re
 import sys
+import types
 import typing
 from dataclasses import asdict, dataclass, fields, replace
 
@@ -39,38 +42,49 @@ from .model import (
     param_count,
     save_checkpoint,
 )
-from .optim import (TrainConfig, check_budget, evaluate, train, window_mse, write_trace_csv,
-                    write_trace_json)
+from .optim import (TrainConfig, check_budget, evaluate, listed, train, window_mse,
+                    write_trace_csv, write_trace_json)
+
+# the keys that take one value or a comma list; `horizons` and `eta_list`
+# always hold a list
+SWEPT = ("seed", "rank", "lookback")
 
 
 @dataclass(frozen=True)
 class ExperimentConfig(TrainConfig):
     """Every knob a run can turn. Names double as config-file keys and
     as --flags (with '-' for '_'). The training keys, their defaults and
-    their checks are TrainConfig's, so a job is itself what `train` takes."""
+    their checks are TrainConfig's, so a job is itself what `train` takes.
 
+    A SWEPT key holds one value, or a tuple of several that a command runs
+    one by one (`grid_cells`). One value is kept as itself, never as a
+    1-tuple, so a grid cell is a config with one value per key and hashes
+    as a config given that value alone does."""
+
+    seed: int | tuple[int, ...] = 0
     dataset: str = "sine_mix"
     data_path: str = ""
     convention: str = ""
-    lookback: int = 512
+    lookback: int | tuple[int, ...] = 512
     horizons: tuple[int, ...] = (96, 192, 336, 720)
-    rank: int = 50
+    rank: int | tuple[int, ...] = 50
     use_haar: bool = True
     use_dct: bool = True
     head: str = HEAD_LOW_RANK
     with_bias: bool = True
-    seeds: tuple[int, ...] = ()
     noise_eta: float = 0.0
     eta_list: tuple[float, ...] = (0.0, 0.3, 0.7, 1.3, 1.7, 2.3)
     robust_max_epochs: int = 50
     robust_patience: int = 10
-    rank_list: tuple[int, ...] = (15, 35, 55, 75)
-    lookback_list: tuple[int, ...] = (48, 96, 192, 336, 512, 720)
     outdir: str = "runs"
     synth_length: int = 480
     synth_channels: int = 3
 
     def __post_init__(self):
+        for key in SWEPT:
+            values = getattr(self, key)
+            if isinstance(values, tuple) and len(values) == 1:
+                object.__setattr__(self, key, values[0])
         super().__post_init__()
         # -0 is the zero eta: one experiment, one set of bytes (x + 0.0 turns -0.0 into 0.0)
         object.__setattr__(self, "noise_eta", self.noise_eta + 0.0)
@@ -80,28 +94,24 @@ class ExperimentConfig(TrainConfig):
             raise InvalidConfigError(
                 f"horizons must list at least one horizon >= 1, got {list(self.horizons)}"
             )
-        for key in ("rank_list", "lookback_list"):
-            if not getattr(self, key):
-                raise InvalidConfigError(f"{key}: the list is empty")
-        # here, not as a numpy ValueError mid-run: default_rng takes no negative
-        # seed, and no series has a negative length or fewer than one channel
-        for key, values, low in (("seeds", self.seeds, 0),
-                                 ("synth_length", (self.synth_length,), 0),
-                                 ("synth_channels", (self.synth_channels,), 1)):
-            bad = [v for v in values if v < low]
-            if bad:
-                raise InvalidConfigError(f"{key} must be >= {low}, got {bad[0]}")
+        # here, not as a numpy ValueError mid-run: no series has a negative
+        # length or fewer than one channel
+        for key, low in (("synth_length", 0), ("synth_channels", 1)):
+            if getattr(self, key) < low:
+                raise InvalidConfigError(f"{key} must be >= {low}, got {getattr(self, key)}")
         # here, before any job trains: prepare_windows would train eta < 0 on clean data
         for key, etas in (("noise_eta", (self.noise_eta,)), ("eta_list", self.eta_list)):
             bad = [eta for eta in etas if eta < 0.0]
             if bad:
                 raise InvalidConfigError(f"{key}: noise intensity must be >= 0, got {bad[0]}")
-        # a repeat trains the same job twice: checkpoints overwrite, rows double
-        for key in ("horizons", "seeds", "eta_list", "rank_list", "lookback_list"):
-            listed = getattr(self, key)
-            repeated = [v for i, v in enumerate(listed) if v in listed[:i]]
-            if repeated:
-                raise InvalidConfigError(f"{key}: {repeated[0]} is listed twice")
+        # an empty list runs nothing; a repeat trains the same job twice:
+        # checkpoints overwrite, rows double
+        for key in ("horizons", "eta_list", *SWEPT):
+            values = listed(getattr(self, key))
+            repeated = [v for i, v in enumerate(values) if v in values[:i]]
+            if not values or repeated:
+                raise InvalidConfigError(f"{key}: {repeated[0]} is listed twice" if values
+                                         else f"{key}: the list is empty")
 
     def fingerprint(self) -> str:
         """The experiment's hash: every key but `outdir`, where it is written."""
@@ -119,7 +129,7 @@ def _parse_value(name: str, text: str, kind=None):
     label = f"config key {name}" if kind is None else name
     kind, text = kind or _KEY_TYPES[name], text.strip()
     try:
-        if typing.get_origin(kind) is tuple:
+        if typing.get_origin(kind) in (tuple, types.UnionType):  # a list, or a SWEPT key
             elem = typing.get_args(kind)[0]
             return tuple(elem(part.strip()) for part in text.split(",")) if text else ()
         if kind is bool:
@@ -170,28 +180,33 @@ def read_config_file(path) -> dict:
     return values
 
 
+# Each ablation axis: its key and the values it sweeps. The rank and
+# lookback axes sweep their key's own list.
+ABLATIONS = {"haar": ("use_haar", (True, False)), "head": ("head", (HEAD_LOW_RANK, HEAD_DENSE)),
+             "dct": ("use_dct", (True, False)), "rank": ("rank", ()), "lookback": ("lookback", ())}
+
 # The config keys each command form reads, from key groups: the model shape
 # that `params` prints, then what a trained model adds (the DCT stage, the
-# data, the training keys, the outdir), one of the two epoch budgets, and an
-# ablation axis's list. An axis's own key is not in its forms' sets, since
-# the axis sets it in every cell. `resolve_config` is the one reader.
-AXIS_KEYS = {"haar": "use_haar", "head": "head", "dct": "use_dct", "rank": "rank",
-             "lookback": "lookback"}
-ABLATION_AXES = tuple(AXIS_KEYS)
+# data, the training keys, the outdir) and one of the two epoch budgets. An
+# axis of fixed values sets its key in every cell, so its forms do not read
+# it. `resolve_config` is the one reader.
 _SHAPE = ("lookback", "horizons", "rank", "use_haar", "head", "with_bias")
 _TRAINED = (*_SHAPE, "use_dct", "dataset", "data_path", "convention", "synth_length",
             "synth_channels", "learning_rate", "l1_lambda", "batch_size", "seed", "outdir")
 _BUDGET = ("max_epochs", "patience")
-_AXIS_LISTS = {"rank": ("rank_list",), "lookback": ("lookback_list",)}
 COMMAND_KEYS = {
-    "train": {*_TRAINED, *_BUDGET, "seeds", "noise_eta"},
+    "train": {*_TRAINED, *_BUDGET, "noise_eta"},
     "robustness": {*_TRAINED, "eta_list", "robust_max_epochs", "robust_patience"},
-    **{f"ablate {axis}{suffix}": {*keys, *_AXIS_LISTS.get(axis, ())} - {key}
-       for axis, key in AXIS_KEYS.items()
+    **{f"ablate {axis}{suffix}": set(keys) - ({key} if values else set())
+       for axis, (key, values) in ABLATIONS.items()
        for suffix, keys in (("", (*_TRAINED, *_BUDGET, "noise_eta")),
                             (" --params-only", (*_SHAPE, "dataset", "outdir")))},
     "params": set(_SHAPE),
 }
+
+# The grid's keys, outermost first: a command's cells are the product of
+# their values in this order.
+GRID_ORDER = ("use_haar", "use_dct", "head", "lookback", "rank", "horizons", "seed", "noise_eta")
 
 
 def _readers(key: str) -> str:
@@ -242,26 +257,48 @@ def mix_seed(base: int, *parts) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
-def variant_name(config: ExperimentConfig) -> str:
+def variant_name(job: ExperimentConfig) -> str:
+    """A cell's output directory: its lookback and its model's stages."""
     parts = [
-        "haar" if config.use_haar else "nohaar",
-        "dct" if config.use_dct else "nodct",
-        f"lowrank_r{config.rank}" if config.head == HEAD_LOW_RANK else "dense",
-        "bias" if config.with_bias else "nobias",
+        f"L{job.lookback}",
+        "haar" if job.use_haar else "nohaar",
+        "dct" if job.use_dct else "nodct",
+        f"lowrank_r{job.rank}" if job.head == HEAD_LOW_RANK else "dense",
+        "bias" if job.with_bias else "nobias",
     ]
     return "-".join(parts)
+
+
+def grid_cells(config: ExperimentConfig, sweep=()) -> list[tuple[ExperimentConfig, int]]:
+    """A command's (job, horizon) cells: the product, in GRID_ORDER, of the
+    SWEPT keys' values, the horizons and `sweep`, a (key, values) pair that
+    an ablation axis or the noise sweep adds. A job is `config` with one
+    value of each key. A dense head has no rank, so its cells take the
+    first rank, and each runs once."""
+    values = {key: listed(getattr(config, key)) for key in (*SWEPT, "horizons")}
+    values.update([sweep] if sweep else [])
+    keys = [key for key in GRID_ORDER if key in values]
+    cells = []
+    for product in itertools.product(*(values[key] for key in keys)):
+        cell = dict(zip(keys, product))
+        if cell.get("head", config.head) == HEAD_DENSE:
+            cell["rank"] = values["rank"][0]
+        horizon = cell.pop("horizons")
+        cells.append((replace(config, **cell), horizon))
+    return list(dict.fromkeys(cells))
 
 
 def load_dataset(config: ExperimentConfig) -> tuple[hadl_data.Dataset, str]:
     """The command's dataset, standardized in place (`hadl_data.standardize`),
     and its split convention: `convention`, else the known-name default
     (ratio for anything unrecognized). A CSV is read from `data_path`, else
-    from data/<dataset>.csv."""
+    from data/<dataset>.csv. A synthetic series does not depend on `seed`,
+    as a CSV does not, so each cell of a grid runs as it would alone."""
     name = config.dataset
     convention = config.convention or hadl_data.convention_for(name)
-    if name in hadl_data.SYNTH_KINDS:
+    if name in hadl_data.SYNTH_KINDS:  # seed 0's draw, whatever the seeds: fixed data
         dataset = hadl_data.synth(name, config.synth_length, config.synth_channels,
-                                  seed=mix_seed(config.seed, "dataset"))
+                                  seed=mix_seed(0, "dataset"))
     else:
         path = config.data_path or os.path.join("data", f"{name}.csv")
         if not os.path.exists(path):
@@ -345,13 +382,14 @@ def check_workers(workers: int) -> None:
         raise InvalidConfigError(f"workers must be <= {cpus}, the CPU count, got {workers}")
 
 
-def run_grid(config: ExperimentConfig, cells, workers: int, train_outputs: bool) -> list:
-    """run_single over (job, horizon) cells on `config`'s dataset, serially or
-    in one pool of at most one worker per cell, once every cell's model shape
-    and windows, the worker count and the outdir are checked. Prints one
-    progress line per job in cell order and returns the (best_model, trace,
-    EvalReport) triples in cell order; a pool's workers also compute the
-    train_outputs."""
+def run_grid(config: ExperimentConfig, workers: int, train_outputs: bool, sweep=()) -> list:
+    """run_single over `grid_cells(config, sweep)` on `config`'s dataset,
+    serially or in one pool of at most one worker per cell, once every
+    cell's model shape and windows, the worker count and the outdir are
+    checked. Prints one progress line per job in cell order and returns
+    ((job, horizon), (best_model, trace, EvalReport)) pairs in cell order;
+    a pool's workers also compute the train_outputs."""
+    cells = grid_cells(config, sweep)
     param_totals(cells)
     check_workers(workers)
     # an outdir this process cannot create fails here, not at its first write
@@ -389,148 +427,143 @@ def _progress(cell, result):
         f"H={horizon} seed={job.seed} eta={job.noise_eta} best_epoch={trace.best_epoch} "
         f"test_mse={report.mse:.6f}{mae}"
     )
-    return result
+    return cell, result
 
 
-def _run_dir(config: ExperimentConfig, variant: str, horizon: int) -> str:
-    path = os.path.join(config.outdir, config.dataset, variant, str(horizon))
-    os.makedirs(path, exist_ok=True)
-    return path
-
-
-def _json_header(config: ExperimentConfig, horizon: int, variant: str) -> dict:
-    """The keys eval.json and robustness.json open with."""
-    return {"config": asdict(config), "config_fingerprint": config.fingerprint(),
-            "dataset": config.dataset, "horizon": horizon, "variant": variant}
+def _run_dirs(config: ExperimentConfig, pairs):
+    """`run_grid`'s pairs grouped by output directory, <outdir>/<dataset>/
+    <variant>/<horizon>, in cell order: each created directory, the keys its
+    JSON files open with, and its (job, result) pairs."""
+    groups: dict = {}
+    for (job, horizon), result in pairs:
+        groups.setdefault((variant_name(job), horizon), []).append((job, result))
+    for (variant, horizon), jobs in groups.items():
+        path = os.path.join(config.outdir, config.dataset, variant, str(horizon))
+        os.makedirs(path, exist_ok=True)
+        yield path, {"config": asdict(config), "config_fingerprint": config.fingerprint(),
+                     "dataset": config.dataset, "horizon": horizon, "variant": variant}, jobs
 
 
 def cmd_train(config: ExperimentConfig, workers: int = 1) -> list[hadl_metrics.EvalReport]:
-    """Train per horizon (and per seed), write checkpoints, traces, reports.
+    """Train every cell of the grid and write its checkpoint and traces,
+    with one eval.csv|json per (variant, horizon) directory, a row per seed.
 
-    workers > 1 runs the (horizon, seed) grid in parallel processes; job
-    outputs are independent of scheduling, so results match a serial run.
+    workers > 1 runs the cells in parallel processes; job outputs are
+    independent of scheduling, so results match a serial run.
     """
-    seeds = config.seeds or (config.seed,)
-    cells = [(replace(config, seed=seed), horizon)
-             for horizon in config.horizons for seed in seeds]
-    results = run_grid(config, cells, workers, train_outputs=True)  # the norms and MAEs
+    pairs = run_grid(config, workers, train_outputs=True)  # the norms and MAEs
     fingerprint = config.fingerprint()
-    variant = variant_name(config)
-
-    for i, horizon in enumerate(config.horizons):
-        run_dir = _run_dir(config, variant, horizon)
-        per_seed = results[i * len(seeds):(i + 1) * len(seeds)]
-        for seed, (best, trace, _) in zip(seeds, per_seed):
-            save_checkpoint(best, os.path.join(run_dir, f"checkpoint_seed{seed}.npz"))
-            write_trace_csv(trace, os.path.join(run_dir, f"trace_seed{seed}.csv"), fingerprint)
-            write_trace_json(trace, os.path.join(run_dir, f"trace_seed{seed}.json"), fingerprint)
-        reports = [report for _, _, report in per_seed]
+    for run_dir, header, jobs in _run_dirs(config, pairs):
+        for job, (best, trace, _) in jobs:
+            save_checkpoint(best, os.path.join(run_dir, f"checkpoint_seed{job.seed}.npz"))
+            write_trace_csv(trace, os.path.join(run_dir, f"trace_seed{job.seed}.csv"), fingerprint)
+            write_trace_json(trace, os.path.join(run_dir, f"trace_seed{job.seed}.json"),
+                             fingerprint)
+        reports = [report for _, (_, _, report) in jobs]
         hadl_metrics.write_eval_csv(reports, os.path.join(run_dir, "eval.csv"), fingerprint)
         mses = [r.mse for r in reports]
         bundle = {
-            **_json_header(config, horizon, variant),
+            **header,
             "reports": [asdict(r) for r in reports],
             "mse_mean": float(np.mean(mses)),
             "mse_std": float(np.std(mses)),
         }
         hadl_metrics.write_json_bundle(bundle, os.path.join(run_dir, "eval.json"))
-    return [report for _, _, report in results]
+    return [report for _, (_, _, report) in pairs]
 
 
 def cmd_robustness(config: ExperimentConfig,
                    workers: int = 1) -> list[hadl_metrics.RobustnessReport]:
-    """Noise sweep at each configured horizon; evaluation always clean.
+    """Noise sweep of every cell of the grid; evaluation always clean.
 
-    Each (horizon, eta) cell trains its own model (robust_max_epochs/
+    Each (cell, eta) trains its own model (robust_max_epochs/
     robust_patience); the eta list must contain 0.0 for the NRR baseline.
-    workers > 1 trains the cells in parallel processes. Returns one report
-    per horizon, in horizon order.
+    workers > 1 trains them in parallel processes. Returns one report per
+    (variant, horizon, seed), in cell order; each (variant, horizon)
+    directory holds its seeds' reports.
     """
+    if config.noise_eta != 0.0:  # the sweep sets it in every cell
+        raise InvalidConfigError(f"noise_eta: robustness sweeps eta_list, so it would drop"
+                                 f" noise_eta={config.noise_eta}")
     etas = tuple(sorted(config.eta_list))
     if 0.0 not in etas:
         raise InvalidConfigError("eta_list must contain 0.0")
     base = replace(config, max_epochs=config.robust_max_epochs, patience=config.robust_patience)
-    cells = [(replace(base, noise_eta=eta), horizon)
-             for horizon in config.horizons for eta in etas]
-    mses = [r.mse for _, _, r in run_grid(config, cells, workers, train_outputs=False)]
-    reports = [hadl_metrics.robustness_report(etas, mses[i:i + len(etas)])
-               for i in range(0, len(mses), len(etas))]
+    pairs = run_grid(base, workers, train_outputs=False, sweep=("noise_eta", etas))
     fingerprint = config.fingerprint()
-    variant = variant_name(config)
-
-    for horizon, report in zip(config.horizons, reports):
-        for prev, nxt in zip(report.nrr_per_eta, report.nrr_per_eta[1:]):
-            if nxt < prev - 0.02:
-                print(f"warning: H={horizon}: NRR decreased from {prev:.4f} to {nxt:.4f} with"
-                      " more noise; unusual but not an error", file=sys.stderr)
-        if report.mav is None:
-            print(f"robustness: H={horizon} no noisy etas, MAV undefined")
-        else:
-            print(f"robustness: H={horizon} MAV={report.mav:.6f} over etas {list(etas[1:])}")
-
-        run_dir = _run_dir(config, variant, horizon)
+    reports = []
+    for run_dir, header, jobs in _run_dirs(config, pairs):
+        per_seed = [hadl_metrics.robustness_report(seed, etas, [r.mse for _, (_, _, r) in group])
+                    for seed, group in itertools.groupby(jobs, lambda pair: pair[0].seed)]
+        for report in per_seed:
+            cell = f"variant={header['variant']} H={header['horizon']} seed={report.seed}"
+            for prev, nxt in zip(report.nrr_per_eta, report.nrr_per_eta[1:]):
+                if nxt < prev - 0.02:
+                    print(f"warning: {cell}: NRR decreased from {prev:.4f} to {nxt:.4f} with"
+                          " more noise; unusual but not an error", file=sys.stderr)
+            if report.mav is None:
+                print(f"robustness: {cell} no noisy etas, MAV undefined")
+            else:
+                print(f"robustness: {cell} MAV={report.mav:.6f} over etas {list(etas[1:])}")
         hadl_metrics.write_robustness_csv(
-            report, os.path.join(run_dir, "robustness.csv"), fingerprint
+            per_seed, os.path.join(run_dir, "robustness.csv"), fingerprint
         )
-        bundle = {**_json_header(config, horizon, variant), **asdict(report)}
+        bundle = {**header, "reports": [asdict(report) for report in per_seed]}
         hadl_metrics.write_json_bundle(bundle, os.path.join(run_dir, "robustness.json"))
+        reports += per_seed
     return reports
 
 
-def _ablate_grid(config: ExperimentConfig, axis: str) -> list[tuple[str, ExperimentConfig]]:
-    """The (label, job config) grid an ablation axis expands to."""
-    variants = {
-        "haar": [("with_haar", {"use_haar": True}), ("without_haar", {"use_haar": False})],
-        "head": [("low_rank", {"head": HEAD_LOW_RANK}), ("dense", {"head": HEAD_DENSE})],
-        "dct": [("with_dct", {"use_dct": True}), ("without_dct", {"use_dct": False})],
-        "rank": [(str(rank), {"rank": rank}) for rank in config.rank_list],
-        "lookback": [(str(lb), {"lookback": lb}) for lb in config.lookback_list],
-    }
-    if axis not in variants:
-        raise InvalidConfigError(f"unknown ablation axis {axis!r}; choose from {ABLATION_AXES}")
-    if axis == "rank" and config.head != HEAD_LOW_RANK:  # every cell would train one dense head
-        raise InvalidConfigError(f"head: ablate rank varies a low_rank head, got {config.head!r}")
-    return [(label, replace(config, **keys)) for label, keys in variants[axis]]
-
-
-def cmd_ablate(config: ExperimentConfig, axis: str, params_only: bool = False) -> str:
-    """Run a variant grid and write an MSE + parameter-count table.
+def cmd_ablate(config: ExperimentConfig, axis: str, params_only: bool = False,
+               workers: int = 1) -> str:
+    """Run the grid with an ablation axis and write an MSE + parameter-count
+    table, one row per cell.
 
     With params_only the table skips training and fills only the parameter
     columns (useful to inspect model sizes without data).
     """
-    grid = _ablate_grid(config, axis)
-    labels = [label for label, _ in grid for _ in config.horizons]
-    cells = [(job, horizon) for _, job in grid for horizon in config.horizons]
-    totals = param_totals(cells)
+    if axis not in ABLATIONS:
+        raise InvalidConfigError(f"unknown ablation axis {axis!r}; choose from {tuple(ABLATIONS)}")
+    if axis == "rank" and config.head != HEAD_LOW_RANK:  # every cell would train one dense head
+        raise InvalidConfigError(f"head: ablate rank varies a low_rank head, got {config.head!r}")
+    key, values = ABLATIONS[axis]
+    sweep = (key, values) if values else ()
     if params_only:
-        mses = [""] * len(cells)
+        cells = grid_cells(config, sweep)
+        mses = seeds = [""] * len(cells)
     else:
-        results = run_grid(config, cells, 1, train_outputs=False)
-        mses = [r.mse for _, _, r in results]
-    rows = [[axis, label, job.lookback, horizon, mse, total, kilo_display(total)]
-            for label, (job, horizon), mse, total in zip(labels, cells, mses, totals)]
+        pairs = run_grid(config, workers, train_outputs=False, sweep=sweep)
+        cells = [cell for cell, _ in pairs]
+        mses = [report.mse for _, (_, _, report) in pairs]
+        seeds = [job.seed for job, _ in cells]
+    totals = param_totals(cells)
+    rows = []
+    for (job, horizon), seed, mse, total in zip(cells, seeds, mses, totals):
+        value = getattr(job, key)  # labelled `with_haar`, `without_dct`, `dense`, 16, ...
+        label = f"{'with' if value else 'without'}_{axis}" if isinstance(value, bool) else value
+        rows.append([axis, label, job.lookback, job.rank if job.head == HEAD_LOW_RANK else "",
+                     horizon, seed, mse, total, kilo_display(total)])
 
     out_root = os.path.join(config.outdir, config.dataset)
     os.makedirs(out_root, exist_ok=True)
     out_path = os.path.join(out_root, f"ablate_{axis}.csv")
-    header = ["axis", "value", "lookback", "horizon", "mse", "params", "params_display"]
+    header = ["axis", "value", "lookback", "rank", "horizon", "seed", "mse", "params",
+              "params_display"]
     hadl_metrics.write_table(out_path, header, rows, config.fingerprint())
     print(f"ablate table written to {out_path}")
     return out_path
 
 
 def cmd_params(config: ExperimentConfig) -> None:
-    """Print parameter counts for the configured variant at every horizon."""
-    for horizon in config.horizons:
-        counted = param_count(
-            config.lookback, horizon, config.rank, config.with_bias,
-            config.use_haar, config.head,
-        )
+    """Print parameter counts for every cell of the grid."""
+    cells = grid_cells(config)
+    counts = [param_count(job.lookback, horizon, job.rank, job.with_bias, job.use_haar, job.head)
+              for job, horizon in cells]
+    for (job, horizon), counted in zip(cells, counts):
         detail = " + ".join(f"{k}={v}" for k, v in counted.breakdown.items())
         print(
-            f"L={config.lookback} H={horizon} rank={config.rank} head={config.head} "
-            f"haar={config.use_haar} bias={config.with_bias}: "
+            f"L={job.lookback} H={horizon} rank={job.rank} head={job.head} "
+            f"haar={job.use_haar} bias={job.with_bias}: "
             f"{counted.total} parameters ({kilo_display(counted.total)}) [{detail}]"
         )
 
@@ -560,7 +593,7 @@ def build_parser() -> argparse.ArgumentParser:
     workers.add_argument("--workers", action=_IntFlag, default=1,
                          help="run the grid's jobs in N parallel processes")
     axis = argparse.ArgumentParser(add_help=False)
-    axis.add_argument("axis", choices=ABLATION_AXES)
+    axis.add_argument("axis", choices=ABLATIONS)
     axis.add_argument("--params-only", action="store_true",
                       help="skip training; emit parameter counts only")
     parser = argparse.ArgumentParser(prog="hadl", description=__doc__,
@@ -570,9 +603,9 @@ def build_parser() -> argparse.ArgumentParser:
                    ).set_defaults(run=lambda a: cmd_train(resolve_config(a), a.workers))
     sub.add_parser("robustness", parents=[workers, keys], help="noise sweep with NRR/MAV report"
                    ).set_defaults(run=lambda a: cmd_robustness(resolve_config(a), a.workers))
-    sub.add_parser("ablate", parents=[axis, keys], help="variant-grid table for one axis"
+    sub.add_parser("ablate", parents=[axis, workers, keys], help="variant-grid table for one axis"
                    ).set_defaults(run=lambda a: cmd_ablate(resolve_config(a), a.axis,
-                                                           a.params_only))
+                                                           a.params_only, a.workers))
     sub.add_parser("params", parents=[keys], help="print parameter counts"
                    ).set_defaults(run=lambda a: cmd_params(resolve_config(a)))
     p_export = sub.add_parser("export-weights", help="dump the forecaster as a CSV table")

@@ -63,20 +63,23 @@ class EvalReport:
 
 @dataclass(frozen=True)
 class RobustnessReport:
-    """One robustness sweep: clean + noisy MSEs and the derived statistics.
+    """One robustness sweep at one seed: clean + noisy MSEs and the derived
+    statistics.
 
     nrr_per_eta has one entry per eta > 0 (in eta_list order); mav is None
     when the sweep contains no noisy setting.
     """
 
+    seed: int
     eta_list: tuple[float, ...]
     mse_per_eta: tuple[float, ...]
     nrr_per_eta: tuple[float, ...]
     mav: float | None
 
 
-def robustness_report(eta_list, mse_per_eta) -> RobustnessReport:
-    """Derive NRR/MAV from per-eta clean-test MSEs; eta_list[0] must be 0."""
+def robustness_report(seed: int, eta_list, mse_per_eta) -> RobustnessReport:
+    """Derive NRR/MAV from one seed's per-eta clean-test MSEs; eta_list[0]
+    must be 0."""
     etas = tuple(float(e) for e in eta_list)
     mses = tuple(float(m) for m in mse_per_eta)
     if len(etas) != len(mses):
@@ -85,6 +88,7 @@ def robustness_report(eta_list, mse_per_eta) -> RobustnessReport:
         raise InvalidConfigError("eta_list must start with the noise-free setting 0.0")
     ratios = tuple(nrr(m, mses[0]) for e, m in zip(etas, mses) if e > 0.0)
     return RobustnessReport(
+        seed=seed,
         eta_list=etas,
         mse_per_eta=mses,
         nrr_per_eta=ratios,
@@ -114,18 +118,20 @@ def write_eval_csv(reports: list[EvalReport], path, fingerprint: str = "") -> No
     write_table(path, EVAL_CSV_COLUMNS, map(astuple, reports), fingerprint)
 
 
-ROBUSTNESS_CSV_COLUMNS = ["eta", "mse", "nrr", "mav"]
+ROBUSTNESS_CSV_COLUMNS = ["seed", "eta", "mse", "nrr", "mav"]
 
 
-def write_robustness_csv(report: RobustnessReport, path, fingerprint: str = "") -> None:
-    """One row per eta; nrr empty on the clean row, mav only on the last row.
+def write_robustness_csv(reports: list[RobustnessReport], path, fingerprint: str = "") -> None:
+    """One row per (seed, eta), in report order; nrr empty on a clean row,
+    mav only on each report's last row.
 
     A sweep without noisy settings marks mav as 'undefined'.
     """
-    noisy = iter(report.nrr_per_eta)
-    rows = [[eta, m, next(noisy) if eta > 0.0 else "", ""]
-            for eta, m in zip(report.eta_list, report.mse_per_eta)]
-    if rows:
+    rows = []
+    for report in reports:
+        noisy = iter(report.nrr_per_eta)
+        rows += [[report.seed, eta, m, next(noisy) if eta > 0.0 else "", ""]
+                 for eta, m in zip(report.eta_list, report.mse_per_eta)]
         rows[-1][-1] = "undefined" if report.mav is None else report.mav
     write_table(path, ROBUSTNESS_CSV_COLUMNS, rows, fingerprint)
 

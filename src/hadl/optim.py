@@ -86,8 +86,7 @@ class TrainConfig:
     def __post_init__(self):
         # every float key must be finite, ExperimentConfig's too: inf passes the checks below
         for f in fields(self):
-            value = getattr(self, f.name)
-            bad = [v for v in (value if isinstance(value, tuple) else (value,))
+            bad = [v for v in listed(getattr(self, f.name))
                    if isinstance(v, float) and not math.isfinite(v)]
             if bad:
                 raise InvalidConfigError(f"{f.name} must be finite, got {bad[0]}")
@@ -98,8 +97,14 @@ class TrainConfig:
         check_budget(self.max_epochs, self.patience)
         if self.batch_size < 1:
             raise InvalidConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.seed < 0:  # here, not as a numpy ValueError: default_rng takes no negative seed
-            raise InvalidConfigError(f"seed must be >= 0, got {self.seed}")
+        # here, not as a numpy ValueError: default_rng takes no negative seed
+        if min(listed(self.seed), default=0) < 0:  # ExperimentConfig's seed may list several
+            raise InvalidConfigError(f"seed must be >= 0, got {min(listed(self.seed))}")
+
+
+def listed(value) -> tuple:
+    """A config key's values: a tuple as it is, one value as a 1-tuple."""
+    return value if isinstance(value, tuple) else (value,)
 
 
 def check_budget(max_epochs: int, patience: int, prefix: str = "") -> None:

@@ -2,7 +2,7 @@
 environments of one tree).
 
     python tests/identity.py run SRC WORKDIR
-    python tests/identity.py compare WORKDIR_A WORKDIR_B
+    python tests/identity.py compare [--ignore-config] WORKDIR_A WORKDIR_B
 
 `run` runs every argv of ARGVS, in order, as `python -m hadl.cli ...` with
 PYTHONPATH=SRC and the working directory WORKDIR, which must not exist yet.
@@ -17,7 +17,11 @@ log/. The whole set takes about 6 s serially, with one BLAS thread.
 in one of them only. For a differing CSV or JSON file it gives the first
 differing value, where it sits and the relative difference of two numbers;
 for any other file, the first differing line. It exits 1 if any file
-differs.
+differs. With --ignore-config it skips each CSV's `# config_fingerprint=`
+line and each JSON file's `config` and `config_fingerprint` values, and
+counts a CSV or JSON file whose other values are all equal as the same: so
+a change to the config keys can still show that every other value is
+equal.
 
 The argvs take every subcommand (`export-weights` and `--params-only`
 included), the rows and the statistics steps (40 channels), the Haar and
@@ -52,14 +56,14 @@ WIDE = ["--dataset", "random_walk", "--synth-channels", "40", "--synth-length", 
 CSV = ["--dataset", "ETTh1", "--data-path", "ETTh1.csv", "--lookback", "16", "--rank", "2"]
 CHECKPOINT = "runs/sine_mix/{}/4/checkpoint_seed0.npz"
 # config files that `run` writes, each setting keys that its command does not read
-CONFIGS = {"train_unread.cfg": "robust_max_epochs = 7\neta_list = 0.5\nrank_list = 3\n",
-           "robustness_unread.cfg": "max_epochs = 3\npatience = 1\nseeds = 3\n"}
-POOL = ["train", *TRAINS, "--rank", "2", "--seeds", "4,5", "--workers", "2"]
+CONFIGS = {"train_unread.cfg": "robust_max_epochs = 7\neta_list = 0.5\nrobust_patience = 3\n",
+           "robustness_unread.cfg": "max_epochs = 3\npatience = 1\nnoise_eta = 0.5\n"}
+POOL = ["train", *TRAINS, "--rank", "2", "--seed", "4,5", "--workers", "2"]
 ROBUSTNESS = ["robustness", *SMALL, "--rank", "2", "--eta-list", "0,0.5",
               "--robust-max-epochs", "2", "--robust-patience", "2"]
 
 ARGVS = [
-    ["train", *TRAINS, "--rank", "2", "--seeds", "0,1"],
+    ["train", *TRAINS, "--rank", "2", "--seed", "0,1"],
     ["train", *TRAINS, "--rank", "2", "--use-dct", "false", "--with-bias", "false"],
     ["train", "--dataset", "sine_mix", "--lookback", "15", "--horizons", "4,8", *BUDGET,
      "--rank", "3", "--use-haar", "false"],
@@ -77,14 +81,14 @@ ARGVS = [
     ["ablate", "haar", *TRAINS, "--rank", "2"],
     ["ablate", "head", *TRAINS, "--rank", "2"],
     ["ablate", "dct", *TRAINS, "--rank", "2"],
-    ["ablate", "rank", *TRAINS, "--rank-list", "2,4"],
-    ["ablate", "lookback", "--dataset", "sine_mix", "--lookback-list", "16,24", "--horizons",
+    ["ablate", "rank", *TRAINS, "--rank", "2,4"],
+    ["ablate", "lookback", "--dataset", "sine_mix", "--lookback", "16,24", "--horizons",
      "4", "--rank", "2", *BUDGET],
     ["ablate", "head", "--params-only", "--horizons", "96,720", "--rank", "40", "--with-bias",
      "false"],
     ["params", "--lookback", "512", "--horizons", "96,720", "--rank", "50"],
-    ["export-weights", CHECKPOINT.format("haar-dct-lowrank_r2-bias"), "runs/lowrank.csv"],
-    ["export-weights", CHECKPOINT.format("haar-dct-dense-bias"), "runs/dense.csv"],
+    ["export-weights", CHECKPOINT.format("L16-haar-dct-lowrank_r2-bias"), "runs/lowrank.csv"],
+    ["export-weights", CHECKPOINT.format("L16-haar-dct-dense-bias"), "runs/dense.csv"],
     [*POOL, "--config", "train_unread.cfg"],
     [*ROBUSTNESS, "--config", "robustness_unread.cfg"],
 ]
@@ -121,11 +125,14 @@ def _manifest(workdir: Path) -> dict[str, str]:
     return {path: digest for digest, path in (line.split("  ", 1) for line in lines)}
 
 
-def _values(path: Path, text: str) -> list[tuple[str, object]]:
-    """A CSV or JSON file's values in file order, each with where it sits."""
+def _values(path: Path, text: str, ignore_config: bool) -> list[tuple[str, object]]:
+    """A CSV or JSON file's values in file order, each with where it sits;
+    with `ignore_config`, those of the config and its fingerprint left out."""
     if path.suffix == ".csv":
-        return [(f"row {r} column {c}", cell) for r, row in enumerate(csv.reader(
-            text.splitlines()), start=1) for c, cell in enumerate(row, start=1)]
+        lines = [line for line in text.splitlines()
+                 if not (ignore_config and line.startswith("# config_fingerprint="))]
+        return [(f"row {r} column {c}", cell) for r, row in enumerate(csv.reader(lines), start=1)
+                for c, cell in enumerate(row, start=1)]
     found = []
 
     def walk(where: str, node) -> None:
@@ -136,7 +143,11 @@ def _values(path: Path, text: str) -> list[tuple[str, object]]:
             else:
                 found.append((f"{where}{key}", value))
 
-    walk("", json.loads(text))
+    tree = json.loads(text)
+    if ignore_config:
+        tree = {key: value for key, value in tree.items()
+                if key not in ("config", "config_fingerprint")}
+    walk("", tree)
     return found
 
 
@@ -149,18 +160,22 @@ def _relative(value_a, value_b) -> str:
     return f", relative difference {abs(a - b) / scale if scale else 0.0:.3g}"
 
 
-def _first_difference(a: Path, b: Path) -> str:
+def _first_difference(a: Path, b: Path, ignore_config: bool) -> str | None:
+    """Where two files first differ; None for CSV or JSON files whose
+    values are all equal."""
     try:
         text_a, text_b = a.read_text(), b.read_text()
     except UnicodeDecodeError:
         return "binary"
     if a.suffix in (".csv", ".json"):
-        values_a, values_b = _values(a, text_a), _values(b, text_b)
+        values_a, values_b = _values(a, text_a, ignore_config), _values(b, text_b, ignore_config)
         for (where_a, value_a), (where_b, value_b) in zip(values_a, values_b):
             if (where_a, value_a) != (where_b, value_b):
                 if where_a != where_b:
                     return f"{where_a} against {where_b}"
                 return f"{where_a}: {value_a!r} against {value_b!r}{_relative(value_a, value_b)}"
+        if values_a == values_b:
+            return None
         return f"{len(values_a)} values against {len(values_b)}"
     lines_a, lines_b = text_a.splitlines(), text_b.splitlines()
     for number, (line_a, line_b) in enumerate(zip(lines_a, lines_b), start=1):
@@ -169,26 +184,33 @@ def _first_difference(a: Path, b: Path) -> str:
     return f"{len(lines_a)} lines against {len(lines_b)}"
 
 
-def compare(workdir_a: str, workdir_b: str) -> int:
+def compare(workdir_a: str, workdir_b: str, ignore_config: bool = False) -> int:
     a, b = Path(workdir_a), Path(workdir_b)
     left, right = _manifest(a), _manifest(b)
     differing = 0
     for path in sorted(left.keys() | right.keys()):
         if path not in right or path not in left:
             print(f"only in {a if path in left else b}: {path}")
-        elif left[path] != right[path]:
-            print(f"differs: {path}: {_first_difference(a / path, b / path)}")
-        else:
+        elif left[path] == right[path]:
             continue
+        else:
+            where = _first_difference(a / path, b / path, ignore_config)
+            if where is None:
+                continue
+            print(f"differs: {path}: {where}")
         differing += 1
     print(f"{differing} of {len(left.keys() | right.keys())} files differ")
     return 1 if differing else 0
 
 
 if __name__ == "__main__":
-    if len(sys.argv) != 4 or sys.argv[1] not in ("run", "compare"):
+    args = sys.argv[1:]
+    ignore = args[:2] == ["compare", "--ignore-config"]
+    if ignore:
+        del args[1]
+    if len(args) != 3 or args[0] not in ("run", "compare"):
         sys.exit(__doc__)
-    if sys.argv[1] == "run":
-        run(sys.argv[2], sys.argv[3])
+    if args[0] == "run":
+        run(args[1], args[2])
     else:
-        sys.exit(compare(sys.argv[2], sys.argv[3]))
+        sys.exit(compare(args[1], args[2], ignore))

@@ -8,6 +8,7 @@ on their own.
 
 import os
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -192,9 +193,9 @@ def test_criterion_8_determinism(tmp_path):
         dataset="sine_mix", lookback=64, horizons=(16,), rank=4,
         max_epochs=8, patience=8, learning_rate=0.01, seed=7,
         outdir=str(tmp_path / "runs"), synth_length=480, synth_channels=3,
-        eta_list=(0.0, 0.3), robust_max_epochs=4, robust_patience=4, rank_list=(2, 4),
+        eta_list=(0.0, 0.3), robust_max_epochs=4, robust_patience=4,
     )
-    commands = (cmd_train, cmd_robustness, lambda c: cmd_ablate(c, "rank"))
+    commands = (cmd_train, cmd_robustness, lambda c: cmd_ablate(replace(c, rank=(2, 4)), "rank"))
     for command in commands:
         command(config)
     out_root = Path(config.outdir)

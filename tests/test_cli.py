@@ -19,12 +19,13 @@ import hadl.data
 import hadl.model
 import hadl.optim
 from hadl.cli import (
+    ABLATIONS,
     COMMAND_KEYS,
     ExperimentConfig,
-    _ablate_grid,
     cmd_ablate,
     cmd_robustness,
     cmd_train,
+    grid_cells,
     load_dataset,
     main,
     mix_seed,
@@ -78,7 +79,7 @@ class TestConfig:
             cfg_file.write_text(head + body, encoding="utf-8")
             values = read_config_file(cfg_file)
             assert values["dataset"] == "sine_mix"
-            assert values["lookback"] == 64
+            assert values["lookback"] == (64,)  # a comma list of one
             assert values["horizons"] == (16, 32)
             assert values["use_haar"] is False
             assert values["eta_list"] == (0.0, 0.3)
@@ -93,7 +94,7 @@ class TestConfig:
             elif isinstance(value, bool):
                 value = str(value).lower()
             lines.append(f"{f.name} = {value}\n")
-        assert len(lines) == 26
+        assert len(lines) == 23
         cfg_file.write_text("".join(lines), encoding="utf-8")
         assert ExperimentConfig(**read_config_file(cfg_file)) == default
 
@@ -114,12 +115,12 @@ class TestConfig:
         # `runs#2` was cut to `runs`; a '#' after a space still opens a comment
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text("  # indented\nlookback = 512  # paper\noutdir = runs#2\n")
-        assert read_config_file(cfg_file) == {"lookback": 512, "outdir": "runs#2"}
+        assert read_config_file(cfg_file) == {"lookback": (512,), "outdir": "runs#2"}
         outdir = tmp_path / "runs#2"
         cfg_file.write_text("dataset = sine_mix\nlookback = 16\nhorizons = 8\nrank = 2\n"
                             f"max_epochs = 1\npatience = 1\noutdir = {outdir}  # comment\n")
         assert main(["train", "--config", str(cfg_file)]) == 0
-        assert (outdir / "sine_mix" / "haar-dct-lowrank_r2-bias" / "8" / "eval.csv").is_file()
+        assert (outdir / "sine_mix" / "L16-haar-dct-lowrank_r2-bias" / "8" / "eval.csv").is_file()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg", "runs#2"]
 
     def test_repeated_key_rejected(self, tmp_path, capsys):
@@ -176,7 +177,7 @@ class TestTrainCommand:
         reports = cmd_train(config)
         assert len(reports) == 1
         assert reports[0].mse < 0.05
-        run_dir = tmp_path / "runs" / "sine_mix" / "haar-dct-lowrank_r4-bias" / "16"
+        run_dir = tmp_path / "runs" / "sine_mix" / "L64-haar-dct-lowrank_r4-bias" / "16"
         for name in ("checkpoint_seed1.npz", "trace_seed1.csv", "trace_seed1.json",
                      "eval.csv", "eval.json"):
             assert (run_dir / name).exists()
@@ -216,7 +217,7 @@ class TestTrainCommand:
             config = synth_config(tmp_path, outdir=str(tmp_path / str(channels)),
                                   synth_channels=channels)
             cmd_train(config)
-            run_dir = Path(config.outdir) / "sine_mix" / "haar-dct-lowrank_r4-bias" / "16"
+            run_dir = Path(config.outdir) / "sine_mix" / "L64-haar-dct-lowrank_r4-bias" / "16"
             csv_files = sorted(run_dir.glob("*.csv")) + sorted(run_dir.glob("*.json"))
             before = {p.name: p.read_bytes() for p in csv_files}
             cmd_train(config)
@@ -228,7 +229,7 @@ class TestTrainCommand:
         written = []
         for outdir in (tmp_path / "a", tmp_path / "b" / "c"):
             assert main(["train", "--dataset", "sine_mix", "--lookback", "16", "--horizons",
-                         "4,8", "--rank", "2", "--seeds", "1,2", "--max-epochs", "2",
+                         "4,8", "--rank", "2", "--seed", "1,2", "--max-epochs", "2",
                          "--patience", "2", "--outdir", str(outdir)]) == 0
             written.append({str(p.relative_to(outdir)): p
                             for p in sorted(outdir.rglob("*")) if p.is_file()})
@@ -245,10 +246,10 @@ class TestTrainCommand:
                 assert a[name].read_bytes() == b[name].read_bytes(), name
 
     def test_multi_seed_writes_one_row_each(self, tmp_path):
-        config = synth_config(tmp_path, seeds=(1, 2))
+        config = synth_config(tmp_path, seed=(1, 2))
         reports = cmd_train(config)
         assert [r.seed for r in reports] == [1, 2]
-        run_dir = tmp_path / "runs" / "sine_mix" / "haar-dct-lowrank_r4-bias" / "16"
+        run_dir = tmp_path / "runs" / "sine_mix" / "L64-haar-dct-lowrank_r4-bias" / "16"
         rows = (run_dir / "eval.csv").read_text().splitlines()
         assert len(rows) == 2 + 2  # fingerprint + header + 2 seeds
 
@@ -277,7 +278,7 @@ class TestTrainCommand:
         cfg_file.write_text(f"dataset = mini\ndata_path = {csv_path}\nconvention = ratio\n")
         assert main(argv) == 0
         assert capsys.readouterr().out.startswith("job dataset=mini ")
-        assert (runs / "mini" / "haar-dct-lowrank_r2-bias" / "4" / "eval.csv").is_file()
+        assert (runs / "mini" / "L16-haar-dct-lowrank_r2-bias" / "4" / "eval.csv").is_file()
         cfg_file.write_text(cfg_file.read_text().replace("ratio", "etth"))
         assert main(argv) == 1
         assert capsys.readouterr().err == (
@@ -327,16 +328,17 @@ class TestTrainCommand:
                 "--lookback", "32", "--horizons", "8", "--rank", "2",
                 "--max-epochs", "2", "--patience", "2", "--outdir", str(tmp_path / "runs")]
         assert main(argv + ["--convention", "ratio"]) == 0
-        assert (tmp_path / "runs" / "ETTh1" / "haar-dct-lowrank_r2-bias" / "8" / "eval.csv").exists()
+        assert (tmp_path / "runs" / "ETTh1" / "L32-haar-dct-lowrank_r2-bias" / "8"
+                / "eval.csv").exists()
         assert main(argv) == 1
         assert "convention 'etth' needs 14400" in capsys.readouterr().err
 
     def test_parallel_workers_match_serial(self, tmp_path):
         for channels in (3, 24):  # steps from rows, from statistics
             root = tmp_path / str(channels)
-            serial = synth_config(tmp_path, outdir=str(root / "serial"), seeds=(1, 2),
+            serial = synth_config(tmp_path, outdir=str(root / "serial"), seed=(1, 2),
                                   synth_channels=channels)
-            parallel = synth_config(tmp_path, outdir=str(root / "parallel"), seeds=(1, 2),
+            parallel = synth_config(tmp_path, outdir=str(root / "parallel"), seed=(1, 2),
                                     synth_channels=channels)
             cmd_train(serial)
             cmd_train(parallel, workers=2)
@@ -360,18 +362,17 @@ class TestTrainCommand:
         # source, and the summed statistics with `window_stats` to rounding.
         for channels in (3, 40):
             root = tmp_path / str(channels)
-            config = synth_config(root, horizons=(8, 16), seeds=(1, 2), max_epochs=3,
+            config = synth_config(root, horizons=(8, 16), seed=(1, 2), max_epochs=3,
                                   patience=3, synth_channels=channels)
             cmd_train(config)
-            data = load_dataset(config)
             for horizon in config.horizons:
                 from_stats = steps_from_stats(channels, 32, horizon, 4, HEAD_LOW_RANK)
                 assert from_stats == (channels == 40)
-                run_dir = root / "runs" / "sine_mix" / "haar-dct-lowrank_r4-bias" / str(horizon)
-                for seed in config.seeds:
+                run_dir = root / "runs" / "sine_mix" / "L64-haar-dct-lowrank_r4-bias" / f"{horizon}"
+                for seed in config.seed:
                     job = replace(config, seed=seed)
                     best = load_checkpoint(run_dir / f"checkpoint_seed{seed}.npz")
-                    w_train, w_val, _ = prepare_windows(job, horizon, data)
+                    w_train, w_val, _ = prepare_windows(job, horizon, load_dataset(job))
                     written = json.loads((run_dir / f"trace_seed{seed}.json").read_text())
                     norm = dense_equivalent_grad_norm(best, window_stats(best, w_train))
                     if from_stats:
@@ -406,7 +407,7 @@ def count_grad_norms(monkeypatch) -> list:
 class TestGradNormOnlyWhereWritten:
     def test_train_computes_one_per_horizon_and_seed(self, tmp_path, monkeypatch):
         calls = count_grad_norms(monkeypatch)
-        cmd_train(synth_config(tmp_path, horizons=(8, 16), seeds=(1, 2, 3), max_epochs=2,
+        cmd_train(synth_config(tmp_path, horizons=(8, 16), seed=(1, 2, 3), max_epochs=2,
                                patience=2))
         assert len(calls) == 2 * 3
 
@@ -455,7 +456,7 @@ class TestFullSetPasses:
         evaluations_in_train = count_calls(monkeypatch, hadl.optim, "evaluate")
         stats = count_calls(monkeypatch, hadl.optim, "window_stats")
         dct_builds = dct_builds_per_job(monkeypatch)
-        cmd_train(synth_config(tmp_path, horizons=(8, 16), seeds=(1, 2), max_epochs=3,
+        cmd_train(synth_config(tmp_path, horizons=(8, 16), seed=(1, 2), max_epochs=3,
                                patience=3, synth_channels=channels))
         assert len(evaluations) == 4 and evaluations_in_train == []
         # validation, the test MSE and, on the rows path, the grad norm: the
@@ -515,10 +516,9 @@ class TestOneStandardizedSeries:
         monkeypatch.setattr(hadl.cli, "load_dataset", load)
         monkeypatch.setattr(hadl.cli, "prepare_windows", prepare)
         config = synth_config(tmp_path, eta_list=(0.0, 0.7), robust_max_epochs=1,
-                              robust_patience=1, lookback_list=(32, 48), rank=2,
-                              max_epochs=1, patience=1)
+                              robust_patience=1, rank=2, max_epochs=1, patience=1)
         cmd_robustness(config)
-        cmd_ablate(config, "lookback")
+        cmd_ablate(replace(config, lookback=(32, 48)), "lookback")
         assert len(loaded) == 2 and [job.lookback for job, _ in prepared] == [64, 64, 32, 48]
         for (dataset, _), jobs in zip(loaded, (prepared[:2], prepared[2:])):
             series = dataset.series.values
@@ -624,7 +624,7 @@ class TestRobustnessCommand:
         out = capsys.readouterr().out
         assert "MAV undefined" in out
         rob_csv = (
-            tmp_path / "runs" / "low_rank_target" / "haar-dct-lowrank_r4-bias" / "16"
+            tmp_path / "runs" / "low_rank_target" / "L64-haar-dct-lowrank_r4-bias" / "16"
             / "robustness.csv"
         )
         assert "undefined" in rob_csv.read_text()
@@ -638,10 +638,12 @@ class TestRobustnessCommand:
         assert len(report.nrr_per_eta) == 2
         assert report.mav is not None
         assert all(r > 0 for r in report.nrr_per_eta)
-        run_dir = tmp_path / "runs" / "low_rank_target" / "haar-dct-lowrank_r4-bias" / "16"
+        run_dir = tmp_path / "runs" / "low_rank_target" / "L64-haar-dct-lowrank_r4-bias" / "16"
         bundle = json.loads((run_dir / "robustness.json").read_text())
-        assert list(bundle) == ["config", "config_fingerprint", "dataset", "eta_list",
-                                "horizon", "mav", "mse_per_eta", "nrr_per_eta", "variant"]
+        assert list(bundle) == ["config", "config_fingerprint", "dataset", "horizon", "reports",
+                                "variant"]
+        assert list(bundle["reports"][0]) == ["eta_list", "mav", "mse_per_eta", "nrr_per_eta",
+                                              "seed"]
 
     def test_parallel_workers_match_serial(self, tmp_path):
         kwargs = dict(dataset="low_rank_target", eta_list=(0.0, 0.3, 0.7),
@@ -649,7 +651,7 @@ class TestRobustnessCommand:
         cmd_robustness(synth_config(tmp_path, outdir=str(tmp_path / "serial"), **kwargs))
         cmd_robustness(synth_config(tmp_path, outdir=str(tmp_path / "parallel"), **kwargs),
                        workers=2)
-        run_dir = Path("low_rank_target") / "haar-dct-lowrank_r4-bias" / "16"
+        run_dir = Path("low_rank_target") / "L64-haar-dct-lowrank_r4-bias" / "16"
         serial, parallel = tmp_path / "serial" / run_dir, tmp_path / "parallel" / run_dir
         a, b = ((d / "robustness.csv").read_bytes() for d in (serial, parallel))
         assert a == b
@@ -667,11 +669,12 @@ class TestRobustnessCommand:
         jobs = [line.split()[4:7:2] for line in out if line.startswith("job ")]
         assert jobs == [["H=4", "eta=0.0"], ["H=4", "eta=0.7"], ["H=8", "eta=0.0"],
                         ["H=8", "eta=0.7"]]
-        mavs = [line.split()[1:3] for line in out if line.startswith("robustness: ")]
-        assert [h for h, _ in mavs] == ["H=4", "H=8"] and all(m[:4] == "MAV=" for _, m in mavs)
+        mavs = [line.split()[2:5] for line in out if line.startswith("robustness: ")]
+        assert [h for h, _, _ in mavs] == ["H=4", "H=8"]
+        assert all(s == "seed=0" and m[:4] == "MAV=" for _, s, m in mavs)
         # each horizon's files are those of a sweep at that horizon alone
         assert main([*argv, "--horizons", "8", "--outdir", str(tmp_path / "one")]) == 0
-        run_dir = Path("sine_mix") / "haar-dct-lowrank_r2-bias"
+        run_dir = Path("sine_mix") / "L16-haar-dct-lowrank_r2-bias"
         assert (tmp_path / "both" / run_dir / "4" / "robustness.csv").is_file()
         both, one = tmp_path / "both" / run_dir / "8", tmp_path / "one" / run_dir / "8"
         assert table_rows(both / "robustness.csv") == table_rows(one / "robustness.csv")
@@ -696,10 +699,126 @@ class TestRobustnessCommand:
             cmd_robustness(config)
 
 
+def outputs(root: Path) -> dict[str, object]:
+    """Every output file under `root` by relative path: its bytes, or for a
+    file that embeds the config, its values without the config and its
+    fingerprint."""
+    found = {}
+    for path in sorted(root.rglob("*")):
+        if path.suffix == ".json":
+            found[str(path.relative_to(root))] = {
+                key: value for key, value in json.loads(path.read_text()).items()
+                if key not in ("config", "config_fingerprint")}
+        elif path.suffix == ".csv":
+            found[str(path.relative_to(root))] = table_rows(path)
+        elif path.is_file():
+            found[str(path.relative_to(root))] = path.read_bytes()
+    return found
+
+
+TINY = ["--dataset", "sine_mix", "--lookback", "16", "--horizons", "4", "--max-epochs", "1",
+        "--patience", "1"]
+
+
+class TestGrid:
+    """A command runs every cell of the product of its lists, in GRID_ORDER,
+    and each cell as it would run alone."""
+
+    def test_seeds_of_an_ablation_are_its_single_seed_runs(self, tmp_path, capsys):
+        argv = ["ablate", "dct", *TINY, "--rank", "2"]
+        assert main([*argv, "--seed", "0,1,2", "--outdir", str(tmp_path / "all")]) == 0
+        header, *rows = table_rows(tmp_path / "all" / "sine_mix" / "ablate_dct.csv")
+        assert [(row[1], row[header.index("seed")]) for row in rows] == [
+            (value, seed) for value in ("with_dct", "without_dct") for seed in "012"]
+        for seed in "012":
+            assert main([*argv, "--seed", seed, "--outdir", str(tmp_path / seed)]) == 0
+            _, *alone = table_rows(tmp_path / seed / "sine_mix" / "ablate_dct.csv")
+            assert alone == [row for row in rows if row[header.index("seed")] == seed]
+        assert len({row[header.index("mse")] for row in rows}) == 6
+        capsys.readouterr()
+
+    def test_ranks_and_lookbacks_of_train_are_their_single_runs(self, tmp_path, capsys):
+        argv = ["train", *TINY[:2], "--horizons", "4", *TINY[6:]]
+        assert main([*argv, "--rank", "2,3", "--lookback", "16,24",
+                     "--outdir", str(tmp_path / "all")]) == 0
+        jobs = [line.split()[2:4] for line in capsys.readouterr().out.splitlines()]
+        assert jobs == [[f"variant=L{lookback}-haar-dct-lowrank_r{rank}-bias", f"L={lookback}"]
+                        for lookback in (16, 24) for rank in (2, 3)]
+        together, alone = outputs(tmp_path / "all"), {}
+        for rank in "23":
+            for lookback in ("16", "24"):
+                outdir = tmp_path / f"{rank}-{lookback}"
+                assert main([*argv, "--rank", rank, "--lookback", lookback,
+                             "--outdir", str(outdir)]) == 0
+                alone.update(outputs(outdir))
+        assert len(together) == 4 * 5 and together == alone
+        capsys.readouterr()
+
+    def test_a_pool_writes_an_ablation_table_byte_for_byte(self, tmp_path, capsys,
+                                                           monkeypatch):
+        monkeypatch.setattr(hadl.cli.os, "sched_getaffinity", lambda pid: set(range(2)),
+                            raising=False)
+        tables = []
+        for workers in ("1", "2"):
+            out = tmp_path / workers
+            assert main(["ablate", "head", *TINY, "--rank", "2", "--seed", "0,1",
+                         "--workers", workers, "--outdir", str(out)]) == 0
+            tables.append((out / "sine_mix" / "ablate_head.csv").read_bytes())
+        assert tables[0] == tables[1]
+        capsys.readouterr()
+
+    def test_a_dense_head_trains_once_whatever_the_ranks(self, tmp_path, capsys):
+        assert main(["ablate", "head", *TINY, "--rank", "2,4", "--outdir", str(tmp_path)]) == 0
+        jobs = [line.split()[2] for line in capsys.readouterr().out.splitlines()
+                if line.startswith("job ")]
+        assert jobs == ["variant=L16-haar-dct-lowrank_r2-bias",
+                        "variant=L16-haar-dct-lowrank_r4-bias", "variant=L16-haar-dct-dense-bias"]
+        header, *rows = table_rows(tmp_path / "sine_mix" / "ablate_head.csv")
+        assert [(row[1], row[header.index("rank")]) for row in rows] == [
+            ("low_rank", "2"), ("low_rank", "4"), ("dense", "")]
+
+    def test_robustness_reports_each_seed(self, tmp_path, capsys):
+        argv = ["robustness", *TINY[:6], "--rank", "2", "--eta-list", "0,0.7",
+                "--robust-max-epochs", "1", "--robust-patience", "1"]
+        run_dir = Path("sine_mix") / "L16-haar-dct-lowrank_r2-bias" / "4"
+        assert main([*argv, "--seed", "3,4", "--outdir", str(tmp_path / "both")]) == 0
+        both = json.loads((tmp_path / "both" / run_dir / "robustness.json").read_text())
+        assert [report["seed"] for report in both["reports"]] == [3, 4]
+        rows = table_rows(tmp_path / "both" / run_dir / "robustness.csv")
+        assert rows[0] == ["seed", "eta", "mse", "nrr", "mav"]
+        for i, seed in enumerate("34"):
+            assert main([*argv, "--seed", seed, "--outdir", str(tmp_path / seed)]) == 0
+            alone = json.loads((tmp_path / seed / run_dir / "robustness.json").read_text())
+            assert alone["reports"] == [both["reports"][i]]
+            assert table_rows(tmp_path / seed / run_dir / "robustness.csv")[1:] == [
+                row for row in rows[1:] if row[0] == seed]
+        out = capsys.readouterr().out.splitlines()
+        assert [line.split()[3] for line in out if line.startswith("robustness: ")] == [
+            "seed=3", "seed=4", "seed=3", "seed=4"]
+
+    def test_robustness_refuses_a_noise_eta_before_loading(self, tmp_path, monkeypatch):
+        # trained the eta_list etas and wrote noise_eta 0.5 into robustness.json's config
+        monkeypatch.setattr(hadl.cli, "load_dataset", must_not_run)
+        config = synth_config(tmp_path, noise_eta=0.5, eta_list=(0.0, 0.7))
+        with pytest.raises(InvalidConfigError, match="noise_eta: robustness sweeps eta_list"):
+            cmd_robustness(config)
+        assert not (tmp_path / "runs").exists()
+
+    def test_one_value_is_kept_as_itself(self):
+        # so that a cell, and a config given one value, hash alike
+        one = ExperimentConfig(seed=(3,), rank=(4,), lookback=(32,))
+        assert (one.seed, one.rank, one.lookback) == (3, 4, 32)
+        assert one == ExperimentConfig(seed=3, rank=4, lookback=32)
+        assert one.fingerprint() == ExperimentConfig(seed=3, rank=4, lookback=32).fingerprint()
+        cells = grid_cells(ExperimentConfig(seed=(1, 2), horizons=(8, 16)))
+        assert [(job.seed, horizon) for job, horizon in cells] == [(1, 8), (2, 8), (1, 16),
+                                                                   (2, 16)]
+
+
 class TestAblateCommand:
     def test_rank_axis_param_column(self, tmp_path):
         config = synth_config(
-            tmp_path, lookback=512, horizons=(96,), rank_list=(15, 35, 55, 75),
+            tmp_path, lookback=512, horizons=(96,), rank=(15, 35, 55, 75),
             with_bias=True,
         )
         out_path = cmd_ablate(config, "rank", params_only=True)
@@ -723,7 +842,7 @@ class TestAblateCommand:
 
     def test_lookback_axis_trains_one_row_per_length(self, tmp_path):
         config = synth_config(
-            tmp_path, lookback_list=(32, 48), horizons=(8,), rank=2,
+            tmp_path, lookback=(32, 48), horizons=(8,), rank=2,
             max_epochs=3, patience=3,
         )
         out_path = cmd_ablate(config, "lookback")
@@ -738,7 +857,8 @@ class TestAblateCommand:
         config = synth_config(tmp_path, horizons=(8,), rank=2, max_epochs=2, patience=2)
         header, *body = table_rows(cmd_ablate(config, axis))
         data = load_dataset(config)
-        expected = [repr(run_single(job, 8, data)[2].mse) for _, job in _ablate_grid(config, axis)]
+        expected = [repr(run_single(job, horizon, data)[2].mse)
+                    for job, horizon in grid_cells(config, ABLATIONS[axis])]
         assert [r[header.index("mse")] for r in body] == expected
         assert expected[0] != expected[1]
 
@@ -876,15 +996,15 @@ def test_params_command_output(capsys):
     (["--l1-lambda", "nan"], "l1_lambda"),  # trained without L1 and wrote NaN into eval.json
     # each trained twice, overwrote the checkpoint and wrote the repeat into eval.csv
     (["--horizons", "8,16,8"], "horizons"),
-    (["--seeds", "1,1"], "seeds"),
+    (["--seed", "1,1"], "seed"),
     # ablate wrote each repeated row twice and an empty list as an empty table
-    (["--rank-list", "4,4"], "rank_list"),
-    (["--lookback-list", "48,48"], "lookback_list"),
-    (["--rank-list="], "rank_list"),
-    (["--lookback-list="], "lookback_list"),
+    (["--rank", "4,4"], "rank"),
+    (["--lookback", "48,48"], "lookback"),
+    (["--rank="], "rank"),
+    (["--lookback="], "lookback"),
     # each was a numpy ValueError traceback
     (["--seed=-1"], "seed"),
-    (["--seeds", "1,-2"], "seeds"),
+    (["--seed", "1,-2"], "seed"),
     (["--synth-channels", "0"], "synth_channels"),
     (["--synth-length=-1"], "synth_length"),
     # each trained an epoch, then failed as a diverged run
@@ -901,9 +1021,9 @@ def test_params_command_output(capsys):
 def test_bad_config_value_is_one_error_line(tmp_path, capsys, flags, key):
     # a key that only some commands read is checked under the first of them:
     # any other refuses the flag itself, in a line that starts with it,
-    # before parsing the value. The lookback ablation sets the lookback.
+    # before parsing the value
     command = next(form for form, keys in COMMAND_KEYS.items() if key in keys).split()
-    shape = [] if command == ["ablate", "lookback"] else ["--lookback", "32"]
+    shape = [] if key == "lookback" else ["--lookback", "32"]
     line = assert_one_error_line(tmp_path, capsys, key, [*command, "--dataset", "sine_mix",
                                                          *shape, "--horizons", "8", *flags])
     assert not line.startswith("error: --"), line
@@ -932,16 +1052,14 @@ def budget(command: str, epochs: int) -> list[str]:
 ROBUST = ["robustness", "--eta-list", "0,0.7", *budget("robustness", 1)]
 
 
-# each trained one seed or one eta list and exited 0, so the settings it
-# dropped read as run
+# each trained one eta list or one dense model and exited 0, so the
+# settings it dropped read as run
 @pytest.mark.parametrize("command, key", [
-    ([*ROBUST, "--seeds", "1,2,3"], "seeds"),
-    (["ablate", "dct", "--seeds", "1,2", *budget("ablate", 1)], "seeds"),
-    (["ablate", "dct", "--params-only", "--seeds", "1,2"], "seeds"),
     ([*ROBUST, "--noise-eta", "0.5"], "noise_eta"),
+    (["ablate", "dct", "--params-only", "--seed", "1,2"], "seed"),
     # trained one dense model per rank and wrote rows of equal MSE and params
-    (["ablate", "rank", "--head", "dense", "--rank-list", "4,8", *budget("ablate", 1)], "head"),
-    (["ablate", "rank", "--params-only", "--head", "dense", "--rank-list", "4,8"], "head"),
+    (["ablate", "rank", "--head", "dense", "--rank", "4,8", *budget("ablate", 1)], "head"),
+    (["ablate", "rank", "--params-only", "--head", "dense", "--rank", "4,8"], "head"),
 ])
 def test_setting_a_command_drops_is_one_error_line(tmp_path, capsys, command, key):
     assert_one_error_line(tmp_path, capsys, key, [*command, "--dataset", "sine_mix", "--lookback",
@@ -956,24 +1074,19 @@ def test_setting_a_command_drops_is_one_error_line(tmp_path, capsys, command, ke
 @pytest.mark.parametrize("argv, message", [
     (["train", "--eta-list", "0,0.5"], "--eta-list: hadl train does not read eta_list; it is read"
                                        " by hadl robustness"),
-    (["train", "--lookback-list", "8,16"], "--lookback-list: hadl train does not read"
-                                           " lookback_list; it is read by hadl ablate lookback,"
-                                           " hadl ablate lookback --params-only"),
-    ([*ROBUST, "--rank-list", "4,8"], "--rank-list: hadl robustness does not read rank_list; it"
-                                      " is read by hadl ablate rank, hadl ablate rank"
-                                      " --params-only"),
-    (["ablate", "dct", "--rank-list", "4,8"], "--rank-list: hadl ablate dct does not read"
-                                              " rank_list; it is read by hadl ablate rank, hadl"
-                                              " ablate rank --params-only"),
+    ([*ROBUST, "--noise-eta", "0.5"], "--noise-eta: hadl robustness does not read noise_eta; it"
+                                      " is read by hadl train, hadl ablate"
+                                      " haar|head|dct|rank|lookback"),
+    (["ablate", "dct", "--eta-list", "0,0.5"], "--eta-list: hadl ablate dct does not read"
+                                               " eta_list; it is read by hadl robustness"),
     (["ablate", "haar", "--use-haar", "false"], "--use-haar: hadl ablate haar does not read"
                                                 " use_haar; it is read by hadl train, hadl"
                                                 " robustness, hadl ablate head|dct|rank|lookback,"
                                                 " hadl ablate head|dct|rank|lookback"
                                                 " --params-only, hadl params"),
-    (["ablate", "rank", "--params-only", "--rank-list", "4,8"],
-     "--rank: hadl ablate rank --params-only does not read rank; it is read by hadl train, hadl"
-     " robustness, hadl ablate haar|head|dct|lookback, hadl ablate haar|head|dct|lookback"
-     " --params-only, hadl params"),
+    (["ablate", "rank", "--params-only", "--seed", "3"],
+     "--seed: hadl ablate rank --params-only does not read seed; it is read by hadl train, hadl"
+     " robustness, hadl ablate haar|head|dct|rank|lookback"),
     (["params", "--eta-list", "0,0.5"], "--eta-list: hadl params does not read eta_list; it is"
                                         " read by hadl robustness"),
     # trained at the robustness budget, 50 epochs with patience 10, and wrote
@@ -1009,7 +1122,7 @@ def test_setting_a_command_drops_is_one_error_line(tmp_path, capsys, command, ke
     (["ablate", "haar", "--params-only", "--use-dct", "false"],
      "--use-dct: hadl ablate haar --params-only does not read use_dct; it is read by hadl train,"
      " hadl robustness, hadl ablate haar|head|rank|lookback"),
-], ids=["train", "train_lookbacks", "robustness", "ablate_lists", "ablate_axis",
+], ids=["train", "robustness_noise", "ablate_eta_list", "ablate_axis",
         "ablate_params_only", "params", "robustness_budget", "train_robust_budget",
         "params_budget", "params_only_training_key", "train_dense_rank", "ablate_dense_rank",
         "params_dct", "params_outdir", "params_dataset", "params_only_dct"])
@@ -1052,24 +1165,23 @@ def test_a_flag_outside_the_forms_keys_fails_in_one_line(tmp_path, capsys, monke
 # the parent, the rest wrote another fingerprint or trained another seed
 UNREAD_LINES = {
     "train": "robust_max_epochs = 7",  # failed: robust_patience (10) > 7
-    "robustness": "seeds = 3",
+    "robustness": "noise_eta = 0.5",
     "ablate haar": "use_haar = false",
     "ablate head": "head = dense",
     "ablate dct": "use_dct = false",
-    "ablate rank": "rank = 3",
-    "ablate lookback": "lookback = 8",
+    "ablate rank": "eta_list = 0,0.5",
+    "ablate lookback": "robust_max_epochs = 7",  # failed
     "ablate haar --params-only": "learning_rate = 0.5",
     "ablate head --params-only": "use_dct = false",
     "ablate dct --params-only": "max_epochs = 3",  # failed: patience (20) > 3
-    "ablate rank --params-only": "rank = 3",
-    "ablate lookback --params-only": "lookback = 8",
+    "ablate rank --params-only": "seed = 3",
+    "ablate lookback --params-only": "batch_size = 7",
     "params": "robust_max_epochs = 7",  # failed
 }
 # the flags of the unread-line runs, each passed where the form reads it
 SMALL_RUN = {"dataset": "sine_mix", "synth_length": "240", "lookback": "16", "horizons": "4",
              "rank": "2", "max_epochs": "1", "patience": "1", "eta_list": "0,0.5",
-             "robust_max_epochs": "1", "robust_patience": "1", "rank_list": "2,3",
-             "lookback_list": "16,24"}
+             "robust_max_epochs": "1", "robust_patience": "1"}
 
 
 @pytest.mark.parametrize("form", COMMAND_KEYS)
@@ -1094,10 +1206,35 @@ def test_a_config_line_the_form_does_not_read_changes_no_byte(tmp_path, capsys, 
     assert outputs[0][1] or form == "params"
 
 
+def cell_count(workdir: Path, out: str) -> int:
+    """The cells a command ran: its job lines, else its ablation table's
+    rows, else (`params`) its printed lines."""
+    jobs = [line for line in out.splitlines() if line.startswith("job ")]
+    tables = list(workdir.rglob("ablate_*.csv"))
+    return len(jobs) or (len(table_rows(tables[0])) - 1 if tables else len(out.splitlines()))
+
+
+@pytest.mark.parametrize("form, key", [
+    (form, key) for form, keys in COMMAND_KEYS.items() for key in hadl.cli.SWEPT if key in keys])
+def test_every_form_runs_each_value_of_a_swept_key(tmp_path, capsys, monkeypatch, form, key):
+    # a comma list runs one cell per value; only a dense cell runs once for all ranks
+    flags = [f"--{name.replace('_', '-')}={value}" for name, value in SMALL_RUN.items()
+             if name in COMMAND_KEYS[form] and name != key]
+    counts = []
+    for values in ({"seed": "3", "rank": "2", "lookback": "8"}[key],
+                   {"seed": "3,4", "rank": "2,3", "lookback": "8,16"}[key]):
+        workdir = tmp_path / values
+        workdir.mkdir()
+        monkeypatch.chdir(workdir)  # the default outdir, runs/, lands here
+        assert main([*form.split(), *flags, f"--{key}={values}"]) == 0
+        counts.append(cell_count(workdir, capsys.readouterr().out))
+    assert counts[1] == (3 if form.startswith("ablate head") and key == "rank" else 2 * counts[0])
+
+
 def test_a_config_file_may_set_what_a_command_drops(tmp_path, capsys):
     # one file may serve several commands, so only flags are held to the rule
     cfg = tmp_path / "shared.cfg"
-    cfg.write_text("eta_list = 0,0.5\nrank_list = 4,8\nuse_haar = false\nrobust_patience = 5\n")
+    cfg.write_text("eta_list = 0,0.5\nuse_haar = false\nrobust_patience = 5\n")
     rc = main(["ablate", "haar", "--config", str(cfg), "--dataset", "sine_mix", "--lookback",
                "16", "--horizons", "4", "--rank", "2", "--max-epochs", "1", "--patience", "1",
                "--outdir", str(tmp_path / "runs")])
@@ -1111,8 +1248,8 @@ def test_params_only_head_axis_reads_the_rank(tmp_path, capsys):
     rc = main(["ablate", "head", "--params-only", "--horizons", "96,720", "--rank", "40",
                "--with-bias", "false", "--outdir", str(tmp_path / "runs")])
     assert rc == 0, capsys.readouterr().err
-    rows = table_rows(tmp_path / "runs" / "sine_mix" / "ablate_head.csv")
-    assert [row[5] for row in rows[1:]] == ["14080", "39040", "24576", "184320"]
+    header, *body = table_rows(tmp_path / "runs" / "sine_mix" / "ablate_head.csv")
+    assert [row[header.index("params")] for row in body] == ["14080", "39040", "24576", "184320"]
 
 
 @pytest.mark.parametrize("command, flag, values", [
@@ -1251,10 +1388,10 @@ TRAINABLE = ["--synth-length", "2000", "--max-epochs", "1", "--patience", "1"]
 IMPOSSIBLE = [  # (argv, the config key the error names)
     (["params", "--rank", "-3"], "rank"),  # printed "-1440 parameters"
     (["params", "--lookback", "33"], "lookback"),
-    (["ablate", "rank", "--rank-list", "0", "--params-only"], "rank"),
+    (["ablate", "rank", "--rank", "0", "--params-only"], "rank"),
     # each trained its valid cell and printed its job line first
-    (["ablate", "lookback", "--lookback-list", "32,33", *TRAINABLE], "lookback"),
-    (["ablate", "rank", "--rank-list", "2,0", "--lookback", "32", *TRAINABLE], "rank"),
+    (["ablate", "lookback", "--lookback", "32,33", *TRAINABLE], "lookback"),
+    (["ablate", "rank", "--rank", "2,0", "--lookback", "32", *TRAINABLE], "rank"),
     # the two commands that train nothing checked no training key: each exited
     # 0; now each refuses the flag, which names the key
     (["params", "--patience", "0"], "--patience:"),
@@ -1310,7 +1447,7 @@ def test_model_shape_checked_before_the_pool(tmp_path, capsys, monkeypatch, comm
     # each trained its first cell and printed its job line, then failed
     (["train", "--synth-length", "600", "--lookback", "48", "--horizons", "8,70", "--rank", "4"],
      "sine_mix/val: 108 steps cannot fit lookback 48 + horizon 70"),
-    (["ablate", "lookback", "--synth-length", "300", "--lookback-list", "16,240",
+    (["ablate", "lookback", "--synth-length", "300", "--lookback", "16,240",
       "--horizons", "8", "--rank", "4"],
      "sine_mix/train: 210 steps cannot fit lookback 240 + horizon 8"),
 ], ids=["train_horizon", "ablate_lookback"])
@@ -1471,12 +1608,11 @@ def test_config_commands_take_every_key(command):
     args = hadl.cli.build_parser().parse_args(argv)
     assert args.config == "run.cfg"
     assert all(getattr(args, key) == f"{key}-value" for key in hadl.cli._KEY_TYPES)
-    if command in ("train", "robustness"):
-        assert hadl.cli.build_parser().parse_args([command, "--workers", "2"]).workers == 2
+    if command != "params":
+        assert hadl.cli.build_parser().parse_args([*argv[:-2], "--workers", "2"]).workers == 2
 
 
 @pytest.mark.parametrize("argv", [
-    ["ablate", "dct", "--workers", "2"],
     ["params", "--workers", "2"],
     ["export-weights", "a.npz", "b.csv", "--rank", "4"],
     ["export-weights", "a.npz", "b.csv", "--config", "run.cfg"],

@@ -148,39 +148,50 @@ class TestMav:
 
 class TestRobustnessReport:
     def test_derivation(self):
-        report = robustness_report([0.0, 0.3, 0.7], [0.40, 0.42, 0.46])
+        report = robustness_report(0, [0.0, 0.3, 0.7], [0.40, 0.42, 0.46])
         assert report.nrr_per_eta == pytest.approx((1.05, 1.15))
         assert report.mav == pytest.approx(0.1)
 
     def test_requires_zero_first(self):
         with pytest.raises(InvalidConfigError, match="must start with the noise-free setting"):
-            robustness_report([0.3, 0.7], [0.4, 0.5])
+            robustness_report(0, [0.3, 0.7], [0.4, 0.5])
 
     def test_degenerate_sweep_has_no_mav(self):
-        report = robustness_report([0.0], [0.4])
+        report = robustness_report(0, [0.0], [0.4])
         assert report.nrr_per_eta == ()
         assert report.mav is None
 
     def test_csv_marks_undefined_mav(self, tmp_path):
-        report = robustness_report([0.0], [0.4])
+        report = robustness_report(0, [0.0], [0.4])
         path = tmp_path / "rob.csv"
-        write_robustness_csv(report, path, fingerprint="abc")
+        write_robustness_csv([report], path, fingerprint="abc")
         lines = path.read_text().splitlines()
         assert lines[0] == "# config_fingerprint=abc"
-        assert lines[1] == "eta,mse,nrr,mav"
+        assert lines[1] == "seed,eta,mse,nrr,mav"
         assert lines[2].endswith("undefined")
 
     def test_csv_full_sweep(self, tmp_path):
-        report = robustness_report([0.0, 0.3], [0.5, 0.55])
+        report = robustness_report(0, [0.0, 0.3], [0.5, 0.55])
         path = tmp_path / "rob.csv"
-        write_robustness_csv(report, path)
+        write_robustness_csv([report], path)
         lines = path.read_text().splitlines()
         assert len(lines) == 3
         eta_row = lines[1].split(",")
-        assert float(eta_row[0]) == 0.0 and eta_row[2] == ""
+        assert eta_row[0] == "0" and float(eta_row[1]) == 0.0 and eta_row[3] == ""
         noisy_row = lines[2].split(",")
-        assert float(noisy_row[2]) == pytest.approx(1.1)
-        assert float(noisy_row[3]) == pytest.approx(report.mav)
+        assert float(noisy_row[3]) == pytest.approx(1.1)
+        assert float(noisy_row[4]) == pytest.approx(report.mav)
+
+    def test_csv_one_block_per_seed(self, tmp_path):
+        # each seed's rows end with its own MAV, from its own clean MSE
+        reports = [robustness_report(seed, [0.0, 0.5], mses)
+                   for seed, mses in ((3, [0.5, 0.55]), (4, [0.4, 0.6]))]
+        path = tmp_path / "rob.csv"
+        write_robustness_csv(reports, path)
+        rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+        assert [row[0] for row in rows] == ["3", "3", "4", "4"]
+        assert [row[4] for row in rows] == ["", repr(reports[0].mav), "", repr(reports[1].mav)]
+        assert reports[1].mav == pytest.approx(0.5)
 
 
 def test_eval_csv_round_trip(tmp_path):
