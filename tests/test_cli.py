@@ -1089,6 +1089,9 @@ def test_setting_a_command_drops_is_one_error_line(tmp_path, capsys, command, ke
      " robustness, hadl ablate haar|head|dct|rank|lookback"),
     (["params", "--eta-list", "0,0.5"], "--eta-list: hadl params does not read eta_list; it is"
                                         " read by hadl robustness"),
+    # params trains nothing: a seed list would read as one count per seed
+    (["params", "--seed", "1,2"], "--seed: hadl params does not read seed; it is read by hadl"
+                                  " train, hadl robustness, hadl ablate haar|head|dct|rank|lookback"),
     # trained at the robustness budget, 50 epochs with patience 10, and wrote
     # max_epochs 3 into robustness.json's config
     (["robustness", "--eta-list", "0,0.5", "--max-epochs", "3", "--patience", "3"],
@@ -1123,7 +1126,7 @@ def test_setting_a_command_drops_is_one_error_line(tmp_path, capsys, command, ke
      "--use-dct: hadl ablate haar --params-only does not read use_dct; it is read by hadl train,"
      " hadl robustness, hadl ablate haar|head|rank|lookback"),
 ], ids=["train", "robustness_noise", "ablate_eta_list", "ablate_axis",
-        "ablate_params_only", "params", "robustness_budget", "train_robust_budget",
+        "ablate_params_only", "params", "params_seeds", "robustness_budget", "train_robust_budget",
         "params_budget", "params_only_training_key", "train_dense_rank", "ablate_dense_rank",
         "params_dct", "params_outdir", "params_dataset", "params_only_dct"])
 def test_a_flag_the_command_drops_fails_before_loading(tmp_path, capsys, monkeypatch, argv,
@@ -1616,6 +1619,7 @@ def test_config_commands_take_every_key(command):
     ["params", "--workers", "2"],
     ["export-weights", "a.npz", "b.csv", "--rank", "4"],
     ["export-weights", "a.npz", "b.csv", "--config", "run.cfg"],
+    ["export-weights", "a.npz", "b.csv", "--seed", "1,2"],
 ])
 def test_a_flag_the_command_lacks_exits_2(argv, capsys):
     with pytest.raises(SystemExit) as caught:
